@@ -102,10 +102,11 @@ bench-full:
 
 # Simulation-core micro-benchmarks: the arena kernel, incremental
 # resimulation, bucketed refinement, vector packing, the sweeping
-# counterexample pool, and end-to-end service throughput. BENCHCOUNT
-# repetitions give the gate stable medians.
+# counterexample pool, end-to-end service throughput, and SimGen and
+# reverse-simulation vector generation. BENCHCOUNT repetitions give the
+# gate stable medians.
 BENCHCOUNT ?= 5
-BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkRefine|BenchmarkPackVectors|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep
+BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkRefine|BenchmarkPackVectors|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep|BenchmarkAblationSimGen|BenchmarkAblationRevS
 BENCHDIRS ?= ./internal/sim ./internal/sweep ./internal/sweepd .
 .PHONY: bench
 bench:

@@ -66,18 +66,6 @@ func (m *mffcDepths) of(id network.NodeID) float64 {
 	return m.depth[id]
 }
 
-// decide picks one consistent row for the candidate node according to the
-// strategy and applies it. It returns false when no consistent row assigns
-// anything new (the caller then drops the candidate).
-func (e *engine) decide(id network.NodeID, strategy DecisionStrategy, depths *mffcDepths, rng *rand.Rand) bool {
-	idx, ok := e.chooseRow(id, strategy, depths, rng, nil)
-	if !ok {
-		return false
-	}
-	e.applyRowIndex(id, idx)
-	return true
-}
-
 // chooseRow selects a consistent, progress-making row of the node by the
 // decision strategy, skipping row indices present in tried (used by
 // backtracking). It returns the index into the node's row set.
@@ -86,46 +74,46 @@ func (e *engine) chooseRow(id network.NodeID, strategy DecisionStrategy, depths 
 	st := nodeStateOf(e.net, e.vals, id)
 	rs := e.rows.of(id)
 
-	var candIdx []int
+	cand := e.cand[:0]
 	for i := range rs.rows {
 		if tried[i] {
 			continue
 		}
 		r := rs.rows[i]
 		if r.consistent(st) && r.assignsNew(st) {
-			candIdx = append(candIdx, i)
+			cand = append(cand, i)
 		}
 	}
-	if len(candIdx) == 0 {
+	e.cand = cand
+	if len(cand) == 0 {
 		return -1, false
 	}
 	switch strategy {
 	case DecRandom:
-		return candIdx[rng.Intn(len(candIdx))], true
+		return cand[rng.Intn(len(cand))], true
 	default:
-		prios := make([]float64, len(candIdx))
+		prios := e.prios[:0]
 		maxP := 0.0
-		for i, ri := range candIdx {
+		for _, ri := range cand {
 			r := rs.rows[ri]
 			p := priorityAlpha * float64(r.cube.NumDC(len(nd.Fanins)))
 			if strategy == DecDCMFFC {
 				p += priorityBeta * e.mffcRank(r, nd.Fanins, depths)
 			}
-			prios[i] = p
+			prios = append(prios, p)
 			if p > maxP {
 				maxP = p
 			}
 		}
-		return candIdx[rouletteWheel(prios, maxP, rng)], true
+		e.prios = prios
+		return cand[rouletteWheel(prios, maxP, rng)], true
 	}
 }
 
-// applyRowIndex applies the idx-th row of the node's row set against the
-// current state.
+// applyRowIndex applies the idx-th row of the node's row set.
 func (e *engine) applyRowIndex(id network.NodeID, idx int) {
-	nd := e.net.Node(id)
-	st := nodeStateOf(e.net, e.vals, id)
-	e.applyRow(id, nd.Fanins, e.rows.of(id).rows[idx], st)
+	r := e.rows.of(id).rows[idx]
+	e.assign(id, e.net.Node(id).Fanins, true, r.out, r.cube.Mask, r.cube.Val)
 }
 
 // mffcRank implements Eq. 3: the sum of MFFC depths over the row's non-DC

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"simgen/internal/network"
 )
 
@@ -34,6 +36,10 @@ type engine struct {
 
 	queue  []network.NodeID
 	queued []bool
+
+	// cand and prios are chooseRow's scratch buffers.
+	cand  []int
+	prios []float64
 
 	// implications counts row applications performed by propagate — the
 	// unit of implication work reported through GenStats.
@@ -81,145 +87,34 @@ func (e *engine) propagate(strategy ImplicationStrategy) bool {
 		if nd.Kind == network.KindPI {
 			continue
 		}
-		st := nodeStateOf(e.net, e.vals, id)
-		rs := e.rows.of(id)
-
-		// Collect consistent rows.
-		var first, second *row
-		count := 0
-		for i := range rs.rows {
-			if rs.rows[i].consistent(st) {
-				count++
-				if first == nil {
-					first = &rs.rows[i]
-				} else if second == nil {
-					second = &rs.rows[i]
-				}
-			}
-		}
-		if count == 0 {
+		x := e.entry(id)
+		if x.has(entConflict) {
 			e.clearQueue()
 			return false
 		}
-		if count == 1 {
-			// Simple implication: the single row's values are forced.
+		// A single consistent row forces its values (simple implication);
+		// advanced implication (Definition 4.1) also propagates the values
+		// on which several consistent rows agree.
+		if x.has(entSingle) || strategy == ImplAdvanced {
 			e.implications++
-			e.applyRow(id, nd.Fanins, *first, st)
-			continue
-		}
-		if strategy == ImplAdvanced {
-			e.implications++
-			e.applyAgreement(id, nd.Fanins, rs, st)
+			e.assign(id, nd.Fanins, x.has(entOutAgree), x.has(entOutVal), uint32(x.mask), uint32(x.val))
 		}
 	}
 	return true
 }
 
-// applyRow assigns the row's output and every cared input that is not yet
-// assigned. Consistency was already checked.
-func (e *engine) applyRow(id network.NodeID, fanins []network.NodeID, r row, st nodeState) {
-	if st.out == unassigned {
-		e.assignAndWake(id, r.out)
+// assign sets the node's output to out when outKnown and the output is
+// free, then, in fanin order, every free fanin position of mask to its bit
+// of val. A duplicate fanin set by an earlier position is skipped.
+func (e *engine) assign(id network.NodeID, fanins []network.NodeID, outKnown, out bool, mask, val uint32) {
+	if outKnown && !e.vals.assigned(id) {
+		e.assignAndWake(id, out)
 	}
-	for i, f := range fanins {
-		v, cared := r.cube.Has(i)
-		if !cared {
-			continue
+	for ; mask != 0; mask &= mask - 1 {
+		i := bits.TrailingZeros32(mask)
+		if f := fanins[i]; !e.vals.assigned(f) {
+			e.assignAndWake(f, val&(1<<uint(i)) != 0)
 		}
-		if st.inMask&(1<<uint(i)) != 0 {
-			continue
-		}
-		if e.vals.assigned(f) {
-			// A duplicate fanin position may have been assigned by an
-			// earlier position of this same row application.
-			continue
-		}
-		e.assignAndWake(f, v)
-	}
-}
-
-// applyAgreement implements advanced implication (Definition 4.1): values
-// on which all consistent rows agree are propagated; positions where rows
-// differ — including a don't-care versus a value — remain unassigned.
-func (e *engine) applyAgreement(id network.NodeID, fanins []network.NodeID, rs *rowSet, st nodeState) {
-	// Fast path: with no inputs assigned, the consistent rows are exactly
-	// one polarity cover (or all rows), whose agreements are precomputed.
-	if st.inMask == 0 {
-		switch st.out {
-		case val1:
-			e.applyStaticAgreement(fanins, rs.onAgreeMask, rs.onAgreeVal)
-			return
-		case val0:
-			e.applyStaticAgreement(fanins, rs.offAgreeMask, rs.offAgreeVal)
-			return
-		default:
-			// Output unassigned: with both polarities present nothing can
-			// be implied (the rows disagree on the output, and an input
-			// agreement would require agreement across both covers, which
-			// the general path below computes only when inputs constrain
-			// the row set — here they don't, so intersect the two masks).
-			if rs.hasOn && rs.hasOff {
-				m := rs.onAgreeMask & rs.offAgreeMask
-				m &^= rs.onAgreeVal ^ rs.offAgreeVal
-				e.applyStaticAgreement(fanins, m, rs.onAgreeVal&m)
-				return
-			}
-		}
-	}
-	narity := len(fanins)
-	outAgree := true
-	var outVal bool
-	// inAgree[i]: all rows care about input i with the same value.
-	agreeMask := uint32(1)<<uint(narity) - 1
-	var agreeVal uint32
-	firstRow := true
-	for i := range rs.rows {
-		r := &rs.rows[i]
-		if !r.consistent(st) {
-			continue
-		}
-		if firstRow {
-			outVal = r.out
-			agreeMask &= r.cube.Mask
-			agreeVal = r.cube.Val
-			firstRow = false
-			continue
-		}
-		if r.out != outVal {
-			outAgree = false
-		}
-		agreeMask &= r.cube.Mask
-		agreeMask &^= agreeVal ^ r.cube.Val
-		agreeVal &= agreeMask
-	}
-	if outAgree && st.out == unassigned {
-		e.assignAndWake(id, outVal)
-	}
-	newMask := agreeMask &^ st.inMask
-	if newMask == 0 {
-		return
-	}
-	for i, f := range fanins {
-		bit := uint32(1) << uint(i)
-		if newMask&bit == 0 || e.vals.assigned(f) {
-			continue
-		}
-		e.assignAndWake(f, agreeVal&bit != 0)
-	}
-}
-
-// applyStaticAgreement assigns the agreed input values of a precomputed
-// agreement mask.
-func (e *engine) applyStaticAgreement(fanins []network.NodeID, mask, val uint32) {
-	if mask == 0 {
-		return
-	}
-	for i, f := range fanins {
-		bit := uint32(1) << uint(i)
-		if mask&bit == 0 || e.vals.assigned(f) {
-			continue
-		}
-		e.assignAndWake(f, val&bit != 0)
 	}
 }
 

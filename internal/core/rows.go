@@ -13,64 +13,94 @@ type row struct {
 	out  bool
 }
 
-// rowSet holds the combined on-/off-set rows of one node, plus precomputed
-// "static" agreements: the input positions on which all rows of one output
-// polarity agree. They answer the most frequent advanced-implication query
-// — a node whose output was just assigned and whose inputs are all free —
-// without scanning the rows.
+// memoArity is the largest arity whose implication entries are memoized.
+// The K=6 mapper never exceeds it; wider functions are filled on every
+// lookup.
+const memoArity = 6
+
+// rowSet holds the combined on-/off-set rows of one node function and the
+// memo of the implication kernel over them. Rows depend only on the
+// function, so all nodes computing one function of at most memoArity
+// inputs share one rowSet.
+//
+// The memo is indexed by the node's ternary state: fanin position i
+// contributes digit v+1 (0 unassigned, 1 for 0, 2 for 1) times 3^i, and
+// the output's digit picks one of three tables of 3^k entries, each
+// allocated on its first miss.
 type rowSet struct {
 	rows []row
-
-	// onAgree/offAgree: agreement across the rows of that polarity.
-	onAgreeMask, onAgreeVal   uint32
-	offAgreeMask, offAgreeVal uint32
-	hasOn, hasOff             bool
+	memo [3][]implEntry
 }
 
-// computeStaticAgreements fills the per-polarity agreement masks.
-func (rs *rowSet) computeStaticAgreements(arity int) {
-	full := uint32(1)<<uint(arity) - 1
-	onMask, offMask := full, full
-	var onVal, offVal uint32
-	for _, r := range rs.rows {
-		if r.out {
-			if !rs.hasOn {
-				rs.hasOn = true
-				onMask &= r.cube.Mask
-				onVal = r.cube.Val
-			} else {
-				onMask &= r.cube.Mask
-				onMask &^= onVal ^ r.cube.Val
-			}
-			onVal &= onMask
-		} else {
-			if !rs.hasOff {
-				rs.hasOff = true
-				offMask &= r.cube.Mask
-				offVal = r.cube.Val
-			} else {
-				offMask &= r.cube.Mask
-				offMask &^= offVal ^ r.cube.Val
-			}
-			offVal &= offMask
+// implEntry summarizes the rows consistent with one ternary state: mask
+// holds the input positions every consistent row cares about with the same
+// value, val those values.
+type implEntry struct {
+	mask, val uint16
+	flags     uint8
+}
+
+const (
+	entFilled    uint8 = 1 << iota // memo slot computed
+	entConflict                    // no consistent row
+	entSingle                      // exactly one consistent row
+	entJustified                   // some consistent row has all cared inputs assigned
+	entOutAgree                    // all consistent rows have one output value...
+	entOutVal                      // ...namely 1
+)
+
+func (x implEntry) has(f uint8) bool { return x.flags&f != 0 }
+
+// fill computes the entry for a state by scanning the rows.
+func (rs *rowSet) fill(st nodeState) implEntry {
+	x := implEntry{flags: entFilled | entOutAgree}
+	count := 0
+	for i := range rs.rows {
+		r := &rs.rows[i]
+		if !r.consistent(st) {
+			continue
 		}
+		if r.cube.Mask&^st.inMask == 0 {
+			x.flags |= entJustified
+		}
+		if count == 0 {
+			x.mask, x.val = uint16(r.cube.Mask), uint16(r.cube.Val)
+			if r.out {
+				x.flags |= entOutVal
+			}
+		} else {
+			if r.out != x.has(entOutVal) {
+				x.flags &^= entOutAgree
+			}
+			x.mask &^= ^uint16(r.cube.Mask) | (x.val ^ uint16(r.cube.Val))
+		}
+		count++
 	}
-	if rs.hasOn {
-		rs.onAgreeMask, rs.onAgreeVal = onMask, onVal&onMask
+	x.val &= x.mask
+	switch count {
+	case 0:
+		return implEntry{flags: entFilled | entConflict}
+	case 1:
+		x.flags |= entSingle
 	}
-	if rs.hasOff {
-		rs.offAgreeMask, rs.offAgreeVal = offMask, offVal&offMask
-	}
+	return x
 }
 
-// rowCache lazily builds rowSets per node.
+// rowCache lazily builds rowSets per node, shared per function.
 type rowCache struct {
-	net  *network.Network
-	sets []*rowSet
+	net    *network.Network
+	sets   []*rowSet
+	byFunc map[funcKey]*rowSet
+}
+
+// funcKey identifies a function of at most memoArity inputs.
+type funcKey struct {
+	arity int
+	bits  uint64
 }
 
 func newRowCache(net *network.Network) *rowCache {
-	return &rowCache{net: net, sets: make([]*rowSet, net.NumNodes())}
+	return &rowCache{net: net, sets: make([]*rowSet, net.NumNodes()), byFunc: make(map[funcKey]*rowSet)}
 }
 
 func (rc *rowCache) of(id network.NodeID) *rowSet {
@@ -78,6 +108,15 @@ func (rc *rowCache) of(id network.NodeID) *rowSet {
 		return rs
 	}
 	nd := rc.net.Node(id)
+	var key funcKey
+	shared := nd.Kind != network.KindPI && nd.Func.NumVars() <= memoArity
+	if shared {
+		key = funcKey{nd.Func.NumVars(), nd.Func.Words()[0]}
+		if rs := rc.byFunc[key]; rs != nil {
+			rc.sets[id] = rs
+			return rs
+		}
+	}
 	rs := &rowSet{}
 	switch nd.Kind {
 	case network.KindPI:
@@ -93,10 +132,50 @@ func (rc *rowCache) of(id network.NodeID) *rowSet {
 		for _, c := range off {
 			rs.rows = append(rs.rows, row{cube: c, out: false})
 		}
-		rs.computeStaticAgreements(len(nd.Fanins))
+	}
+	if shared {
+		rc.byFunc[key] = rs
 	}
 	rc.sets[id] = rs
 	return rs
+}
+
+// pow3[k] is the size of one output digit's table for arity k.
+var pow3 = [memoArity + 1]int{1, 3, 9, 27, 81, 243, 729}
+
+// entry returns the implication entry of the node's current state, from the
+// memo when the arity allows.
+func (e *engine) entry(id network.NodeID) implEntry {
+	rs := e.rows.of(id)
+	fanins := e.net.Node(id).Fanins
+	if len(fanins) > memoArity {
+		return rs.fill(nodeStateOf(e.net, e.vals, id))
+	}
+	vals := e.vals.vals
+	idx := 0
+	for i := len(fanins) - 1; i >= 0; i-- {
+		idx = idx*3 + int(vals[fanins[i]]+1)
+	}
+	out := vals[id] + 1
+	tab := rs.memo[out]
+	if tab == nil {
+		tab = make([]implEntry, pow3[len(fanins)])
+		rs.memo[out] = tab
+	}
+	if x := tab[idx]; x.has(entFilled) {
+		return x
+	}
+	st := nodeState{out: out - 1}
+	for i, d := 0, idx; i < len(fanins); i, d = i+1, d/3 {
+		if d%3 != 0 {
+			st.inMask |= 1 << uint(i)
+			if d%3 == 2 {
+				st.inVal |= 1 << uint(i)
+			}
+		}
+	}
+	tab[idx] = rs.fill(st)
+	return tab[idx]
 }
 
 // nodeState captures the node's currently assigned fanin values as cube
@@ -135,17 +214,4 @@ func (r row) consistent(st nodeState) bool {
 // currently unassigned input.
 func (r row) assignsNew(st nodeState) bool {
 	return r.cube.Mask&^st.inMask != 0
-}
-
-// justified reports whether some consistent row is fully assigned: the
-// node's output value is then guaranteed under any completion of the
-// remaining unassigned inputs, so no further decision is needed here.
-func (rs *rowSet) justified(st nodeState) bool {
-	for i := range rs.rows {
-		r := &rs.rows[i]
-		if r.consistent(st) && r.cube.Mask&^st.inMask == 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"simgen/internal/network"
@@ -43,6 +45,10 @@ type Generator struct {
 	// alternating policy).
 	GoldPolicy OutGoldPolicy
 	goldState  *goldState
+
+	// order and honored are VectorForTargets' scratch buffers.
+	order   []int
+	honored []bool
 
 	// coneCache memoizes fanin cones per target; classes revisit the same
 	// targets across iterations, making this the generator's hottest
@@ -116,26 +122,29 @@ func OutGoldPhase(members []network.NodeID, phase bool) ([]network.NodeID, []boo
 // a per-target flag reporting which targets were honored — simulating the
 // vector is guaranteed to produce the OUTgold value at every honored
 // target — and whether the vector is useful: at least one 0-target and one
-// 1-target honored, so simulation can split the class.
+// 1-target honored, so simulation can split the class. The honored slice is
+// reused by the next call.
 func (g *Generator) VectorForTargets(targets []network.NodeID, gold []bool) ([]bool, []bool, bool) {
 	e := g.eng
 	e.vals.reset()
 	e.clearQueue()
 
 	// Order target nodes by decreasing network depth (Alg. 1 line 2).
-	order := make([]int, len(targets))
-	for i := range order {
-		order[i] = i
+	order := g.order[:0]
+	for i := range targets {
+		order = append(order, i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		la, lb := g.net.Level(targets[order[a]]), g.net.Level(targets[order[b]])
-		if la != lb {
-			return la > lb
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(g.net.Level(targets[b]), g.net.Level(targets[a])); c != 0 {
+			return c
 		}
-		return targets[order[a]] < targets[order[b]]
+		return cmp.Compare(targets[a], targets[b])
 	})
+	g.order = order
 
-	honored := make([]bool, len(targets))
+	honored := slices.Grow(g.honored[:0], len(targets))[:len(targets)]
+	clear(honored)
+	g.honored = honored
 	okZero, okOne := false, false
 	for _, ti := range order {
 		target, want := targets[ti], gold[ti]
@@ -267,25 +276,14 @@ func (g *Generator) processTarget(target network.NodeID, want bool) bool {
 func (g *Generator) latestUpdated(cone []network.NodeID, stuck map[network.NodeID]bool) network.NodeID {
 	e := g.eng
 	best := network.NoNode
-	var bestStamp int64 = -1
+	var bestStamp int64 // unassigned nodes have stamp 0
 	for _, id := range cone {
-		if stuck[id] {
+		s := e.vals.stamp[id]
+		if s <= bestStamp || g.net.Node(id).Kind != network.KindLUT || stuck[id] {
 			continue
 		}
-		nd := g.net.Node(id)
-		if nd.Kind != network.KindLUT {
-			continue
-		}
-		if !e.vals.assigned(id) {
-			continue
-		}
-		if s := e.vals.stamp[id]; s > bestStamp {
-			st := nodeStateOf(g.net, e.vals, id)
-			if e.rows.of(id).justified(st) {
-				continue
-			}
-			bestStamp = s
-			best = id
+		if !e.entry(id).has(entJustified) {
+			bestStamp, best = s, id
 		}
 	}
 	return best

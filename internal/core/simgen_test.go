@@ -302,9 +302,11 @@ func TestDCDecisionPrefersDontCares(t *testing.T) {
 			e.vals.reset()
 			e.clearQueue()
 			e.vals.set(g, true)
-			if !e.decide(g, strategy, depths, rng) {
-				t.Fatal("decide failed")
+			idx, ok := e.chooseRow(g, strategy, depths, rng, nil)
+			if !ok {
+				t.Fatal("chooseRow found no row")
 			}
+			e.applyRowIndex(g, idx)
 			if v, ok := e.vals.get(x0); ok && v {
 				hits++
 			}
