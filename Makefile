@@ -41,7 +41,7 @@ PERTURB_COMBOS ?= 2000
 .PHONY: fuzz-perturb
 fuzz-perturb:
 	SIMGEN_PERTURB_COMBOS=$(PERTURB_COMBOS) $(GO) test -race -count=1 \
-		-run 'TestInterleavingSweep' ./internal/fuzz
+		-run 'TestInterleavingSweep' ./internal/fuzz ./internal/sweep
 	$(GO) run ./cmd/fuzz -n 100 -seed 1 -perturb -perturb-schedules 4 -oracle differential
 
 # Coverage over the library packages, with a soft floor on internal/obs:

@@ -2,9 +2,7 @@
 // concurrent sweeping core. The parallel obligation scheduler and the
 // prover engines consult an Injector at every decision point — claiming an
 // obligation, flushing the counterexample pool, folding a merge, resolving
-// a verdict, idling for work, stealing obligations from a sibling worker's
-// deque, batch-merging a private counterexample pool — and the injector
-// answers with an action:
+// a verdict, idling for work — and the injector answers with an action:
 // yield the processor, spin out a delay, force an early pool flush, wake
 // idle workers spuriously, or (at the engine boundary) fail, time out, or
 // panic the prove call.
@@ -47,14 +45,6 @@ const (
 	// PointWait fires when an idle worker is about to sleep for more work;
 	// wake actions here simulate spurious wakeups.
 	PointWait
-	// PointSteal fires when a worker with an empty deque has stolen hints
-	// from a victim's deque and is about to claim one — the window where the
-	// victim observes half its queue vanish.
-	PointSteal
-	// PointBatchMerge fires before a worker's private counterexample pool is
-	// merged into the partition through one batched refinement, reordering
-	// the flush relative to in-flight obligations on other workers.
-	PointBatchMerge
 
 	// NumPoints bounds the Point values. New points are appended before this
 	// marker so existing points keep their values and seeded schedules keep
@@ -63,14 +53,12 @@ const (
 )
 
 var pointNames = [NumPoints]string{
-	PointClaim:      "claim",
-	PointFlush:      "flush",
-	PointMerge:      "merge",
-	PointResolve:    "resolve",
-	PointVerdict:    "verdict",
-	PointWait:       "wait",
-	PointSteal:      "steal",
-	PointBatchMerge: "batch_merge",
+	PointClaim:   "claim",
+	PointFlush:   "flush",
+	PointMerge:   "merge",
+	PointResolve: "resolve",
+	PointVerdict: "verdict",
+	PointWait:    "wait",
 }
 
 func (p Point) String() string {

@@ -30,8 +30,6 @@ type Collector struct {
 	requeued  int // requeue events + panic events with a retry left
 	retried   int // obligation claims that were retries of requeued pairs
 	perturbs  int // chaos perturbation actions fired
-	steals    int // work-stealing batches moved between worker deques
-	contended int // union-find merges that hit stripe contention
 
 	cache CacheReport // verification-memory activity
 	word  WordReport  // word-level structure and proving activity
@@ -118,12 +116,6 @@ func (c *Collector) Emit(ev Event) {
 		c.requeued++
 	case KindPerturb:
 		c.perturbs++
-	case KindSteal:
-		c.steals++
-	case KindBatchMerge:
-		c.pool.BatchMerges++
-	case KindStripeContention:
-		c.contended++
 	case KindCacheProbe:
 		c.cache.Probes++
 	case KindCacheHit:
@@ -187,11 +179,10 @@ type ObligationReport struct {
 	Equal     int `json:"equal"`
 	Differ    int `json:"differ"`
 	Unknown   int `json:"unknown"`
-	Dropped   int `json:"dropped"`          // panics out of retries: claimed, never resolved
-	Requeued  int `json:"requeued"`         // returned to the queue after a panic or transient failure
-	Retried   int `json:"retried"`          // requeued pairs claimed again
-	Panics    int `json:"panics"`           // recovered worker panics (requeued or dropped)
-	Steals    int `json:"steals,omitempty"` // work-stealing batches between worker deques
+	Dropped   int `json:"dropped"`  // panics out of retries: claimed, never resolved
+	Requeued  int `json:"requeued"` // returned to the queue after a panic or transient failure
+	Retried   int `json:"retried"`  // requeued pairs claimed again
+	Panics    int `json:"panics"`   // recovered worker panics (requeued or dropped)
 	QueuePeak int `json:"queue_peak"`
 }
 
@@ -201,9 +192,6 @@ type PoolReport struct {
 	Lanes   int `json:"lanes"`
 	Splits  int `json:"splits"`
 	Dropped int `json:"dropped"`
-	// BatchMerges counts per-worker pool batches merged into the shared
-	// partition (parallel runs; each batch merge performs one flush).
-	BatchMerges int `json:"batch_merges,omitempty"`
 }
 
 // CacheReport summarizes cross-run verification-memory activity. All
@@ -247,17 +235,14 @@ type Report struct {
 	// Engines is sorted by name for stable rendering.
 	Engines []EngineReport `json:"engines"`
 	// Escalations[i] counts pairs that reached rung i+1 of the ladder.
-	Escalations []int `json:"escalations,omitempty"`
-	BDDBlowups  int   `json:"bdd_blowups,omitempty"`
-	Perturbs    int   `json:"perturbs,omitempty"`
-	// StripeContention counts union-find merges that contended on a stripe
-	// lock — the explainability counter behind the scaling curve.
-	StripeContention int           `json:"stripe_contention,omitempty"`
-	Cache            CacheReport   `json:"cache"`
-	Word             WordReport    `json:"word"`
-	Pool             PoolReport    `json:"pool"`
-	Gen              GenReport     `json:"gen"`
-	ProveTime        time.Duration `json:"prove_time_ns"`
+	Escalations []int         `json:"escalations,omitempty"`
+	BDDBlowups  int           `json:"bdd_blowups,omitempty"`
+	Perturbs    int           `json:"perturbs,omitempty"`
+	Cache       CacheReport   `json:"cache"`
+	Word        WordReport    `json:"word"`
+	Pool        PoolReport    `json:"pool"`
+	Gen         GenReport     `json:"gen"`
+	ProveTime   time.Duration `json:"prove_time_ns"`
 	// Utilization is the fraction of worker wall time spent inside engine
 	// Prove calls: ProveTime / (Wall * Workers). 0 when no work ran.
 	Utilization float64 `json:"utilization"`
@@ -281,19 +266,17 @@ func (c *Collector) Report() Report {
 			Requeued:  c.requeued,
 			Retried:   c.retried,
 			Panics:    c.panics,
-			Steals:    c.steals,
 			QueuePeak: int(c.queuePeak),
 		},
-		Escalations:      append([]int(nil), c.escalations...),
-		BDDBlowups:       c.bddBlowups,
-		Perturbs:         c.perturbs,
-		StripeContention: c.contended,
-		Cache:            c.cache,
-		Word:             c.word,
-		Pool:             c.pool,
-		Gen:              c.gen,
-		ProveTime:        c.proveTime,
-		FinalCost:        c.cost,
+		Escalations: append([]int(nil), c.escalations...),
+		BDDBlowups:  c.bddBlowups,
+		Perturbs:    c.perturbs,
+		Cache:       c.cache,
+		Word:        c.word,
+		Pool:        c.pool,
+		Gen:         c.gen,
+		ProveTime:   c.proveTime,
+		FinalCost:   c.cost,
 	}
 	if r.Workers < 1 {
 		r.Workers = 1
@@ -334,10 +317,6 @@ func (r Report) Format() string {
 	}
 	if r.Perturbs > 0 {
 		fmt.Fprintf(&b, "chaos: %d perturbations injected\n", r.Perturbs)
-	}
-	if o.Steals > 0 || r.StripeContention > 0 || r.Pool.BatchMerges > 0 {
-		fmt.Fprintf(&b, "contention: %d steals, %d batch merges, %d contended unions\n",
-			o.Steals, r.Pool.BatchMerges, r.StripeContention)
 	}
 	if r.Cache.Probes > 0 || r.Cache.Evictions > 0 {
 		fmt.Fprintf(&b, "cache: %d probes = %d hits + %d misses (%d revalidation failures, %d evictions)\n",

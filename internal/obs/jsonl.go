@@ -109,14 +109,6 @@ func (t *JSONL) Emit(ev Event) {
 		b = appendField(b, "lanes", int64(ev.Lanes))
 		b = appendField(b, "splits", int64(ev.Splits))
 		b = appendOptField(b, "dropped", int64(ev.Dropped))
-	case KindSteal:
-		b = appendField(b, "victim", int64(ev.A))
-		b = appendField(b, "stolen", int64(ev.Pending))
-	case KindBatchMerge:
-		b = appendField(b, "lanes", int64(ev.Lanes))
-		b = appendField(b, "pairs", int64(ev.Pending))
-	case KindStripeContention:
-		b = appendPair(b, ev)
 	case KindCacheProbe, KindCacheMiss, KindCacheRevalidateFail:
 		b = appendPair(b, ev)
 	case KindCacheHit:

@@ -227,9 +227,6 @@ type MetricsTracer struct {
 	requeues    *Counter
 	retried     *Counter
 	perturbs    *Counter
-	steals      *Counter
-	batchMerges *Counter
-	contention  *Counter
 	escalations *Counter
 	bddBlowups  *Counter
 	poolFlushes *Counter
@@ -281,9 +278,6 @@ func NewMetricsTracer(m *Metrics) *MetricsTracer {
 		requeues:    m.Counter("sweep.requeues"),
 		retried:     m.Counter("sweep.retried"),
 		perturbs:    m.Counter("chaos.perturbs"),
-		steals:      m.Counter("sweep.steals"),
-		batchMerges: m.Counter("pool.batch_merges"),
-		contention:  m.Counter("uf.stripe_contention"),
 		escalations: m.Counter("sweep.escalations"),
 		bddBlowups:  m.Counter("sweep.bdd_blowups"),
 		poolFlushes: m.Counter("pool.flushes"),
@@ -376,12 +370,6 @@ func (t *MetricsTracer) Emit(ev Event) {
 		t.requeues.Add(1)
 	case KindPerturb:
 		t.perturbs.Add(1)
-	case KindSteal:
-		t.steals.Add(1)
-	case KindBatchMerge:
-		t.batchMerges.Add(1)
-	case KindStripeContention:
-		t.contention.Add(1)
 	case KindCacheProbe:
 		t.cacheProbes.Add(1)
 	case KindCacheHit:

@@ -89,19 +89,6 @@ const (
 	// (Worker, A, B, Point=decision point, Act=injected action). Emitted
 	// only when a chaos injector is installed, never in production runs.
 	KindPerturb
-	// KindSteal records a worker with an empty deque stealing a batch of
-	// obligation hints from another worker's deque (Worker=thief, A=victim
-	// worker, Pending=hints moved). Parallel runs only.
-	KindSteal
-	// KindBatchMerge records a worker's private counterexample pool being
-	// merged into the shared partition (Worker, Lanes=buffered vector lanes,
-	// Pending=buffered pairs); the batched refinement itself follows as a
-	// KindPoolFlush. Parallel runs only.
-	KindBatchMerge
-	// KindStripeContention records a union-find merge that contended on a
-	// stripe lock or retried its optimistic root check (Worker, A, B).
-	// Parallel runs only.
-	KindStripeContention
 	// KindCacheProbe records a verification-memory lookup for a candidate
 	// pair (A, B). Cache-enabled runs only — a run without a cache
 	// attached emits none of the cache kinds.
@@ -135,22 +122,19 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	KindSweepStart:       "sweep_start",
-	KindSweepDone:        "sweep_done",
-	KindObligation:       "obligation",
-	KindResolve:          "resolve",
-	KindProveStart:       "prove_start",
-	KindProveVerdict:     "prove_verdict",
-	KindEscalation:       "escalation",
-	KindBDDBlowup:        "bdd_blowup",
-	KindWorkerPanic:      "worker_panic",
-	KindPoolFlush:        "pool_flush",
-	KindSimBatch:         "sim_batch",
-	KindRequeue:          "requeue",
-	KindPerturb:          "perturb",
-	KindSteal:            "steal",
-	KindBatchMerge:       "batch_merge",
-	KindStripeContention: "stripe_contention",
+	KindSweepStart:   "sweep_start",
+	KindSweepDone:    "sweep_done",
+	KindObligation:   "obligation",
+	KindResolve:      "resolve",
+	KindProveStart:   "prove_start",
+	KindProveVerdict: "prove_verdict",
+	KindEscalation:   "escalation",
+	KindBDDBlowup:    "bdd_blowup",
+	KindWorkerPanic:  "worker_panic",
+	KindPoolFlush:    "pool_flush",
+	KindSimBatch:     "sim_batch",
+	KindRequeue:      "requeue",
+	KindPerturb:      "perturb",
 
 	KindCacheProbe:          "cache_probe",
 	KindCacheHit:            "cache_hit",

@@ -1,36 +1,9 @@
 package sweep
 
 import (
-	"sync/atomic"
-
 	"simgen/internal/network"
 	"simgen/internal/sim"
 )
-
-// pendShared tracks which nodes belong to buffered-but-unflushed
-// counterexample pairs across every pool of a scheduler run. Parallel
-// workers buffer counterexamples in private pools, but the staleness
-// question — "would a class membership query observe state a pending
-// refinement is about to change?" — is global, so the tracker is one
-// shared array of atomic per-node counts plus a total pair count the
-// termination protocol reads without taking the partition lock.
-type pendShared struct {
-	counts []atomic.Int32 // pending-pair membership count per node
-	pairs  atomic.Int64   // buffered pairs across all pools
-}
-
-func newPendShared(n int) *pendShared {
-	return &pendShared{counts: make([]atomic.Int32, n)}
-}
-
-// touches reports whether either node belongs to a pending (unflushed)
-// pair in any pool, i.e. whether its class membership is stale.
-func (p *pendShared) touches(a, b network.NodeID) bool {
-	if p.pairs.Load() == 0 {
-		return false
-	}
-	return p.counts[a].Load() > 0 || p.counts[b].Load() > 0
-}
 
 // cexPool batches SAT/BDD counterexamples for class refinement. A raw
 // counterexample carries one useful bit per 64-bit simulation word; the
@@ -43,22 +16,22 @@ func (p *pendShared) touches(a, b network.NodeID) bool {
 // refinement via Classes.RefineN — the pool controls its padding
 // explicitly instead of relying on packed-vector replication.
 //
-// Amplification (setLane/add) touches only pool-private buffers and the
-// shared pend tracker's atomics, so parallel workers amplify into their
-// private pools without any lock; flush mutates the partition and must run
-// under the scheduler's partition mutex.
+// The pool is not goroutine-safe; the scheduler serializes every access
+// under its partition mutex.
 type cexPool struct {
 	net     *network.Network
 	classes *sim.Classes
 	sim     *sim.Simulator
-	pend    *pendShared
 
 	inputs []sim.Words // one single-word entry per PI
 	lanes  int         // filled lanes of the current word
 
 	// pending holds pairs whose counterexample lanes are buffered but not
-	// yet refined; their nodes are marked in the shared pend tracker.
-	pending []pair
+	// yet refined; pendCount counts each node's membership in them so
+	// callers can detect when a class membership query would observe stale
+	// state.
+	pending   []pair
+	pendCount []int32
 
 	rot int // rotating start PI for distance-1 flips when NumPIs > 63
 
@@ -80,9 +53,8 @@ const poolLaneCap = 64
 
 // newCexPool builds a pool over the partition. simulator, when non-nil, is
 // reused for the flush simulations instead of compiling a second kernel
-// for the same network; pend is the scheduler-wide pending tracker shared
-// by every pool of the run.
-func newCexPool(net *network.Network, classes *sim.Classes, simulator *sim.Simulator, pend *pendShared) *cexPool {
+// for the same network.
+func newCexPool(net *network.Network, classes *sim.Classes, simulator *sim.Simulator) *cexPool {
 	npi := net.NumPIs()
 	backing := make([]uint64, npi)
 	inputs := make([]sim.Words, npi)
@@ -93,12 +65,21 @@ func newCexPool(net *network.Network, classes *sim.Classes, simulator *sim.Simul
 		simulator = sim.NewSimulator(net)
 	}
 	return &cexPool{
-		net:     net,
-		classes: classes,
-		sim:     simulator,
-		pend:    pend,
-		inputs:  inputs,
+		net:       net,
+		classes:   classes,
+		sim:       simulator,
+		inputs:    inputs,
+		pendCount: make([]int32, net.NumNodes()),
 	}
+}
+
+// touches reports whether either node belongs to a pending (unflushed)
+// pair, i.e. whether its class membership is stale.
+func (p *cexPool) touches(a, b network.NodeID) bool {
+	if len(p.pending) == 0 {
+		return false
+	}
+	return p.pendCount[a] > 0 || p.pendCount[b] > 0
 }
 
 // setLane writes one vector into lane (cex with PI flip complemented;
@@ -137,9 +118,8 @@ func (p *cexPool) add(cex []bool, pr pair) {
 		p.rot = (p.rot + flips) % npi
 	}
 	p.pending = append(p.pending, pr)
-	p.pend.counts[pr.rep].Add(1)
-	p.pend.counts[pr.m].Add(1)
-	p.pend.pairs.Add(1)
+	p.pendCount[pr.rep]++
+	p.pendCount[pr.m]++
 }
 
 // full reports whether the pool has no room for another counterexample.
@@ -180,10 +160,9 @@ func (p *cexPool) flush() (dropped []pair) {
 		}
 	}
 	for _, pr := range p.pending {
-		p.pend.counts[pr.rep].Add(-1)
-		p.pend.counts[pr.m].Add(-1)
+		p.pendCount[pr.rep]--
+		p.pendCount[pr.m]--
 	}
-	p.pend.pairs.Add(-int64(len(p.pending)))
 	p.pending = p.pending[:0]
 	return dropped
 }

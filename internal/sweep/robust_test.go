@@ -477,14 +477,13 @@ func TestMaxPairsMarksIncomplete(t *testing.T) {
 	}
 }
 
-// TestMaxPairsParallelTerminates guards the cutoff exit protocol: a worker
-// that hits the SAT-call budget leaves its unflushed pool and deque hints
-// behind, and a sibling parked on the idle condition variable must not
-// mistake that debris for in-flight work and sleep forever. The pre-fix
-// cutoff broadcast without an epoch bump (and without a cutoff re-check in
-// the park predicate) did exactly that, hanging the sweep's wg.Wait. Many
-// workers on tiny budgets maximize the parked-at-cutoff window; the
-// deadline converts a regression into a failure instead of a stuck suite.
+// TestMaxPairsParallelTerminates guards the cutoff exit: a worker that hits
+// the SAT-call budget exits with counterexamples possibly still pooled,
+// and a sibling parked on the idle condition variable must wake, see the
+// cutoff, and exit too rather than sleep forever and hang the sweep's
+// wg.Wait. Many workers on tiny budgets maximize the parked-at-cutoff
+// window; the deadline converts a regression into a failure instead of a
+// stuck suite.
 func TestMaxPairsParallelTerminates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		net, run := benchClasses(t, "apex2", int64(i+1))

@@ -172,13 +172,6 @@ type Options struct {
 	// (the pre-retry behavior: first panic drops the pair).
 	RetryLimit int
 
-	// UnsafeStaleExit restores the pre-fix scheduler termination protocol
-	// that trusted a drained snapshot and could exit with unclaimed pairs
-	// left (the PR 4 missed-merge race). It exists only so the
-	// interleaving-sweep fuzz test can prove it would catch the bug;
-	// never set it otherwise.
-	UnsafeStaleExit bool
-
 	// Tracer receives the sweep's observability events (obligations,
 	// verdicts, escalations, pool flushes); nil means obs.Nop, which
 	// keeps the hot path allocation-free. Tracers must be goroutine-safe
@@ -261,11 +254,6 @@ type Result struct {
 	Incomplete   bool  // a deadline, cancel, or MaxPairs stopped the sweep early
 	TimedOut     bool  // the early stop was a context deadline
 
-	// Parallel-run contention counters (always zero for sequential sweeps).
-	Steals           int // hint batches stolen between worker deques
-	BatchMerges      int // private cex batches merged into the partition
-	StripeContention int // union-find merges that contended on a stripe lock
-
 	// Verification-memory counters (always zero without Options.Cache).
 	CacheProbes     int // cache lookups (engine rung-0 probes + pre-pass)
 	CacheHits       int // lookups answered from the cache after revalidation
@@ -273,42 +261,6 @@ type Result struct {
 	CacheRevalFails int // records rejected by revalidation and evicted
 	CacheMerged     int // pairs merged by the incremental pre-pass, never scheduled
 	CacheSkipped    int // out-of-TFO pairs left unscheduled by the pre-pass
-}
-
-// add folds a worker's private Result shard into the run total.
-func (r *Result) add(o Result) {
-	r.Scheduled += o.Scheduled
-	r.SATCalls += o.SATCalls
-	r.SATTime += o.SATTime
-	r.Proved += o.Proved
-	r.Disproved += o.Disproved
-	r.Unresolved += o.Unresolved
-	r.CexVectors += o.CexVectors
-	r.Escalations += o.Escalations
-	r.BDDChecks += o.BDDChecks
-	r.BDDBlowups += o.BDDBlowups
-	r.SimChecks += o.SimChecks
-	r.WordChecks += o.WordChecks
-	r.WordFrontier += o.WordFrontier
-	r.Conflicts += o.Conflicts
-	r.Propagations += o.Propagations
-	r.WorkerPanics += o.WorkerPanics
-	r.Requeued += o.Requeued
-	r.Retried += o.Retried
-	r.PoolFlushes += o.PoolFlushes
-	r.PoolLanes += o.PoolLanes
-	r.PoolDropped += o.PoolDropped
-	r.Steals += o.Steals
-	r.BatchMerges += o.BatchMerges
-	r.StripeContention += o.StripeContention
-	r.CacheProbes += o.CacheProbes
-	r.CacheHits += o.CacheHits
-	r.CacheMisses += o.CacheMisses
-	r.CacheRevalFails += o.CacheRevalFails
-	r.CacheMerged += o.CacheMerged
-	r.CacheSkipped += o.CacheSkipped
-	r.Incomplete = r.Incomplete || o.Incomplete
-	r.TimedOut = r.TimedOut || o.TimedOut
 }
 
 func (r Result) String() string {
@@ -338,12 +290,6 @@ func (r Result) String() string {
 	}
 	if r.PoolDropped > 0 {
 		fmt.Fprintf(&b, " pooldropped=%d", r.PoolDropped)
-	}
-	if r.Steals > 0 || r.BatchMerges > 0 {
-		fmt.Fprintf(&b, " steals=%d batchmerges=%d", r.Steals, r.BatchMerges)
-	}
-	if r.StripeContention > 0 {
-		fmt.Fprintf(&b, " stripecontention=%d", r.StripeContention)
 	}
 	if r.CacheProbes > 0 || r.CacheMerged > 0 || r.CacheSkipped > 0 {
 		fmt.Fprintf(&b, " cacheprobes=%d cachehits=%d cachemisses=%d",

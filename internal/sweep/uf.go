@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"simgen/internal/network"
 )
@@ -14,115 +13,51 @@ import (
 // smallest node id, stable across refinement), so roots are deterministic
 // regardless of worker count.
 //
-// The structure is goroutine-safe and striped for parallel sweeps: finds
-// are entirely lock-free (atomic parent loads, with path compression as
-// CAS stores pinned to the exact links the walk observed — a link a
-// concurrent union or find moved meanwhile is left alone, so a stale walk
-// can never re-parent a fresher root under an older one), and unions
-// serialize on a small array of stripe locks keyed by a hash of the
-// two roots rather than on one global mutex. Cross-stripe unions take both
-// stripe locks in index order and re-validate the roots after locking;
-// when another worker moved a root meanwhile, the union backs off and
-// retries against fresh roots. The retry count is exposed so the scheduler
-// can surface stripe contention as an observable event.
+// It is goroutine-safe: find compresses paths (a write) and is reachable
+// concurrently both during a run and afterwards through Sweeper.Rep, so
+// the structure carries its own mutex rather than leaning on the
+// scheduler's partition lock.
 type unionFind struct {
-	parent []atomic.Int32 // parent[i] < 0 means i is a root
-	mus    [ufStripes]sync.Mutex
+	mu     sync.Mutex
+	parent []int32 // parent[i] < 0 means i is a root
 }
 
-// ufStripes is the union lock stripe count; a power of two so the root
-// hash reduces with a mask. 32 stripes keep the false-sharing window
-// negligible at 16+ workers while the array stays a few cache lines.
-const ufStripes = 32
-
 func newUnionFind(n int) *unionFind {
-	parent := make([]atomic.Int32, n)
+	parent := make([]int32, n)
 	for i := range parent {
-		parent[i].Store(-1)
+		parent[i] = -1
 	}
 	return &unionFind{parent: parent}
 }
 
-// stripe maps a root to its lock index. The hash is the SplitMix64-style
-// multiply used across the repo, so adjacent node ids (the common case:
-// classes are id-ordered) spread across stripes.
-func (u *unionFind) stripe(x network.NodeID) int {
-	h := uint64(x) * 0x9e3779b97f4a7c15
-	return int(h>>32) & (ufStripes - 1)
+// find returns the root of x, fully compressing the walked path so deep
+// merge chains cost amortized O(1) on later lookups instead of a walk per
+// query.
+func (u *unionFind) find(x network.NodeID) network.NodeID {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.findLocked(x)
 }
 
-// find returns the root of x, compressing the walked path so deep merge
-// chains cost amortized O(1) on later lookups instead of a walk per query.
-// It is lock-free. The walk records its path, and compression publishes
-// the walked root with a CAS over exactly the link the walk observed: a
-// link a concurrent union or find changed since is skipped rather than
-// overwritten. The CAS discipline is what keeps racing finds safe — an
-// unconditional store could chase a link another find compressed past a
-// root that a concurrent union re-parented meanwhile, writing the stale
-// root over the fresh one (a cycle) or walking onto a root's negative
-// parent and indexing out of bounds. A skipped CAS only costs the next
-// lookup a slightly longer walk; every link it leaves behind still points
-// at an ancestor.
-func (u *unionFind) find(x network.NodeID) network.NodeID {
-	// Steady-state paths are a handful of links; the fixed buffer keeps
-	// the common case allocation-free while first-touch deep chains spill.
-	var buf [32]network.NodeID
-	path := buf[:0]
+func (u *unionFind) findLocked(x network.NodeID) network.NodeID {
 	root := x
-	for {
-		p := u.parent[root].Load()
-		if p < 0 {
-			break
-		}
-		path = append(path, root)
-		root = network.NodeID(p)
+	for u.parent[root] >= 0 {
+		root = network.NodeID(u.parent[root])
 	}
-	// path[len-1] already points directly at root; compress the rest.
-	for i := 0; i+1 < len(path); i++ {
-		u.parent[path[i]].CompareAndSwap(int32(path[i+1]), int32(root))
+	for x != root {
+		next := network.NodeID(u.parent[x])
+		u.parent[x] = int32(root)
+		x = next
 	}
 	return root
 }
 
-// union merges m's set into rep's, reporting whether the operation
-// contended with concurrent unions (a stripe lock was already held, or the
-// optimistic root check failed and the union retried). Merges are always
-// rooted at rep's representative, keeping the merge forest deterministic
-// regardless of worker count or union order.
-func (u *unionFind) union(rep, m network.NodeID) (contended bool) {
-	for {
-		r := u.find(rep)
-		mr := u.find(m)
-		if r == mr {
-			return contended
-		}
-		s1, s2 := u.stripe(r), u.stripe(mr)
-		if s2 < s1 {
-			s1, s2 = s2, s1
-		}
-		if !u.mus[s1].TryLock() {
-			contended = true
-			u.mus[s1].Lock()
-		}
-		if s2 != s1 {
-			if !u.mus[s2].TryLock() {
-				contended = true
-				u.mus[s2].Lock()
-			}
-		}
-		// Re-validate under the locks: both nodes must still be roots, or
-		// another union raced us and the stripe keys no longer cover them.
-		ok := u.parent[r].Load() < 0 && u.parent[mr].Load() < 0
-		if ok {
-			u.parent[mr].Store(int32(r))
-		}
-		if s2 != s1 {
-			u.mus[s2].Unlock()
-		}
-		u.mus[s1].Unlock()
-		if ok {
-			return contended
-		}
-		contended = true
+// union merges m's set into rep's.
+func (u *unionFind) union(rep, m network.NodeID) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	r := u.findLocked(rep)
+	if mr := u.findLocked(m); mr != r {
+		u.parent[mr] = int32(r)
 	}
 }

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -27,12 +26,12 @@ func TestUnionFindDeepChainCompresses(t *testing.T) {
 		t.Fatalf("find(0) = %d, want %d", got, n-1)
 	}
 	for i := 0; i < n-1; i++ {
-		if p := u.parent[i].Load(); p != n-1 {
+		if p := u.parent[i]; p != n-1 {
 			t.Fatalf("node %d still points at %d after compression, want direct link to %d",
 				i, p, n-1)
 		}
 	}
-	if p := u.parent[n-1].Load(); p >= 0 {
+	if p := u.parent[n-1]; p >= 0 {
 		t.Fatalf("root %d has parent %d, want none", n-1, p)
 	}
 }
@@ -85,141 +84,6 @@ func TestUnionFindConcurrentMerges(t *testing.T) {
 		for i := 0; i < n; i++ {
 			if got := u.find(network.NodeID(i)); got != root {
 				t.Fatalf("pass %d: node %d has rep %d, want %d", pass, i, got, root)
-			}
-		}
-	}
-}
-
-// TestUnionFindConcurrentCrossStripeUnions drives randomized unions whose
-// endpoints live on different stripes (the TryLock + re-validate + retry
-// path of the striped union-find), from goroutines that deliberately merge
-// the same node pairs in opposite orders. The structure must stay
-// cycle-free (every find terminates), end in the expected number of
-// classes, and agree across repeated passes; -race covers the lock
-// discipline.
-func TestUnionFindConcurrentCrossStripeUnions(t *testing.T) {
-	const (
-		n          = 1 << 12
-		goroutines = 16
-		groups     = 32 // final class count: i belongs to class i%groups
-	)
-	u := newUnionFind(n)
-	// Every goroutine merges every (i, i+groups) link of every group, half
-	// of them with the arguments swapped: maximal overlap, both union
-	// directions, and endpoints i and i+groups that hash to unrelated
-	// stripes.
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Deterministic per-goroutine shuffle of the merge order.
-			rng := uint64(g)*0x9e3779b97f4a7c15 + 1
-			for k := 0; k < n-groups; k++ {
-				rng = rng*6364136223846793005 + 1442695040888963407
-				i := int(rng % uint64(n-groups))
-				a, b := network.NodeID(i), network.NodeID(i+groups)
-				if g%2 == 1 {
-					a, b = b, a
-				}
-				u.union(a, b)
-			}
-			// Sweep the remaining links so every chain is complete even if
-			// the random picks missed some.
-			for i := 0; i < n-groups; i++ {
-				u.union(network.NodeID(i%groups), network.NodeID(i+groups))
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	roots := make(map[network.NodeID]bool)
-	reps := make([]network.NodeID, n)
-	for i := 0; i < n; i++ {
-		reps[i] = u.find(network.NodeID(i))
-		roots[reps[i]] = true
-	}
-	if len(roots) != groups {
-		t.Fatalf("got %d classes after concurrent cross-stripe unions, want %d", len(roots), groups)
-	}
-	for i := 0; i < n; i++ {
-		if got := u.find(network.NodeID(i)); got != reps[i] {
-			t.Fatalf("node %d: rep changed between passes: %d then %d", i, reps[i], got)
-		}
-		if want := reps[i%groups]; reps[i] != want {
-			t.Fatalf("node %d has rep %d, want its group rep %d", i, reps[i], want)
-		}
-	}
-}
-
-// TestUnionFindFindRacesRootMoves drives finds over a deep chain while a
-// union goroutine keeps re-parenting the chain's current root under fresh
-// nodes — the interleaving where a find's walked root goes stale while its
-// compression pass is still running. The pre-fix unconditional compression
-// store could follow a link a racing find had already compressed past the
-// stale root, re-parent the fresh root under the old one (a cycle — every
-// later find spins forever) or step onto a root's negative parent and
-// panic indexing parent[-1]. With the CAS discipline every find must
-// terminate, agree across passes, and leave the forest cycle-free.
-func TestUnionFindFindRacesRootMoves(t *testing.T) {
-	const (
-		n       = 1 << 8
-		half    = n / 2
-		finders = 8
-		rounds  = 500
-	)
-	// The race needs finds preempted mid-compression; give the runtime
-	// enough Ps that the finders and the re-rooter genuinely overlap on
-	// multi-core machines instead of running to completion one at a time.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(finders + 1))
-	for round := 0; round < rounds; round++ {
-		u := newUnionFind(n)
-		// Deep chain 0 -> 1 -> ... -> half, built without compression, so
-		// the concurrent finds below have long paths to walk and compress.
-		for i := 0; i < half; i++ {
-			u.union(network.NodeID(i+1), network.NodeID(i))
-		}
-		// The stale-root window is the few microseconds while the first
-		// finds are still compressing the deep chain, so every goroutine
-		// spins on a start barrier: without it the re-rooter finishes all
-		// its unions before the finders are even scheduled and the phases
-		// never overlap.
-		var start sync.WaitGroup
-		start.Add(1)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			start.Wait()
-			// Re-root the class once per remaining node: each union parents
-			// the current root under j, invalidating every find that walked
-			// to the old root before the move.
-			for j := half + 1; j < n; j++ {
-				u.union(network.NodeID(j), network.NodeID(j-1))
-			}
-		}()
-		for g := 0; g < finders; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				start.Wait()
-				for pass := 0; pass < 4; pass++ {
-					for i := g; i < half; i += finders {
-						u.find(network.NodeID(i))
-					}
-				}
-			}(g)
-		}
-		start.Done()
-		wg.Wait()
-
-		root := u.find(0)
-		if root != n-1 {
-			t.Fatalf("round %d: final root = %d, want %d", round, root, n-1)
-		}
-		for i := 0; i < n; i++ {
-			if got := u.find(network.NodeID(i)); got != root {
-				t.Fatalf("round %d: node %d has rep %d, want %d", round, i, got, root)
 			}
 		}
 	}
