@@ -102,11 +102,11 @@ bench-full:
 
 # Simulation-core micro-benchmarks: the arena kernel, incremental
 # resimulation, bucketed refinement, vector packing, the sweeping
-# counterexample pool, end-to-end service throughput, and SimGen and
-# reverse-simulation vector generation. BENCHCOUNT repetitions give the
-# gate stable medians.
+# counterexample pool, end-to-end service throughput, SimGen and
+# reverse-simulation vector generation, and the exhaustive-simulation
+# prover rung. BENCHCOUNT repetitions give the gate stable medians.
 BENCHCOUNT ?= 5
-BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkRefine|BenchmarkPackVectors|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep|BenchmarkAblationSimGen|BenchmarkAblationRevS
+BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkRefine|BenchmarkPackVectors|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep|BenchmarkAblationSimGen|BenchmarkAblationRevS|BenchmarkSimEngine
 BENCHDIRS ?= ./internal/sim ./internal/sweep ./internal/sweepd .
 .PHONY: bench
 bench:

@@ -25,6 +25,7 @@ import (
 	"simgen/internal/genbench"
 	"simgen/internal/mapper"
 	"simgen/internal/pcache"
+	"simgen/internal/prover"
 	"simgen/internal/sim"
 	"simgen/internal/sweep"
 	"simgen/internal/tt"
@@ -247,6 +248,43 @@ func BenchmarkSATSweep(b *testing.B) {
 		res := sweep.New(net, run.Classes, sweep.Options{}).Run()
 		if res.FinalCost != 0 && res.Unresolved == 0 && res.SATCalls == 0 {
 			b.Fatal("no work")
+		}
+	}
+}
+
+// BenchmarkSimEngine measures the exhaustive-simulation rung of the prover
+// ladder: a fresh prover.Sim (so its one-time setup is paid, as once per
+// sweep) deciding every apex2 candidate pair — class representative vs
+// member after random simulation — whose combined support has at most
+// DefaultSimPIs inputs.
+func BenchmarkSimEngine(b *testing.B) {
+	net, err := LoadBenchmark("apex2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := core.NewRunner(net, 1, 42)
+	type pair struct{ a, b NodeID }
+	var pairs []pair
+	for _, ci := range run.Classes.NonSingleton() {
+		members := run.Classes.Members(ci)
+		for _, m := range members[1:] {
+			if len(prover.Support(net, members[0], m)) <= prover.DefaultSimPIs {
+				pairs = append(pairs, pair{members[0], m})
+			}
+		}
+	}
+	if len(pairs) == 0 {
+		b.Fatal("no small-support candidate pairs")
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := prover.NewSim(net, 0)
+		for _, p := range pairs {
+			if r := eng.Prove(ctx, p.a, p.b, prover.Budget{}); r.Verdict == prover.Unknown {
+				b.Fatal("sim engine declined a pair under its cutoff")
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"simgen/internal/network"
 	"simgen/internal/sim"
 )
 
@@ -12,7 +13,8 @@ import (
 // fuzz-generated networks spanning every shape preset, the production
 // simulator (sim.Simulator, both one-shot and reused) must agree bit for
 // bit with the retained naive reference evaluator — including the
-// incremental resimulation path after random input mutations.
+// incremental resimulation path after random input mutations and the
+// cone-restricted path (SimulateCone) followed by a full Simulate.
 func TestKernelDifferential(t *testing.T) {
 	const iterations = 240
 	rng := rand.New(rand.NewSource(42))
@@ -59,6 +61,41 @@ func TestKernelDifferential(t *testing.T) {
 			got = s.Resimulate()
 			want = sim.Reference(net, cur, nwords)
 			diffValues(t, it, name, "incremental", net.NumNodes(), got, want)
+		}
+
+		// Cone path: a random root pair's union cone on the same instance
+		// must match the reference rows bit for bit, and a full Simulate
+		// afterwards must lay the whole arena out again. A separate stream
+		// keeps the networks of later iterations unchanged.
+		crng := rand.New(rand.NewSource(int64(it)))
+		piIdx := make(map[network.NodeID]int, net.NumPIs())
+		for i, pi := range net.PIs() {
+			piIdx[pi] = i
+		}
+		for _, cw := range []int{1, 4, 64} {
+			cin := sim.RandomInputs(net, cw, crng)
+			cwant := sim.Reference(net, cin, cw)
+			roots := []network.NodeID{
+				network.NodeID(crng.Intn(net.NumNodes())),
+				network.NodeID(crng.Intn(net.NumNodes())),
+			}
+			got = s.SimulateCone(roots, cw, func(pi network.NodeID, dst sim.Words) {
+				copy(dst, cin[piIdx[pi]])
+			})
+			for _, r := range roots {
+				for _, id := range net.FaninCone(r) {
+					for w := range cwant[id] {
+						if got[id][w] != cwant[id][w] {
+							t.Fatalf("iteration %d shape %q path cone/%d: roots %v node %d word %d: cone=%#x reference=%#x",
+								it, name, cw, roots, id, w, got[id][w], cwant[id][w])
+						}
+					}
+				}
+			}
+			// Same word count as the cone call: the case where a stale
+			// layout would otherwise be reused.
+			got = s.Simulate(cin, cw)
+			diffValues(t, it, name, "full-after-cone", net.NumNodes(), got, cwant)
 		}
 	}
 }

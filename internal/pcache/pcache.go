@@ -20,6 +20,7 @@ import (
 	"simgen/internal/network"
 	"simgen/internal/obs"
 	"simgen/internal/prover"
+	"simgen/internal/sim"
 )
 
 // Session binds a Store to one network for one run. It is goroutine-safe:
@@ -29,9 +30,9 @@ type Session struct {
 	net   *network.Network
 	tr    obs.Tracer
 
-	mu    sync.Mutex
-	keyer *Keyer
-	ev    *evaluator
+	mu     sync.Mutex
+	keyer  *Keyer
+	kernel *sim.Simulator // revalidation cone evaluator; built on first use
 }
 
 // NewSession creates a session over net. Events (cache probe / hit / miss
@@ -42,7 +43,6 @@ func NewSession(store *Store, net *network.Network, tr obs.Tracer) *Session {
 		net:   net,
 		tr:    obs.OrNop(tr),
 		keyer: NewKeyer(net),
-		ev:    newEvaluator(net),
 	}
 }
 
@@ -62,7 +62,7 @@ func (s *Session) Probe(_ context.Context, a, b network.NodeID) prover.CacheProb
 	var cp prover.CacheProbe
 	switch hit := s.store.Lookup(ka, kb, chk); hit.kind {
 	case hitEqual:
-		if s.ev.equal(a, b, ka^kb) {
+		if s.revalEqual(a, b, ka^kb) {
 			cp.Hit = true
 			cp.Verdict = prover.Equal
 			s.tr.Emit(obs.Event{Kind: obs.KindCacheHit, A: int32(a), B: int32(b),
@@ -74,7 +74,7 @@ func (s *Session) Probe(_ context.Context, a, b network.NodeID) prover.CacheProb
 		s.tr.Emit(obs.Event{Kind: obs.KindCacheRevalidateFail, A: int32(a), B: int32(b)})
 		s.tr.Emit(obs.Event{Kind: obs.KindCacheEvict, Dropped: int32(dropped)})
 	case hitDiffer:
-		if s.ev.separates(a, b, hit.cex) {
+		if s.revalSeparates(a, b, hit.cex) {
 			cp.Hit = true
 			cp.Verdict = prover.Differ
 			cp.Cex = append([]bool(nil), hit.cex...)

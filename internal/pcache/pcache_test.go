@@ -327,6 +327,56 @@ func TestSessionRevalidationRejectsPoison(t *testing.T) {
 	if cp.Hit && cp.Verdict == prover.Differ {
 		t.Fatal("bogus differ record accepted")
 	}
+
+	// Multi-word exhaustive revalidation: over 10 PIs (16 words) a
+	// poisoned Equal record for cones that differ only on the all-ones
+	// minterm — the top lane of the last word — must be rejected, and the
+	// genuine twin must hit.
+	pnet, chain, tree, poisoned := parityNet(10)
+	psess := NewSession(st, pnet, nil)
+	psess.RecordProof(chain, poisoned, prover.Equal, nil, 0)
+	if cp := psess.Probe(ctx, chain, poisoned); cp.Hit || !cp.RevalFailed {
+		t.Fatalf("poisoned one-minterm equal record: %+v, want a revalidation failure", cp)
+	}
+	psess.RecordProof(chain, tree, prover.Equal, nil, 0)
+	if cp := psess.Probe(ctx, chain, tree); !cp.Hit || cp.Verdict != prover.Equal {
+		t.Fatalf("genuine 10-PI equal record missed: %+v", cp)
+	}
+}
+
+// parityNet builds the parity of n PIs twice — a linear XOR chain and a
+// balanced XOR tree — plus a third cone that XORs the chain with the AND
+// of all PIs, so it differs from the parity on the all-ones minterm only.
+func parityNet(n int) (net *network.Network, chain, tree, poisoned network.NodeID) {
+	net = network.New("parity")
+	xor2 := tt.Var(2, 0).Xor(tt.Var(2, 1))
+	and2 := tt.Var(2, 0).And(tt.Var(2, 1))
+	pis := make([]network.NodeID, n)
+	for i := range pis {
+		pis[i] = net.AddPI("")
+	}
+	chain, all := pis[0], pis[0]
+	for _, pi := range pis[1:] {
+		chain = net.AddLUT("", []network.NodeID{chain, pi}, xor2)
+		all = net.AddLUT("", []network.NodeID{all, pi}, and2)
+	}
+	level := pis
+	for len(level) > 1 {
+		var next []network.NodeID
+		for i := 0; i+1 < len(level); i += 2 {
+			next = append(next, net.AddLUT("", []network.NodeID{level[i], level[i+1]}, xor2))
+		}
+		if len(level)%2 == 1 {
+			next = append(next, level[len(level)-1])
+		}
+		level = next
+	}
+	tree = level[0]
+	poisoned = net.AddLUT("", []network.NodeID{chain, all}, xor2)
+	net.AddPO("chain", chain)
+	net.AddPO("tree", tree)
+	net.AddPO("poisoned", poisoned)
+	return net, chain, tree, poisoned
 }
 
 func TestDiffAndTFOMask(t *testing.T) {

@@ -1,7 +1,11 @@
 package pcache
 
 import (
+	"slices"
+
 	"simgen/internal/network"
+	"simgen/internal/prover"
+	"simgen/internal/sim"
 )
 
 // Revalidation: a cache hit is never trusted blindly. Before a recorded
@@ -18,10 +22,10 @@ import (
 //     the two independent 64-bit structural hashes (see DESIGN.md 3.14
 //     for the soundness budget).
 //
-// The evaluator mirrors the exhaustive-simulation engine's cone kernel
-// (internal/prover/sim.go) but deliberately emits no observability events
-// and touches no engine statistics: revalidation is cache bookkeeping,
-// and the report invariants pin engine counters to sweep.Result fields.
+// Both checks simulate the pair's union cone on the session's
+// sim.Simulator, but deliberately emit no observability events and touch
+// no engine statistics: revalidation is cache bookkeeping, and the report
+// invariants pin engine counters to sweep.Result fields.
 
 const (
 	// revalExhaustivePIs is the combined-support cutoff under which an
@@ -32,171 +36,56 @@ const (
 	revalRandomWords = 4
 )
 
-// lanePatterns are the exhaustive assignments of support variables 0..5
-// within one 64-bit word; variable j >= 6 selects whole words.
-var lanePatterns = [6]uint64{
-	0xAAAAAAAAAAAAAAAA,
-	0xCCCCCCCCCCCCCCCC,
-	0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00,
-	0xFFFF0000FFFF0000,
-	0xFFFFFFFF00000000,
+// simulateCone runs the session's cone evaluator, compiling it on first
+// use. The caller holds s.mu.
+func (s *Session) simulateCone(a, b network.NodeID, nwords int, fill func(pi network.NodeID, dst sim.Words)) (va, vb sim.Words) {
+	if s.kernel == nil {
+		s.kernel = sim.NewSimulator(s.net)
+	}
+	vals := s.kernel.SimulateCone([]network.NodeID{a, b}, nwords, fill)
+	return vals[a], vals[b]
 }
 
-type evaluator struct {
-	net   *network.Network
-	vals  [][]uint64
-	arena []uint64
-	stamp []uint32
-	epoch uint32
-}
-
-func newEvaluator(net *network.Network) *evaluator {
-	n := net.NumNodes()
-	return &evaluator{
-		net:   net,
-		vals:  make([][]uint64, n),
-		stamp: make([]uint32, n),
-	}
-}
-
-// eval simulates both fanin cones for nwords words, with piVal supplying
-// each primary input's word w, and returns the two root value slices
-// (valid until the next call).
-func (e *evaluator) eval(a, b network.NodeID, piVal func(pi network.NodeID, w int) uint64, nwords int) (va, vb []uint64) {
-	e.epoch++
-	cone := e.net.FaninCone(a)
-	for _, id := range cone {
-		e.stamp[id] = e.epoch
-	}
-	for _, id := range e.net.FaninCone(b) {
-		if e.stamp[id] != e.epoch {
-			e.stamp[id] = e.epoch
-			cone = append(cone, id)
-		}
-	}
-	if need := len(cone) * nwords; cap(e.arena) < need {
-		e.arena = make([]uint64, need)
-	}
-	for i, id := range cone {
-		e.vals[id] = e.arena[i*nwords : (i+1)*nwords]
-	}
-	for _, id := range cone {
-		nd := e.net.Node(id)
-		out := e.vals[id]
-		switch nd.Kind {
-		case network.KindPI:
-			for w := range out {
-				out[w] = piVal(id, w)
-			}
-		case network.KindConst:
-			fill := uint64(0)
-			if nd.Func.IsConst1() {
-				fill = ^uint64(0)
-			}
-			for w := range out {
-				out[w] = fill
-			}
-		default:
-			on, _ := e.net.Covers(id)
-			for w := range out {
-				var word uint64
-				for _, cube := range on {
-					term := ^uint64(0)
-					for i, f := range nd.Fanins {
-						v, cared := cube.Has(i)
-						if !cared {
-							continue
-						}
-						if v {
-							term &= e.vals[f][w]
-						} else {
-							term &= ^e.vals[f][w]
-						}
-					}
-					word |= term
-				}
-				out[w] = word
-			}
-		}
-	}
-	return e.vals[a], e.vals[b]
-}
-
-// equal re-checks a recorded equivalence: exhaustive over the combined
-// support when it fits the cutoff, random words otherwise. seed makes the
-// random fallback deterministic per pair.
-func (e *evaluator) equal(a, b network.NodeID, seed uint64) bool {
-	support := supportUnion(e.net, a, b)
-	k := len(support)
-	if k <= revalExhaustivePIs {
-		nwords := 1
-		if k > 6 {
-			nwords = 1 << (k - 6)
-		}
+// revalEqual re-checks a recorded equivalence: exhaustive over the
+// combined support when it fits the cutoff, random words otherwise. seed
+// makes the random fallback deterministic per pair.
+func (s *Session) revalEqual(a, b network.NodeID, seed uint64) bool {
+	support := prover.Support(s.net, a, b)
+	if k := len(support); k <= revalExhaustivePIs {
 		varOf := make(map[network.NodeID]int, k)
 		for j, pi := range support {
 			varOf[pi] = j
 		}
-		va, vb := e.eval(a, b, func(pi network.NodeID, w int) uint64 {
+		return slices.Equal(s.simulateCone(a, b, 1<<max(0, k-6), func(pi network.NodeID, dst sim.Words) {
 			j := varOf[pi]
-			if j < 6 {
-				return lanePatterns[j]
+			for w := range dst {
+				dst[w] = sim.ExhaustiveWord(j, w)
 			}
-			if (w>>(uint(j)-6))&1 == 1 {
-				return ^uint64(0)
-			}
-			return 0
-		}, nwords)
-		return wordsEqual(va, vb)
+		}))
 	}
 	state := seed
-	va, vb := e.eval(a, b, func(pi network.NodeID, w int) uint64 {
-		state += 0x9e3779b97f4a7c15
-		return mix64(state ^ (uint64(pi)<<32 | uint64(w)))
-	}, revalRandomWords)
-	return wordsEqual(va, vb)
+	return slices.Equal(s.simulateCone(a, b, revalRandomWords, func(pi network.NodeID, dst sim.Words) {
+		for w := range dst {
+			state += 0x9e3779b97f4a7c15
+			dst[w] = mix64(state ^ (uint64(pi)<<32 | uint64(w)))
+		}
+	}))
 }
 
-// separates re-checks a recorded disproof by replaying its stored full-PI
-// counterexample; exact.
-func (e *evaluator) separates(a, b network.NodeID, cex []bool) bool {
-	if len(cex) != e.net.NumPIs() {
+// revalSeparates re-checks a recorded disproof by replaying its stored
+// full-PI counterexample; exact.
+func (s *Session) revalSeparates(a, b network.NodeID, cex []bool) bool {
+	if len(cex) != s.net.NumPIs() {
 		return false
 	}
 	val := make(map[network.NodeID]uint64, len(cex))
-	for i, pi := range e.net.PIs() {
+	for i, pi := range s.net.PIs() {
 		if cex[i] {
 			val[pi] = ^uint64(0)
 		}
 	}
-	va, vb := e.eval(a, b, func(pi network.NodeID, _ int) uint64 {
-		return val[pi]
-	}, 1)
+	va, vb := s.simulateCone(a, b, 1, func(pi network.NodeID, dst sim.Words) {
+		dst[0] = val[pi]
+	})
 	return va[0]&1 != vb[0]&1
-}
-
-// supportUnion is the union of both cones' primary inputs.
-func supportUnion(net *network.Network, a, b network.NodeID) []network.NodeID {
-	pis := net.ConePIs(a)
-	seen := make(map[network.NodeID]bool, len(pis))
-	for _, pi := range pis {
-		seen[pi] = true
-	}
-	for _, pi := range net.ConePIs(b) {
-		if !seen[pi] {
-			seen[pi] = true
-			pis = append(pis, pi)
-		}
-	}
-	return pis
-}
-
-func wordsEqual(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

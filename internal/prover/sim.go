@@ -7,6 +7,7 @@ import (
 
 	"simgen/internal/network"
 	"simgen/internal/obs"
+	"simgen/internal/sim"
 )
 
 // DefaultSimPIs is the default combined-support cutoff for the exhaustive
@@ -25,13 +26,11 @@ type Sim struct {
 	maxPIs int
 	tr     obs.Tracer
 
-	// Reusable per-call scratch: vals[node] is that node's simulation words
-	// for the current pair, arena the backing store, stamp/epoch the
-	// membership test that avoids clearing vals between calls.
-	vals  [][]uint64
-	arena []uint64
-	stamp []uint32
-	epoch uint32
+	// kernel is the cone evaluator, compiled on the first proof. Compiling
+	// reads the network's lazily cached covers, which are not
+	// goroutine-safe — the sweep scheduler warms them before sharing the
+	// network across workers.
+	kernel *sim.Simulator
 }
 
 // NewSim creates an exhaustive-simulation engine; maxPIs <= 0 means
@@ -40,14 +39,7 @@ func NewSim(net *network.Network, maxPIs int) *Sim {
 	if maxPIs <= 0 {
 		maxPIs = DefaultSimPIs
 	}
-	n := net.NumNodes()
-	return &Sim{
-		net:    net,
-		maxPIs: maxPIs,
-		tr:     obs.Nop,
-		vals:   make([][]uint64, n),
-		stamp:  make([]uint32, n),
-	}
+	return &Sim{net: net, maxPIs: maxPIs, tr: obs.Nop}
 }
 
 // Name implements Engine.
@@ -55,17 +47,6 @@ func (e *Sim) Name() string { return "sim" }
 
 // SetTracer implements Engine.
 func (e *Sim) SetTracer(t obs.Tracer) { e.tr = obs.OrNop(t) }
-
-// exhaustive lane patterns for support variables 0..5; variable j >= 6
-// selects whole words instead.
-var lanePatterns = [6]uint64{
-	0xAAAAAAAAAAAAAAAA,
-	0xCCCCCCCCCCCCCCCC,
-	0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00,
-	0xFFFF0000FFFF0000,
-	0xFFFFFFFF00000000,
-}
 
 // Support returns the combined structural support of the pair: the union
 // of both fanin cones' primary inputs.
@@ -106,90 +87,22 @@ func (e *Sim) Prove(ctx context.Context, a, b network.NodeID, _ Budget) Result {
 // enumerate simulates all 2^k support assignments over both cones and
 // compares the roots.
 func (e *Sim) enumerate(a, b network.NodeID, support []network.NodeID) (Verdict, []bool) {
-	k := len(support)
-	nwords := 1
-	if k > 6 {
-		nwords = 1 << (k - 6)
-	}
-	varOf := make(map[network.NodeID]int, k)
+	varOf := make(map[network.NodeID]int, len(support))
 	for j, pi := range support {
 		varOf[pi] = j
 	}
+	if e.kernel == nil {
+		e.kernel = sim.NewSimulator(e.net)
+	}
+	vals := e.kernel.SimulateCone([]network.NodeID{a, b}, 1<<max(0, len(support)-6),
+		func(pi network.NodeID, dst sim.Words) {
+			j := varOf[pi]
+			for w := range dst {
+				dst[w] = sim.ExhaustiveWord(j, w)
+			}
+		})
 
-	// Collect the union of both cones in topological order (FaninCone is
-	// topological, and b's unvisited suffix only depends on already-placed
-	// nodes or its own prefix).
-	e.epoch++
-	cone := e.net.FaninCone(a)
-	for _, id := range cone {
-		e.stamp[id] = e.epoch
-	}
-	for _, id := range e.net.FaninCone(b) {
-		if e.stamp[id] != e.epoch {
-			e.stamp[id] = e.epoch
-			cone = append(cone, id)
-		}
-	}
-	if need := len(cone) * nwords; cap(e.arena) < need {
-		e.arena = make([]uint64, need)
-	}
-	for i, id := range cone {
-		e.vals[id] = e.arena[i*nwords : (i+1)*nwords]
-	}
-
-	for _, id := range cone {
-		nd := e.net.Node(id)
-		out := e.vals[id]
-		switch nd.Kind {
-		case network.KindPI:
-			j := varOf[id]
-			for w := range out {
-				if j < 6 {
-					out[w] = lanePatterns[j]
-				} else if (w>>(j-6))&1 == 1 {
-					out[w] = ^uint64(0)
-				} else {
-					out[w] = 0
-				}
-			}
-		case network.KindConst:
-			fill := uint64(0)
-			if nd.Func.IsConst1() {
-				fill = ^uint64(0)
-			}
-			for w := range out {
-				out[w] = fill
-			}
-		default:
-			// Word-parallel evaluation over the on-set ISOP cover: each
-			// cube is an AND of (possibly complemented) fanin words, the
-			// output their OR. Covers is lazily cached on the network and
-			// not goroutine-safe — the sweep scheduler warms it before
-			// sharing the network across workers.
-			on, _ := e.net.Covers(id)
-			for w := range out {
-				var word uint64
-				for _, cube := range on {
-					term := ^uint64(0)
-					for i, f := range nd.Fanins {
-						v, cared := cube.Has(i)
-						if !cared {
-							continue
-						}
-						if v {
-							term &= e.vals[f][w]
-						} else {
-							term &= ^e.vals[f][w]
-						}
-					}
-					word |= term
-				}
-				out[w] = word
-			}
-		}
-	}
-
-	va, vb := e.vals[a], e.vals[b]
+	va, vb := vals[a], vals[b]
 	for w := range va {
 		if d := va[w] ^ vb[w]; d != 0 {
 			// Lanes beyond 2^k (k < 6) replicate real assignments modulo

@@ -9,6 +9,7 @@ import (
 
 	"simgen/internal/network"
 	"simgen/internal/obs"
+	"simgen/internal/sim"
 	"simgen/internal/word"
 )
 
@@ -43,15 +44,15 @@ type frontierPair struct {
 type WordPlan struct {
 	St *word.Structure
 
-	sig   []uint64 // node signatures, sigWords words per node
+	sig   sim.Values // node signatures, sigWords words per node
 	pairs []frontierPair
 }
 
-// NewWordPlan analyses the network. It evaluates every node on 256
-// deterministic random input vectors (via the network's ISOP covers, which
-// are lazily cached and not goroutine-safe — build the plan before sharing
-// the network across workers). A nil or empty structure yields an inert
-// plan that declines every pair.
+// NewWordPlan analyses the network. It simulates every node on 256
+// deterministic random input vectors (a sim.Simulator compiled from the
+// network's ISOP covers, which are lazily cached and not goroutine-safe —
+// build the plan before sharing the network across workers). A nil or
+// empty structure yields an inert plan that declines every pair.
 func NewWordPlan(net *network.Network, st *word.Structure) *WordPlan {
 	p := &WordPlan{St: st}
 	if st == nil {
@@ -60,48 +61,7 @@ func NewWordPlan(net *network.Network, st *word.Structure) *WordPlan {
 	if cands, _ := st.Counts(); cands == 0 {
 		return p
 	}
-	n := net.NumNodes()
-	p.sig = make([]uint64, n*sigWords)
-	rng := rand.New(rand.NewSource(0x5eed))
-	for id := 0; id < n; id++ {
-		nd := net.Node(network.NodeID(id))
-		out := p.sig[id*sigWords : (id+1)*sigWords]
-		switch nd.Kind {
-		case network.KindPI:
-			for w := range out {
-				out[w] = rng.Uint64()
-			}
-		case network.KindConst:
-			fill := uint64(0)
-			if nd.Func.IsConst1() {
-				fill = ^uint64(0)
-			}
-			for w := range out {
-				out[w] = fill
-			}
-		default:
-			on, _ := net.Covers(network.NodeID(id))
-			for w := range out {
-				var acc uint64
-				for _, cube := range on {
-					term := ^uint64(0)
-					for i, f := range nd.Fanins {
-						v, cared := cube.Has(i)
-						if !cared {
-							continue
-						}
-						if v {
-							term &= p.sig[int(f)*sigWords+w]
-						} else {
-							term &= ^p.sig[int(f)*sigWords+w]
-						}
-					}
-					acc |= term
-				}
-				out[w] = acc
-			}
-		}
-	}
+	p.sig = sim.Simulate(net, sim.RandomInputs(net, sigWords, rand.New(rand.NewSource(0x5eed))), sigWords)
 
 	// Frontier pairs: within each candidate, members of one slice whose
 	// signatures agree are paired against the group's lowest-id node. In a
@@ -116,7 +76,7 @@ func NewWordPlan(net *network.Network, st *word.Structure) *WordPlan {
 	for ci, c := range p.St.Cands {
 		for _, b := range c.Bits {
 			var s [sigWords]uint64
-			copy(s[:], p.sig[int(b.Node)*sigWords:])
+			copy(s[:], p.sig[b.Node])
 			key := groupKey{cand: int32(ci), slice: int32(b.Slice), sig: s}
 			rep, ok := reps[key]
 			if !ok {
@@ -143,7 +103,7 @@ func (p *WordPlan) Sig(id network.NodeID) []uint64 {
 	if p == nil || p.sig == nil {
 		return nil
 	}
-	return p.sig[int(id)*sigWords : (int(id)+1)*sigWords]
+	return p.sig[id]
 }
 
 // FrontierPairs reports the number of precomputed anchor pairs.

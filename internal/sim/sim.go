@@ -80,36 +80,41 @@ func ExhaustiveInputs(net *network.Network) ([]Words, int) {
 	if npi > MaxExhaustivePIs {
 		panic("sim: too many primary inputs for exhaustive enumeration")
 	}
-	nwords := 1
-	if npi > 6 {
-		nwords = 1 << (npi - 6)
-	}
+	nwords := 1 << max(0, npi-6)
 	inputs := make([]Words, npi)
 	for i := range inputs {
 		w := make(Words, nwords)
-		if i < 6 {
-			// Within a word, variable i alternates in blocks of 2^i bits.
-			var pat uint64
-			for m := 0; m < 64; m++ {
-				if m&(1<<uint(i)) != 0 {
-					pat |= 1 << uint(m)
-				}
-			}
-			for j := range w {
-				w[j] = pat
-			}
-		} else {
-			// Across words, variable i alternates in blocks of 2^(i-6) words.
-			period := 1 << (i - 6)
-			for j := range w {
-				if j&period != 0 {
-					w[j] = ^uint64(0)
-				}
-			}
+		for j := range w {
+			w[j] = ExhaustiveWord(i, j)
 		}
 		inputs[i] = w
 	}
 	return inputs, nwords
+}
+
+// exhaustivePats are the lane patterns of variables 0..5 within one word.
+var exhaustivePats = [6]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
+}
+
+// ExhaustiveWord returns word w of variable j in the exhaustive minterm
+// layout: bit b of the result is bit j of minterm 64*w+b. Within a word,
+// variable j < 6 alternates in blocks of 2^j bits; across words, variable
+// j >= 6 alternates in blocks of 2^(j-6) whole words. Enumerating k
+// variables takes 1 << max(0, k-6) words.
+func ExhaustiveWord(j, w int) uint64 {
+	if j < 6 {
+		return exhaustivePats[j]
+	}
+	if (w>>(j-6))&1 == 1 {
+		return ^uint64(0)
+	}
+	return 0
 }
 
 // RandomInputs draws nwords random words for every primary input.

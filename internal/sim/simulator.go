@@ -60,9 +60,10 @@ type instr struct {
 //
 // The Values returned by Simulate/SimulateContext/Resimulate are views
 // into the arena: they stay valid (and reflect the latest call) until the
-// next Simulate with a different word count, and are overwritten by every
-// subsequent call. Callers that need the data beyond the next call must
-// copy it. A Simulator is not safe for concurrent use.
+// next Simulate with a different word count or the next SimulateCone, and
+// are overwritten by every subsequent call. Callers that need the data
+// beyond the next call must copy it. A Simulator is not safe for
+// concurrent use.
 type Simulator struct {
 	net   *network.Network
 	prog  []instr
@@ -72,13 +73,14 @@ type Simulator struct {
 	nwords  int
 	arena   []uint64
 	views   Values
+	full    bool  // views lay out every node (false after SimulateCone)
 	scratch Words // cube accumulator for opGeneric
 	evalBuf Words // recompute buffer for Resimulate change pruning
 
 	// Incremental state.
 	touched []int32 // staged changed PI rows
 	dirty   []bool  // per node: value changed during the current Resimulate
-	inCone  []bool  // per node: member of the current TFO cone
+	inCone  []bool  // per node: member of the cone being collected
 	cone    []int32 // scratch list of cone node ids
 }
 
@@ -132,19 +134,22 @@ func (s *Simulator) compileLUT(id network.NodeID) instr {
 		return instr{op: opConst1}
 	}
 	if len(on) == 1 {
-		lits := s.cubeLits(on[0], nd.Fanins)
-		if len(lits) == 1 {
-			if lits[0].neg {
-				return instr{op: opNot, a: lits[0].node}
+		off, n := s.appendCube(on[0], nd.Fanins)
+		if n == 1 {
+			l := s.lits[off]
+			s.lits = s.lits[:off] // copy and not kernels read the row directly
+			if l.neg {
+				return instr{op: opNot, a: l.node}
 			}
-			return instr{op: opCopy, a: lits[0].node}
+			return instr{op: opCopy, a: l.node}
 		}
-		return s.litInstr(opAnd, lits)
+		return instr{op: opAnd, litOff: off, litCnt: n}
 	}
 	if len(off) == 1 {
 		// Single off-set cube: the node is the complement of that cube's
 		// AND — the NAND/OR family.
-		return s.litInstr(opNand, s.cubeLits(off[0], nd.Fanins))
+		o, n := s.appendCube(off[0], nd.Fanins)
+		return instr{op: opNand, litOff: o, litCnt: n}
 	}
 	if len(nd.Fanins) == 2 && nd.Fanins[0] != nd.Fanins[1] {
 		if nd.Func.Equal(xorTable) {
@@ -157,56 +162,39 @@ func (s *Simulator) compileLUT(id network.NodeID) instr {
 	// Generic fallback: the full cube loop over the on-set cover.
 	in := instr{op: opGeneric, cubeOff: int32(len(s.cubes))}
 	for _, cube := range on {
-		lits := s.cubeLits(cube, nd.Fanins)
-		off := int32(len(s.lits))
-		s.lits = append(s.lits, lits...)
-		s.cubes = append(s.cubes, cubeRef{off: off, n: int32(len(lits))})
+		o, n := s.appendCube(cube, nd.Fanins)
+		s.cubes = append(s.cubes, cubeRef{off: o, n: n})
 	}
 	in.cubeCnt = int32(len(s.cubes)) - in.cubeOff
 	return in
 }
 
-// cubeLits maps one cube's cared variables to arena rows with polarity.
-func (s *Simulator) cubeLits(cube tt.Cube, fanins []network.NodeID) []simLit {
-	lits := make([]simLit, 0, len(fanins))
+// appendCube appends one cube's cared variables to s.lits as arena rows
+// with polarity and returns the span it occupies.
+func (s *Simulator) appendCube(cube tt.Cube, fanins []network.NodeID) (off, n int32) {
+	off = int32(len(s.lits))
 	for i, f := range fanins {
-		v, cared := cube.Has(i)
-		if !cared {
-			continue
+		if v, cared := cube.Has(i); cared {
+			s.lits = append(s.lits, simLit{node: int32(f), neg: !v})
 		}
-		lits = append(lits, simLit{node: int32(f), neg: !v})
 	}
-	return lits
+	return off, int32(len(s.lits)) - off
 }
 
-// litInstr stores a literal list into the flat table and returns the
-// instruction referencing it.
-func (s *Simulator) litInstr(op opKind, lits []simLit) instr {
-	in := instr{op: op, litOff: int32(len(s.lits)), litCnt: int32(len(lits))}
-	s.lits = append(s.lits, lits...)
-	return in
-}
-
-// ensure sizes the arena, views and scratch buffers for nwords.
-func (s *Simulator) ensure(nwords int) {
+// reserve sizes the arena for rows rows of nwords words, and the scratch
+// buffers for nwords. Views are left for the caller to lay out.
+func (s *Simulator) reserve(rows, nwords int) {
 	if nwords <= 0 {
 		panic("sim: word count must be positive")
 	}
-	if s.nwords == nwords && s.arena != nil {
-		return
-	}
 	s.nwords = nwords
-	need := len(s.prog) * nwords
-	if cap(s.arena) < need {
+	if need := rows * nwords; cap(s.arena) < need {
 		s.arena = make([]uint64, need)
 	} else {
 		s.arena = s.arena[:need]
 	}
 	if s.views == nil {
 		s.views = make(Values, len(s.prog))
-	}
-	for i := range s.views {
-		s.views[i] = Words(s.arena[i*nwords : (i+1)*nwords : (i+1)*nwords])
 	}
 	if cap(s.scratch) < nwords {
 		s.scratch = make(Words, nwords)
@@ -215,6 +203,19 @@ func (s *Simulator) ensure(nwords int) {
 	s.scratch = s.scratch[:nwords]
 	s.evalBuf = s.evalBuf[:nwords]
 	s.touched = s.touched[:0]
+}
+
+// ensure lays every node's view out over the arena for nwords; a no-op
+// when the last layout already was that one.
+func (s *Simulator) ensure(nwords int) {
+	if s.full && s.nwords == nwords {
+		return
+	}
+	s.reserve(len(s.prog), nwords)
+	for i := range s.views {
+		s.views[i] = Words(s.arena[i*nwords : (i+1)*nwords : (i+1)*nwords])
+	}
+	s.full = true
 }
 
 // row returns the arena row of a node.
@@ -256,15 +257,7 @@ func (s *Simulator) SimulateContext(ctx context.Context, inputs []Words, nwords 
 		if cancellable && id%cancelCheckEvery == 0 && ctx.Err() != nil {
 			return nil, false
 		}
-		in := &s.prog[id]
-		switch in.op {
-		case opInput:
-			// copied above
-		case opConst0:
-			clearWords(s.views[id])
-		case opConst1:
-			fillWords(s.views[id])
-		default:
+		if in := &s.prog[id]; in.op != opInput {
 			s.evalInto(in, s.views[id])
 		}
 	}
@@ -272,10 +265,61 @@ func (s *Simulator) SimulateContext(ctx context.Context, inputs []Words, nwords 
 	return s.views, true
 }
 
-// evalInto runs one LUT kernel, writing the result into dst (an arena row
-// or a scratch buffer). dst must not alias any fanin row.
+// SimulateCone evaluates only the union fanin cone of roots — the first
+// root's cone in DFS post-order (network.FaninCone order), then the
+// unvisited suffix of each later root's — into a cone-sized arena. fill
+// writes the nwords words of each primary input in the cone, called once
+// per PI in that cone order. The returned Values are indexed by node id,
+// but only rows of cone nodes are valid; they stay valid until the next
+// call of any Simulate method. A later Simulate lays the full arena out
+// again, and SetInput/Resimulate need such a full Simulate first.
+func (s *Simulator) SimulateCone(roots []network.NodeID, nwords int, fill func(pi network.NodeID, dst Words)) Values {
+	if s.inCone == nil {
+		s.inCone = make([]bool, len(s.prog))
+	}
+	s.cone = s.cone[:0]
+	for _, r := range roots {
+		s.collect(r)
+	}
+
+	s.reserve(len(s.cone), nwords)
+	s.full = false
+	for i, id := range s.cone {
+		s.inCone[id] = false
+		s.views[id] = Words(s.arena[i*nwords : (i+1)*nwords : (i+1)*nwords])
+	}
+	for _, id := range s.cone {
+		if in := &s.prog[id]; in.op == opInput {
+			fill(network.NodeID(id), s.views[id])
+		} else {
+			s.evalInto(in, s.views[id])
+		}
+	}
+	return s.views
+}
+
+// collect appends the unvisited part of id's fanin cone to s.cone in DFS
+// post-order, marking it in s.inCone.
+func (s *Simulator) collect(id network.NodeID) {
+	if s.inCone[id] {
+		return
+	}
+	s.inCone[id] = true
+	for _, f := range s.net.Node(id).Fanins {
+		s.collect(f)
+	}
+	s.cone = append(s.cone, int32(id))
+}
+
+// evalInto runs one node's kernel (any op but opInput), writing the result
+// into dst (an arena row or a scratch buffer). dst must not alias any
+// fanin row.
 func (s *Simulator) evalInto(in *instr, dst Words) {
 	switch in.op {
+	case opConst0:
+		clearWords(dst)
+	case opConst1:
+		fillWords(dst)
 	case opCopy:
 		copy(dst, s.row(in.a))
 	case opNot:
@@ -354,7 +398,7 @@ func (s *Simulator) andLits(in *instr, dst Words) {
 // have run before; the word count must match it. Inputs whose words are
 // unchanged are ignored.
 func (s *Simulator) SetInput(i int, w Words) {
-	if s.arena == nil {
+	if !s.full {
 		panic("sim: SetInput before a full Simulate")
 	}
 	if len(w) != s.nwords {
