@@ -103,11 +103,12 @@ bench-full:
 # Simulation-core micro-benchmarks: the arena kernel, incremental
 # resimulation, bucketed refinement, vector packing, the sweeping
 # counterexample pool, end-to-end service throughput, SimGen and
-# reverse-simulation vector generation, and the exhaustive-simulation
-# prover rung. BENCHCOUNT repetitions give the gate stable medians.
+# reverse-simulation vector generation, the exhaustive-simulation
+# prover rung, NPN canonization and the proof cache's structural diff.
+# BENCHCOUNT repetitions give the gate stable medians.
 BENCHCOUNT ?= 5
-BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkRefine|BenchmarkPackVectors|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep|BenchmarkAblationSimGen|BenchmarkAblationRevS|BenchmarkSimEngine
-BENCHDIRS ?= ./internal/sim ./internal/sweep ./internal/sweepd .
+BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkRefine|BenchmarkPackVectors|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep|BenchmarkAblationSimGen|BenchmarkAblationRevS|BenchmarkSimEngine|BenchmarkNPNCanon|BenchmarkDiff
+BENCHDIRS ?= ./internal/sim ./internal/sweep ./internal/sweepd ./internal/tt ./internal/pcache .
 .PHONY: bench
 bench:
 	$(GO) test -run 'xxx' -bench '$(BENCHES)' -benchmem -count $(BENCHCOUNT) \

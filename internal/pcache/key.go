@@ -89,21 +89,21 @@ func NewKeyer(net *network.Network) *Keyer {
 	return k
 }
 
-// NodeKey returns the structural key of id's fanin cone. FaninCone is
-// topological with id last, so every fanin key is ready when needed.
+// NodeKey returns the structural key of id's fanin cone.
 func (k *Keyer) NodeKey(id network.NodeID) uint64 {
 	return k.nodeHash(id).key
 }
 
+// nodeHash returns id's hashes, first keying depth first whichever of its
+// fanins have no key yet. The walk stops at keyed nodes, so keying a whole
+// network in topological order visits each node once.
 func (k *Keyer) nodeHash(id network.NodeID) nodeHash {
-	if k.done[id] {
-		return k.keys[id]
-	}
-	for _, n := range k.net.FaninCone(id) {
-		if !k.done[n] {
-			k.keys[n] = k.compute(n)
-			k.done[n] = true
+	if !k.done[id] {
+		for _, f := range k.net.Node(id).Fanins {
+			k.nodeHash(f)
 		}
+		k.keys[id] = k.compute(id)
+		k.done[id] = true
 	}
 	return k.keys[id]
 }

@@ -1,9 +1,67 @@
 package tt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// npnCanonRef is the table search NPNCanon replaced, kept as the reference
+// the word kernel must match: the same canonical table and the same
+// transform, tie-break included.
+func npnCanonRef(f Table) (Table, NPNTransform) {
+	n := f.NumVars()
+	if n > 5 {
+		panic("tt: NPNCanon limited to 5 variables")
+	}
+	best := f.Clone()
+	bestTr := NPNTransform{Perm: identityPerm(n)}
+	perms := permutations(n)
+	for _, perm := range perms {
+		for neg := uint32(0); neg < 1<<uint(n); neg++ {
+			g := f
+			for i := 0; i < n; i++ {
+				if neg&(1<<uint(i)) != 0 {
+					g = g.flipVar(i)
+				}
+			}
+			g = g.Permute(perm)
+			for _, outNeg := range []bool{false, true} {
+				h := g
+				if outNeg {
+					h = g.Not()
+				}
+				if tableLess(h, best) {
+					best = h
+					bestTr = NPNTransform{
+						Perm:      append([]int(nil), perm...),
+						InputNeg:  neg,
+						OutputNeg: outNeg,
+					}
+				}
+			}
+		}
+	}
+	return best, bestTr
+}
+
+// tableLess orders tables lexicographically by words.
+func tableLess(a, b Table) bool {
+	for i := len(a.words) - 1; i >= 0; i-- {
+		if a.words[i] != b.words[i] {
+			return a.words[i] < b.words[i]
+		}
+	}
+	return false
+}
+
+func identityPerm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
+}
 
 func randomTransform(rng *rand.Rand, n int) NPNTransform {
 	perm := rng.Perm(n)
@@ -19,7 +77,7 @@ func TestNPNCanonInvariance(t *testing.T) {
 	// function.
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(3) // 2..4 vars
+		n := rng.Intn(6) // 0..5 vars
 		f := randomTable(rng, n)
 		canon, _ := NPNCanon(f)
 		for v := 0; v < 6; v++ {
@@ -35,7 +93,7 @@ func TestNPNCanonInvariance(t *testing.T) {
 func TestNPNCanonTransformProducesCanon(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(3)
+		n := rng.Intn(6)
 		f := randomTable(rng, n)
 		canon, tr := NPNCanon(f)
 		if !tr.Apply(f).Equal(canon) {
@@ -47,7 +105,7 @@ func TestNPNCanonTransformProducesCanon(t *testing.T) {
 func TestNPNInvertRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(3)
+		n := rng.Intn(6)
 		f := randomTable(rng, n)
 		canon, tr := NPNCanon(f)
 		back := tr.Invert().Apply(canon)
@@ -104,4 +162,23 @@ func TestNPNCanonRejectsLargeFunctions(t *testing.T) {
 		}
 	}()
 	NPNCanon(New(6))
+}
+
+// sinkTable keeps benchmarked results live.
+var sinkTable Table
+
+func BenchmarkNPNCanon(b *testing.B) {
+	for _, n := range []int{4, 5} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		fs := make([]Table, 64)
+		for i := range fs {
+			fs[i] = randomTable(rng, n)
+		}
+		b.Run(fmt.Sprintf("vars=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkTable, _ = NPNCanon(fs[i%len(fs)])
+			}
+		})
+	}
 }
