@@ -104,11 +104,12 @@ bench-full:
 # resimulation, bucketed refinement, vector packing, the sweeping
 # counterexample pool, end-to-end service throughput, SimGen and
 # reverse-simulation vector generation, the exhaustive-simulation
-# prover rung, NPN canonization and the proof cache's structural diff.
+# prover rung, NPN canonization, the proof cache's structural diff and
+# the CDCL solver's raw propagation rate.
 # BENCHCOUNT repetitions give the gate stable medians.
 BENCHCOUNT ?= 5
-BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkRefine|BenchmarkPackVectors|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep|BenchmarkAblationSimGen|BenchmarkAblationRevS|BenchmarkSimEngine|BenchmarkNPNCanon|BenchmarkDiff
-BENCHDIRS ?= ./internal/sim ./internal/sweep ./internal/sweepd ./internal/tt ./internal/pcache .
+BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkRefine|BenchmarkPackVectors|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep|BenchmarkAblationSimGen|BenchmarkAblationRevS|BenchmarkSimEngine|BenchmarkNPNCanon|BenchmarkDiff|BenchmarkSolve
+BENCHDIRS ?= ./internal/sim ./internal/sweep ./internal/sweepd ./internal/tt ./internal/pcache ./internal/sat .
 .PHONY: bench
 bench:
 	$(GO) test -run 'xxx' -bench '$(BENCHES)' -benchmem -count $(BENCHCOUNT) \
@@ -156,8 +157,9 @@ cache-soak:
 # pairs with the word-staged adaptive portfolio vs the plain bit-level
 # portfolio (root bench_test.go BenchmarkDatapathCEC). The benchmark
 # asserts the mul10x10 tripwire in-process (word must beat bit-level by
-# >=2x wall clock); medians feed results/BENCH_datapath.json. The fuzz and
-# replay halves of the datapath layer run via `make datapath-test`.
+# >=2x wall clock; ~36x measured on a 2-vCPU Xeon); medians feed
+# results/BENCH_datapath.json. The fuzz and replay halves of the
+# datapath layer run via `make datapath-test`.
 .PHONY: bench-datapath
 bench-datapath:
 	$(GO) test -run 'xxx' -bench 'BenchmarkDatapathCEC' -benchtime 1x \

@@ -651,7 +651,7 @@ func datapathCEC(b *testing.B, an, bn *Network, word bool) (time.Duration, sweep
 // word-staged adaptive portfolio ("word") vs the plain bit-level
 // portfolio ("bit"). The setup is the datapath tripwire: on the 10x10
 // pair the word arm must beat the bit-level arm by at least 2x wall clock
-// — generous against the ~28x measured on the reference container
+// — generous against the ~36x measured on a 2-vCPU Xeon
 // (results/BENCH_datapath.json) but tight enough to catch the word stage
 // silently disengaging or its learned equalities no longer reaching the
 // solver. The timed sub-benchmarks report the faster 8x8 pair.

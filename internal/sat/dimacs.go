@@ -8,10 +8,16 @@ import (
 	"strings"
 )
 
+// maxVars is the number of variables a Lit can address: variable
+// maxVars-1 is the largest whose negated literal still fits an int32.
+const maxVars = 1 << 30
+
 // ParseDIMACS reads a CNF formula in DIMACS format into a fresh solver.
 // It returns the solver and the number of variables declared in the
 // problem line. Standard "c" comments and the optional trailing "%" / "0"
-// markers of SATLIB files are tolerated.
+// markers of SATLIB files are tolerated. A variable count or literal
+// beyond what a Lit can address is an error, reported before the solver
+// grows.
 func ParseDIMACS(r io.Reader) (*Solver, int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -35,6 +41,9 @@ func ParseDIMACS(r io.Reader) (*Solver, int, error) {
 			if err1 != nil || err2 != nil || nv < 0 {
 				return nil, 0, fmt.Errorf("dimacs:%d: bad problem counts", lineno)
 			}
+			if nv > maxVars {
+				return nil, 0, fmt.Errorf("dimacs:%d: %d variables exceed the limit of %d", lineno, nv, maxVars)
+			}
 			declared = nv
 			for s.NumVars() < nv {
 				s.NewVar()
@@ -50,6 +59,9 @@ func ParseDIMACS(r io.Reader) (*Solver, int, error) {
 				s.AddClause(clause...)
 				clause = clause[:0]
 				continue
+			}
+			if v < -maxVars || v > maxVars {
+				return nil, 0, fmt.Errorf("dimacs:%d: literal %s exceeds the variable limit of %d", lineno, tok, maxVars)
 			}
 			idx := v
 			if idx < 0 {

@@ -49,6 +49,14 @@ func TestParseDIMACSErrors(t *testing.T) {
 		"p cnf 3\n",
 		"1 2 0\n", // no problem line
 		"p cnf 2 1\n1 z 0\n",
+		// Variables a Lit cannot address are rejected before the solver
+		// grows towards them.
+		"p cnf 1 1\n2147483649 0\n",
+		"p cnf 1 1\n-2147483649 0\n",
+		"p cnf 1 1\n1073741825 0\n",
+		"p cnf 1 1\n-9223372036854775808 0\n",
+		"p cnf 1073741825 1\n1 0\n",
+		"p cnf 9223372036854775807 1\n1 0\n",
 	}
 	for i, src := range cases {
 		if _, _, err := ParseDIMACS(strings.NewReader(src)); err == nil {

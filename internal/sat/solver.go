@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -68,11 +69,28 @@ const (
 	valueTrue       int8 = 1
 )
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
-	lbd      int32
+// The clause arena stores every clause contiguously as
+//
+//	header | lits[0] … lits[size-1] | lbd | act_lo | act_hi
+//
+// where the header packs size<<2 | deleted<<1 | learnt and the three-word
+// trailer (the LBD and the two halves of the float64 activity) is present
+// only on learnt clauses. A clause ref is the offset of its header.
+// Clauses never move except in compact, which keeps their order.
+const (
+	hdrLearnt     Lit = 1
+	hdrDeleted    Lit = 2
+	hdrSizeShift      = 2
+	learntTrailer     = 3
+)
+
+// clauseWords is the arena footprint of the clause with header h.
+func clauseWords(h Lit) int {
+	n := 1 + int(h>>hdrSizeShift)
+	if h&hdrLearnt != 0 {
+		n += learntTrailer
+	}
+	return n
 }
 
 type watcher struct {
@@ -91,10 +109,11 @@ type Stats struct {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses []clause
-	watches [][]watcher // indexed by literal
+	arena      []Lit       // clause store, see clauseWords
+	watches    [][]watcher // indexed by literal
+	numClauses int
 
-	assigns  []int8
+	vals     []int8 // indexed by literal; both polarities written together
 	level    []int32
 	reason   []int32 // clause ref or -1
 	trail    []Lit
@@ -112,6 +131,9 @@ type Solver struct {
 
 	seen      []bool
 	analyzeTo []Lit
+	lvlStamp  []uint32 // analyze scratch: LBD level marks, indexed by level
+	stamp     uint32
+	addBuf    []Lit // AddClause scratch
 
 	// ConflictBudget, when positive, bounds the number of conflicts per
 	// Solve call; exceeding it yields Unknown.
@@ -134,6 +156,9 @@ type Solver struct {
 
 	// onLearn, when set, observes every learnt clause (testing hook).
 	onLearn func([]Lit)
+	// onReduce, when set, runs after every learnt-database reduction
+	// (testing hook).
+	onReduce func()
 
 	unsat bool // set when the clause set is trivially contradictory
 }
@@ -149,12 +174,12 @@ func New() *Solver {
 }
 
 // NumVars returns the number of variables created.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NewVar creates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, valueUnassigned)
+	v := len(s.level)
+	s.vals = append(s.vals, valueUnassigned, valueUnassigned)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, -1)
 	s.activity = append(s.activity, 0)
@@ -163,17 +188,6 @@ func (s *Solver) NewVar() int {
 	s.watches = append(s.watches, nil, nil)
 	s.order.push(v)
 	return v
-}
-
-func (s *Solver) litValue(l Lit) int8 {
-	a := s.assigns[l.Var()]
-	if a == valueUnassigned {
-		return valueUnassigned
-	}
-	if l.IsNeg() {
-		return 1 - a
-	}
-	return a
 }
 
 // AddClause adds a clause at decision level 0. It returns false when the
@@ -185,8 +199,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.cancelUntil(0)
 	// Sort, dedup, drop false literals, detect tautologies and satisfied
 	// clauses.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	ls := append(s.addBuf[:0], lits...)
+	slices.Sort(ls)
+	s.addBuf = ls
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {
@@ -199,7 +214,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		if prev >= 0 && l == prev.Not() {
 			return true // tautology
 		}
-		switch s.litValue(l) {
+		switch s.vals[l] {
 		case valueTrue:
 			return true // already satisfied
 		case valueFalse:
@@ -220,31 +235,58 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	s.attachClause(clause{lits: append([]Lit(nil), out...)})
+	s.attachClause(out, false, 0)
 	return true
 }
 
-func (s *Solver) attachClause(c clause) int32 {
-	ref := int32(len(s.clauses))
-	s.clauses = append(s.clauses, c)
-	lits := s.clauses[ref].lits
-	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{ref, lits[1]})
-	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{ref, lits[0]})
-	if c.learnt {
+// attachClause copies lits into the arena as a new clause and watches its
+// first two literals.
+func (s *Solver) attachClause(lits []Lit, learnt bool, lbd int32) int32 {
+	ref := int32(len(s.arena))
+	h := Lit(len(lits)) << hdrSizeShift
+	if learnt {
+		h |= hdrLearnt
+	}
+	s.arena = append(s.arena, h)
+	s.arena = append(s.arena, lits...)
+	if learnt {
+		s.arena = append(s.arena, Lit(lbd), 0, 0) // activity 0
 		s.learntCount++
 	}
+	s.numClauses++
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{ref, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{ref, lits[0]})
 	return ref
+}
+
+// clauseLits returns the literals of the clause at ref, aliasing the arena.
+func (s *Solver) clauseLits(ref int32) []Lit {
+	size := int(s.arena[ref] >> hdrSizeShift)
+	return s.arena[ref+1 : int(ref)+1+size]
+}
+
+// trailer returns the learnt trailer (lbd, act_lo, act_hi) of the learnt
+// clause at ref.
+func (s *Solver) trailer(ref int32) []Lit {
+	t := int(ref) + 1 + int(s.arena[ref]>>hdrSizeShift)
+	return s.arena[t : t+learntTrailer]
+}
+
+func getActivity(t []Lit) float64 {
+	return math.Float64frombits(uint64(uint32(t[1])) | uint64(uint32(t[2]))<<32)
+}
+
+func setActivity(t []Lit, a float64) {
+	b := math.Float64bits(a)
+	t[1], t[2] = Lit(uint32(b)), Lit(uint32(b>>32))
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
 	v := l.Var()
-	if l.IsNeg() {
-		s.assigns[v] = valueFalse
-	} else {
-		s.assigns[v] = valueTrue
-	}
+	s.vals[l] = valueTrue
+	s.vals[l^1] = valueFalse
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -253,56 +295,61 @@ func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
 // propagate performs unit propagation; it returns the ref of a conflicting
 // clause or -1.
 func (s *Solver) propagate() int32 {
+	vals, arena := s.vals, s.arena
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
+		falseLit := p.Not()
 
 		ws := s.watches[p]
-		kept := ws[:0]
+		i, j := 0, 0
 		conflict := int32(-1)
-		for wi := 0; wi < len(ws); wi++ {
-			w := ws[wi]
-			if s.litValue(w.blocker) == valueTrue {
-				kept = append(kept, w)
+	nextWatch:
+		for i < len(ws) {
+			w := ws[i]
+			i++
+			if vals[w.blocker] == valueTrue {
+				ws[j] = w
+				j++
 				continue
 			}
-			c := &s.clauses[w.clauseRef]
-			lits := c.lits
+			cr := w.clauseRef
+			start := int(cr) + 1
+			end := start + int(arena[cr]>>hdrSizeShift)
+			lits := arena[start:end:end]
 			// Ensure the false literal is lits[1].
-			if lits[0] == p.Not() {
+			if lits[0] == falseLit {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := lits[0]
-			if first != w.blocker && s.litValue(first) == valueTrue {
-				kept = append(kept, watcher{w.clauseRef, first})
+			if first != w.blocker && vals[first] == valueTrue {
+				ws[j] = watcher{cr, first}
+				j++
 				continue
 			}
 			// Search a new watch.
-			found := false
 			for k := 2; k < len(lits); k++ {
-				if s.litValue(lits[k]) != valueFalse {
+				if vals[lits[k]] != valueFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{w.clauseRef, first})
-					found = true
-					break
+					nw := lits[1].Not()
+					s.watches[nw] = append(s.watches[nw], watcher{cr, first})
+					continue nextWatch
 				}
 			}
-			if found {
-				continue
-			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{w.clauseRef, first})
-			if s.litValue(first) == valueFalse {
-				conflict = w.clauseRef
-				// Copy remaining watchers and stop.
-				kept = append(kept, ws[wi+1:]...)
+			ws[j] = watcher{cr, first}
+			j++
+			if vals[first] == valueFalse {
+				conflict = cr
+				// Keep the remaining watchers and stop.
+				j += copy(ws[j:], ws[i:])
 				s.qhead = len(s.trail)
 				break
 			}
-			s.uncheckedEnqueue(first, w.clauseRef)
+			s.uncheckedEnqueue(first, cr)
 		}
-		s.watches[p] = kept
+		s.watches[p] = ws[:j]
 		if conflict >= 0 {
 			return conflict
 		}
@@ -321,15 +368,14 @@ func (s *Solver) analyze(confl int32) (int, int32) {
 	idx := len(s.trail) - 1
 
 	for {
-		c := &s.clauses[confl]
-		if c.learnt {
+		if s.arena[confl]&hdrLearnt != 0 {
 			s.bumpClause(confl)
 		}
-		start := 0
+		lits := s.clauseLits(confl)
 		if p != -1 {
-			start = 1
+			lits = lits[1:]
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range lits {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -357,40 +403,26 @@ func (s *Solver) analyze(confl int32) (int, int32) {
 	}
 	s.analyzeTo[0] = p.Not()
 
-	// Clause minimization: drop literals implied by the rest.
-	marked := make(map[int]bool, len(s.analyzeTo))
-	for _, l := range s.analyzeTo {
-		marked[l.Var()] = true
-	}
-	toClear := append([]Lit(nil), s.analyzeTo...)
-	out := s.analyzeTo[:1]
-	for _, l := range s.analyzeTo[1:] {
-		r := s.reason[l.Var()]
-		if r < 0 {
-			out = append(out, l)
+	// Clause minimization: drop literals implied by the rest. Every
+	// variable of the clause, the UIP included, stays marked in seen until
+	// minimization is over. Kept literals are swapped forward in order,
+	// so the dropped ones end up behind them.
+	s.seen[p.Var()] = true
+	kept := 1
+	for i, l := range s.analyzeTo[1:] {
+		if r := s.reason[l.Var()]; r >= 0 && s.redundant(l, r) {
 			continue
 		}
-		redundant := true
-		for _, q := range s.clauses[r].lits {
-			if q.Var() == l.Var() {
-				continue
-			}
-			if !marked[q.Var()] && s.level[q.Var()] != 0 {
-				redundant = false
-				break
-			}
-		}
-		if !redundant {
-			out = append(out, l)
-		}
+		s.analyzeTo[i+1], s.analyzeTo[kept] = s.analyzeTo[kept], l
+		kept++
 	}
-	s.analyzeTo = out
 
 	// Clear seen flags, including literals dropped by minimization — stale
 	// seen bits would silently drop literals from future learnt clauses.
-	for _, l := range toClear {
+	for _, l := range s.analyzeTo {
 		s.seen[l.Var()] = false
 	}
+	s.analyzeTo = s.analyzeTo[:kept]
 
 	// Compute backtrack level and LBD.
 	btLevel := 0
@@ -404,11 +436,40 @@ func (s *Solver) analyze(confl int32) (int, int32) {
 		s.analyzeTo[1], s.analyzeTo[maxI] = s.analyzeTo[maxI], s.analyzeTo[1]
 		btLevel = int(s.level[s.analyzeTo[1].Var()])
 	}
-	levels := map[int32]bool{}
-	for _, l := range s.analyzeTo {
-		levels[s.level[l.Var()]] = true
+	return btLevel, s.lbd(s.analyzeTo)
+}
+
+// redundant reports whether every other literal of l's reason clause r is
+// marked in seen or assigned at level 0, so l is implied by the rest of
+// the learnt clause.
+func (s *Solver) redundant(l Lit, r int32) bool {
+	for _, q := range s.clauseLits(r) {
+		if v := q.Var(); v != l.Var() && !s.seen[v] && s.level[v] != 0 {
+			return false
+		}
 	}
-	return btLevel, int32(len(levels))
+	return true
+}
+
+// lbd counts the distinct decision levels among lits, marking each level
+// with a fresh stamp.
+func (s *Solver) lbd(lits []Lit) int32 {
+	for len(s.lvlStamp) <= s.decisionLevel() {
+		s.lvlStamp = append(s.lvlStamp, 0)
+	}
+	s.stamp++
+	if s.stamp == 0 {
+		clear(s.lvlStamp)
+		s.stamp = 1
+	}
+	n := int32(0)
+	for _, l := range lits {
+		if lv := s.level[l.Var()]; s.lvlStamp[lv] != s.stamp {
+			s.lvlStamp[lv] = s.stamp
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Solver) bumpVar(v int) {
@@ -425,12 +486,14 @@ func (s *Solver) bumpVar(v int) {
 func (s *Solver) decayVar() { s.varInc /= 0.95 }
 
 func (s *Solver) bumpClause(ref int32) {
-	c := &s.clauses[ref]
-	c.activity += s.claInc
-	if c.activity > 1e20 {
-		for i := range s.clauses {
-			if s.clauses[i].learnt {
-				s.clauses[i].activity *= 1e-20
+	t := s.trailer(ref)
+	a := getActivity(t) + s.claInc
+	setActivity(t, a)
+	if a > 1e20 {
+		for r := 0; r < len(s.arena); r += clauseWords(s.arena[r]) {
+			if s.arena[r]&hdrLearnt != 0 {
+				t := s.trailer(int32(r))
+				setActivity(t, getActivity(t)*1e-20)
 			}
 		}
 		s.claInc *= 1e-20
@@ -447,7 +510,8 @@ func (s *Solver) cancelUntil(lvl int) {
 		l := s.trail[i]
 		v := l.Var()
 		s.phase[v] = !l.IsNeg()
-		s.assigns[v] = valueUnassigned
+		s.vals[l] = valueUnassigned
+		s.vals[l^1] = valueUnassigned
 		s.reason[v] = -1
 		s.order.pushIfAbsent(v)
 	}
@@ -462,7 +526,7 @@ func (s *Solver) pickBranchVar() int {
 		if !ok {
 			return -1
 		}
-		if s.assigns[v] == valueUnassigned {
+		if s.vals[MkLit(v, false)] == valueUnassigned {
 			return v
 		}
 	}
@@ -476,9 +540,10 @@ func (s *Solver) reduceDB() {
 		lbd int32
 	}
 	var learnts []entry
-	for i := range s.clauses {
-		if s.clauses[i].learnt && len(s.clauses[i].lits) > 2 {
-			learnts = append(learnts, entry{int32(i), s.clauses[i].activity, s.clauses[i].lbd})
+	for r := 0; r < len(s.arena); r += clauseWords(s.arena[r]) {
+		if h := s.arena[r]; h&hdrLearnt != 0 && h>>hdrSizeShift > 2 {
+			t := s.trailer(int32(r))
+			learnts = append(learnts, entry{int32(r), getActivity(t), int32(t[0])})
 		}
 	}
 	sort.Slice(learnts, func(i, j int) bool {
@@ -487,59 +552,63 @@ func (s *Solver) reduceDB() {
 		}
 		return learnts[i].act < learnts[j].act
 	})
-	remove := map[int32]bool{}
+	removed := 0
 	for _, e := range learnts[:len(learnts)/2] {
 		if s.locked(e.ref) {
 			continue
 		}
-		remove[e.ref] = true
+		s.arena[e.ref] |= hdrDeleted
+		removed++
 	}
-	if len(remove) == 0 {
-		return
+	if removed > 0 {
+		s.compact()
 	}
-	s.rebuildWithout(remove)
+	if s.onReduce != nil {
+		s.onReduce()
+	}
 }
 
 // locked reports whether a clause is the reason of a current assignment.
 func (s *Solver) locked(ref int32) bool {
-	lits := s.clauses[ref].lits
-	if len(lits) == 0 {
-		return false
-	}
-	v := lits[0].Var()
-	return s.reason[v] == ref && s.assigns[v] != valueUnassigned
+	first := s.arena[ref+1]
+	return s.reason[first.Var()] == ref && s.vals[first] != valueUnassigned
 }
 
-// rebuildWithout compacts the clause database, dropping the given refs and
-// remapping watches and reasons.
-func (s *Solver) rebuildWithout(remove map[int32]bool) {
-	remap := make([]int32, len(s.clauses))
-	var out []clause
-	for i := range s.clauses {
-		if remove[int32(i)] {
-			remap[i] = -1
-			if s.clauses[i].learnt {
+// compact slides the surviving clauses of the arena down over the deleted
+// ones, keeping their order, and remaps reasons and watchers to the new
+// offsets.
+func (s *Solver) compact() {
+	remap := make([]int32, len(s.arena)) // old ref -> new ref or -1
+	w := 0
+	for r := 0; r < len(s.arena); {
+		h := s.arena[r]
+		n := clauseWords(h)
+		if h&hdrDeleted != 0 {
+			remap[r] = -1
+			s.numClauses--
+			if h&hdrLearnt != 0 {
 				s.learntCount--
 			}
-			continue
+		} else {
+			remap[r] = int32(w)
+			w += copy(s.arena[w:], s.arena[r:r+n])
 		}
-		remap[i] = int32(len(out))
-		out = append(out, s.clauses[i])
+		r += n
 	}
-	s.clauses = out
-	for v := range s.reason {
-		if r := s.reason[v]; r >= 0 {
+	s.arena = s.arena[:w]
+	for v, r := range s.reason {
+		if r >= 0 {
 			s.reason[v] = remap[r]
 		}
 	}
-	for l := range s.watches {
-		ws := s.watches[l][:0]
-		for _, w := range s.watches[l] {
-			if nr := remap[w.clauseRef]; nr >= 0 {
-				ws = append(ws, watcher{nr, w.blocker})
+	for l, ws := range s.watches {
+		kept := ws[:0]
+		for _, wt := range ws {
+			if nr := remap[wt.clauseRef]; nr >= 0 {
+				kept = append(kept, watcher{nr, wt.blocker})
 			}
 		}
-		s.watches[l] = ws
+		s.watches[l] = kept
 	}
 }
 
@@ -635,7 +704,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	conflictLimit := restartBase * luby(restartNum)
 	conflictsThisRestart := int64(0)
 	if s.maxLearnt == 0 {
-		s.maxLearnt = math.Max(1000, float64(len(s.clauses))/3)
+		s.maxLearnt = math.Max(1000, float64(s.numClauses)/3)
 	}
 
 	for {
@@ -657,14 +726,14 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 			btLevel, lbd := s.analyze(confl)
 			s.cancelUntil(btLevel)
-			learnt := append([]Lit(nil), s.analyzeTo...)
+			learnt := s.analyzeTo
 			if s.onLearn != nil {
 				s.onLearn(learnt)
 			}
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], -1)
 			} else {
-				ref := s.attachClause(clause{lits: learnt, learnt: true, lbd: lbd})
+				ref := s.attachClause(learnt, true, lbd)
 				s.Stats.Learnt++
 				s.uncheckedEnqueue(learnt[0], ref)
 			}
@@ -694,7 +763,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		// Assumption decisions first.
 		if s.decisionLevel() < len(assumptions) {
 			a := assumptions[s.decisionLevel()]
-			switch s.litValue(a) {
+			switch s.vals[a] {
 			case valueTrue:
 				// Already satisfied: open an empty decision level so the
 				// index bookkeeping stays aligned.
@@ -720,7 +789,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 }
 
 // Value returns the model value of variable v after Sat.
-func (s *Solver) Value(v int) bool { return s.assigns[v] == valueTrue }
+func (s *Solver) Value(v int) bool { return s.vals[MkLit(v, false)] == valueTrue }
 
 // NumClauses returns the number of stored clauses (problem + learnt).
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+func (s *Solver) NumClauses() int { return s.numClauses }

@@ -132,28 +132,7 @@ func TestPigeonhole(t *testing.T) {
 	// PHP(n+1, n): n+1 pigeons into n holes is UNSAT. Classic hard family;
 	// n=6 keeps runtime reasonable while forcing real conflict analysis.
 	n := 6
-	s := New()
-	v := make([][]int, n+1)
-	for p := range v {
-		v[p] = make([]int, n)
-		for h := range v[p] {
-			v[p][h] = s.NewVar()
-		}
-	}
-	for p := 0; p <= n; p++ {
-		cl := make([]Lit, n)
-		for h := 0; h < n; h++ {
-			cl[h] = MkLit(v[p][h], false)
-		}
-		s.AddClause(cl...)
-	}
-	for h := 0; h < n; h++ {
-		for p1 := 0; p1 <= n; p1++ {
-			for p2 := p1 + 1; p2 <= n; p2++ {
-				s.AddClause(MkLit(v[p1][h], true), MkLit(v[p2][h], true))
-			}
-		}
-	}
+	s := php(n)
 	if got := s.Solve(); got != Unsat {
 		t.Fatalf("PHP(%d,%d) = %v, want UNSAT", n+1, n, got)
 	}
@@ -308,29 +287,7 @@ func TestIncrementalSolving(t *testing.T) {
 
 func TestConflictBudget(t *testing.T) {
 	// A hard pigeonhole instance with a tiny budget must return Unknown.
-	n := 8
-	s := New()
-	v := make([][]int, n+1)
-	for p := range v {
-		v[p] = make([]int, n)
-		for h := range v[p] {
-			v[p][h] = s.NewVar()
-		}
-	}
-	for p := 0; p <= n; p++ {
-		cl := make([]Lit, n)
-		for h := 0; h < n; h++ {
-			cl[h] = MkLit(v[p][h], false)
-		}
-		s.AddClause(cl...)
-	}
-	for h := 0; h < n; h++ {
-		for p1 := 0; p1 <= n; p1++ {
-			for p2 := p1 + 1; p2 <= n; p2++ {
-				s.AddClause(MkLit(v[p1][h], true), MkLit(v[p2][h], true))
-			}
-		}
-	}
+	s := php(8)
 	s.ConflictBudget = 10
 	if got := s.Solve(); got != Unknown {
 		t.Fatalf("budgeted solve = %v, want Unknown", got)
@@ -449,43 +406,19 @@ func TestLearntClauseSoundness(t *testing.T) {
 	}
 }
 
-func buildPigeonhole(n int) *Solver {
-	s := New()
-	v := make([][]int, n+1)
-	for p := range v {
-		v[p] = make([]int, n)
-		for h := range v[p] {
-			v[p][h] = s.NewVar()
-		}
-	}
-	for p := 0; p <= n; p++ {
-		cl := make([]Lit, n)
-		for h := 0; h < n; h++ {
-			cl[h] = MkLit(v[p][h], false)
-		}
-		s.AddClause(cl...)
-	}
-	for h := 0; h < n; h++ {
-		for p1 := 0; p1 <= n; p1++ {
-			for p2 := p1 + 1; p2 <= n; p2++ {
-				s.AddClause(MkLit(v[p1][h], true), MkLit(v[p2][h], true))
-			}
-		}
-	}
-	return s
-}
-
 func TestPigeonholeHardTriggersReduceDB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hard instance")
 	}
 	// PHP(9,8) needs enough conflicts to trip the learned-clause database
-	// reduction, exercising rebuildWithout and the watcher remapping.
-	s := buildPigeonhole(8)
+	// reduction, exercising the arena compaction and the watcher
+	// remapping; the arena invariants are checked after every reduction.
+	s := php(8)
+	reductions := watchInvariants(t, s)
 	if got := s.Solve(); got != Unsat {
 		t.Fatalf("PHP(9,8) = %v, want UNSAT", got)
 	}
-	if s.Stats.Learnt < 1000 {
-		t.Skipf("only %d learnt clauses; reduceDB likely untriggered", s.Stats.Learnt)
+	if *reductions == 0 {
+		t.Fatalf("no learnt-database reduction ran (%d learnt clauses)", s.Stats.Learnt)
 	}
 }
