@@ -94,6 +94,14 @@ fuzz:
 	$(GO) test ./internal/aiger -fuzz=FuzzAigerParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tt -fuzz=FuzzISOP -fuzztime=$(FUZZTIME)
 
+# The bench module's own tests (bench/ is a separate Go module, so
+# `go test ./...` at the root does not reach it): the smoke test over every
+# workload, the planted-fault test and TestCLIParity, which checks the
+# benchmark's copy of the pipeline against the cmd/sweep binary.
+.PHONY: bench-test
+bench-test:
+	cd bench && $(GO) test -count=1 ./...
+
 # Full-suite benchmarks: one per paper table/figure plus substrate
 # components (repo root bench_test.go).
 .PHONY: bench-full

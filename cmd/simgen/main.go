@@ -1,7 +1,8 @@
 // Command simgen runs guided simulation-pattern generation on a circuit:
 // it partitions the candidate equivalence classes with random simulation,
 // refines them with the selected strategy, and reports the cost (worst-case
-// SAT calls, Eq. 5 of the paper) per iteration.
+// SAT calls, Eq. 5 of the paper) per iteration. Generation runs at most
+// -iterations iterations and stops once the cost has been flat for 3.
 //
 // Usage:
 //
@@ -27,7 +28,7 @@ func main() {
 	var (
 		benchmark  = flag.String("benchmark", "", "run a named built-in benchmark instead of a BLIF file")
 		method     = flag.String("method", "simgen", "vector source: simgen|ai+dc|ai+rd|si+rd|revs|rands")
-		iterations = flag.Int("iterations", 20, "guided iterations")
+		iterations = flag.Int("iterations", 20, "maximum guided iterations (generation stops earlier once the cost is flat for 3)")
 		batch      = flag.Int("batch", 1, "vectors per iteration")
 		randRounds = flag.Int("random-rounds", 1, "initial random rounds (64 vectors each)")
 		seed       = flag.Int64("seed", 1, "random seed")
@@ -138,32 +139,27 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simgen: %v\n", err)
 		exit(2)
 	}
+	// Every batch the driver generates, including one the deadline cut
+	// short, goes to -dump-patterns and to the cache session (scored by
+	// the classes it split).
 	var dumped [][]bool
-	if *dump != "" {
-		src = &recordingSource{inner: src, sink: &dumped}
-	}
-	var generated [][]bool
-	if sess != nil {
-		src = &recordingSource{inner: src, sink: &generated}
-	}
-	completed := 0
-	for i := 0; i < *iterations; i++ {
-		before := run.Classes.NumClasses()
-		st, ok := run.StepContext(ctx, src, i)
-		if sess != nil && len(generated) > 0 {
-			sess.RecordPatterns(generated, run.Classes.NumClasses()-before)
-			generated = generated[:0]
+	run.OnIteration = func(_ simgen.IterationStat, batch [][]bool, split int) {
+		if *dump != "" {
+			dumped = append(dumped, batch...)
 		}
-		if !ok {
-			break
+		if sess != nil {
+			sess.RecordPatterns(batch, split)
 		}
-		completed++
+	}
+	stats := run.RunContext(ctx, src, *iterations)
+	for _, st := range stats {
 		fmt.Printf("iter %3d  cost %6d  vectors %3d  elapsed %v\n",
 			st.Iteration, st.Cost, st.Vectors, st.Elapsed)
 	}
-	if completed < *iterations && ctx.Err() != nil {
+	fmt.Printf("guided: %d of %d iterations (%s)\n", len(stats), *iterations, run.Stopped())
+	if len(stats) < *iterations && ctx.Err() != nil {
 		fmt.Printf("timeout after %d/%d iterations; partial cost: %d (%s)\n",
-			completed, *iterations, run.Classes.Cost(), src.Name())
+			len(stats), *iterations, run.Classes.Cost(), src.Name())
 		flushPatterns(*dump, dumped)
 		exit(3)
 	}
@@ -217,20 +213,6 @@ func flushPatterns(path string, dumped [][]bool) {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %d patterns to %s\n", len(dumped), path)
-}
-
-// recordingSource tees generated vectors into a slice for -dump-patterns.
-type recordingSource struct {
-	inner simgen.VectorSource
-	sink  *[][]bool
-}
-
-func (r *recordingSource) Name() string { return r.inner.Name() }
-
-func (r *recordingSource) NextBatch(classes *simgen.Classes, max int) [][]bool {
-	batch := r.inner.NextBatch(classes, max)
-	*r.sink = append(*r.sink, batch...)
-	return batch
 }
 
 // replayPatterns refines the classes with vectors from a pattern file.

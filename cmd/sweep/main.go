@@ -65,7 +65,7 @@ func main() {
 		cfg       config
 	)
 	flag.StringVar(&cfg.method, "method", "simgen", "guided simulation before sweeping: simgen|revs|none")
-	flag.IntVar(&cfg.iterations, "iterations", 20, "guided iterations")
+	flag.IntVar(&cfg.iterations, "iterations", 20, "maximum guided iterations (generation stops earlier once the cost is flat for 3)")
 	flag.IntVar(&cfg.randRounds, "random-rounds", 1, "initial random rounds")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed")
 	flag.Int64Var(&cfg.budget, "conflict-budget", 0, "SAT conflict budget per call (0 = unlimited)")
@@ -261,7 +261,18 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 		return exitUsage, fmt.Errorf("unknown method %q", cfg.method)
 	}
 	if src != nil {
-		runGuided(ctx, run, src, cfg.iterations, sess)
+		if sess != nil {
+			// Record each generated batch scored by the class splits it
+			// produced, so warm runs replay the highest-value vectors
+			// first; the sweep itself only records counterexample-pool
+			// lanes, and guided vectors that split a class here would
+			// otherwise cost the next run a SAT call each.
+			run.OnIteration = func(_ simgen.IterationStat, batch [][]bool, split int) {
+				sess.RecordPatterns(batch, split)
+			}
+		}
+		stats := run.RunContext(ctx, src, cfg.iterations)
+		fmt.Printf("guided: %d of %d iterations (%s)\n", len(stats), cfg.iterations, run.Stopped())
 	}
 	fmt.Printf("after guided simulation (%s): cost %d\n", cfg.method, run.Classes.Cost())
 
@@ -333,45 +344,6 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 			eq, neq, clauses, pats, evicted)
 	}
 	return code, nil
-}
-
-// runGuided drives the guided-simulation iterations. With a cache session
-// it records each generated batch scored by the class splits it produced,
-// so warm runs replay the highest-value vectors first; the sweep itself
-// only records counterexample-pool lanes, and guided vectors that split a
-// class here would otherwise cost the next run a SAT call each.
-func runGuided(ctx context.Context, run *simgen.Runner, src simgen.VectorSource, iters int, sess *simgen.CacheSession) {
-	if sess == nil {
-		run.RunContext(ctx, src, iters)
-		return
-	}
-	cs := &captureSource{inner: src}
-	for i := 0; i < iters; i++ {
-		before := run.Classes.NumClasses()
-		_, ok := run.StepContext(ctx, cs, i)
-		if len(cs.batch) > 0 {
-			sess.RecordPatterns(cs.batch, run.Classes.NumClasses()-before)
-			cs.batch = cs.batch[:0]
-		}
-		if !ok {
-			break
-		}
-	}
-}
-
-// captureSource wraps a vector source, retaining a copy of each batch for
-// cache recording.
-type captureSource struct {
-	inner simgen.VectorSource
-	batch [][]bool
-}
-
-func (c *captureSource) Name() string { return c.inner.Name() }
-
-func (c *captureSource) NextBatch(classes *simgen.Classes, max int) [][]bool {
-	b := c.inner.NextBatch(classes, max)
-	c.batch = append(c.batch, b...)
-	return b
 }
 
 func runCEC(ctx context.Context, pathA, pathB string, cfg config) (int, error) {

@@ -25,9 +25,10 @@ func main() {
 	fmt.Printf("after random simulation:  %4d candidate classes, cost %d\n",
 		run.Classes.NumClasses(), run.Classes.Cost())
 
-	// Step 2: twenty SimGen iterations. Each one picks a class, assigns
-	// alternating OUTgold values to its members, and propagates them back
-	// to the inputs with ATPG-style implications and decisions.
+	// Step 2: up to twenty SimGen iterations, stopping once the cost has
+	// been flat for three. Each one picks a class, assigns alternating
+	// OUTgold values to its members, and propagates them back to the
+	// inputs with ATPG-style implications and decisions.
 	gen := simgen.NewGenerator(net, simgen.StrategySimGen, 1)
 	run.Run(gen, 20)
 	fmt.Printf("after SimGen guidance:    %4d candidate classes, cost %d\n",

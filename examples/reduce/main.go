@@ -17,7 +17,8 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// Simulation narrows the candidates, sweeping proves them.
+		// Simulation narrows the candidates (up to 20 guided iterations,
+		// fewer once the cost stops moving), sweeping proves them.
 		run := simgen.NewRunner(net, 1, 42)
 		gen := simgen.NewGenerator(net, simgen.StrategySimGen, 1)
 		run.Run(gen, 20)

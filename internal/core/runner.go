@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -70,13 +71,42 @@ type Runner struct {
 	// is recycled across batches.
 	sim *sim.Simulator
 
+	// OnIteration, when set, sees every iteration RunContext drives: its
+	// statistics, the batch the source returned and the number of classes
+	// the batch split. An iteration the context cut short still reaches
+	// the hook with its batch (having split nothing), though RunContext
+	// does not return its statistics.
+	OnIteration func(st IterationStat, batch [][]bool, split int)
+
 	// tr receives one KindSimBatch event per iteration; never nil
 	// (obs.Nop by default).
 	tr      obs.Tracer
 	lastGen GenStats // source counters at the previous batch boundary
 
 	elapsed time.Duration
+	stopped StopReason // why the last RunContext call ended
 }
+
+// patience is the paper's Figure 7 stagnation rule: guided generation
+// hands over once the Eq. (5) cost has stayed where it was for this many
+// consecutive iterations.
+const patience = 3
+
+// StopReason says why a RunContext call ended.
+type StopReason int
+
+const (
+	// StopLimit: the run made every iteration it was asked for.
+	StopLimit StopReason = iota
+	// StopFlat: the cost stayed flat for patience consecutive iterations.
+	StopFlat
+	// StopContext: the context was cancelled or passed its deadline.
+	StopContext
+)
+
+var stopNames = [...]string{"iteration limit", fmt.Sprintf("cost flat for %d", patience), "deadline"}
+
+func (s StopReason) String() string { return stopNames[s] }
 
 // NewRunner creates a runner and performs the initial random-simulation
 // round (randRounds words of 64 random vectors each) that seeds the
@@ -125,9 +155,14 @@ func (r *Runner) Step(src VectorSource, iteration int) IterationStat {
 // (refinement must only ever see complete value sets). ok is false when the
 // iteration was cut short.
 func (r *Runner) StepContext(ctx context.Context, src VectorSource, iteration int) (st IterationStat, ok bool) {
+	st, _, ok = r.step(ctx, src, iteration)
+	return st, ok
+}
+
+// step is StepContext that also hands back the batch the source returned.
+func (r *Runner) step(ctx context.Context, src VectorSource, iteration int) (st IterationStat, vectors [][]bool, ok bool) {
 	start := time.Now()
 	ok = true
-	var vectors [][]bool
 	if ctx.Err() == nil {
 		vectors = src.NextBatch(r.Classes, r.BatchSize)
 	} else {
@@ -164,25 +199,50 @@ func (r *Runner) StepContext(ctx context.Context, src VectorSource, iteration in
 		ev.GenConflicts, ev.Backtracks = d.Conflicts, d.Backtracks
 	}
 	r.tr.Emit(ev)
-	return st, ok
+	return st, vectors, ok
 }
 
-// Run performs n iterations and returns the per-iteration statistics.
+// Run is RunContext without a deadline.
 func (r *Runner) Run(src VectorSource, n int) []IterationStat {
 	return r.RunContext(context.Background(), src, n)
 }
 
-// RunContext performs up to n iterations, stopping early (with the
-// statistics gathered so far) once the context is cancelled or past its
-// deadline.
+// RunContext is the guided driver. It performs at most n iterations and
+// stops after the third consecutive one that leaves the Eq. (5) cost where
+// it was (the paper's Figure 7 hand-over rule); an iteration that yields no
+// vectors cannot move the cost, so it counts as flat. A cancelled context
+// or a passed deadline also ends the run. It returns the statistics of the
+// iterations that completed, which for a given source and seed are always
+// a prefix of what n calls of Step would produce; Stopped says which rule
+// ended the run.
 func (r *Runner) RunContext(ctx context.Context, src VectorSource, n int) []IterationStat {
 	stats := make([]IterationStat, 0, n)
+	r.stopped = StopLimit
+	cost, flat := r.Classes.Cost(), 0
 	for i := 0; i < n; i++ {
-		st, ok := r.StepContext(ctx, src, i)
+		classes := r.Classes.NumClasses()
+		st, batch, ok := r.step(ctx, src, i)
+		if r.OnIteration != nil {
+			r.OnIteration(st, batch, r.Classes.NumClasses()-classes)
+		}
 		if !ok {
+			r.stopped = StopContext
 			break
 		}
 		stats = append(stats, st)
+		if st.Cost < cost {
+			flat = 0
+		} else {
+			flat++
+		}
+		cost = st.Cost
+		if flat == patience && i+1 < n {
+			r.stopped = StopFlat
+			break
+		}
 	}
 	return stats
 }
+
+// Stopped reports why the last RunContext call ended.
+func (r *Runner) Stopped() StopReason { return r.stopped }

@@ -97,7 +97,7 @@ func Ablation(cfg Config) (AblationResult, error) {
 				runner.BatchSize = cfg.BatchSize
 			}
 			src := s.mk(n, cfg.Seed+1)
-			runner.Run(src, cfg.GuidedIterations)
+			runFixed(runner, src, cfg.GuidedIterations)
 			rows[i] = AblationRow{
 				Source:  s.name,
 				Cost:    runner.Classes.Cost(),

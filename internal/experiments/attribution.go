@@ -36,7 +36,7 @@ func Attribution(cfg Config) ([]AttributionRow, error) {
 			runner.BatchSize = cfg.BatchSize
 		}
 		runner.SetTracer(col)
-		runner.Run(core.NewGenerator(net, core.StrategySimGen, cfg.Seed+1), cfg.GuidedIterations)
+		runFixed(runner, core.NewGenerator(net, core.StrategySimGen, cfg.Seed+1), cfg.GuidedIterations)
 		sw := sweep.New(net, runner.Classes, sweep.Options{
 			Engine:         sweep.EnginePortfolio,
 			ConflictBudget: cfg.ConflictBudget,

@@ -113,13 +113,21 @@ func runSimulation(net *network.Network, m Method, cfg Config) (*core.Runner, Pi
 	if cfg.BatchSize > 0 {
 		runner.BatchSize = cfg.BatchSize
 	}
-	src := m.New(net, cfg.Seed+1)
-	runner.Run(src, cfg.GuidedIterations)
+	runFixed(runner, m.New(net, cfg.Seed+1), cfg.GuidedIterations)
 	return runner, PipelineResult{
 		Method:  m.Name,
 		Cost:    runner.Classes.Cost(),
 		SimTime: runner.Elapsed(),
 		LUTs:    net.NumLUTs(),
+	}
+}
+
+// runFixed steps the runner through exactly n iterations of src. The paper
+// reports its tables at fixed iteration counts, so the harness does not use
+// Runner.RunContext, whose stagnation stop would end some runs early.
+func runFixed(runner *core.Runner, src core.VectorSource, n int) {
+	for i := 0; i < n; i++ {
+		runner.Step(src, i)
 	}
 }
 

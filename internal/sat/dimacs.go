@@ -12,17 +12,24 @@ import (
 // maxVars-1 is the largest whose negated literal still fits an int32.
 const maxVars = 1 << 30
 
+// implicitVarSlack bounds how far past the problem line's variable count a
+// literal may reach: to max(2×declared, declared+implicitVarSlack). Some
+// generators undercount, so a literal may name a few undeclared variables,
+// but the solver must not grow towards any index a file happens to hold.
+const implicitVarSlack = 1 << 16
+
 // ParseDIMACS reads a CNF formula in DIMACS format into a fresh solver.
 // It returns the solver and the number of variables declared in the
 // problem line. Standard "c" comments and the optional trailing "%" / "0"
 // markers of SATLIB files are tolerated. A variable count or literal
 // beyond what a Lit can address is an error, reported before the solver
-// grows.
+// grows, and so is a literal past the implicit slack over the declared
+// count.
 func ParseDIMACS(r io.Reader) (*Solver, int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	s := New()
-	declared := -1
+	declared, limit := -1, implicitVarSlack
 	var clause []Lit
 	lineno := 0
 	for sc.Scan() {
@@ -44,7 +51,7 @@ func ParseDIMACS(r io.Reader) (*Solver, int, error) {
 			if nv > maxVars {
 				return nil, 0, fmt.Errorf("dimacs:%d: %d variables exceed the limit of %d", lineno, nv, maxVars)
 			}
-			declared = nv
+			declared, limit = nv, max(2*nv, nv+implicitVarSlack)
 			for s.NumVars() < nv {
 				s.NewVar()
 			}
@@ -66,6 +73,9 @@ func ParseDIMACS(r io.Reader) (*Solver, int, error) {
 			idx := v
 			if idx < 0 {
 				idx = -idx
+			}
+			if idx > limit {
+				return nil, 0, fmt.Errorf("dimacs:%d: literal %s is far beyond the declared variable count", lineno, tok)
 			}
 			for s.NumVars() < idx {
 				s.NewVar()

@@ -57,6 +57,12 @@ func TestParseDIMACSErrors(t *testing.T) {
 		"p cnf 1 1\n-9223372036854775808 0\n",
 		"p cnf 1073741825 1\n1 0\n",
 		"p cnf 9223372036854775807 1\n1 0\n",
+		// A literal a Lit can address but far past the declared count (or
+		// before any problem line) would grow the solver towards 2^30
+		// variables.
+		"p cnf 1 1\n1073741824 0\n",
+		"p cnf 1 1\n-65538 0\n",
+		"1073741824 0\n",
 	}
 	for i, src := range cases {
 		if _, _, err := ParseDIMACS(strings.NewReader(src)); err == nil {

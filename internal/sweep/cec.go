@@ -104,7 +104,9 @@ type CECOptions struct {
 	// RandomRounds is the number of 64-vector random simulation rounds
 	// seeding the classes.
 	RandomRounds int
-	// GuidedIterations runs guided refinement before sweeping when > 0.
+	// GuidedIterations, when > 0, is the most guided iterations run
+	// before sweeping; the guided driver stops earlier once the cost has
+	// been flat for 3 (core.Runner.RunContext).
 	GuidedIterations int
 	// Method selects the guided vector source: "simgen" (the default),
 	// "revs" (reverse simulation), or "none" (skip guided refinement even

@@ -2,8 +2,13 @@ package sweepd
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
+
+	"simgen/internal/core"
+	"simgen/internal/pcache"
+	"simgen/internal/sim"
 )
 
 // waitDone blocks until the job is terminal, failing the test on timeout.
@@ -117,4 +122,82 @@ func mustSubmit(t *testing.T, srv *Server, spec JobSpec) *Job {
 		t.Fatal(err)
 	}
 	return j
+}
+
+// lastBatchSource keeps the batch its generator returned last.
+type lastBatchSource struct {
+	gen  *core.Generator
+	last [][]bool
+}
+
+func (s *lastBatchSource) Name() string { return s.gen.Name() }
+
+func (s *lastBatchSource) NextBatch(classes *sim.Classes, max int) [][]bool {
+	s.last = s.gen.NextBatch(classes, max)
+	return s.last
+}
+
+// TestGuidedHookRecordsDriverBatches runs a cached simgen job on pdc (the
+// guided half of cmd/sweep's pipeline) and checks that the cache holds
+// exactly the batches the guided driver simulated, each pattern scored
+// with the number of classes its batch split. The expectation is rebuilt
+// by stepping a second runner through the same generator stream up to the
+// driver's stagnation stop.
+func TestGuidedHookRecordsDriverBatches(t *testing.T) {
+	spec := JobSpec{Kind: KindSimGen, Circuit: CircuitRef{Benchmark: "pdc"}}
+	spec.normalize()
+	loader := NewLoader("", nil)
+	store, err := pcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	res, err := ExecuteCached(context.Background(), spec, loader, spec.sweepOptions(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	net, err := loader.Load(spec.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := core.NewRunner(net, spec.RandRounds, spec.Seed)
+	src := &lastBatchSource{gen: core.NewGenerator(net, core.StrategySimGen, spec.Seed+1)}
+	want := map[string]int{} // vector -> best split score, as the store keeps it
+	scored, flat, cost, iters := 0, 0, run.Classes.Cost(), 0
+	for ; iters < spec.Iterations && flat < 3; iters++ {
+		before := run.Classes.NumClasses()
+		st := run.Step(src, iters)
+		split := run.Classes.NumClasses() - before
+		for _, v := range src.last {
+			key := fmt.Sprint(v)
+			if sc, ok := want[key]; !ok || split > sc {
+				want[key] = split
+			}
+		}
+		if split > 0 {
+			scored++
+		}
+		if st.Cost < cost {
+			flat = 0
+		} else {
+			flat++
+		}
+		cost = st.Cost
+	}
+	if res.GuidedCost != cost {
+		t.Fatalf("job guided cost %d, stepped stream %d after %d iterations", res.GuidedCost, cost, iters)
+	}
+	if scored == 0 {
+		t.Fatal("no batch split a class; the scores are not exercised")
+	}
+	got := store.Patterns(net.NumPIs())
+	if len(got) != len(want) {
+		t.Fatalf("cache holds %d patterns, the driver simulated %d distinct vectors", len(got), len(want))
+	}
+	for _, p := range got {
+		if sc, ok := want[fmt.Sprint(p.Bits)]; !ok || sc != p.Score {
+			t.Fatalf("pattern scored %d in the cache, want %d (simulated: %v)", p.Score, sc, ok)
+		}
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"simgen/internal/core"
 	"simgen/internal/network"
 	"simgen/internal/pcache"
-	"simgen/internal/sim"
 	"simgen/internal/sweep"
 )
 
@@ -87,7 +86,15 @@ func executeSweep(ctx context.Context, spec JobSpec, loader *Loader, opts sweep.
 		sess.Replay(ctx, run)
 	}
 	if src := guidedSource(net, spec); src != nil {
-		runGuided(ctx, run, src, spec.Iterations, sess)
+		if sess != nil {
+			// Record each generated batch, scored by the class splits it
+			// produced, so later jobs on the same circuit replay the
+			// strongest vectors first.
+			run.OnIteration = func(_ core.IterationStat, batch [][]bool, split int) {
+				sess.RecordPatterns(batch, split)
+			}
+		}
+		run.RunContext(ctx, src, spec.Iterations)
 	}
 	res.GuidedCost = run.Classes.Cost()
 	res.FinalCost = res.GuidedCost
@@ -110,43 +117,6 @@ func executeSweep(ctx context.Context, spec JobSpec, loader *Loader, opts sweep.
 		res.Verdict = "swept"
 	}
 	return res, nil
-}
-
-// runGuided drives the guided iterations, recording each generated batch
-// into the cache session (scored by the class splits it produced) so later
-// jobs on the same circuit replay the strongest vectors first.
-func runGuided(ctx context.Context, run *core.Runner, src core.VectorSource, iters int, sess *pcache.Session) {
-	if sess == nil {
-		run.RunContext(ctx, src, iters)
-		return
-	}
-	cs := &captureSource{inner: src}
-	for i := 0; i < iters; i++ {
-		before := run.Classes.NumClasses()
-		_, ok := run.StepContext(ctx, cs, i)
-		if len(cs.batch) > 0 {
-			sess.RecordPatterns(cs.batch, run.Classes.NumClasses()-before)
-			cs.batch = cs.batch[:0]
-		}
-		if !ok {
-			break
-		}
-	}
-}
-
-// captureSource wraps a vector source, retaining a copy of each batch for
-// cache recording.
-type captureSource struct {
-	inner core.VectorSource
-	batch [][]bool
-}
-
-func (c *captureSource) Name() string { return c.inner.Name() }
-
-func (c *captureSource) NextBatch(classes *sim.Classes, max int) [][]bool {
-	b := c.inner.NextBatch(classes, max)
-	c.batch = append(c.batch, b...)
-	return b
 }
 
 func executeCEC(ctx context.Context, spec JobSpec, loader *Loader, opts sweep.Options) (*Result, error) {

@@ -71,8 +71,9 @@ type JobSpec struct {
 	// Method selects the guided vector source: "simgen" (default), "revs",
 	// or "none".
 	Method string `json:"method,omitempty"`
-	// Iterations bounds guided refinement (default 20; sweep/simgen jobs
-	// with Method "none" skip it regardless).
+	// Iterations is the most guided iterations a job runs (default 20;
+	// sweep/simgen jobs with Method "none" skip them regardless). The
+	// guided driver stops earlier once the cost has been flat for 3.
 	Iterations int `json:"iterations,omitempty"`
 	// RandRounds seeds the classes with this many 64-vector random rounds
 	// (default 1 for sweep/simgen, 2 for cec).

@@ -26,7 +26,7 @@
 //	net, _ := simgen.LoadBenchmark("apex2")
 //	run := simgen.NewRunner(net, 1, 42)      // one random round
 //	gen := simgen.NewGenerator(net, simgen.StrategySimGen, 1)
-//	run.Run(gen, 20)                          // 20 guided iterations
+//	run.Run(gen, 20)                          // up to 20 guided iterations
 //	res := simgen.Sweep(net, run.Classes, simgen.SweepOptions{})
 //	fmt.Println(res.SATCalls, "SAT calls,", res.Proved, "equivalences proven")
 package simgen
