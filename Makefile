@@ -2,7 +2,15 @@ GO ?= go
 
 # Tier-1 gate: every change must pass this.
 .PHONY: check
-check: vet build test smoke
+check: fmt vet build test smoke
+
+# Formatting gate: every Go file in the tree, bench/ included, must be
+# gofmt-clean.
+.PHONY: fmt
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "fmt: gofmt -l lists unformatted files:"; echo "$$out"; exit 1; \
+	fi
 
 .PHONY: vet
 vet:

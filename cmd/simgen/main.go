@@ -57,11 +57,25 @@ func main() {
 		stopProf()
 		os.Exit(2)
 	}
-	// exit tears down the verification cache and observability stack
-	// (writing the journal compaction and -report file) and profiler
-	// before leaving; os.Exit skips deferred calls.
+	// -dump-patterns is created up front, like -trace and -report, so an
+	// unwritable path is a usage error before the run.
+	var dumpFile *os.File
+	if *dump != "" {
+		if dumpFile, err = os.Create(*dump); err != nil {
+			fmt.Fprintf(os.Stderr, "simgen: %v\n", err)
+			obsSetup.Close()
+			stopProf()
+			os.Exit(2)
+		}
+	}
+	// exit tears down the pattern dump, verification cache and
+	// observability stack (writing the journal compaction and -report
+	// file) and profiler before leaving; os.Exit skips deferred calls.
 	var cacheStore *simgen.ProofCache
 	exit := func(code int) {
+		if dumpFile != nil {
+			dumpFile.Close()
+		}
 		if cacheStore != nil {
 			if err := cacheStore.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "simgen: cache close: %v\n", err)
@@ -83,7 +97,7 @@ func main() {
 	ctx := context.Background()
 	if *timeout < 0 {
 		fmt.Fprintf(os.Stderr, "simgen: -timeout must be positive, got %v\n", *timeout)
-		os.Exit(2)
+		exit(2)
 	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -144,12 +158,30 @@ func main() {
 	// the classes it split).
 	var dumped [][]bool
 	run.OnIteration = func(_ simgen.IterationStat, batch [][]bool, split int) {
-		if *dump != "" {
+		if dumpFile != nil {
 			dumped = append(dumped, batch...)
 		}
 		if sess != nil {
 			sess.RecordPatterns(batch, split)
 		}
+	}
+	// flushDump writes the recorded vectors (including a partial run cut
+	// short by -timeout) to the -dump-patterns file.
+	flushDump := func() {
+		if dumpFile == nil {
+			return
+		}
+		f := dumpFile
+		dumpFile = nil // exit must not close it again
+		err := simgen.WritePatterns(f, dumped)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "simgen: %v\n", err)
+			exit(1)
+		}
+		fmt.Printf("wrote %d patterns to %s\n", len(dumped), *dump)
 	}
 	stats := run.RunContext(ctx, src, *iterations)
 	for _, st := range stats {
@@ -160,11 +192,11 @@ func main() {
 	if len(stats) < *iterations && ctx.Err() != nil {
 		fmt.Printf("timeout after %d/%d iterations; partial cost: %d (%s)\n",
 			len(stats), *iterations, run.Classes.Cost(), src.Name())
-		flushPatterns(*dump, dumped)
+		flushDump()
 		exit(3)
 	}
 	fmt.Printf("final cost: %d (%s)\n", run.Classes.Cost(), src.Name())
-	flushPatterns(*dump, dumped)
+	flushDump()
 	if err := finalSweep(ctx, net, run, *engine, *wordStage, *adaptive, obsSetup.Tracer, sess); err != nil {
 		fmt.Fprintf(os.Stderr, "simgen: %v\n", err)
 		exit(2)
@@ -194,25 +226,6 @@ func finalSweep(ctx context.Context, net *simgen.Network, run *simgen.Runner, en
 	fmt.Printf("proved %d equivalences, disproved %d pairs, final cost %d\n",
 		res.Proved, res.Disproved, res.FinalCost)
 	return nil
-}
-
-// flushPatterns writes the recorded vectors (including partial runs cut
-// short by -timeout) when -dump-patterns was given.
-func flushPatterns(path string, dumped [][]bool) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "simgen: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := simgen.WritePatterns(f, dumped); err != nil {
-		fmt.Fprintf(os.Stderr, "simgen: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %d patterns to %s\n", len(dumped), path)
 }
 
 // replayPatterns refines the classes with vectors from a pattern file.

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -14,70 +14,46 @@ import (
 // end-of-run Report: per-engine prove attribution, obligation balance,
 // escalation histogram, counterexample-pool and pattern-generation
 // statistics. It is the tracer behind the -report flag and the
-// engine-attribution study in cmd/experiments.
+// engine-attribution study in cmd/experiments, and the one place an event
+// becomes a count: MetricsTracer reads its counters from an embedded
+// Collector.
 type Collector struct {
-	mu      sync.Mutex
-	start   time.Time
-	workers int
-	engines map[string]*EngineReport
-
-	scheduled int
-	equal     int
-	differ    int
-	unknown   int
-	panics    int
-	dropped   int // panic events with no retry left: claimed, never resolved
-	requeued  int // requeue events + panic events with a retry left
-	retried   int // obligation claims that were retries of requeued pairs
-	perturbs  int // chaos perturbation actions fired
-
-	cache CacheReport // verification-memory activity
-	word  WordReport  // word-level structure and proving activity
-
-	escalations []int // count per rung (index rung-1)
-	bddBlowups  int
-
-	pool PoolReport
-	gen  GenReport
-
-	proveTime time.Duration
-	cost      int64
-	queuePeak int32
+	mu    sync.Mutex
+	start time.Time
+	rep   Report // every count; Report adds the wall clock and utilization
 }
 
 // NewCollector creates an empty collector; the report's wall time runs
 // from this call.
 func NewCollector() *Collector {
-	return &Collector{start: time.Now(), engines: make(map[string]*EngineReport)}
+	return &Collector{start: time.Now(), rep: Report{Workers: 1}}
 }
 
 // Emit implements Tracer.
 func (c *Collector) Emit(ev Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	r := &c.rep
+	o := &r.Obligations
 	switch ev.Kind {
 	case KindSweepStart:
-		if int(ev.Workers) > c.workers {
-			c.workers = int(ev.Workers)
-		}
+		r.Workers = max(r.Workers, int(ev.Workers))
 	case KindSweepDone:
-		c.cost = ev.Cost
+		r.FinalCost = ev.Cost
 	case KindObligation:
-		c.scheduled++
+		o.Scheduled++
 		if ev.Retries > 0 {
-			c.retried++
+			o.Retried++
 		}
-		if ev.Pending > c.queuePeak {
-			c.queuePeak = ev.Pending
-		}
+		o.QueuePeak = max(o.QueuePeak, int(ev.Pending))
 	case KindResolve:
 		switch ev.Verdict {
 		case VerdictEqual:
-			c.equal++
+			o.Equal++
 		case VerdictDiffer:
-			c.differ++
+			o.Differ++
 		default:
-			c.unknown++
+			o.Unknown++
 		}
 	case KindProveStart:
 		// Start events carry no accounting; verdicts do.
@@ -95,69 +71,74 @@ func (c *Collector) Emit(ev Event) {
 		e.Conflicts += ev.Conflicts
 		e.Propagations += ev.Props
 		e.Time += ev.Dur
-		c.proveTime += ev.Dur
+		r.ProveTime += ev.Dur
 	case KindEscalation:
-		for int(ev.Rung) > len(c.escalations) {
-			c.escalations = append(c.escalations, 0)
+		for int(ev.Rung) > len(r.Escalations) {
+			r.Escalations = append(r.Escalations, 0)
 		}
 		if ev.Rung >= 1 {
-			c.escalations[ev.Rung-1]++
+			r.Escalations[ev.Rung-1]++
 		}
 	case KindBDDBlowup:
-		c.bddBlowups++
+		r.BDDBlowups++
 	case KindWorkerPanic:
-		c.panics++
+		o.Panics++
 		if ev.Retries > 0 {
-			c.requeued++
+			o.Requeued++
 		} else {
-			c.dropped++
+			o.Dropped++
 		}
 	case KindRequeue:
-		c.requeued++
+		o.Requeued++
 	case KindPerturb:
-		c.perturbs++
+		r.Perturbs++
 	case KindCacheProbe:
-		c.cache.Probes++
+		r.Cache.Probes++
 	case KindCacheHit:
-		c.cache.Hits++
+		r.Cache.Hits++
 	case KindCacheMiss:
-		c.cache.Misses++
+		r.Cache.Misses++
 	case KindCacheEvict:
-		c.cache.Evictions += int(ev.Dropped)
+		r.Cache.Evictions += int(ev.Dropped)
 	case KindCacheRevalidateFail:
-		c.cache.RevalidateFails++
+		r.Cache.RevalidateFails++
 	case KindWordDetect:
-		c.word.Detections++
-		c.word.Words += int(ev.Words)
-		c.word.Bits += int(ev.WordBits)
+		r.Word.Detections++
+		r.Word.Words += int(ev.Words)
+		r.Word.Bits += int(ev.WordBits)
 	case KindWordFrontier:
-		c.word.FrontierProofs++
+		r.Word.FrontierProofs++
 	case KindPolicyPick:
-		c.word.PolicyPicks++
+		r.Word.PolicyPicks++
 	case KindPoolFlush:
-		c.pool.Flushes++
-		c.pool.Lanes += int(ev.Lanes)
-		c.pool.Splits += int(ev.Splits)
-		c.pool.Dropped += int(ev.Dropped)
+		r.Pool.Flushes++
+		r.Pool.Lanes += int(ev.Lanes)
+		r.Pool.Splits += int(ev.Splits)
+		r.Pool.Dropped += int(ev.Dropped)
 	case KindSimBatch:
-		c.gen.Batches++
-		c.gen.Vectors += int(ev.Vectors)
-		c.gen.Decisions += ev.Decisions
-		c.gen.Implications += ev.Implications
-		c.gen.Backtracks += ev.Backtracks
-		c.gen.Conflicts += ev.GenConflicts
-		c.gen.Time += ev.Dur
-		c.cost = ev.Cost
+		g := &r.Gen
+		g.Batches++
+		g.Vectors += int(ev.Vectors)
+		g.Decisions += ev.Decisions
+		g.Implications += ev.Implications
+		g.Backtracks += ev.Backtracks
+		g.Conflicts += ev.GenConflicts
+		g.Time += ev.Dur
+		r.FinalCost = ev.Cost
 	}
 }
 
+// engine returns the named engine's entry, inserting it in name order on
+// first sight so Engines stays sorted.
 func (c *Collector) engine(name string) *EngineReport {
-	e := c.engines[name]
-	if e == nil {
-		e = &EngineReport{Name: name}
-		c.engines[name] = e
+	es := c.rep.Engines
+	i, found := slices.BinarySearchFunc(es, name, func(e EngineReport, name string) int {
+		return strings.Compare(e.Name, name)
+	})
+	if !found {
+		c.rep.Engines = slices.Insert(es, i, EngineReport{Name: name})
 	}
-	return e
+	return &c.rep.Engines[i]
 }
 
 // EngineReport attributes prove work to one engine.
@@ -254,45 +235,65 @@ type Report struct {
 func (c *Collector) Report() Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := Report{
-		Wall:    time.Since(c.start),
-		Workers: c.workers,
-		Obligations: ObligationReport{
-			Scheduled: c.scheduled,
-			Equal:     c.equal,
-			Differ:    c.differ,
-			Unknown:   c.unknown,
-			Dropped:   c.dropped,
-			Requeued:  c.requeued,
-			Retried:   c.retried,
-			Panics:    c.panics,
-			QueuePeak: int(c.queuePeak),
-		},
-		Escalations: append([]int(nil), c.escalations...),
-		BDDBlowups:  c.bddBlowups,
-		Perturbs:    c.perturbs,
-		Cache:       c.cache,
-		Word:        c.word,
-		Pool:        c.pool,
-		Gen:         c.gen,
-		ProveTime:   c.proveTime,
-		FinalCost:   c.cost,
-	}
-	if r.Workers < 1 {
-		r.Workers = 1
-	}
-	names := make([]string, 0, len(c.engines))
-	for name := range c.engines {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r.Engines = append(r.Engines, *c.engines[name])
-	}
+	r := c.rep
+	r.Wall = time.Since(c.start)
+	r.Engines = slices.Clone(r.Engines)
+	r.Escalations = slices.Clone(r.Escalations)
 	if r.Wall > 0 {
 		r.Utilization = float64(r.ProveTime) / (float64(r.Wall) * float64(r.Workers))
 	}
 	return r
+}
+
+// counters visits every counter the /metrics registry exports, one line per
+// metric name. They are read from a Report, so each has exactly the meaning
+// of the report field it names.
+func (r *Report) counters(put func(name string, v int64)) {
+	o := r.Obligations
+	put("sweep.obligations", int64(o.Scheduled))
+	put("sweep.resolve.equal", int64(o.Equal))
+	put("sweep.resolve.differ", int64(o.Differ))
+	put("sweep.resolve.unknown", int64(o.Unknown))
+	put("sweep.worker_panics", int64(o.Panics))
+	put("sweep.requeues", int64(o.Requeued))
+	put("sweep.retried", int64(o.Retried))
+	escalations := 0
+	for _, n := range r.Escalations {
+		escalations += n
+	}
+	put("sweep.escalations", int64(escalations))
+	put("sweep.bdd_blowups", int64(r.BDDBlowups))
+	put("chaos.perturbs", int64(r.Perturbs))
+	put("pool.flushes", int64(r.Pool.Flushes))
+	put("pool.lanes", int64(r.Pool.Lanes))
+	put("pool.splits", int64(r.Pool.Splits))
+	put("pool.dropped", int64(r.Pool.Dropped))
+	put("sim.batches", int64(r.Gen.Batches))
+	put("sim.vectors", int64(r.Gen.Vectors))
+	put("gen.decisions", r.Gen.Decisions)
+	put("gen.implications", r.Gen.Implications)
+	put("gen.backtracks", r.Gen.Backtracks)
+	put("gen.conflicts", r.Gen.Conflicts)
+	put("cache.probes", int64(r.Cache.Probes))
+	put("cache.hits", int64(r.Cache.Hits))
+	put("cache.misses", int64(r.Cache.Misses))
+	put("cache.evictions", int64(r.Cache.Evictions))
+	put("cache.revalidate_fails", int64(r.Cache.RevalidateFails))
+	put("word.detections", int64(r.Word.Detections))
+	put("word.bits", int64(r.Word.Bits))
+	put("word.frontier_proofs", int64(r.Word.FrontierProofs))
+	put("word.policy_picks", int64(r.Word.PolicyPicks))
+	var conflicts, props int64
+	for _, e := range r.Engines {
+		put("prove."+e.Name+".total", int64(e.Proves))
+		put("prove."+e.Name+".equal", int64(e.Equal))
+		put("prove."+e.Name+".differ", int64(e.Differ))
+		put("prove."+e.Name+".unknown", int64(e.Unknown))
+		conflicts += e.Conflicts
+		props += e.Propagations
+	}
+	put("sat.conflicts", conflicts)
+	put("sat.propagations", props)
 }
 
 // WriteJSON renders the report as indented JSON.

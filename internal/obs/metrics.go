@@ -88,12 +88,15 @@ func (h *Histogram) Buckets() [histBuckets]int64 {
 // Metrics is a registry of named counters, gauges, and latency
 // histograms. Handle lookup takes the registry mutex; the handles
 // themselves are atomic, so workers update shared metrics without locks —
-// the registry is race-clean under any worker count.
+// the registry is race-clean under any worker count. The pipeline's event
+// counts are not handles: the registry reads them from the Collectors its
+// MetricsTracers fold into.
 type Metrics struct {
-	mu     sync.Mutex
-	counts map[string]*Counter
-	gauges map[string]*Gauge
-	hists  map[string]*Histogram
+	mu      sync.Mutex
+	counts  map[string]*Counter
+	gauges  map[string]*Gauge
+	hists   map[string]*Histogram
+	reports []*Collector
 }
 
 // NewMetrics creates an empty registry.
@@ -143,13 +146,18 @@ func (m *Metrics) Histogram(name string) *Histogram {
 
 // Snapshot renders every metric into a flat, sorted name->value map.
 // Histograms contribute <name>.count, <name>.sum_ns, and one
-// <name>.le_<bound> entry per non-empty bucket.
+// <name>.le_<bound> entry per non-empty bucket. Report counters of
+// several MetricsTracers on one registry add up.
 func (m *Metrics) Snapshot() map[string]int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make(map[string]int64, len(m.counts)+len(m.gauges)+4*len(m.hists))
 	for name, c := range m.counts {
 		out[name] = c.Value()
+	}
+	for _, c := range m.reports {
+		rep := c.Report()
+		rep.counters(func(name string, v int64) { out[name] += v })
 	}
 	for name, g := range m.gauges {
 		out[name] = g.Value()
@@ -212,194 +220,63 @@ func (m *Metrics) Serve(addr string) (string, func() error, error) {
 	return ln.Addr().String(), srv.Close, nil
 }
 
-// MetricsTracer folds the event stream into a Metrics registry. Handles
-// for the fixed event-driven metrics are resolved once at construction;
-// per-engine handles are cached on first sight, so steady-state emission
-// touches only atomics.
+// MetricsTracer is a Collector plus what a Report lacks: per-engine prove
+// latency, pool-flush and sim-batch latency histograms, and the live
+// sweep.queue_depth gauge. Its counts are the embedded Collector's, read
+// by the registry at Snapshot time, so /metrics and -report count every
+// event the same way by construction.
 type MetricsTracer struct {
-	m *Metrics
+	*Collector
 
-	obligations *Counter
-	resolveEq   *Counter
-	resolveNeq  *Counter
-	resolveUnk  *Counter
-	panics      *Counter
-	requeues    *Counter
-	retried     *Counter
-	perturbs    *Counter
-	escalations *Counter
-	bddBlowups  *Counter
-	poolFlushes *Counter
-	poolLanes   *Counter
-	poolSplits  *Counter
-	poolDropped *Counter
-	simBatches  *Counter
-	simVectors  *Counter
-	genDec      *Counter
-	genImpl     *Counter
-	genBack     *Counter
-	genConf     *Counter
-	conflicts   *Counter
-	props       *Counter
-	cacheProbes *Counter
-	cacheHits   *Counter
-	cacheMisses *Counter
-	cacheEvicts *Counter
-	cacheReval  *Counter
-	wordDetects *Counter
-	wordBits    *Counter
-	wordFront   *Counter
-	policyPicks *Counter
-	queueDepth  *Gauge
-	flushTime   *Histogram
-	batchTime   *Histogram
+	m          *Metrics
+	queueDepth *Gauge
+	flushTime  *Histogram
+	batchTime  *Histogram
 
-	mu      sync.Mutex
-	engines map[string]*engineMetrics
-}
-
-type engineMetrics struct {
-	proves  *Counter
-	equal   *Counter
-	differ  *Counter
-	unknown *Counter
-	time    *Histogram
+	mu        sync.Mutex
+	proveTime map[string]*Histogram
 }
 
 // NewMetricsTracer creates a tracer updating m.
 func NewMetricsTracer(m *Metrics) *MetricsTracer {
-	return &MetricsTracer{
-		m:           m,
-		obligations: m.Counter("sweep.obligations"),
-		resolveEq:   m.Counter("sweep.resolve.equal"),
-		resolveNeq:  m.Counter("sweep.resolve.differ"),
-		resolveUnk:  m.Counter("sweep.resolve.unknown"),
-		panics:      m.Counter("sweep.worker_panics"),
-		requeues:    m.Counter("sweep.requeues"),
-		retried:     m.Counter("sweep.retried"),
-		perturbs:    m.Counter("chaos.perturbs"),
-		escalations: m.Counter("sweep.escalations"),
-		bddBlowups:  m.Counter("sweep.bdd_blowups"),
-		poolFlushes: m.Counter("pool.flushes"),
-		poolLanes:   m.Counter("pool.lanes"),
-		poolSplits:  m.Counter("pool.splits"),
-		poolDropped: m.Counter("pool.dropped"),
-		simBatches:  m.Counter("sim.batches"),
-		simVectors:  m.Counter("sim.vectors"),
-		genDec:      m.Counter("gen.decisions"),
-		genImpl:     m.Counter("gen.implications"),
-		genBack:     m.Counter("gen.backtracks"),
-		genConf:     m.Counter("gen.conflicts"),
-		conflicts:   m.Counter("sat.conflicts"),
-		props:       m.Counter("sat.propagations"),
-		cacheProbes: m.Counter("cache.probes"),
-		cacheHits:   m.Counter("cache.hits"),
-		cacheMisses: m.Counter("cache.misses"),
-		cacheEvicts: m.Counter("cache.evictions"),
-		cacheReval:  m.Counter("cache.revalidate_fails"),
-		wordDetects: m.Counter("word.detections"),
-		wordBits:    m.Counter("word.bits"),
-		wordFront:   m.Counter("word.frontier_proofs"),
-		policyPicks: m.Counter("word.policy_picks"),
-		queueDepth:  m.Gauge("sweep.queue_depth"),
-		flushTime:   m.Histogram("pool.flush_time"),
-		batchTime:   m.Histogram("sim.batch_time"),
-		engines:     make(map[string]*engineMetrics),
+	t := &MetricsTracer{
+		Collector:  NewCollector(),
+		m:          m,
+		queueDepth: m.Gauge("sweep.queue_depth"),
+		flushTime:  m.Histogram("pool.flush_time"),
+		batchTime:  m.Histogram("sim.batch_time"),
+		proveTime:  make(map[string]*Histogram),
 	}
+	m.mu.Lock()
+	m.reports = append(m.reports, t.Collector)
+	m.mu.Unlock()
+	return t
 }
 
-func (t *MetricsTracer) engine(name string) *engineMetrics {
+// engineTime returns the named engine's prove-latency histogram, resolving
+// it once per engine.
+func (t *MetricsTracer) engineTime(name string) *Histogram {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := t.engines[name]
-	if e == nil {
-		e = &engineMetrics{
-			proves:  t.m.Counter("prove." + name + ".total"),
-			equal:   t.m.Counter("prove." + name + ".equal"),
-			differ:  t.m.Counter("prove." + name + ".differ"),
-			unknown: t.m.Counter("prove." + name + ".unknown"),
-			time:    t.m.Histogram("prove." + name + ".time"),
-		}
-		t.engines[name] = e
+	h := t.proveTime[name]
+	if h == nil {
+		h = t.m.Histogram("prove." + name + ".time")
+		t.proveTime[name] = h
 	}
-	return e
+	return h
 }
 
 // Emit implements Tracer.
 func (t *MetricsTracer) Emit(ev Event) {
+	t.Collector.Emit(ev)
 	switch ev.Kind {
 	case KindObligation:
-		t.obligations.Add(1)
-		if ev.Retries > 0 {
-			t.retried.Add(1)
-		}
 		t.queueDepth.Set(int64(ev.Pending))
-	case KindResolve:
-		switch ev.Verdict {
-		case VerdictEqual:
-			t.resolveEq.Add(1)
-		case VerdictDiffer:
-			t.resolveNeq.Add(1)
-		default:
-			t.resolveUnk.Add(1)
-		}
 	case KindProveVerdict:
-		e := t.engine(ev.Engine)
-		e.proves.Add(1)
-		switch ev.Verdict {
-		case VerdictEqual:
-			e.equal.Add(1)
-		case VerdictDiffer:
-			e.differ.Add(1)
-		default:
-			e.unknown.Add(1)
-		}
-		e.time.Observe(ev.Dur)
-		t.conflicts.Add(ev.Conflicts)
-		t.props.Add(ev.Props)
-	case KindEscalation:
-		t.escalations.Add(1)
-	case KindBDDBlowup:
-		t.bddBlowups.Add(1)
-	case KindWorkerPanic:
-		t.panics.Add(1)
-		if ev.Retries > 0 {
-			t.requeues.Add(1)
-		}
-	case KindRequeue:
-		t.requeues.Add(1)
-	case KindPerturb:
-		t.perturbs.Add(1)
-	case KindCacheProbe:
-		t.cacheProbes.Add(1)
-	case KindCacheHit:
-		t.cacheHits.Add(1)
-	case KindCacheMiss:
-		t.cacheMisses.Add(1)
-	case KindCacheEvict:
-		t.cacheEvicts.Add(int64(ev.Dropped))
-	case KindCacheRevalidateFail:
-		t.cacheReval.Add(1)
-	case KindWordDetect:
-		t.wordDetects.Add(1)
-		t.wordBits.Add(int64(ev.WordBits))
-	case KindWordFrontier:
-		t.wordFront.Add(1)
-	case KindPolicyPick:
-		t.policyPicks.Add(1)
+		t.engineTime(ev.Engine).Observe(ev.Dur)
 	case KindPoolFlush:
-		t.poolFlushes.Add(1)
-		t.poolLanes.Add(int64(ev.Lanes))
-		t.poolSplits.Add(int64(ev.Splits))
-		t.poolDropped.Add(int64(ev.Dropped))
 		t.flushTime.Observe(ev.Dur)
 	case KindSimBatch:
-		t.simBatches.Add(1)
-		t.simVectors.Add(int64(ev.Vectors))
-		t.genDec.Add(ev.Decisions)
-		t.genImpl.Add(ev.Implications)
-		t.genBack.Add(ev.Backtracks)
-		t.genConf.Add(ev.GenConflicts)
 		t.batchTime.Observe(ev.Dur)
 	}
 }

@@ -187,13 +187,29 @@ func TestMetricsTracerAggregates(t *testing.T) {
 	}
 }
 
-// TestMetricsTracerConcurrent hammers one tracer from many goroutines; run
-// under -race this is the goroutine-safety proof for the metrics path.
+// TestMetricsTracerConcurrent hammers one tracer from many goroutines while
+// another reads the registry; run under -race this is the goroutine-safety
+// proof for the metrics path, emission and snapshot both.
 func TestMetricsTracerConcurrent(t *testing.T) {
 	m := NewMetrics()
 	tr := NewMetricsTracer(m)
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if snap := m.Snapshot(); snap["sweep.obligations"] > workers*per {
+					t.Errorf("mid-run obligations = %d, above the %d emitted", snap["sweep.obligations"], workers*per)
+				}
+			}
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -206,6 +222,8 @@ func TestMetricsTracerConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-read
 	snap := m.Snapshot()
 	if snap["sweep.obligations"] != workers*per {
 		t.Errorf("obligations = %d, want %d", snap["sweep.obligations"], workers*per)

@@ -16,10 +16,13 @@
 //   - Collector aggregates events in memory and renders a structured
 //     end-of-run Report (the -report flag): per-engine prove counts and
 //     time, escalation histogram, obligation balance, pool and
-//     generation statistics.
-//   - MetricsTracer folds events into a Metrics registry of atomic
-//     counters, gauges, and latency histograms, exported via expvar and
-//     the optional -metrics-addr HTTP endpoint.
+//     generation statistics. Its Emit is the only place an event
+//     becomes a count.
+//   - MetricsTracer is a Collector plus latency histograms and a
+//     queue-depth gauge in a Metrics registry, exported via expvar and
+//     the optional -metrics-addr HTTP endpoint. The registry reads the
+//     counters from the Collector's Report, under the metric names
+//     Report.counters lists.
 //   - Recorder keeps the raw event slice for tests (e.g. the
 //     order-insensitive sequential-vs-parallel resolve parity check).
 //

@@ -1,20 +1,15 @@
 // Package obsflag wires the observability CLI flags shared by the
-// command-line tools (-trace, -report, -metrics-addr) into a composed
-// tracer, an end-of-run report writer, and an HTTP metrics endpoint.
-//
-// The stack is split along process/run lines so one process can host many
-// runs: a Setup owns the process-level pieces (the metrics registry and its
-// HTTP endpoint), while each Run owns one run's trace sink and report
-// collector and is independently closeable. The CLI tools are the
-// degenerate case — one default Run whose lifetime matches the process —
-// but a resident service (cmd/sweepd) mints a fresh Run per job and closes
-// each without disturbing the others or the shared metrics endpoint.
+// command-line tools (-trace, -report, -metrics-addr) into one stack: a
+// composed tracer, an end-of-run report writer, and an HTTP metrics
+// endpoint, all living as long as the process. Register installs the
+// flags, Open builds the stack, Setup.Tracer feeds it and Setup.Close
+// flushes it. A resident service builds its own per-job sinks instead
+// (internal/sweepd).
 package obsflag
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"simgen/internal/obs"
@@ -37,190 +32,66 @@ func Register(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Run is one run's (or one job's) observability stack: an optional JSONL
-// trace sink, an optional report collector, and any extra tracers (e.g. a
-// process-wide metrics tracer) composed behind a single Tracer. Closing a
-// Run flushes and releases only its own sinks — other live Runs and the
-// process-level metrics endpoint are untouched.
-type Run struct {
-	// Tracer composes every enabled sink; never nil (obs.Nop when the run
-	// has no sinks), so callers thread it unconditionally.
-	Tracer obs.Tracer
-
-	jsonl     *obs.JSONL
-	traceC    io.Closer
-	collector *obs.Collector
-	reportW   io.WriteCloser
-	closed    bool
-}
-
-// NewRun composes a per-run stack over the given sinks. traceW receives the
-// JSONL event stream and reportW the end-of-run report (either may be nil
-// to disable that sink); extra tracers are fanned into the same stream.
-// The Run owns both writers and closes them in Close.
-func NewRun(traceW, reportW io.WriteCloser, extra ...obs.Tracer) *Run {
-	r := &Run{reportW: reportW}
-	var tracers []obs.Tracer
-	if traceW != nil {
-		r.jsonl = obs.NewJSONL(traceW)
-		r.traceC = traceW
-		tracers = append(tracers, r.jsonl)
-	}
-	if reportW != nil {
-		r.collector = obs.NewCollector()
-		tracers = append(tracers, r.collector)
-	}
-	tracers = append(tracers, extra...)
-	r.Tracer = obs.Multi(tracers...)
-	return r
-}
-
-// OpenRun is NewRun over files: the trace and report files are created (and
-// truncated) up front so an unwritable path is a usage error before the
-// run, not a surprise after an hour of sweeping. Empty paths disable the
-// corresponding sink.
-func OpenRun(tracePath, reportPath string, extra ...obs.Tracer) (*Run, error) {
-	var traceW, reportW *os.File
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return nil, err
-		}
-		traceW = f
-	}
-	if reportPath != "" {
-		f, err := os.Create(reportPath)
-		if err != nil {
-			if traceW != nil {
-				traceW.Close()
-			}
-			return nil, err
-		}
-		reportW = f
-	}
-	if traceW == nil && reportW == nil {
-		return NewRun(nil, nil, extra...), nil
-	}
-	// os.File is an io.WriteCloser, but a typed-nil *os.File must become a
-	// true nil interface for NewRun's sink checks.
-	var tw, rw io.WriteCloser
-	if traceW != nil {
-		tw = traceW
-	}
-	if reportW != nil {
-		rw = reportW
-	}
-	return NewRun(tw, rw, extra...), nil
-}
-
-// Report returns the run's aggregated report; ok is false when the run has
-// no report sink. It may be consulted while the run is still in flight.
-func (r *Run) Report() (rep obs.Report, ok bool) {
-	if r.collector == nil {
-		return obs.Report{}, false
-	}
-	return r.collector.Report(), true
-}
-
-// Close flushes and tears down this run's sinks only: the report is
-// rendered and its writer closed, and the trace writer is closed
-// (surfacing any deferred write error). Close is idempotent and returns
-// the first error encountered.
-func (r *Run) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	var first error
-	keep := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	if r.reportW != nil {
-		keep(r.collector.Report().WriteJSON(r.reportW))
-		keep(r.reportW.Close())
-		r.reportW = nil
-	}
-	if r.traceC != nil {
-		keep(r.jsonl.Err())
-		keep(r.traceC.Close())
-		r.traceC = nil
-	}
-	return first
-}
-
-// Setup is the live observability stack built from parsed flags: the
-// process-level metrics endpoint plus one default Run for the flags' trace
-// and report paths. Tracer is never nil: with every flag off it is obs.Nop
-// and costs nothing.
+// Setup is the live observability stack built from parsed flags. Tracer is
+// never nil: with every flag off it is obs.Nop and costs nothing.
 type Setup struct {
 	Tracer obs.Tracer
 
-	run     *Run
-	metrics *obs.Metrics
-	mt      obs.Tracer // metrics tracer shared by every run; nil without -metrics-addr
-	stop    func() error
+	jsonl     *obs.JSONL
+	traceF    *os.File
+	collector *obs.Collector
+	reportF   *os.File
+	stop      func() error
 }
 
 // Open materializes the stack: the metrics endpoint starts listening (its
-// bound address is printed to stderr, so ":0" works for tests), the trace
-// and report files are created, and Tracer composes every enabled sink.
+// bound address is printed to stderr, so ":0" works for tests), and the
+// trace and report files are created (and truncated) up front, so an
+// unwritable path is a usage error before the run, not a surprise after an
+// hour of sweeping. Tracer composes every enabled sink.
 func (f *Flags) Open() (*Setup, error) {
 	s := &Setup{}
+	var tracers []obs.Tracer
+	fail := func(err error) (*Setup, error) {
+		s.Close()
+		return nil, err
+	}
 	if f.MetricsAddr != "" {
-		s.metrics = obs.NewMetrics()
-		addr, stop, err := s.metrics.Serve(f.MetricsAddr)
+		m := obs.NewMetrics()
+		addr, stop, err := m.Serve(f.MetricsAddr)
 		if err != nil {
 			return nil, err
 		}
 		s.stop = stop
 		fmt.Fprintf(os.Stderr, "metrics: listening on http://%s/metrics\n", addr)
-		s.mt = obs.NewMetricsTracer(s.metrics)
+		tracers = append(tracers, obs.NewMetricsTracer(m))
 	}
-	run, err := OpenRun(f.Trace, f.Report, s.metricsTracers()...)
-	if err != nil {
-		s.Close()
-		return nil, err
+	if f.Trace != "" {
+		tf, err := os.Create(f.Trace)
+		if err != nil {
+			return fail(err)
+		}
+		s.traceF = tf
+		s.jsonl = obs.NewJSONL(tf)
+		tracers = append(tracers, s.jsonl)
 	}
-	s.run = run
-	s.Tracer = run.Tracer
+	if f.Report != "" {
+		rf, err := os.Create(f.Report)
+		if err != nil {
+			return fail(err)
+		}
+		s.reportF = rf
+		s.collector = obs.NewCollector()
+		tracers = append(tracers, s.collector)
+	}
+	s.Tracer = obs.Multi(tracers...)
 	return s, nil
 }
 
-// metricsTracers returns the shared metrics tracer as a fan-in slice, or
-// nothing when -metrics-addr is off.
-func (s *Setup) metricsTracers() []obs.Tracer {
-	if s.mt == nil {
-		return nil
-	}
-	return []obs.Tracer{s.mt}
-}
-
-// Metrics exposes the process-level registry; nil without -metrics-addr.
-func (s *Setup) Metrics() *obs.Metrics { return s.metrics }
-
-// NewRun mints an additional, independently closeable run-scoped stack
-// writing to the given paths (either may be empty). Its tracer folds into
-// the shared metrics endpoint when one is serving. Closing the returned Run
-// never flushes or disturbs the default run or any sibling.
-func (s *Setup) NewRun(tracePath, reportPath string) (*Run, error) {
-	return OpenRun(tracePath, reportPath, s.metricsTracers()...)
-}
-
-// Report returns the default run's aggregated report; ok is false when
-// -report was not requested.
-func (s *Setup) Report() (obs.Report, bool) {
-	if s.run == nil {
-		return obs.Report{}, false
-	}
-	return s.run.Report()
-}
-
-// Close flushes and tears the stack down: the default run's report is
-// written and trace closed, then the metrics endpoint is shut. Runs minted
-// with NewRun have their own lifetime and are not touched. It returns the
-// first error encountered.
+// Close flushes and tears the stack down: the report is rendered and its
+// file closed, the trace file is closed (surfacing any deferred write
+// error), then the metrics endpoint is shut. Close is idempotent and
+// returns the first error encountered.
 func (s *Setup) Close() error {
 	var first error
 	keep := func(err error) {
@@ -228,9 +99,15 @@ func (s *Setup) Close() error {
 			first = err
 		}
 	}
-	if s.run != nil {
-		keep(s.run.Close())
-		s.run = nil
+	if s.reportF != nil {
+		keep(s.collector.Report().WriteJSON(s.reportF))
+		keep(s.reportF.Close())
+		s.reportF = nil
+	}
+	if s.traceF != nil {
+		keep(s.jsonl.Err())
+		keep(s.traceF.Close())
+		s.traceF = nil
 	}
 	if s.stop != nil {
 		keep(s.stop())

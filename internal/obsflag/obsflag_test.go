@@ -24,9 +24,6 @@ func TestRegisterDefaultsToNop(t *testing.T) {
 	if s.Tracer != obs.Nop {
 		t.Error("with no flags set, Tracer should be obs.Nop")
 	}
-	if _, ok := s.Report(); ok {
-		t.Error("Report should not be available without -report")
-	}
 	if err := s.Close(); err != nil {
 		t.Errorf("Close: %v", err)
 	}
@@ -48,11 +45,6 @@ func TestOpenEmitClose(t *testing.T) {
 		Verdict: obs.VerdictEqual, Dur: time.Millisecond})
 	s.Tracer.Emit(obs.Event{Kind: obs.KindSweepDone, Cost: 5})
 
-	if rep, ok := s.Report(); !ok {
-		t.Fatal("Report should be available with -report set")
-	} else if rep.Obligations.Scheduled != 1 || rep.Obligations.Equal != 1 {
-		t.Errorf("live report wrong: %+v", rep.Obligations)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +67,9 @@ func TestOpenEmitClose(t *testing.T) {
 	if rep.FinalCost != 5 {
 		t.Errorf("report final cost %d, want 5", rep.FinalCost)
 	}
+	if rep.Obligations.Scheduled != 1 || rep.Obligations.Equal != 1 {
+		t.Errorf("report obligations wrong: %+v", rep.Obligations)
+	}
 }
 
 // TestOpenFailsFastOnBadPaths: unwritable -trace or -report paths must fail
@@ -96,102 +91,6 @@ func TestOpenFailsFastOnBadPaths(t *testing.T) {
 	if s, err := f.Open(); err == nil {
 		s.Close()
 		t.Error("Open should fail on an unlistenable metrics address")
-	}
-}
-
-// TestTwoSequentialRunsOneProcess is the regression test for the one-run-
-// per-process assumption the CLI exit closures baked in: a resident service
-// opens and closes one obs stack per job, so per-run tracer/collector
-// instances must be independently closeable — closing the first run must
-// not flush, close, or otherwise disturb the second.
-func TestTwoSequentialRunsOneProcess(t *testing.T) {
-	dir := t.TempDir()
-	s, err := (&Flags{}).Open() // process-level stack with no default sinks
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	runFile := func(i int) (trace, report string) {
-		return filepath.Join(dir, "t"+string(rune('0'+i))+".jsonl"),
-			filepath.Join(dir, "r"+string(rune('0'+i))+".json")
-	}
-
-	emit := func(r *Run, cost int64) {
-		r.Tracer.Emit(obs.Event{Kind: obs.KindSweepStart, Workers: 1})
-		r.Tracer.Emit(obs.Event{Kind: obs.KindObligation, Class: 1, A: 2, B: 3, Pending: 1})
-		r.Tracer.Emit(obs.Event{Kind: obs.KindResolve, Class: 1, A: 2, B: 3, Verdict: obs.VerdictEqual})
-		r.Tracer.Emit(obs.Event{Kind: obs.KindSweepDone, Cost: cost})
-	}
-	check := func(i int, wantCost int64) {
-		trace, report := runFile(i)
-		raw, err := os.ReadFile(trace)
-		if err != nil {
-			t.Fatalf("run %d trace: %v", i, err)
-		}
-		if n := len(splitLines(raw)); n != 4 {
-			t.Errorf("run %d trace has %d lines, want 4", i, n)
-		}
-		rraw, err := os.ReadFile(report)
-		if err != nil {
-			t.Fatalf("run %d report: %v", i, err)
-		}
-		var rep obs.Report
-		if err := json.Unmarshal(rraw, &rep); err != nil {
-			t.Fatalf("run %d report not a Report: %v", i, err)
-		}
-		if rep.FinalCost != wantCost {
-			t.Errorf("run %d report cost %d, want %d", i, rep.FinalCost, wantCost)
-		}
-		if rep.Obligations.Scheduled != 1 {
-			t.Errorf("run %d report scheduled %d, want 1 (cross-run state bled through)",
-				i, rep.Obligations.Scheduled)
-		}
-	}
-
-	// Two sequential jobs: each gets a fresh stack; closing the first must
-	// leave the second fully functional.
-	for i, cost := range []int64{11, 22} {
-		tp, rp := runFile(i)
-		run, err := s.NewRun(tp, rp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		emit(run, cost)
-		if err := run.Close(); err != nil {
-			t.Fatalf("run %d Close: %v", i, err)
-		}
-		if err := run.Close(); err != nil {
-			t.Fatalf("run %d second Close should be an idempotent no-op: %v", i, err)
-		}
-	}
-	check(0, 11)
-	check(1, 22)
-
-	// Two overlapping jobs: closing run 2 mid-flight must not flush or
-	// truncate run 3's still-open sinks.
-	tp2, rp2 := runFile(2)
-	run2, err := s.NewRun(tp2, rp2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp3, rp3 := runFile(3)
-	run3, err := s.NewRun(tp3, rp3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emit(run2, 33)
-	run2.Tracer.Emit(obs.Event{Kind: obs.KindSweepStart}) // extra line: 5 total
-	if err := run2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	emit(run3, 44) // run 3 keeps emitting after run 2 closed
-	if err := run3.Close(); err != nil {
-		t.Fatal(err)
-	}
-	check(3, 44)
-	if raw, _ := os.ReadFile(tp2); len(splitLines(raw)) != 5 {
-		t.Errorf("run 2 trace has %d lines, want 5", len(splitLines(raw)))
 	}
 }
 

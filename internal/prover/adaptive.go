@@ -120,5 +120,5 @@ func (p *Portfolio) observe(shape ShapeKey, engine string, r Result) {
 	if p.attr == nil {
 		return
 	}
-	p.attr.Observe(shape, engine, r.Verdict != Unknown, r.Stats.Time)
+	p.attr.Observe(shape, engine, r.Verdict != Unknown, r.Stats.SATTime)
 }

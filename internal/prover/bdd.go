@@ -40,7 +40,7 @@ func (e *BDD) Prove(ctx context.Context, a, b network.NodeID, _ Budget) Result {
 		A: int32(a), B: int32(b)})
 	start := time.Now()
 	cex, differ, err := e.builder.Counterexample(a, b)
-	res.Stats.Time = time.Since(start)
+	res.Stats.SATTime = time.Since(start)
 	res.Stats.BDDChecks++
 	switch {
 	case err != nil:
@@ -56,7 +56,7 @@ func (e *BDD) Prove(ctx context.Context, a, b network.NodeID, _ Budget) Result {
 		res.Cex = cex
 	}
 	e.tr.Emit(obs.Event{Kind: obs.KindProveVerdict, Engine: "bdd",
-		A: int32(a), B: int32(b), Verdict: int8(res.Verdict), Dur: res.Stats.Time})
+		A: int32(a), B: int32(b), Verdict: int8(res.Verdict), Dur: res.Stats.SATTime})
 	return res
 }
 

@@ -45,7 +45,7 @@ type Portfolio struct {
 	policy Policy
 	tr     obs.Tracer
 
-	sim    *Sim         // nil when disabled
+	sim    *Sim // nil when disabled
 	sat    *SAT
 	word   *Word        // word-level stage; nil when disabled
 	bdd    *BDD         // built lazily on first fallback

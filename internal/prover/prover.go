@@ -54,10 +54,11 @@ func (b Budget) scale(factor int64) Budget {
 	return Budget{Conflicts: b.Conflicts * factor, Propagations: b.Propagations * factor}
 }
 
-// Stats accounts the work one or more Prove calls performed. The scheduler
-// sums these into its sweep Result. Conflicts and Propagations surface the
-// SAT solver's own work counters per call, so budget spend is attributable
-// per obligation and per escalation rung.
+// Stats accounts the work one or more Prove calls performed. It is the one
+// definition of engine work: the sweep Result embeds it and sums every
+// obligation's Stats into it. Conflicts and Propagations surface the SAT
+// solver's own work counters per call, so budget spend is attributable per
+// obligation and per escalation rung.
 type Stats struct {
 	SATCalls     int           // SAT solver invocations
 	BDDChecks    int           // BDD equivalence queries
@@ -68,7 +69,7 @@ type Stats struct {
 	BDDBlowups   int           // BDD node-table blow-ups
 	Conflicts    int64         // SAT conflicts spent
 	Propagations int64         // SAT unit propagations spent
-	Time         time.Duration // cumulative engine wall time
+	SATTime      time.Duration // engine prove wall time, every engine
 
 	// Verification-memory accounting (zero unless a Prober is attached).
 	CacheProbes     int // cache lookups performed
@@ -88,7 +89,7 @@ func (s *Stats) Add(o Stats) {
 	s.BDDBlowups += o.BDDBlowups
 	s.Conflicts += o.Conflicts
 	s.Propagations += o.Propagations
-	s.Time += o.Time
+	s.SATTime += o.SATTime
 	s.CacheProbes += o.CacheProbes
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses

@@ -67,7 +67,7 @@ func (e *SAT) Prove(ctx context.Context, a, b network.NodeID, budget Budget) Res
 	before := e.solver.Stats
 	start := time.Now()
 	status := e.solver.Solve(x)
-	res.Stats.Time = time.Since(start)
+	res.Stats.SATTime = time.Since(start)
 	res.Stats.SATCalls++
 	res.Stats.Conflicts = e.solver.Stats.Conflicts - before.Conflicts
 	res.Stats.Propagations = e.solver.Stats.Propagations - before.Propagations
@@ -87,7 +87,7 @@ func (e *SAT) emitVerdict(a, b network.NodeID, res Result) {
 	e.tr.Emit(obs.Event{Kind: obs.KindProveVerdict, Engine: "sat",
 		A: int32(a), B: int32(b), Verdict: int8(res.Verdict),
 		Conflicts: res.Stats.Conflicts, Props: res.Stats.Propagations,
-		Dur: res.Stats.Time})
+		Dur: res.Stats.SATTime})
 }
 
 // Learn implements Engine: the equality is asserted as two clauses, making

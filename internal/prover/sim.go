@@ -77,10 +77,10 @@ func (e *Sim) Prove(ctx context.Context, a, b network.NodeID, _ Budget) Result {
 		A: int32(a), B: int32(b)})
 	start := time.Now()
 	res.Verdict, res.Cex = e.enumerate(a, b, support)
-	res.Stats.Time = time.Since(start)
+	res.Stats.SATTime = time.Since(start)
 	res.Stats.SimChecks++
 	e.tr.Emit(obs.Event{Kind: obs.KindProveVerdict, Engine: "sim",
-		A: int32(a), B: int32(b), Verdict: int8(res.Verdict), Dur: res.Stats.Time})
+		A: int32(a), B: int32(b), Verdict: int8(res.Verdict), Dur: res.Stats.SATTime})
 	return res
 }
 

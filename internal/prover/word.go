@@ -200,9 +200,9 @@ func (e *Word) Prepare(ctx context.Context, a, b network.NodeID, budget Budget) 
 			for i, pi := range e.net.PIs() {
 				cex[i] = (e.plan.Sig(pi)[m>>6]>>uint(m&63))&1 == 1
 			}
-			agg.Time = time.Since(start)
+			agg.SATTime = time.Since(start)
 			e.tr.Emit(obs.Event{Kind: obs.KindProveVerdict, Engine: "word",
-				A: int32(a), B: int32(b), Verdict: int8(Differ), Dur: agg.Time})
+				A: int32(a), B: int32(b), Verdict: int8(Differ), Dur: agg.SATTime})
 			return Result{Verdict: Differ, Cex: cex, Stats: agg}
 		}
 	}
@@ -241,7 +241,7 @@ func (e *Word) Prepare(ctx context.Context, a, b network.NodeID, budget Budget) 
 		e.tried[key] = true
 		r := e.sat.Prove(ctx, pr.x, pr.y, fb)
 		agg.Add(r.Stats)
-		satTime += r.Stats.Time
+		satTime += r.Stats.SATTime
 		if r.Verdict == Equal {
 			e.sat.Learn(pr.x, pr.y)
 			agg.WordFrontier++
@@ -258,7 +258,7 @@ func (e *Word) Prepare(ctx context.Context, a, b network.NodeID, budget Budget) 
 	if own < 0 {
 		own = 0
 	}
-	agg.Time += own
+	agg.SATTime += own
 	e.tr.Emit(obs.Event{Kind: obs.KindProveVerdict, Engine: "word",
 		A: int32(a), B: int32(b), Verdict: int8(Unknown), Dur: own})
 	return Result{Stats: agg}

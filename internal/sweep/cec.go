@@ -187,7 +187,7 @@ func CECContext(ctx context.Context, a, b *network.Network, opts CECOptions) (CE
 		}
 		pr := eng.Prove(ctx, p.A, p.B, sw.sched.budget)
 		res.POCalls += pr.Stats.SATCalls + pr.Stats.BDDChecks + pr.Stats.SimChecks
-		res.POTime += pr.Stats.Time
+		res.POTime += pr.Stats.SATTime
 		switch pr.Verdict {
 		case prover.Equal:
 			continue

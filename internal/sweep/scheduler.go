@@ -437,21 +437,7 @@ func (s *scheduler) tryRequeue(ob obligation) (retries int, ok bool) {
 func (s *scheduler) apply(ctx context.Context, wid int32, ob obligation, pr prover.Result) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := pr.Stats
-	s.res.SATCalls += st.SATCalls
-	s.res.SATTime += st.Time
-	s.res.Escalations += st.Escalations
-	s.res.BDDChecks += st.BDDChecks
-	s.res.SimChecks += st.SimChecks
-	s.res.WordChecks += st.WordChecks
-	s.res.WordFrontier += st.WordFrontier
-	s.res.BDDBlowups += st.BDDBlowups
-	s.res.Conflicts += st.Conflicts
-	s.res.Propagations += st.Propagations
-	s.res.CacheProbes += st.CacheProbes
-	s.res.CacheHits += st.CacheHits
-	s.res.CacheMisses += st.CacheMisses
-	s.res.CacheRevalFails += st.CacheRevalFails
+	s.res.Add(pr.Stats)
 	if pr.Verdict == prover.Unknown && pr.Transient && ctx.Err() == nil {
 		// A transient (injected) engine failure is not budget exhaustion:
 		// requeue the pair for another attempt instead of resolving it.
@@ -464,7 +450,7 @@ func (s *scheduler) apply(ctx context.Context, wid int32, ob obligation, pr prov
 	}
 	s.tr.Emit(obs.Event{Kind: obs.KindResolve, Worker: wid,
 		Class: int32(ob.ci), A: int32(ob.rep), B: int32(ob.m),
-		Verdict: int8(pr.Verdict), Dur: st.Time})
+		Verdict: int8(pr.Verdict), Dur: pr.Stats.SATTime})
 	switch pr.Verdict {
 	case prover.Equal:
 		s.perturb(chaos.PointMerge, wid, int32(ob.rep), int32(ob.m), true)

@@ -33,7 +33,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"simgen/internal/chaos"
 	"simgen/internal/network"
@@ -226,41 +225,32 @@ func (o Options) policy() prover.Policy {
 	return p
 }
 
-// Result reports the work performed by a sweep.
+// Result reports the work performed by a sweep. The embedded prover.Stats
+// is the engine work of every obligation summed (SAT calls and time, the
+// other engines' checks, escalations, solver conflicts and propagations,
+// cache probes); the fields below it are the scheduler's own accounting.
 type Result struct {
-	Scheduled  int           // proof obligations claimed by workers
-	SATCalls   int           // number of SAT Solve invocations
-	SATTime    time.Duration // cumulative engine prove wall time
-	Proved     int           // pairs proven equivalent (merged)
-	Disproved  int           // pairs split by a counterexample
-	Unresolved int           // pairs abandoned after every budget and engine
-	CexVectors int           // counterexamples re-simulated
-	FinalCost  int           // Eq. (5) cost after sweeping
+	prover.Stats
 
-	Escalations  int   // escalated SAT re-checks performed
-	BDDChecks    int   // pairs referred to the BDD engine
-	BDDBlowups   int   // BDD checks abandoned on the node limit
-	SimChecks    int   // pairs settled by exhaustive simulation
-	WordChecks   int   // word-stage attempts on in-word pairs
-	WordFrontier int   // word-slice equalities proven and learned by the stage
-	Conflicts    int64 // SAT conflicts spent across all calls
-	Propagations int64 // SAT unit propagations spent across all calls
-	WorkerPanics int   // recovered worker panics (requeued or unresolved)
-	Requeued     int   // obligations returned to the queue after a panic or transient failure
-	Retried      int   // requeued obligations claimed again
-	PoolFlushes  int   // batched counterexample refinements performed
-	PoolLanes    int   // total vector lanes simulated across pool flushes
-	PoolDropped  int   // pairs dropped by flushes whose counterexample failed to split
-	Incomplete   bool  // a deadline, cancel, or MaxPairs stopped the sweep early
-	TimedOut     bool  // the early stop was a context deadline
+	Scheduled    int  // proof obligations claimed by workers
+	Proved       int  // pairs proven equivalent (merged)
+	Disproved    int  // pairs split by a counterexample
+	Unresolved   int  // pairs abandoned after every budget and engine
+	CexVectors   int  // counterexamples re-simulated
+	FinalCost    int  // Eq. (5) cost after sweeping
+	WorkerPanics int  // recovered worker panics (requeued or unresolved)
+	Requeued     int  // obligations returned to the queue after a panic or transient failure
+	Retried      int  // requeued obligations claimed again
+	PoolFlushes  int  // batched counterexample refinements performed
+	PoolLanes    int  // total vector lanes simulated across pool flushes
+	PoolDropped  int  // pairs dropped by flushes whose counterexample failed to split
+	Incomplete   bool // a deadline, cancel, or MaxPairs stopped the sweep early
+	TimedOut     bool // the early stop was a context deadline
 
-	// Verification-memory counters (always zero without Options.Cache).
-	CacheProbes     int // cache lookups (engine rung-0 probes + pre-pass)
-	CacheHits       int // lookups answered from the cache after revalidation
-	CacheMisses     int // lookups with no usable record
-	CacheRevalFails int // records rejected by revalidation and evicted
-	CacheMerged     int // pairs merged by the incremental pre-pass, never scheduled
-	CacheSkipped    int // out-of-TFO pairs left unscheduled by the pre-pass
+	// Incremental pre-pass counters (always zero without Options.Cache and
+	// Options.TFOMask); the pre-pass's own probes count in Stats.
+	CacheMerged  int // pairs merged by the incremental pre-pass, never scheduled
+	CacheSkipped int // out-of-TFO pairs left unscheduled by the pre-pass
 }
 
 func (r Result) String() string {

@@ -115,6 +115,36 @@ func TestJobMemoization(t *testing.T) {
 	}
 }
 
+// TestMemoBoundedByStore runs more distinct memoizable jobs than the store
+// retains: a memo entry lives only as long as the job that filled it, so
+// the memo never outgrows StoreCap, and a retained job's repeat is still
+// served from it.
+func TestMemoBoundedByStore(t *testing.T) {
+	const storeCap = 2
+	srv := New(Config{Workers: 1, Memo: true, StoreCap: storeCap})
+	defer srv.Drain(context.Background())
+
+	spec := JobSpec{Kind: KindSimGen, Circuit: CircuitRef{Benchmark: "alu4"}}
+	for seed := int64(1); seed <= 6; seed++ {
+		spec.Seed = seed
+		if res := waitDone(t, mustSubmit(t, srv, spec)); res.Memoized {
+			t.Fatalf("seed %d: a first execution cannot be a memo hit", seed)
+		}
+	}
+	if n := len(srv.Jobs()); n != storeCap {
+		t.Fatalf("store retains %d jobs, want %d", n, storeCap)
+	}
+	srv.memoMu.Lock()
+	entries := len(srv.memo)
+	srv.memoMu.Unlock()
+	if entries > storeCap {
+		t.Fatalf("memo holds %d entries for %d retained jobs", entries, storeCap)
+	}
+	if res := waitDone(t, mustSubmit(t, srv, spec)); !res.Memoized {
+		t.Fatal("repeat of a retained job was not served from the memo")
+	}
+}
+
 func mustSubmit(t *testing.T, srv *Server, spec JobSpec) *Job {
 	t.Helper()
 	j, err := srv.Submit(spec)

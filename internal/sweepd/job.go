@@ -40,6 +40,9 @@ type Job struct {
 	// collector aggregates the job's report, always on (it is cheap and
 	// makes GET /jobs/{id}/report unconditional).
 	collector *obs.Collector
+	// memoKey is the memo entry this job's result filled ("" for none);
+	// guarded by Server.memoMu.
+	memoKey string
 
 	done chan struct{}
 
@@ -189,26 +192,29 @@ func (s *store) nextID() string {
 	return "j" + strconv.FormatInt(s.seq.Add(1), 10)
 }
 
-// add registers the job, evicting the oldest terminal jobs over the cap.
-func (s *store) add(j *Job) {
+// add registers the job, evicting the oldest terminal jobs over the cap,
+// and returns the evicted jobs.
+func (s *store) add(j *Job) (evicted []*Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	if s.cap <= 0 || len(s.jobs) <= s.cap {
-		return
+		return nil
 	}
 	kept := s.order[:0]
 	for _, id := range s.order {
 		if len(s.jobs) > s.cap {
 			if old := s.jobs[id]; old != nil && old.Status().terminal() {
 				delete(s.jobs, id)
+				evicted = append(evicted, old)
 				continue
 			}
 		}
 		kept = append(kept, id)
 	}
 	s.order = kept
+	return evicted
 }
 
 // get looks a job up.

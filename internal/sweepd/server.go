@@ -54,6 +54,8 @@ type Config struct {
 	// whose normalized spec and circuit contents match an already-finished
 	// job returns that job's result without executing. Traced jobs and
 	// servers with a JobHook never memoize (their side channels must run).
+	// A memo entry is dropped when the store evicts the job that filled
+	// it, so StoreCap bounds the memo too.
 	Memo bool
 	// Metrics receives service and engine metrics (created when nil).
 	Metrics *obs.Metrics
@@ -80,7 +82,7 @@ type Server struct {
 	cacheOnce sync.Once
 
 	memoMu sync.Mutex
-	memo   map[string]*Result
+	memo   map[string]memoEntry
 
 	// admitMu guards queue sends against Drain's close(queue): submitters
 	// hold it shared, Drain exclusively. draining is checked under it.
@@ -129,7 +131,7 @@ func New(cfg Config) *Server {
 		loader:  NewLoader(cfg.DataDir, m),
 		store:   newStore(cfg.StoreCap),
 		queue:   make(chan *Job, cfg.QueueDepth),
-		memo:    make(map[string]*Result),
+		memo:    make(map[string]memoEntry),
 
 		mAccepted:  m.Counter("sweepd.jobs.accepted"),
 		mRejected:  m.Counter("sweepd.jobs.rejected"),
@@ -188,7 +190,9 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.mRejected.Add(1)
 		return nil, ErrQueueFull
 	}
-	s.store.add(j)
+	for _, old := range s.store.add(j) {
+		s.memoDrop(old)
+	}
 	s.mAccepted.Add(1)
 	depth := int64(len(s.queue))
 	s.gDepth.Set(depth)
@@ -314,7 +318,7 @@ func (s *Server) runJob(j *Job) {
 		errMsg = err.Error()
 	}
 	if memoOK && err == nil && res != nil && res.Verdict != "undecided" && j.Status() != StatusCanceled {
-		s.memoPut(memoKey, res)
+		s.memoPut(memoKey, j, res)
 	}
 	switch j.finish(res, errMsg) {
 	case StatusDone:
@@ -396,16 +400,37 @@ func (s *Server) circuitDigest(ref CircuitRef) ([]byte, bool) {
 	return h.Sum(nil), true
 }
 
+// memoEntry is one memoized result and the job that produced it. The entry
+// lives only as long as that job is retained by the store, so the memo is
+// bounded by StoreCap.
+type memoEntry struct {
+	res *Result
+	job *Job
+}
+
 func (s *Server) memoGet(key string) *Result {
 	s.memoMu.Lock()
 	defer s.memoMu.Unlock()
-	return s.memo[key]
+	return s.memo[key].res
 }
 
-func (s *Server) memoPut(key string, res *Result) {
+// memoPut records j's result under key. It runs before j turns terminal,
+// so the store cannot evict j before the entry exists.
+func (s *Server) memoPut(key string, j *Job, res *Result) {
 	s.memoMu.Lock()
 	defer s.memoMu.Unlock()
-	s.memo[key] = res
+	s.memo[key] = memoEntry{res: res, job: j}
+	j.memoKey = key
+}
+
+// memoDrop forgets the entry an evicted job filled, unless a later job
+// with the same key has replaced it.
+func (s *Server) memoDrop(j *Job) {
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	if e, ok := s.memo[j.memoKey]; ok && e.job == j {
+		delete(s.memo, j.memoKey)
+	}
 }
 
 // JobView is the JSON shape of a job in status and list responses.

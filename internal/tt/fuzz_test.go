@@ -10,10 +10,10 @@ import (
 // the on-set of the input (Cover.Table(n).Equal(f)), and every cube is an
 // implicant of f.
 func FuzzISOP(f *testing.F) {
-	f.Add(uint8(3), []byte{0b10010110})                       // xor3
-	f.Add(uint8(2), []byte{0b1000})                           // and2
-	f.Add(uint8(0), []byte{1})                                // const 1
-	f.Add(uint8(6), []byte{0, 0, 0, 0, 0, 0, 0, 0})          // const 0 over 6 vars
+	f.Add(uint8(3), []byte{0b10010110})             // xor3
+	f.Add(uint8(2), []byte{0b1000})                 // and2
+	f.Add(uint8(0), []byte{1})                      // const 1
+	f.Add(uint8(6), []byte{0, 0, 0, 0, 0, 0, 0, 0}) // const 0 over 6 vars
 	f.Add(uint8(7), []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0xfe, 0xdc, 0xba, 0x98})
 	f.Fuzz(func(t *testing.T, nv uint8, raw []byte) {
 		nvars := int(nv) % 11 // up to 10 vars = 16 words: plenty, still fast
