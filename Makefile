@@ -72,22 +72,31 @@ cover:
 	fi; \
 	echo "cover: internal/obs coverage $$pct% (floor $(OBS_COVER_FLOOR)%)"
 
-# Deadline smoke test: sweeping the SAT-hard "square" benchmark under a
-# 100ms wall-clock budget must come back promptly with a partial result and
-# the undecided exit code (3), in both sequential and parallel mode.
+# Deadline smoke test: every engine and both CLIs, each cut by a short
+# wall-clock budget, must come back inside `timeout 5` with a partial
+# result and the undecided exit code (3): the SAT-hard "square" benchmark
+# on the sat engine at workers=1 and 4 and on the word engine, b14_C on
+# the BDD engine, and cmd/simgen's final sweep of voter.
 .PHONY: smoke
 smoke:
 	@$(GO) build -o .smoke-sweep ./cmd/sweep
-	@for workers in 1 4; do \
-		./.smoke-sweep -benchmark square -method none -timeout 100ms -workers $$workers >/dev/null; \
+	@$(GO) build -o .smoke-simgen ./cmd/simgen
+	@for run in \
+		"sweep -benchmark square -method none -timeout 100ms -workers 1" \
+		"sweep -benchmark square -method none -timeout 100ms -workers 4" \
+		"sweep -benchmark square -method none -timeout 100ms -engine word" \
+		"sweep -benchmark b14_C -method none -timeout 100ms -engine bdd" \
+		"simgen -benchmark voter -iterations 0 -engine sat -timeout 200ms"; do \
+		timeout 5 ./.smoke-$$run >/dev/null; \
 		code=$$?; \
 		if [ $$code -ne 3 ]; then \
-			echo "smoke: workers=$$workers: expected exit 3 (undecided on timeout), got $$code"; \
+			echo "smoke: $$run: expected exit 3 (undecided on timeout), got $$code"; \
+			rm -f .smoke-sweep .smoke-simgen; \
 			exit 1; \
 		fi; \
-		echo "smoke: workers=$$workers: ok (exit 3, partial result)"; \
+		echo "smoke: $$run: ok (exit 3, partial result)"; \
 	done
-	@rm -f .smoke-sweep
+	@rm -f .smoke-sweep .smoke-simgen
 
 # Fuzzing smoke: a short differential+metamorphic campaign (deterministic
 # seed, must be clean), the broken-sweeper self-test (must be caught), and

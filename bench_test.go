@@ -413,7 +413,7 @@ func BenchmarkBDDSweepVsSAT(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			net, _ := LoadBenchmark("misex3c")
 			run := core.NewRunner(net, 1, 42)
-			NewBDDSweeper(net, run.Classes, 0).Run()
+			sweep.New(net, run.Classes, sweep.Options{Engine: sweep.EngineBDD}).Run()
 		}
 	})
 	b.Run("sat", func(b *testing.B) {
@@ -583,7 +583,7 @@ func BenchmarkBDDBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		builder := bdd.NewBuilder(net)
 		for _, po := range net.POs() {
-			if _, err := builder.Node(po.Driver); err != nil {
+			if _, err := builder.Node(context.Background(), po.Driver); err != nil {
 				b.Fatal(err)
 			}
 		}

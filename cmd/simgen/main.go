@@ -10,7 +10,8 @@
 //	simgen [flags] -benchmark apex2
 //
 // Exit codes: 0 success, 1 error, 2 usage error, 3 the -timeout deadline
-// cut the run short (partial per-iteration results are still printed).
+// cut generation or the final sweep short (partial results are still
+// printed).
 package main
 
 import (
@@ -27,7 +28,7 @@ import (
 func main() {
 	var (
 		benchmark  = flag.String("benchmark", "", "run a named built-in benchmark instead of a BLIF file")
-		method     = flag.String("method", "simgen", "vector source: simgen|ai+dc|ai+rd|si+rd|revs|rands")
+		method     = flag.String("method", "simgen", "vector source: simgen|ai+dc+mffc|ai+dc|ai+rd|si+rd|revs|rands")
 		iterations = flag.Int("iterations", 20, "maximum guided iterations (generation stops earlier once the cost is flat for 3)")
 		batch      = flag.Int("batch", 1, "vectors per iteration")
 		randRounds = flag.Int("random-rounds", 1, "initial random rounds (64 vectors each)")
@@ -99,6 +100,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simgen: -timeout must be positive, got %v\n", *timeout)
 		exit(2)
 	}
+	// The method and the final sweep's engine are checked before any
+	// generation runs.
+	var engineKind simgen.EngineKind
+	err = simgen.CheckMethod(*method)
+	if *method == "none" {
+		err = fmt.Errorf("-method none generates nothing")
+	}
+	if err == nil && *engine != "none" {
+		engineKind, err = simgen.ParseSweepEngine(*engine)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "simgen: %v\n", err)
+		exit(2)
+	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -148,11 +163,7 @@ func main() {
 		exit(0)
 	}
 
-	src, err := makeSource(net, *method, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "simgen: %v\n", err)
-		exit(2)
-	}
+	src := simgen.NewSource(net, *method, *seed)
 	// Every batch the driver generates, including one the deadline cut
 	// short, goes to -dump-patterns and to the cache session (scored by
 	// the classes it split).
@@ -197,35 +208,25 @@ func main() {
 	}
 	fmt.Printf("final cost: %d (%s)\n", run.Classes.Cost(), src.Name())
 	flushDump()
-	if err := finalSweep(ctx, net, run, *engine, *wordStage, *adaptive, obsSetup.Tracer, sess); err != nil {
-		fmt.Fprintf(os.Stderr, "simgen: %v\n", err)
-		exit(2)
+	if *engine == "none" {
+		exit(0)
 	}
-	exit(0)
-}
 
-// finalSweep settles the refined candidate classes with the selected proof
-// engine, turning the generation run into an end-to-end sweep: the per-
-// iteration cost column above is exactly the worst-case number of proof
-// obligations this pass now discharges.
-func finalSweep(ctx context.Context, net *simgen.Network, run *simgen.Runner, engine string, wordStage, adaptive bool, tracer simgen.Tracer, sess *simgen.CacheSession) error {
-	if engine == "none" {
-		return nil
-	}
-	kind, err := simgen.ParseSweepEngine(engine)
-	if err != nil {
-		return err
-	}
-	opts := simgen.SweepOptions{Engine: kind, WordStage: wordStage, Adaptive: adaptive, Tracer: tracer}
+	// The final sweep settles the refined classes with the selected engine:
+	// the per-iteration cost column above is exactly the worst-case number
+	// of proof obligations it discharges.
+	opts := simgen.SweepOptions{Engine: engineKind, WordStage: *wordStage, Adaptive: *adaptive, Tracer: obsSetup.Tracer}
 	if sess != nil {
 		opts.Cache = sess
 	}
-	sw := simgen.NewSweeper(net, run.Classes, opts)
-	res := sw.RunContext(ctx)
-	fmt.Printf("%s sweep: %s\n", engine, res)
+	res := simgen.NewSweeper(net, run.Classes, opts).RunContext(ctx)
+	fmt.Printf("%s sweep: %s\n", *engine, res)
 	fmt.Printf("proved %d equivalences, disproved %d pairs, final cost %d\n",
 		res.Proved, res.Disproved, res.FinalCost)
-	return nil
+	if res.Incomplete {
+		exit(3)
+	}
+	exit(0)
 }
 
 // replayPatterns refines the classes with vectors from a pattern file.
@@ -277,23 +278,4 @@ func loadCircuit(benchmark string, args []string) (*simgen.Network, error) {
 	}
 	defer f.Close()
 	return simgen.ParseBLIF(f)
-}
-
-func makeSource(net *simgen.Network, method string, seed int64) (simgen.VectorSource, error) {
-	switch method {
-	case "simgen", "ai+dc+mffc":
-		return simgen.NewGenerator(net, simgen.StrategySimGen, seed), nil
-	case "ai+dc":
-		return simgen.NewGenerator(net, simgen.StrategyAIDC, seed), nil
-	case "ai+rd":
-		return simgen.NewGenerator(net, simgen.StrategyAIRD, seed), nil
-	case "si+rd":
-		return simgen.NewGenerator(net, simgen.StrategySIRD, seed), nil
-	case "revs":
-		return simgen.NewReverse(net, seed), nil
-	case "rands":
-		return simgen.NewRandom(net, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown method %q", method)
-	}
 }

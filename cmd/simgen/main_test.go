@@ -12,19 +12,55 @@ import (
 	"simgen"
 )
 
+// buildSimgen compiles the command into a temporary directory.
+func buildSimgen(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds cmd/simgen")
+	}
+	bin := filepath.Join(t.TempDir(), "simgen")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building cmd/simgen: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// exitCode runs the binary and returns its exit code and combined output.
+func exitCode(t *testing.T, bin string, args ...string) (int, string) {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode(), string(out)
+	}
+	if err != nil {
+		t.Fatalf("simgen %v: %v", args, err)
+	}
+	return 0, string(out)
+}
+
+// TestFinalSweepExitCodes checks the final sweep's two failure paths: an
+// unknown -engine is a usage error before any generation runs, and a
+// deadline that cuts the sweep short exits 3 like a cut generation run.
+func TestFinalSweepExitCodes(t *testing.T) {
+	bin := buildSimgen(t)
+	code, out := exitCode(t, bin, "-benchmark", "alu4", "-engine", "bogus", "-iterations", "3")
+	if code != 2 || strings.Contains(out, "iter ") {
+		t.Errorf("unknown engine: exit %d, want 2 before generation\n%s", code, out)
+	}
+	code, out = exitCode(t, bin, "-benchmark", "voter", "-iterations", "0", "-engine", "sat", "-timeout", "200ms")
+	if code != 3 || !strings.Contains(out, "(timed out)") {
+		t.Errorf("deadline in the final sweep: exit %d, want 3\n%s", code, out)
+	}
+}
+
 // TestDumpPatternsFailures builds the command and checks both ways
 // -dump-patterns can fail: an uncreatable path is a usage error before any
 // generation runs, and a failed write exits 1. Either way the exit path
 // still writes the -report file.
 func TestDumpPatternsFailures(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds cmd/simgen")
-	}
+	bin := buildSimgen(t)
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "simgen")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building cmd/simgen: %v\n%s", err, out)
-	}
 	// alu4 generates no vectors in 3 iterations; log2 does, so its write
 	// reaches the device.
 	cases := []struct {

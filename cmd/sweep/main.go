@@ -64,9 +64,9 @@ func main() {
 		benchmark = flag.String("benchmark", "", "sweep a named built-in benchmark")
 		cfg       config
 	)
-	flag.StringVar(&cfg.method, "method", "simgen", "guided simulation before sweeping: simgen|revs|none")
+	flag.StringVar(&cfg.method, "method", "simgen", "guided simulation before sweeping: simgen|ai+dc+mffc|ai+dc|ai+rd|si+rd|revs|rands|none")
 	flag.IntVar(&cfg.iterations, "iterations", 20, "maximum guided iterations (generation stops earlier once the cost is flat for 3)")
-	flag.IntVar(&cfg.randRounds, "random-rounds", 1, "initial random rounds")
+	flag.IntVar(&cfg.randRounds, "random-rounds", 0, "initial random rounds of 64 vectors (0 = 1 for a sweep, 2 for CEC)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed")
 	flag.Int64Var(&cfg.budget, "conflict-budget", 0, "SAT conflict budget per call (0 = unlimited)")
 	flag.Int64Var(&cfg.propBudget, "propagation-budget", 0, "SAT propagation budget per call (0 = unlimited)")
@@ -115,6 +115,10 @@ func main() {
 		exit(exitUsage)
 	} else {
 		cfg.engineKind = kind
+	}
+	if err := simgen.CheckMethod(cfg.method); err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		exit(exitUsage)
 	}
 	if cfg.workers < 0 {
 		fmt.Fprintf(os.Stderr, "sweep: -workers must be >= 0 (0 = GOMAXPROCS), got %d\n", cfg.workers)
@@ -180,6 +184,19 @@ func (c config) sweepOptions() simgen.SweepOptions {
 	}
 }
 
+// flowOptions are the options of the whole flow: Refine, then the sweep or
+// CEC.
+func (c config) flowOptions() simgen.CECOptions {
+	return simgen.CECOptions{
+		Sweep:            c.sweepOptions(),
+		RandomRounds:     c.randRounds,
+		GuidedIterations: c.iterations,
+		Method:           c.method,
+		Seed:             c.seed,
+		Workers:          c.workers,
+	}
+}
+
 func runSweep(ctx context.Context, benchmark string, args []string, cfg config) (int, error) {
 	var net *simgen.Network
 	var err error
@@ -194,14 +211,12 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 	if cfg.basePath != "" && cfg.cacheDir == "" {
 		return exitUsage, fmt.Errorf("-base requires -cache-dir")
 	}
+	opts := cfg.flowOptions()
 
 	// Persistent verification cache: proofs and clause hints feed the
 	// prover; recorded patterns replay before guided simulation so a warm
 	// run rebuilds every split the previous run discovered.
-	var (
-		store *simgen.ProofCache
-		sess  *simgen.CacheSession
-	)
+	var store *simgen.ProofCache
 	if cfg.cacheDir != "" {
 		store, err = simgen.OpenProofCache(cfg.cacheDir)
 		if err != nil {
@@ -215,22 +230,21 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 		if store.Recovered() {
 			fmt.Fprintf(os.Stderr, "sweep: cache journal was corrupt; starting cold (damaged journal kept as *.corrupt)\n")
 		}
-		sess = simgen.NewCacheSession(store, net, cfg.tracer)
+		opts.Sweep.Cache = simgen.NewCacheSession(store, net, cfg.tracer)
 	}
 
 	// Incremental mode: diff against the previous revision and restrict
 	// obligation scheduling to the transitive fanout of the changed nodes;
 	// everything outside the mask settles from the cache pre-pass.
-	var mask []bool
 	if cfg.basePath != "" {
 		baseNet, err := load(cfg.basePath)
 		if err != nil {
 			return exitFail, err
 		}
 		changed := simgen.DiffNetworks(baseNet, net)
-		mask = simgen.TFOMask(net, changed)
+		opts.Sweep.TFOMask = simgen.TFOMask(net, changed)
 		masked := 0
-		for _, in := range mask {
+		for _, in := range opts.Sweep.TFOMask {
 			if in {
 				masked++
 			}
@@ -239,95 +253,34 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 			len(changed), masked, net.NumNodes())
 	}
 
-	run := simgen.NewRunner(net, cfg.randRounds, cfg.seed)
-	run.SetTracer(cfg.tracer)
+	ref, err := simgen.Refine(ctx, net, opts)
+	if err != nil {
+		return exitFail, err
+	}
 	fmt.Printf("circuit: %s (%s)\n", net.Name, net.Stats())
-	fmt.Printf("after random simulation: cost %d\n", run.Classes.Cost())
-
-	if sess != nil {
-		if batches := sess.Replay(ctx, run); batches > 0 {
-			fmt.Printf("cache: replayed %d pattern batches: cost %d\n", batches, run.Classes.Cost())
-		}
+	fmt.Printf("after random simulation: cost %d\n", ref.InitialCost)
+	if ref.Replayed > 0 {
+		fmt.Printf("cache: replayed %d pattern batches: cost %d\n", ref.Replayed, ref.ReplayCost)
 	}
-
-	var src simgen.VectorSource
-	switch cfg.method {
-	case "simgen":
-		src = simgen.NewGenerator(net, simgen.StrategySimGen, cfg.seed+1)
-	case "revs":
-		src = simgen.NewReverse(net, cfg.seed+1)
-	case "none":
-	default:
-		return exitUsage, fmt.Errorf("unknown method %q", cfg.method)
+	if cfg.method != "none" {
+		fmt.Printf("guided: %d of %d iterations (%s)\n", len(ref.Guided), cfg.iterations, ref.Run.Stopped())
 	}
-	if src != nil {
-		if sess != nil {
-			// Record each generated batch scored by the class splits it
-			// produced, so warm runs replay the highest-value vectors
-			// first; the sweep itself only records counterexample-pool
-			// lanes, and guided vectors that split a class here would
-			// otherwise cost the next run a SAT call each.
-			run.OnIteration = func(_ simgen.IterationStat, batch [][]bool, split int) {
-				sess.RecordPatterns(batch, split)
-			}
-		}
-		stats := run.RunContext(ctx, src, cfg.iterations)
-		fmt.Printf("guided: %d of %d iterations (%s)\n", len(stats), cfg.iterations, run.Stopped())
-	}
-	fmt.Printf("after guided simulation (%s): cost %d\n", cfg.method, run.Classes.Cost())
+	fmt.Printf("after guided simulation (%s): cost %d\n", cfg.method, ref.Run.Classes.Cost())
 
+	sw := simgen.NewSweeper(net, ref.Run.Classes, opts.Sweep)
+	res := sw.RunParallelContext(ctx, cfg.workers)
+	fmt.Printf("%s sweeping: %s\n", cfg.engine, res)
+	fmt.Printf("proved %d equivalences, disproved %d pairs, final cost %d\n",
+		res.Proved, res.Disproved, res.FinalCost)
 	code := exitOK
-	var rep func(simgen.NodeID) simgen.NodeID
-	switch cfg.engine {
-	case "sat", "portfolio", "word":
-		opts := cfg.sweepOptions()
-		if sess != nil {
-			opts.Cache = sess
-			opts.TFOMask = mask
-		}
-		sw := simgen.NewSweeper(net, run.Classes, opts)
-		var res simgen.SweepResult
-		if cfg.workers > 1 {
-			res = sw.RunParallelContext(ctx, cfg.workers)
-		} else {
-			res = sw.RunContext(ctx)
-		}
-		rep = sw.Rep
-		fmt.Printf("%s sweeping: %s\n", cfg.engine, res)
-		fmt.Printf("proved %d equivalences, disproved %d pairs, final cost %d\n",
-			res.Proved, res.Disproved, res.FinalCost)
-		if res.Incomplete {
-			fmt.Printf("undecided: sweep stopped early (timed out: %v); %d candidate pairs remain\n",
-				res.TimedOut, res.FinalCost)
-			code = exitUndecided
-		}
-	case "bdd":
-		if sess != nil {
-			fmt.Fprintln(os.Stderr, "sweep: note: the standalone BDD engine does not probe the proof cache; patterns were still replayed")
-		}
-		sw := simgen.NewBDDSweeper(net, run.Classes, 0)
-		sw.SetTracer(cfg.tracer)
-		res := sw.RunContext(ctx)
-		rep = sw.Rep
-		fmt.Printf("BDD sweeping: %d checks in %v (%d BDD nodes)\n",
-			res.Checks, res.Time, res.PeakNodes)
-		fmt.Printf("proved %d equivalences, disproved %d pairs, final cost %d",
-			res.Proved, res.Disproved, res.FinalCost)
-		if res.BlownUp {
-			fmt.Printf(" (node limit hit: %d pairs unresolved)", res.Unresolved)
-		}
-		fmt.Println()
-		if res.Incomplete {
-			fmt.Printf("undecided: sweep stopped early (timed out: %v); %d candidate pairs remain\n",
-				res.TimedOut, res.FinalCost)
-			code = exitUndecided
-		}
-	default:
-		return exitUsage, fmt.Errorf("unknown engine %q", cfg.engine)
+	if res.Incomplete {
+		fmt.Printf("undecided: sweep stopped early (timed out: %v); %d candidate pairs remain\n",
+			res.TimedOut, res.FinalCost)
+		code = exitUndecided
 	}
 
 	if cfg.reduce != "" {
-		merged := simgen.ApplySweep(net, rep)
+		merged := simgen.ApplySweep(net, sw.Rep)
 		f, err := os.Create(cfg.reduce)
 		if err != nil {
 			return exitFail, err
@@ -355,13 +308,7 @@ func runCEC(ctx context.Context, pathA, pathB string, cfg config) (int, error) {
 	if err != nil {
 		return exitFail, err
 	}
-	res, err := simgen.CECContext(ctx, a, b, simgen.CECOptions{
-		Seed:             cfg.seed,
-		GuidedIterations: cfg.iterations,
-		Method:           cfg.method,
-		Workers:          cfg.workers,
-		Sweep:            cfg.sweepOptions(),
-	})
+	res, err := simgen.CECContext(ctx, a, b, cfg.flowOptions())
 	if err != nil {
 		return exitFail, err
 	}

@@ -84,7 +84,7 @@ func TestIntegrationEnginesAgree(t *testing.T) {
 	par.RunParallel(4)
 
 	netC, runC := load()
-	bdd := NewBDDSweeper(netC, runC.Classes, 0)
+	bdd := NewSweeper(netC, runC.Classes, SweepOptions{Engine: EngineBDD})
 	bdd.Run()
 
 	for id := 0; id < netA.NumNodes(); id++ {

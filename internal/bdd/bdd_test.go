@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -250,7 +251,7 @@ func TestBuilderAgainstSimulation(t *testing.T) {
 		net := randomNet(rng, 5, 15)
 		b := NewBuilder(net)
 		root := net.POs()[0].Driver
-		r, err := b.Node(root)
+		r, err := b.Node(context.Background(), root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,13 +286,7 @@ func TestBuilderEquivalence(t *testing.T) {
 	n.AddPO("r", x)
 
 	builder := NewBuilder(n)
-	if eq, err := builder.Equivalent(g, h); err != nil || !eq {
-		t.Fatalf("equivalent nodes not detected: eq=%v err=%v", eq, err)
-	}
-	if eq, err := builder.Equivalent(g, x); err != nil || eq {
-		t.Fatalf("inequivalent nodes merged: eq=%v err=%v", eq, err)
-	}
-	cex, ok, err := builder.Counterexample(g, x)
+	cex, ok, err := builder.Counterexample(context.Background(), g, x)
 	if err != nil || !ok {
 		t.Fatalf("no counterexample: %v", err)
 	}
@@ -299,8 +294,13 @@ func TestBuilderEquivalence(t *testing.T) {
 	if out[g] == out[x] {
 		t.Fatal("counterexample does not separate")
 	}
-	if _, ok, _ := builder.Counterexample(g, h); ok {
-		t.Fatal("counterexample for equivalent pair")
+	if _, ok, err := builder.Counterexample(context.Background(), g, h); err != nil || ok {
+		t.Fatalf("equivalent nodes not detected: differ=%v err=%v", ok, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := NewBuilder(n).Counterexample(ctx, g, h); err != context.Canceled {
+		t.Fatalf("cancelled build: err=%v, want context.Canceled", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package bdd
 
 import (
+	"context"
+
 	"simgen/internal/network"
 )
 
@@ -31,14 +33,19 @@ func NewBuilder(net *network.Network) *Builder {
 	return b
 }
 
-// Node returns the BDD of the node's function over the primary inputs.
-func (b *Builder) Node(id network.NodeID) (Ref, error) {
+// Node returns the BDD of the node's function over the primary inputs. It
+// polls ctx before each node it builds: a done context returns ctx.Err(),
+// keeping the finished nodes cached.
+func (b *Builder) Node(ctx context.Context, id network.NodeID) (Ref, error) {
 	if r, ok := b.cache[id]; ok {
 		return r, nil
 	}
 	for _, cid := range b.net.FaninCone(id) {
 		if _, done := b.cache[cid]; done {
 			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return False, err
 		}
 		r, err := b.build(cid)
 		if err != nil {
@@ -92,28 +99,16 @@ func (b *Builder) build(id network.NodeID) (Ref, error) {
 	return out, nil
 }
 
-// Equivalent reports whether two nodes compute the same function, by
-// canonicity a single reference comparison once both BDDs are built.
-func (b *Builder) Equivalent(x, y network.NodeID) (bool, error) {
-	rx, err := b.Node(x)
-	if err != nil {
-		return false, err
-	}
-	ry, err := b.Node(y)
-	if err != nil {
-		return false, err
-	}
-	return rx == ry, nil
-}
-
 // Counterexample returns an input assignment on which the two nodes
-// differ; ok is false when they are equivalent.
-func (b *Builder) Counterexample(x, y network.NodeID) (assign []bool, ok bool, err error) {
-	rx, err := b.Node(x)
+// differ; ok is false when they are equivalent, by canonicity a single
+// reference comparison once both BDDs are built. It stops with ctx.Err()
+// when ctx ends while the BDDs are being built.
+func (b *Builder) Counterexample(ctx context.Context, x, y network.NodeID) (assign []bool, ok bool, err error) {
+	rx, err := b.Node(ctx, x)
 	if err != nil {
 		return nil, false, err
 	}
-	ry, err := b.Node(y)
+	ry, err := b.Node(ctx, y)
 	if err != nil {
 		return nil, false, err
 	}

@@ -38,9 +38,9 @@ func TestDatapathTwinsDetectWords(t *testing.T) {
 
 // TestDatapathDifferentialClean holds the word-level engines to the same
 // exhaustive-simulation oracle as the bit-level engines on circuits where
-// word detection fires: every engine — including the standalone word engine
-// and the word-staged adaptive portfolio — must produce exactly the ground-
-// truth partition.
+// word detection fires: every engine — including the word engine and the
+// word-staged adaptive portfolio — must produce exactly the ground-truth
+// partition.
 func TestDatapathDifferentialClean(t *testing.T) {
 	perKind := 3
 	if testing.Short() {

@@ -195,7 +195,7 @@ func runEngines(net *network.Network, cfg Config) []engineRun {
 		panics: pres.WorkerPanics,
 	})
 
-	bdd := sweep.NewBDD(net, freshClasses(), 0)
+	bdd := sweep.New(net, freshClasses(), sweep.Options{Engine: sweep.EngineBDD})
 	bres := bdd.Run()
 	runs = append(runs, engineRun{
 		name: "bdd", rep: bdd.Rep,

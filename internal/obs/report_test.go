@@ -325,3 +325,30 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		t.Error("Format returned an empty rendering")
 	}
 }
+
+// TestReportWordEngineSATRow runs the word engine under a Collector: the
+// SAT calls behind its word stage and its miters must show up as the
+// report's sat row, one prove per call the Result counts.
+func TestReportWordEngineSATRow(t *testing.T) {
+	b, ok := genbench.DatapathByName("add16csel")
+	if !ok {
+		t.Fatal("unknown datapath benchmark add16csel")
+	}
+	net, err := b.LUTNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.NewCollector()
+	runner := core.NewRunner(net, 1, reportSeed)
+	res := sweep.New(net, runner.Classes, sweep.Options{Engine: sweep.EngineWord, Tracer: col}).Run()
+	if res.SATCalls == 0 || res.WordChecks == 0 {
+		t.Fatalf("calls=%d wordchecks=%d: the word engine did no SAT or word work", res.SATCalls, res.WordChecks)
+	}
+	proves := map[string]int{}
+	for _, e := range col.Report().Engines {
+		proves[e.Name] = e.Proves
+	}
+	if proves["sat"] != res.SATCalls || proves["word"] != res.WordChecks {
+		t.Errorf("report proves %v, result calls=%d wordchecks=%d", proves, res.SATCalls, res.WordChecks)
+	}
+}

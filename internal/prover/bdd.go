@@ -13,7 +13,8 @@ import (
 // BDD proves pairs on canonical decision diagrams. Equivalence queries are
 // constant-time reference comparisons once the BDDs exist, but construction
 // can blow up exponentially — the manager's node limit bounds each check,
-// so Budget is ignored and a blow-up yields Unknown.
+// so Budget is ignored and a blow-up yields Unknown, as does a context
+// that ends mid-build.
 type BDD struct {
 	builder *bdd.Builder
 	tr      obs.Tracer
@@ -39,10 +40,12 @@ func (e *BDD) Prove(ctx context.Context, a, b network.NodeID, _ Budget) Result {
 	e.tr.Emit(obs.Event{Kind: obs.KindProveStart, Engine: "bdd",
 		A: int32(a), B: int32(b)})
 	start := time.Now()
-	cex, differ, err := e.builder.Counterexample(a, b)
+	cex, differ, err := e.builder.Counterexample(ctx, a, b)
 	res.Stats.SATTime = time.Since(start)
 	res.Stats.BDDChecks++
 	switch {
+	case err != nil && ctx.Err() != nil:
+		// Interrupted between node builds: Unknown, not a blow-up.
 	case err != nil:
 		if !errors.Is(err, bdd.ErrNodeLimit) {
 			panic(err) // builder errors other than blow-up are bugs
@@ -64,10 +67,6 @@ func (e *BDD) Prove(ctx context.Context, a, b network.NodeID, _ Budget) Result {
 // proven-equal pair already shares one BDD node.
 func (e *BDD) Learn(a, b network.NodeID) {}
 
-// Watch implements Engine. Individual checks are bounded by the node
-// limit; the scheduler's between-check context polling suffices.
+// Watch implements Engine. Prove polls its context before every node
+// build, so there is nothing to arm.
 func (e *BDD) Watch(ctx context.Context) (stop func()) { return func() {} }
-
-// PeakNodes reports the manager's node-table size, for results that expose
-// BDD memory pressure.
-func (e *BDD) PeakNodes() int { return e.builder.M.NumNodes() }

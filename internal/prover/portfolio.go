@@ -243,12 +243,3 @@ func (p *Portfolio) Learn(a, b network.NodeID) { p.sat.Learn(a, b) }
 
 // Watch implements Engine; only the SAT stage has interruptible calls.
 func (p *Portfolio) Watch(ctx context.Context) (stop func()) { return p.sat.Watch(ctx) }
-
-// PeakNodes reports the fallback BDD manager's size (0 when the fallback
-// never ran).
-func (p *Portfolio) PeakNodes() int {
-	if p.bdd == nil {
-		return 0
-	}
-	return p.bdd.PeakNodes()
-}

@@ -122,8 +122,8 @@ func (p *WordPlan) FrontierPairs() int {
 //
 // The stage itself settles a pair only when the 256-lane signatures differ
 // (an exact counterexample); otherwise it returns Unknown after seeding the
-// solver and the ladder's SAT rung finishes the miter. As a standalone
-// engine (Prove) it runs the final miter itself.
+// solver and the ladder's SAT rung finishes the miter. It is not an Engine:
+// it runs only as a stage of the Portfolio (EnableWord).
 type Word struct {
 	// Hook, when set, is consulted per Prepare call; FaultWordAssumeEqual
 	// makes the stage report the pair equal without proving anything —
@@ -154,11 +154,8 @@ func NewWord(net *network.Network, plan *WordPlan, s *SAT) *Word {
 	}
 }
 
-// Name implements Engine.
-func (e *Word) Name() string { return "word" }
-
-// SetTracer implements Engine. The inner SAT engine's tracer is managed by
-// whoever owns it (the portfolio, or NewWordEngine for standalone use).
+// SetTracer directs the stage's own events to t; the shared SAT engine's
+// tracer belongs to the portfolio that owns it.
 func (e *Word) SetTracer(t obs.Tracer) { e.tr = obs.OrNop(t) }
 
 // applies reports whether the stage has anything to say about the pair.
@@ -263,27 +260,3 @@ func (e *Word) Prepare(ctx context.Context, a, b network.NodeID, budget Budget) 
 		A: int32(a), B: int32(b), Verdict: int8(Unknown), Dur: own})
 	return Result{Stats: agg}
 }
-
-// Prove implements Engine for standalone use (-engine word): the word
-// stage followed by the SAT miter on the pair itself. Pairs outside any
-// detected word go straight to SAT.
-func (e *Word) Prove(ctx context.Context, a, b network.NodeID, budget Budget) Result {
-	r := e.Prepare(ctx, a, b, budget)
-	if r.Verdict != Unknown {
-		return r
-	}
-	if ctx.Err() != nil {
-		return r
-	}
-	agg := r.Stats
-	r = e.sat.Prove(ctx, a, b, budget)
-	agg.Add(r.Stats)
-	r.Stats = agg
-	return r
-}
-
-// Learn implements Engine by teaching the shared SAT stage.
-func (e *Word) Learn(a, b network.NodeID) { e.sat.Learn(a, b) }
-
-// Watch implements Engine; the inner SAT calls are the interruptible part.
-func (e *Word) Watch(ctx context.Context) (stop func()) { return e.sat.Watch(ctx) }

@@ -96,15 +96,16 @@ func TestWordPlanSignaturesExact(t *testing.T) {
 	}
 }
 
-// TestWordEngineTwinAdder cross-checks the standalone word engine against
-// exhaustive reference simulation on the twin adder: cross-implementation
-// sum pairs prove Equal, mismatched pairs refute with a valid
-// counterexample, and the first wide obligation proves and learns frontier
-// anchors below it.
+// TestWordEngineTwinAdder cross-checks a portfolio with the word stage
+// against exhaustive reference simulation on the twin adder:
+// cross-implementation sum pairs prove Equal, mismatched pairs refute with
+// a valid counterexample, and the first wide obligation proves and learns
+// frontier anchors below it.
 func TestWordEngineTwinAdder(t *testing.T) {
 	ta, plan := newTwinAdderPlan(t, 4)
 	ctx := context.Background()
-	w := NewWord(ta.net, plan, NewSAT(ta.net))
+	w := NewPortfolio(ta.net, Policy{}, nil)
+	w.EnableWord(plan)
 
 	top := len(ta.s1) - 1
 	r := w.Prove(ctx, ta.s1[top], ta.s2[top], Budget{})

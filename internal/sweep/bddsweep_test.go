@@ -20,10 +20,10 @@ func TestBDDSweepAgreesWithSAT(t *testing.T) {
 
 	net2, equiv2, impostor2 := buildRedundant()
 	runnerB := core.NewRunner(net2, 1, 5)
-	bddSw := NewBDD(net2, runnerB.Classes, 0)
+	bddSw := New(net2, runnerB.Classes, Options{Engine: EngineBDD})
 	res := bddSw.Run()
 
-	if res.Checks == 0 {
+	if res.BDDChecks == 0 {
 		t.Fatal("BDD sweep did no work")
 	}
 	r0 := bddSw.Rep(equiv2[0])
@@ -50,7 +50,7 @@ func TestBDDSweepOnBenchmark(t *testing.T) {
 	}
 	runner := core.NewRunner(net, 1, 42)
 	costBefore := runner.Classes.Cost()
-	sw := NewBDD(net, runner.Classes, 0)
+	sw := New(net, runner.Classes, Options{Engine: EngineBDD})
 	res := sw.Run()
 	if res.FinalCost > costBefore {
 		t.Fatal("cost increased")
@@ -58,8 +58,9 @@ func TestBDDSweepOnBenchmark(t *testing.T) {
 	if res.Proved+res.Disproved == 0 {
 		t.Fatal("no verdicts on a benchmark with candidate classes")
 	}
-	if res.PeakNodes == 0 {
-		t.Fatal("peak nodes not recorded")
+	if res.BDDChecks != res.Scheduled || res.SATCalls != 0 {
+		t.Fatalf("bddchecks=%d calls=%d for %d obligations, want one BDD check each",
+			res.BDDChecks, res.SATCalls, res.Scheduled)
 	}
 }
 
@@ -72,13 +73,13 @@ func TestBDDSweepBlowUpIsGraceful(t *testing.T) {
 		t.Fatal(err)
 	}
 	runner := core.NewRunner(net, 1, 42)
-	sw := NewBDD(net, runner.Classes, 2000)
+	sw := New(net, runner.Classes, Options{Engine: EngineBDD, BDDNodeLimit: 2000})
 	res := sw.Run()
-	if !res.BlownUp {
+	if res.BDDBlowups == 0 {
 		t.Skip("square did not blow a 2000-node budget (unexpectedly small classes)")
 	}
-	if res.Unresolved == 0 {
-		t.Fatal("blow-up without unresolved pairs")
+	if res.Unresolved != res.BDDBlowups {
+		t.Fatalf("%d blow-ups left %d pairs unresolved, want one each", res.BDDBlowups, res.Unresolved)
 	}
 	// Whatever was proved must be genuinely equivalent (spot check by
 	// simulation over random vectors).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"simgen/internal/core"
 	"simgen/internal/network"
 	"simgen/internal/prover"
 	"simgen/internal/sim"
@@ -98,20 +97,20 @@ type CECResult struct {
 	POTime   time.Duration
 }
 
-// CECOptions configures an equivalence check.
+// CECOptions configures the paper's flow: Refine's simulation half, then
+// the Sweep, and for CEC the per-output checks.
 type CECOptions struct {
 	Sweep Options
 	// RandomRounds is the number of 64-vector random simulation rounds
-	// seeding the classes.
+	// seeding the classes; below 1 means 1 for Refine and 2 for CEC.
 	RandomRounds int
 	// GuidedIterations, when > 0, is the most guided iterations run
 	// before sweeping; the guided driver stops earlier once the cost has
 	// been flat for 3 (core.Runner.RunContext).
 	GuidedIterations int
-	// Method selects the guided vector source: "simgen" (the default),
-	// "revs" (reverse simulation), or "none" (skip guided refinement even
-	// when GuidedIterations is set). Job-scoped callers (cmd/sweep -method,
-	// sweepd CEC jobs) plumb their per-run choice through here.
+	// Method names the guided vector source in core's method table
+	// (core.NewSource): "simgen" (the default when empty), "revs", "none"
+	// and the other Table 1 strategies.
 	Method string
 	// Seed drives all randomized steps.
 	Seed int64
@@ -139,28 +138,15 @@ func CECContext(ctx context.Context, a, b *network.Network, opts CECOptions) (CE
 	if opts.RandomRounds < 1 {
 		opts.RandomRounds = 2
 	}
-	runner := core.NewRunner(m, opts.RandomRounds, opts.Seed)
-	runner.SetTracer(opts.Sweep.Tracer)
-	if opts.GuidedIterations > 0 {
-		var src core.VectorSource
-		switch opts.Method {
-		case "", "simgen":
-			src = core.NewGenerator(m, core.StrategySimGen, opts.Seed+1)
-		case "revs":
-			src = core.NewReverse(m, opts.Seed+1)
-		case "none":
-		default:
-			return CECResult{}, fmt.Errorf("sweep: unknown CEC method %q (want simgen|revs|none)", opts.Method)
-		}
-		if src != nil {
-			runner.RunContext(ctx, src, opts.GuidedIterations)
-		}
+	ref, err := Refine(ctx, m, opts)
+	if err != nil {
+		return CECResult{}, err
 	}
 
 	// The sweeper reuses the runner's compiled simulator for its
 	// counterexample pool; sequential and parallel sweeps are the same
 	// scheduler at different worker counts.
-	sw := newSweeper(m, runner.Classes, opts.Sweep, runner.Simulator())
+	sw := newSweeper(m, ref.Run.Classes, opts.Sweep, ref.Run.Simulator())
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1

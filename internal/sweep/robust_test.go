@@ -189,7 +189,7 @@ func TestCancelledContextReturnsPartialEverywhere(t *testing.T) {
 	})
 	t.Run("bdd", func(t *testing.T) {
 		net, run := benchClasses(t, "apex2", 1)
-		res := NewBDD(net, run.Classes, 0).RunContext(ctx)
+		res := New(net, run.Classes, Options{Engine: EngineBDD}).RunContext(ctx)
 		if !res.Incomplete {
 			t.Fatal("cancelled BDD sweep not marked incomplete")
 		}
@@ -240,6 +240,22 @@ func TestDeadlineReturnsPartialResultPromptly(t *testing.T) {
 				t.Fatalf("suspiciously complete result under a 100ms deadline: %s", res)
 			}
 		})
+	}
+}
+
+// TestBDDDeadline checks that a deadline interrupts BDD construction:
+// b14_C's BDD sweep takes seconds unconstrained.
+func TestBDDDeadline(t *testing.T) {
+	net, runner := benchClasses(t, "b14_C", 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res := New(net, runner.Classes, Options{Engine: EngineBDD, BDDNodeLimit: 1 << 20}).RunContext(ctx)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("deadline overrun: BDD sweep returned after %v", elapsed)
+	}
+	if !res.TimedOut || !res.Incomplete {
+		t.Fatalf("partial result not flagged: %s", res)
 	}
 }
 

@@ -4,24 +4,27 @@
 // merged (and taught back to the engines), counterexamples are simulated to
 // split the remaining classes.
 //
-// The package is built around one proof-obligation scheduler (scheduler.go)
-// consuming a queue of (class, pair) obligations with N workers, one shared
+// The flow has one owner per half. Refine runs the simulation half —
+// random rounds, the proof cache's pattern replay, then the guided method
+// named in core's method table — and every front end (cmd/sweep, sweepd,
+// CEC) calls it with the same CECOptions. New builds the sweeping half for
+// every engine kind (SAT, BDD, portfolio, and the SAT portfolio with the
+// word stage): one proof-obligation scheduler (scheduler.go) consuming a
+// queue of (class, pair) obligations with N workers, one shared
 // union-find, and one counterexample pool — sequential sweeping is
-// workers=1, the BDD sweeper is the same scheduler instantiated with the
-// BDD engine, and CEC rides the scheduler too. The engines themselves
-// (SAT miter, BDD, exhaustive simulation, and the escalating portfolio
-// combining them) live in internal/prover.
-//
-// The package also provides combinational equivalence checking (CEC) of two
-// networks on top of the sweeping scheduler.
+// workers=1, and CEC rides the scheduler too before its per-output checks.
+// The engines themselves (SAT miter, BDD, exhaustive simulation, the word
+// stage, and the escalating portfolio combining them) live in
+// internal/prover.
 //
 // # Budgets, deadlines, and degradation
 //
-// Every run mode accepts a context (RunContext, RunParallelContext,
-// CECContext): cancellation or a deadline interrupts the engines mid-call
-// and yields a partial Result with Incomplete/TimedOut set instead of
-// hanging. Pairs whose SAT call exhausts its conflict/propagation budget
-// are not dropped immediately: the portfolio climbs an escalation ladder
+// Every run mode accepts a context (Refine, RunContext,
+// RunParallelContext, CECContext): cancellation or a deadline interrupts
+// the engines mid-call and yields a partial Result with Incomplete/TimedOut
+// set instead of hanging. Pairs whose SAT call exhausts its
+// conflict/propagation budget are not dropped immediately: the portfolio
+// climbs an escalation ladder
 // (EscalationFactor× larger budgets for MaxEscalations rungs) and, when the
 // final rung fails too, falls back to the BDD engine under its own
 // node-count limit before declaring the pair Unresolved — the hybrid-engine
@@ -35,6 +38,7 @@ import (
 	"strings"
 
 	"simgen/internal/chaos"
+	"simgen/internal/core"
 	"simgen/internal/network"
 	"simgen/internal/obs"
 	"simgen/internal/prover"
@@ -83,10 +87,11 @@ const (
 	// proofs for small-support pairs (Options.SimPIs), then the SAT ladder,
 	// then the BDD fallback (forced on).
 	EnginePortfolio
-	// EngineWord runs the word-level hybrid: structure detection over the
-	// LUT network, bottom-up frontier proving of word-slice equalities
-	// learned into the shared solver, then the SAT miter. Pairs outside
-	// any detected word go straight to SAT.
+	// EngineWord is EngineSAT with the word stage (Options.WordStage)
+	// forced on: structure detection over the LUT network, then bottom-up
+	// frontier proving of word-slice equalities learned into the shared
+	// solver before the SAT ladder. Pairs outside any detected word go
+	// straight to the ladder.
 	EngineWord
 )
 
@@ -202,6 +207,10 @@ type Cache interface {
 	// RecordPatterns stores simulation vectors with their measured
 	// split-power score for recycled seeding in later runs.
 	RecordPatterns(vecs [][]bool, score int)
+	// Replay refines the runner's classes with the stored patterns and
+	// returns the number of batches replayed (Refine calls it before
+	// guided generation).
+	Replay(ctx context.Context, run *core.Runner) int
 }
 
 // policy translates the options into the portfolio's degradation schedule.
@@ -269,6 +278,9 @@ func (r Result) String() string {
 	if r.BDDChecks > 0 {
 		fmt.Fprintf(&b, " bddchecks=%d", r.BDDChecks)
 	}
+	if r.BDDBlowups > 0 {
+		fmt.Fprintf(&b, " bddblowups=%d", r.BDDBlowups)
+	}
 	if r.WorkerPanics > 0 {
 		fmt.Fprintf(&b, " panics=%d", r.WorkerPanics)
 	}
@@ -299,6 +311,57 @@ func (r Result) String() string {
 	return b.String()
 }
 
+// Refinement is the simulation half of the flow, as Refine leaves it: the
+// runner holding the refined classes, the Eq. (5) cost after the random
+// rounds and after the Replayed cache pattern batches, and the guided
+// iterations that completed (nil for method "none" or no iterations).
+type Refinement struct {
+	Run         *core.Runner
+	InitialCost int
+	Replayed    int
+	ReplayCost  int
+	Guided      []core.IterationStat
+}
+
+// Refine runs the simulation half of the paper's flow (Fig. 2) on net:
+// RandomRounds random rounds seed the classes, the patterns of
+// opts.Sweep.Cache (when set) replay, then the Method's source (empty
+// means "simgen"), seeded with Seed+1, refines the classes for at most
+// GuidedIterations iterations, each batch recorded back into the cache.
+// New(net, ref.Run.Classes, opts.Sweep) sweeps what is left.
+func Refine(ctx context.Context, net *network.Network, opts CECOptions) (Refinement, error) {
+	method := opts.Method
+	if method == "" {
+		method = "simgen"
+	}
+	if err := core.CheckMethod(method); err != nil {
+		return Refinement{}, fmt.Errorf("sweep: %w", err)
+	}
+	run := core.NewRunner(net, opts.RandomRounds, opts.Seed)
+	run.SetTracer(opts.Sweep.Tracer)
+	ref := Refinement{Run: run, InitialCost: run.Classes.Cost()}
+	cache := opts.Sweep.Cache
+	if cache != nil {
+		ref.Replayed = cache.Replay(ctx, run)
+	}
+	ref.ReplayCost = run.Classes.Cost()
+	if opts.GuidedIterations <= 0 {
+		return ref, nil
+	}
+	if src := core.NewSource(net, method, opts.Seed+1); src != nil {
+		if cache != nil {
+			// Score each batch by the class splits it produced, so warm
+			// runs replay the strongest vectors first; the sweep records
+			// only counterexample-pool lanes.
+			run.OnIteration = func(_ core.IterationStat, batch [][]bool, split int) {
+				cache.RecordPatterns(batch, split)
+			}
+		}
+		ref.Guided = run.RunContext(ctx, src, opts.GuidedIterations)
+	}
+	return ref, nil
+}
+
 // pair is a candidate equivalence awaiting (re-)verification.
 type pair struct {
 	rep, m network.NodeID
@@ -326,23 +389,6 @@ func newSweeper(net *network.Network, classes *sim.Classes, opts Options, simula
 	switch opts.Engine {
 	case EngineBDD:
 		factory = func() prover.Engine { return prover.NewBDD(net, opts.BDDNodeLimit) }
-	case EngineWord:
-		// Detection and signature analysis run once here (the network's
-		// lazy cover cache is not yet shared across workers) and the
-		// immutable plan is shared by every worker's engine.
-		plan := prover.NewWordPlan(net, word.Detect(net))
-		emitWordDetect(opts.Tracer, plan)
-		var hook prover.FaultHook
-		if opts.FaultHook != nil {
-			hook = opts.FaultHook
-		}
-		factory = func() prover.Engine {
-			s := prover.NewSAT(net)
-			s.Hook = hook
-			w := prover.NewWord(net, plan, s)
-			w.Hook = hook
-			return w
-		}
 	default:
 		policy := opts.policy()
 		var hook prover.FaultHook
@@ -350,7 +396,11 @@ func newSweeper(net *network.Network, classes *sim.Classes, opts Options, simula
 			hook = opts.FaultHook
 		}
 		var plan *prover.WordPlan
-		if opts.WordStage {
+		if opts.WordStage || opts.Engine == EngineWord {
+			// Detection and signature analysis run once here (the
+			// network's lazy cover cache is not yet shared across
+			// workers) and the immutable plan is shared by every worker's
+			// engine.
 			plan = prover.NewWordPlan(net, word.Detect(net))
 			emitWordDetect(opts.Tracer, plan)
 		}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"simgen/internal/core"
-	"simgen/internal/network"
 	"simgen/internal/pcache"
 	"simgen/internal/sweep"
 )
@@ -14,10 +12,10 @@ import (
 // Execute runs one job spec to completion under ctx and returns its
 // Result. opts are the job-scoped sweep options (normally
 // spec.sweepOptions() with the job's tracer attached, possibly adjusted by
-// a Config.JobHook). The pipeline is exactly cmd/sweep's: random rounds
-// seed the classes, the guided source refines them, the obligation
-// scheduler sweeps — so a workers=1 deterministic job traces byte-identical
-// to a direct CLI run on the same seed, which the e2e parity suite pins.
+// a Config.JobHook). The flow is cmd/sweep's because both call the same
+// sweep.Refine and sweep.New (or sweep.CECContext): a workers=1
+// deterministic job traces byte-identical to a direct CLI run on the same
+// seed.
 func Execute(ctx context.Context, spec JobSpec, loader *Loader, opts sweep.Options) (*Result, error) {
 	return ExecuteCached(ctx, spec, loader, opts, nil)
 }
@@ -50,65 +48,33 @@ func execute(ctx context.Context, spec JobSpec, loader *Loader, opts sweep.Optio
 	}
 }
 
-// guidedSource builds the job's vector source; nil means no guided
-// refinement.
-func guidedSource(net *network.Network, spec JobSpec) core.VectorSource {
-	if spec.Iterations <= 0 {
-		return nil
-	}
-	switch spec.Method {
-	case "revs":
-		return core.NewReverse(net, spec.Seed+1)
-	case "none":
-		return nil
-	default: // "simgen"
-		return core.NewGenerator(net, core.StrategySimGen, spec.Seed+1)
-	}
-}
-
-// executeSweep handles the sweep and simgen kinds: both run the simulation
-// front half; sweep jobs then drain the obligation scheduler.
+// executeSweep handles the sweep and simgen kinds: both run Refine, the
+// simulation half of the flow; sweep jobs then drain the obligation
+// scheduler.
 func executeSweep(ctx context.Context, spec JobSpec, loader *Loader, opts sweep.Options, cache *pcache.Store) (*Result, error) {
 	net, err := loader.Load(spec.Circuit)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Circuit: net.Stats().String()}
-
-	var sess *pcache.Session
 	if cache != nil {
-		sess = pcache.NewSession(cache, net, opts.Tracer)
+		opts.Cache = pcache.NewSession(cache, net, opts.Tracer)
 	}
-	run := core.NewRunner(net, spec.RandRounds, spec.Seed)
-	run.SetTracer(opts.Tracer)
-	res.InitialCost = run.Classes.Cost()
-	if sess != nil {
-		sess.Replay(ctx, run)
+	ref, err := sweep.Refine(ctx, net, spec.flowOptions(opts))
+	if err != nil {
+		return nil, err
 	}
-	if src := guidedSource(net, spec); src != nil {
-		if sess != nil {
-			// Record each generated batch, scored by the class splits it
-			// produced, so later jobs on the same circuit replay the
-			// strongest vectors first.
-			run.OnIteration = func(_ core.IterationStat, batch [][]bool, split int) {
-				sess.RecordPatterns(batch, split)
-			}
-		}
-		run.RunContext(ctx, src, spec.Iterations)
+	res := &Result{
+		Circuit:     net.Stats().String(),
+		InitialCost: ref.InitialCost,
+		GuidedCost:  ref.Run.Classes.Cost(),
+		FinalCost:   ref.Run.Classes.Cost(),
 	}
-	res.GuidedCost = run.Classes.Cost()
-	res.FinalCost = res.GuidedCost
-
 	if spec.Kind == KindSimGen {
 		res.Verdict = "refined"
 		return res, nil
 	}
 
-	if sess != nil {
-		opts.Cache = sess
-	}
-	sw := sweep.New(net, run.Classes, opts)
-	sr := sw.RunParallelContext(ctx, spec.Workers)
+	sr := sweep.New(net, ref.Run.Classes, opts).RunParallelContext(ctx, spec.Workers)
 	res.Sweep = &sr
 	res.FinalCost = sr.FinalCost
 	if sr.Incomplete {
@@ -128,18 +94,7 @@ func executeCEC(ctx context.Context, spec JobSpec, loader *Loader, opts sweep.Op
 	if err != nil {
 		return nil, fmt.Errorf("circuit_b: %w", err)
 	}
-	iters := spec.Iterations
-	if spec.Method == "none" {
-		iters = 0
-	}
-	cr, err := sweep.CECContext(ctx, a, b, sweep.CECOptions{
-		Sweep:            opts,
-		RandomRounds:     spec.RandRounds,
-		GuidedIterations: iters,
-		Method:           spec.Method,
-		Seed:             spec.Seed,
-		Workers:          spec.Workers,
-	})
+	cr, err := sweep.CECContext(ctx, a, b, spec.flowOptions(opts))
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"simgen/internal/core"
 	"simgen/internal/sweep"
 )
 
@@ -68,12 +69,13 @@ type JobSpec struct {
 	Circuit  CircuitRef `json:"circuit"`
 	CircuitB CircuitRef `json:"circuit_b"`
 
-	// Method selects the guided vector source: "simgen" (default), "revs",
-	// or "none".
+	// Method selects the guided vector source from core's method table:
+	// "simgen" (default, = "ai+dc+mffc"), "ai+dc", "ai+rd", "si+rd",
+	// "revs", "rands", or "none".
 	Method string `json:"method,omitempty"`
 	// Iterations is the most guided iterations a job runs (default 20;
-	// sweep/simgen jobs with Method "none" skip them regardless). The
-	// guided driver stops earlier once the cost has been flat for 3.
+	// jobs with Method "none" skip them regardless). The guided driver
+	// stops earlier once the cost has been flat for 3.
 	Iterations int `json:"iterations,omitempty"`
 	// RandRounds seeds the classes with this many 64-vector random rounds
 	// (default 1 for sweep/simgen, 2 for cec).
@@ -81,7 +83,8 @@ type JobSpec struct {
 	// Seed drives every randomized step (default 1).
 	Seed int64 `json:"seed,omitempty"`
 
-	// Engine is the proof engine: "sat" (default), "bdd", or "portfolio".
+	// Engine is the proof engine: "sat" (default), "bdd", "portfolio", or
+	// "word".
 	Engine string `json:"engine,omitempty"`
 	// Workers is the sweeping worker count inside the job (default 1;
 	// workers=1 with Deterministic gives byte-stable traces).
@@ -168,10 +171,8 @@ func (sp *JobSpec) validate() error {
 	if n := sp.Circuit.set(); n != 1 {
 		return fmt.Errorf("jobs need exactly one circuit source, got %d", n)
 	}
-	switch sp.Method {
-	case "simgen", "revs", "none":
-	default:
-		return fmt.Errorf("unknown method %q (want simgen|revs|none)", sp.Method)
+	if err := core.CheckMethod(sp.Method); err != nil {
+		return err
 	}
 	if _, err := sweep.ParseEngine(sp.Engine); err != nil {
 		return err
@@ -202,6 +203,13 @@ func (sp *JobSpec) sweepOptions() sweep.Options {
 		opts.Engine = kind
 	}
 	return opts
+}
+
+// flowOptions wraps the job-scoped sweep options in the flow the job runs
+// (sweep.Refine, then the sweep or CEC).
+func (sp *JobSpec) flowOptions(opts sweep.Options) sweep.CECOptions {
+	return sweep.CECOptions{Sweep: opts, RandomRounds: sp.RandRounds, GuidedIterations: sp.Iterations,
+		Method: sp.Method, Seed: sp.Seed, Workers: sp.Workers}
 }
 
 // timeout resolves the job's wall-clock budget against the service default

@@ -87,17 +87,14 @@ type (
 	SweepResult = sweep.Result
 	// Sweeper verifies candidate equivalences with a SAT solver.
 	Sweeper = sweep.Sweeper
-	// CECOptions configures combinational equivalence checking.
+	// CECOptions configures the flow: Refine, then sweeping or CEC.
 	CECOptions = sweep.CECOptions
 	// CECResult is a CEC verdict with an optional counterexample.
 	CECResult = sweep.CECResult
 	// Benchmark is a named synthetic circuit from the paper's suite.
 	Benchmark = genbench.Benchmark
-	// BDDSweeper verifies equivalences with binary decision diagrams, the
-	// classic pre-SAT approach, for comparison.
-	BDDSweeper = sweep.BDDSweeper
-	// BDDResult reports BDD sweeping work.
-	BDDResult = sweep.BDDResult
+	// Refinement is the simulation half of the flow as Refine leaves it.
+	Refinement = sweep.Refinement
 	// OutGoldPolicy selects how OUTgold values are distributed over class
 	// members (the paper's extension hook).
 	OutGoldPolicy = core.OutGoldPolicy
@@ -251,6 +248,22 @@ func NewGenerator(net *Network, strategy Strategy, seed int64) *Generator {
 	return core.NewGenerator(net, strategy, seed)
 }
 
+// NewSource builds a guided method's vector source by name (simgen,
+// ai+dc+mffc, ai+dc, ai+rd, si+rd, revs, rands), or nil for "none"; it
+// panics on a name CheckMethod rejects.
+func NewSource(net *Network, method string, seed int64) VectorSource {
+	return core.NewSource(net, method, seed)
+}
+
+// CheckMethod reports whether NewSource knows the method name.
+func CheckMethod(method string) error { return core.CheckMethod(method) }
+
+// Refine runs the simulation half of the flow: random rounds, cache
+// pattern replay, then the guided method; see CECOptions.
+func Refine(ctx context.Context, net *Network, opts CECOptions) (Refinement, error) {
+	return sweep.Refine(ctx, net, opts)
+}
+
 // NewReverse returns the reverse-simulation baseline (Zhang et al.).
 func NewReverse(net *Network, seed int64) VectorSource {
 	return core.NewReverse(net, seed)
@@ -346,15 +359,9 @@ func ReadAIGER(r io.Reader) (*AIG, error) { return aiger.Read(r) }
 // "aig" variant.
 func WriteAIGER(w io.Writer, g *AIG, binary bool) error { return aiger.Write(w, g, binary) }
 
-// NewBDDSweeper returns a BDD-based sweeping engine; maxNodes bounds the
-// BDD node table (0 = default).
-func NewBDDSweeper(net *Network, classes *Classes, maxNodes int) *BDDSweeper {
-	return sweep.NewBDD(net, classes, maxNodes)
-}
-
 // ApplySweep materializes proven equivalences into a reduced network whose
 // merged nodes are redirected to their representatives (fraig-style
-// reduction). rep is typically (*Sweeper).Rep or (*BDDSweeper).Rep.
+// reduction). rep is typically (*Sweeper).Rep.
 func ApplySweep(net *Network, rep func(NodeID) NodeID) *Network {
 	return sweep.Apply(net, rep)
 }

@@ -134,9 +134,9 @@ func TestFacadeBDDSweeperAndApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := NewRunner(net, 1, 42)
-	sw := NewBDDSweeper(net, run.Classes, 0)
+	sw := NewSweeper(net, run.Classes, SweepOptions{Engine: EngineBDD})
 	res := sw.Run()
-	if res.Checks == 0 {
+	if res.BDDChecks == 0 {
 		t.Fatal("no BDD checks")
 	}
 	reduced := ApplySweep(net, sw.Rep)
