@@ -195,6 +195,39 @@ func BenchmarkAblationRevS(b *testing.B) {
 	}
 }
 
+// guidedSuite is BenchmarkGuidedSuite's fixed handful of genbench circuits.
+var guidedSuite = []string{"alu4", "apex2", "cps", "pdc", "spla"}
+
+// BenchmarkGuidedSuite measures guided simulation from cold over a handful
+// of suite circuits: each op runs NewRunner, NewGenerator and 20 SimGen
+// iterations on a fresh clone of every circuit, so the ISOP covers, row
+// memos and cone caches are built inside the op, as in a suite pass.
+// implications/s is implication-engine row applications per second.
+func BenchmarkGuidedSuite(b *testing.B) {
+	var nets []*Network
+	for _, name := range guidedSuite {
+		net, err := LoadBenchmark(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nets = append(nets, net)
+	}
+	var implications int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, net := range nets {
+			b.StopTimer()
+			net = net.Clone()
+			b.StartTimer()
+			run := core.NewRunner(net, 1, 42)
+			gen := core.NewGenerator(net, core.StrategySimGen, 1)
+			run.RunContext(context.Background(), gen, 20)
+			implications += gen.GenStats().Implications
+		}
+	}
+	b.ReportMetric(float64(implications)/b.Elapsed().Seconds(), "implications/s")
+}
+
 // --- Substrate benchmarks. ---
 
 // BenchmarkSimulation64 measures bit-parallel simulation of 64 vectors

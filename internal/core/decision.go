@@ -70,8 +70,8 @@ func (m *mffcDepths) of(id network.NodeID) float64 {
 // decision strategy, skipping row indices present in tried (used by
 // backtracking). It returns the index into the node's row set.
 func (e *engine) chooseRow(id network.NodeID, strategy DecisionStrategy, depths *mffcDepths, rng *rand.Rand, tried map[int]bool) (int, bool) {
-	nd := e.net.Node(id)
-	st := nodeStateOf(e.net, e.vals, id)
+	fanins := e.fanins(id)
+	st := e.stateOf(id)
 	rs := e.rows.of(id)
 
 	cand := e.cand[:0]
@@ -96,9 +96,9 @@ func (e *engine) chooseRow(id network.NodeID, strategy DecisionStrategy, depths 
 		maxP := 0.0
 		for _, ri := range cand {
 			r := rs.rows[ri]
-			p := priorityAlpha * float64(r.cube.NumDC(len(nd.Fanins)))
+			p := priorityAlpha * float64(r.cube.NumDC(len(fanins)))
 			if strategy == DecDCMFFC {
-				p += priorityBeta * e.mffcRank(r, nd.Fanins, depths)
+				p += priorityBeta * e.mffcRank(r, fanins, depths)
 			}
 			prios = append(prios, p)
 			if p > maxP {
@@ -113,7 +113,7 @@ func (e *engine) chooseRow(id network.NodeID, strategy DecisionStrategy, depths 
 // applyRowIndex applies the idx-th row of the node's row set.
 func (e *engine) applyRowIndex(id network.NodeID, idx int) {
 	r := e.rows.of(id).rows[idx]
-	e.assign(id, e.net.Node(id).Fanins, true, r.out, r.cube.Mask, r.cube.Val)
+	e.assign(id, true, r.out, r.cube.Mask, r.cube.Val)
 }
 
 // mffcRank implements Eq. 3: the sum of MFFC depths over the row's non-DC

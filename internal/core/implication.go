@@ -30,9 +30,15 @@ func (s ImplicationStrategy) String() string {
 // engine is the shared propagation machinery of SimGen and the reverse
 // simulation baseline.
 type engine struct {
-	net  *network.Network
 	rows *rowCache
 	vals *assignment
+
+	// kind and the fanin lists are flat copies of the network taken at
+	// construction; the fanins of id are fin[finOff[id]:finOff[id+1]].
+	// The network must not change under the engine.
+	kind   []network.Kind
+	finOff []int32
+	fin    []network.NodeID
 
 	queue  []network.NodeID
 	queued []bool
@@ -47,12 +53,27 @@ type engine struct {
 }
 
 func newEngine(net *network.Network) *engine {
-	return &engine{
-		net:    net,
+	n := net.NumNodes()
+	e := &engine{
 		rows:   newRowCache(net),
-		vals:   newAssignment(net.NumNodes()),
-		queued: make([]bool, net.NumNodes()),
+		vals:   newAssignment(net),
+		queued: make([]bool, n),
+		kind:   make([]network.Kind, n),
+		finOff: make([]int32, n+1),
 	}
+	e.fin = make([]network.NodeID, 0, len(e.vals.fo))
+	for id := range n {
+		nd := net.Node(network.NodeID(id))
+		e.kind[id] = nd.Kind
+		e.fin = append(e.fin, nd.Fanins...)
+		e.finOff[id+1] = int32(len(e.fin))
+	}
+	return e
+}
+
+// fanins returns the node's fanin list.
+func (e *engine) fanins(id network.NodeID) []network.NodeID {
+	return e.fin[e.finOff[id]:e.finOff[id+1]]
 }
 
 func (e *engine) enqueue(id network.NodeID) {
@@ -68,8 +89,8 @@ func (e *engine) enqueue(id network.NodeID) {
 func (e *engine) assignAndWake(id network.NodeID, v bool) {
 	e.vals.set(id, v)
 	e.enqueue(id)
-	for _, fo := range e.net.Fanouts(id) {
-		e.enqueue(fo)
+	for _, r := range e.vals.fanouts(id) {
+		e.enqueue(r.node)
 	}
 }
 
@@ -83,8 +104,7 @@ func (e *engine) propagate(strategy ImplicationStrategy) bool {
 		e.queue = e.queue[:len(e.queue)-1]
 		e.queued[id] = false
 
-		nd := e.net.Node(id)
-		if nd.Kind == network.KindPI {
+		if e.kind[id] == network.KindPI {
 			continue
 		}
 		x := e.entry(id)
@@ -94,10 +114,15 @@ func (e *engine) propagate(strategy ImplicationStrategy) bool {
 		}
 		// A single consistent row forces its values (simple implication);
 		// advanced implication (Definition 4.1) also propagates the values
-		// on which several consistent rows agree.
+		// on which several consistent rows agree. The entry's mask holds
+		// only free inputs, so an entry that sets neither an input nor a
+		// free output needs no assign.
 		if x.has(entSingle) || strategy == ImplAdvanced {
 			e.implications++
-			e.assign(id, nd.Fanins, x.has(entOutAgree), x.has(entOutVal), uint32(x.mask), uint32(x.val))
+			outKnown := x.has(entOutAgree) && !e.vals.assigned(id)
+			if x.mask != 0 || outKnown {
+				e.assign(id, outKnown, x.has(entOutVal), uint32(x.mask), uint32(x.val))
+			}
 		}
 	}
 	return true
@@ -106,10 +131,11 @@ func (e *engine) propagate(strategy ImplicationStrategy) bool {
 // assign sets the node's output to out when outKnown and the output is
 // free, then, in fanin order, every free fanin position of mask to its bit
 // of val. A duplicate fanin set by an earlier position is skipped.
-func (e *engine) assign(id network.NodeID, fanins []network.NodeID, outKnown, out bool, mask, val uint32) {
+func (e *engine) assign(id network.NodeID, outKnown, out bool, mask, val uint32) {
 	if outKnown && !e.vals.assigned(id) {
 		e.assignAndWake(id, out)
 	}
+	fanins := e.fanins(id)
 	for ; mask != 0; mask &= mask - 1 {
 		i := bits.TrailingZeros32(mask)
 		if f := fanins[i]; !e.vals.assigned(f) {

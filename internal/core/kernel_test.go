@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"simgen/internal/genbench"
 	"simgen/internal/network"
+	"simgen/internal/sim"
 	"simgen/internal/tt"
 )
 
@@ -107,6 +109,52 @@ func refPropagate(rows []row, in []value, out *value, strategy ImplicationStrate
 	}
 }
 
+// refPropagateTied is refPropagate for a LUT whose fanin list may repeat a
+// node: positions naming one node hold one value, so after each fixpoint a
+// position the reference left free takes the value of an assigned twin,
+// and twins holding different values are a conflict.
+func refPropagateTied(rows []row, fanins []network.NodeID, in []value, out *value, strategy ImplicationStrategy) bool {
+	for {
+		if !refPropagate(rows, in, out, strategy) {
+			return false
+		}
+		changed := false
+		for i, f := range fanins {
+			j := slices.Index(fanins, f)
+			if in[i] == in[j] {
+				continue
+			}
+			if in[i] != unassigned && in[j] != unassigned {
+				return false
+			}
+			in[i], in[j] = max(in[i], in[j]), max(in[i], in[j])
+			changed = true
+		}
+		if !changed {
+			return true
+		}
+	}
+}
+
+// checkState recomputes every node's ternary state index from the node
+// values and the network's fanin lists and compares it with the one the
+// engine's assignment keeps.
+func checkState(t *testing.T, net *network.Network, e *engine) {
+	t.Helper()
+	for id := range e.vals.state {
+		fanins := net.Node(network.NodeID(id)).Fanins
+		want := int32(0)
+		if len(fanins) <= memoArity {
+			for i := len(fanins) - 1; i >= 0; i-- {
+				want = want*3 + int32(e.vals.vals[fanins[i]]+1)
+			}
+		}
+		if got := e.vals.state[id]; got != want {
+			t.Fatalf("node %d: state index %d, recomputed %d", id, got, want)
+		}
+	}
+}
+
 func entryAsRef(x implEntry) refEntry {
 	return refEntry{
 		conflict:  x.has(entConflict),
@@ -131,12 +179,18 @@ func singleLUT(fn tt.Table) (*network.Network, network.NodeID) {
 	return n, id
 }
 
-// setState assigns the fanins and output of the single LUT from the base-3
-// digits of s (digit 0 unassigned, 1 for 0, 2 for 1; the output last).
+// setState assigns the distinct fanins and the output of a LUT from the
+// base-3 digits of s (digit 0 unassigned, 1 for 0, 2 for 1; the output
+// last) and sets in to each fanin position's value.
 func setState(e *engine, id network.NodeID, s int, in []value) value {
 	e.vals.reset()
 	e.clearQueue()
-	for i, f := range e.net.Node(id).Fanins {
+	fanins := e.fanins(id)
+	for i, f := range fanins {
+		if j := slices.Index(fanins, f); j < i {
+			in[i] = in[j]
+			continue
+		}
 		in[i] = value(s%3) - 1
 		s /= 3
 		if in[i] != unassigned {
@@ -151,21 +205,40 @@ func setState(e *engine, id network.NodeID, s int, in []value) value {
 }
 
 // checkKernel compares the kernel against the reference on every ternary
-// state of fn; with propagate it also runs both implication strategies.
+// state of fn over distinct fanins; with propagate it also runs both
+// implication strategies.
 func checkKernel(t *testing.T, fn tt.Table, propagate bool) {
 	t.Helper()
 	net, id := singleLUT(fn)
+	checkLUT(t, net, id, propagate)
+}
+
+// checkLUT compares the kernel against the reference on every reachable
+// ternary state of LUT id, whose fanins must be PIs, and checks the state
+// index after every step.
+func checkLUT(t *testing.T, net *network.Network, id network.NodeID, propagate bool) {
+	t.Helper()
+	fn, fanins := net.Node(id).Func, net.Node(id).Fanins
 	e := newEngine(net)
 	rows := refRows(fn)
-	k := fn.NumVars()
 	nstates := 3
-	for i := 0; i < k; i++ {
-		nstates *= 3
+	for i, f := range fanins {
+		if slices.Index(fanins, f) == i {
+			nstates *= 3
+		}
 	}
-	in := make([]value, k)
+	in := make([]value, len(fanins))
 	for s := 0; s < nstates; s++ {
 		out := setState(e, id, s, in)
+		checkState(t, net, e)
 		want := refScan(rows, in, out)
+		// The entry holds only what is new: no assigned input position.
+		for i := range in {
+			if in[i] != unassigned {
+				want.mask &^= 1 << uint(i)
+			}
+		}
+		want.val &= want.mask
 		for pass := 0; pass < 2; pass++ { // fill, then hit
 			if got := entryAsRef(e.entry(id)); got != want {
 				t.Fatalf("%v state %d pass %d: entry %+v, reference %+v", fn, s, pass, got, want)
@@ -176,19 +249,20 @@ func checkKernel(t *testing.T, fn tt.Table, propagate bool) {
 		}
 		for _, strategy := range []ImplicationStrategy{ImplSimple, ImplAdvanced} {
 			out := setState(e, id, s, in)
-			wantOK := refPropagate(rows, in, &out, strategy)
-			setState(e, id, s, make([]value, k))
+			wantOK := refPropagateTied(rows, fanins, in, &out, strategy)
+			setState(e, id, s, make([]value, len(fanins)))
 			e.enqueue(id)
 			if ok := e.propagate(strategy); ok != wantOK {
 				t.Fatalf("%v state %d %v: propagate %v, reference %v", fn, s, strategy, ok, wantOK)
 			}
+			checkState(t, net, e)
 			if !wantOK {
 				continue
 			}
 			if got := e.vals.vals[id]; got != out {
 				t.Fatalf("%v state %d %v: output %d, reference %d", fn, s, strategy, got, out)
 			}
-			for i, f := range net.Node(id).Fanins {
+			for i, f := range fanins {
 				if got := e.vals.vals[f]; got != in[i] {
 					t.Fatalf("%v state %d %v: input %d is %d, reference %d", fn, s, strategy, i, got, in[i])
 				}
@@ -250,6 +324,92 @@ func TestKernelSuiteFunctions(t *testing.T) {
 				checkKernel(t, nd.Func, false)
 			}
 		}
+	}
+}
+
+// TestKernelDuplicateFanin checks LUTs whose fanin list repeats a node, as
+// network.ReplaceFanin leaves when a merge makes two fanins equal: every
+// 3-input function over each way of naming two or one node, and random
+// 4-input functions over [a, b, b, a].
+func TestKernelDuplicateFanin(t *testing.T) {
+	check := func(fn tt.Table, pattern ...int) {
+		n := network.New("dup")
+		pis := []network.NodeID{n.AddPI("a"), n.AddPI("b")}
+		fanins := make([]network.NodeID, len(pattern))
+		for i, p := range pattern {
+			fanins[i] = pis[p]
+		}
+		checkLUT(t, n, n.AddLUT("f", fanins, fn), true)
+	}
+	for bits := 0; bits < 1<<8; bits++ {
+		fn := tt.New(3)
+		for m := 0; m < 8; m++ {
+			fn.SetBit(m, bits&(1<<m) != 0)
+		}
+		check(fn, 0, 0, 1)
+		check(fn, 0, 1, 0)
+		check(fn, 1, 0, 0)
+		check(fn, 0, 0, 0)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		fn := tt.New(4)
+		for m := 0; m < 16; m++ {
+			fn.SetBit(m, rng.Intn(2) == 1)
+		}
+		check(fn, 0, 1, 1, 0)
+	}
+}
+
+// checkedSource drives a generator as NextBatch does and checks the state
+// index after every vector.
+type checkedSource struct {
+	t *testing.T
+	g *Generator
+}
+
+func (s checkedSource) Name() string { return "checked" }
+
+func (s checkedSource) NextBatch(classes *sim.Classes, max int) [][]bool {
+	g, classIdx := s.g, classes.NonSingleton()
+	var out [][]bool
+	for i := 0; len(classIdx) > 0 && len(out) < max && i < 2*max; i++ {
+		members := classes.Members(classIdx[i%len(classIdx)])
+		if len(members) > g.TargetCap {
+			members = g.sampleMembers(members, g.TargetCap)
+		}
+		targets, gold := g.assignGold(members, (i/len(classIdx))%2 == 1)
+		vec, honored, ok := g.VectorForTargets(targets, gold)
+		g.recordGoldOutcome(members, honored)
+		checkState(s.t, g.net, g.eng)
+		if ok {
+			out = append(out, vec)
+		}
+	}
+	return out
+}
+
+// TestStateIndexInvariant refines three suite circuits' classes with the
+// generator, with and without backtracking (which undoes to marks inside
+// a target), and recomputes every node's state index after each vector.
+func TestStateIndexInvariant(t *testing.T) {
+	conflicts, backtracks := 0, 0
+	for _, name := range []string{"alu4", "apex2", "pdc"} {
+		b, _ := genbench.ByName(name)
+		net, err := b.LUTNetwork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, backtrack := range []int{0, 4} {
+			g := NewGenerator(net, StrategySimGen, 1)
+			g.Backtrack = backtrack
+			NewRunner(net, 1, 42).Run(checkedSource{t, g}, 10)
+			conflicts += g.Conflicts
+			backtracks += g.Backtracks
+		}
+	}
+	if conflicts == 0 || backtracks == 0 {
+		t.Fatalf("conflicts %d, backtracks %d: an undo path went unexercised", conflicts, backtracks)
 	}
 }
 

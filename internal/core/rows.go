@@ -33,8 +33,8 @@ type rowSet struct {
 }
 
 // implEntry summarizes the rows consistent with one ternary state: mask
-// holds the input positions every consistent row cares about with the same
-// value, val those values.
+// holds the unassigned input positions every consistent row cares about
+// with the same value, val those values.
 type implEntry struct {
 	mask, val uint16
 	flags     uint8
@@ -76,6 +76,7 @@ func (rs *rowSet) fill(st nodeState) implEntry {
 		}
 		count++
 	}
+	x.mask &^= uint16(st.inMask)
 	x.val &= x.mask
 	switch count {
 	case 0:
@@ -107,6 +108,11 @@ func (rc *rowCache) of(id network.NodeID) *rowSet {
 	if rs := rc.sets[id]; rs != nil {
 		return rs
 	}
+	return rc.build(id)
+}
+
+// build makes or finds the node's rowSet on its first request.
+func (rc *rowCache) build(id network.NodeID) *rowSet {
 	nd := rc.net.Node(id)
 	var key funcKey
 	shared := nd.Kind != network.KindPI && nd.Func.NumVars() <= memoArity
@@ -144,29 +150,25 @@ func (rc *rowCache) of(id network.NodeID) *rowSet {
 var pow3 = [memoArity + 1]int{1, 3, 9, 27, 81, 243, 729}
 
 // entry returns the implication entry of the node's current state, from the
-// memo when the arity allows.
+// memo at the node's ternary state index when the arity allows.
 func (e *engine) entry(id network.NodeID) implEntry {
 	rs := e.rows.of(id)
-	fanins := e.net.Node(id).Fanins
-	if len(fanins) > memoArity {
-		return rs.fill(nodeStateOf(e.net, e.vals, id))
+	k := int(e.finOff[id+1] - e.finOff[id])
+	if k > memoArity {
+		return rs.fill(e.stateOf(id))
 	}
-	vals := e.vals.vals
-	idx := 0
-	for i := len(fanins) - 1; i >= 0; i-- {
-		idx = idx*3 + int(vals[fanins[i]]+1)
-	}
-	out := vals[id] + 1
+	idx := e.vals.state[id]
+	out := e.vals.vals[id] + 1
 	tab := rs.memo[out]
 	if tab == nil {
-		tab = make([]implEntry, pow3[len(fanins)])
+		tab = make([]implEntry, pow3[k])
 		rs.memo[out] = tab
 	}
 	if x := tab[idx]; x.has(entFilled) {
 		return x
 	}
 	st := nodeState{out: out - 1}
-	for i, d := 0, idx; i < len(fanins); i, d = i+1, d/3 {
+	for i, d := 0, idx; i < k; i, d = i+1, d/3 {
 		if d%3 != 0 {
 			st.inMask |= 1 << uint(i)
 			if d%3 == 2 {
@@ -185,12 +187,11 @@ type nodeState struct {
 	out           value
 }
 
-// state reads the node's surrounding assignment.
-func nodeStateOf(net *network.Network, a *assignment, id network.NodeID) nodeState {
-	var st nodeState
-	st.out = a.vals[id]
-	for i, f := range net.Node(id).Fanins {
-		if v, ok := a.get(f); ok {
+// stateOf reads the node's surrounding assignment.
+func (e *engine) stateOf(id network.NodeID) nodeState {
+	st := nodeState{out: e.vals.vals[id]}
+	for i, f := range e.fanins(id) {
+		if v, ok := e.vals.get(f); ok {
 			st.inMask |= 1 << uint(i)
 			if v {
 				st.inVal |= 1 << uint(i)

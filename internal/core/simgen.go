@@ -55,6 +55,10 @@ type Generator struct {
 	// allocation site otherwise.
 	coneCache map[network.NodeID][]network.NodeID
 
+	// inCone[id] == epoch marks the cone of the target being justified.
+	inCone []uint32
+	epoch  uint32
+
 	// Backtrack, when positive, allows that many backtracks per target: on
 	// a conflict the engine undoes the most recent decision and tries a
 	// different row instead of abandoning the target. The paper omits
@@ -80,6 +84,7 @@ func NewGenerator(net *network.Network, strategy Strategy, seed int64) *Generato
 		TargetCap: 32,
 		goldState: newGoldState(),
 		coneCache: make(map[network.NodeID][]network.NodeID),
+		inCone:    make([]uint32, net.NumNodes()),
 	}
 }
 
@@ -200,6 +205,13 @@ func (g *Generator) processTarget(target network.NodeID, want bool) bool {
 		cone = g.net.FaninCone(target)
 		g.coneCache[target] = cone
 	}
+	if g.epoch++; g.epoch == 0 { // wrapped: stale marks could match
+		clear(g.inCone)
+		g.epoch = 1
+	}
+	for _, id := range cone {
+		g.inCone[id] = g.epoch
+	}
 	var stuck map[network.NodeID]bool // allocated on first use (rare)
 	// Decision stack for optional backtracking (disabled when
 	// g.Backtrack == 0, the paper's configuration).
@@ -212,7 +224,7 @@ func (g *Generator) processTarget(target network.NodeID, want bool) bool {
 	backtracksLeft := g.Backtrack
 
 	for {
-		cand := g.latestUpdated(cone, stuck)
+		cand := g.latestUpdated(stuck)
 		if cand == network.NoNode {
 			return true // every assigned cone node is justified
 		}
@@ -272,21 +284,21 @@ func (g *Generator) processTarget(target network.NodeID, want bool) bool {
 // latestUpdated returns the most recently updated cone node whose assigned
 // output value is not yet justified by a fully-assigned row (Alg. 1 line
 // 15). Justified nodes keep their remaining inputs as don't-cares — the
-// point of the decision heuristics of Section 5.
-func (g *Generator) latestUpdated(cone []network.NodeID, stuck map[network.NodeID]bool) network.NodeID {
+// point of the decision heuristics of Section 5. The trail is in
+// assignment order, so the first such node met walking it backwards is
+// the answer.
+func (g *Generator) latestUpdated(stuck map[network.NodeID]bool) network.NodeID {
 	e := g.eng
-	best := network.NoNode
-	var bestStamp int64 // unassigned nodes have stamp 0
-	for _, id := range cone {
-		s := e.vals.stamp[id]
-		if s <= bestStamp || g.net.Node(id).Kind != network.KindLUT || stuck[id] {
+	for i := len(e.vals.trail) - 1; i >= 0; i-- {
+		id := e.vals.trail[i]
+		if g.inCone[id] != g.epoch || e.kind[id] != network.KindLUT || stuck[id] {
 			continue
 		}
 		if !e.entry(id).has(entJustified) {
-			bestStamp, best = s, id
+			return id
 		}
 	}
-	return best
+	return network.NoNode
 }
 
 // extractVector reads the PI assignment, filling don't-care PIs randomly.

@@ -259,6 +259,7 @@ func TestProcessTargetUndoesOnConflict(t *testing.T) {
 	if !out[h] {
 		t.Fatal("honored target h not satisfied")
 	}
+	checkState(t, n, gen.eng)
 }
 
 func TestOutGoldAlternates(t *testing.T) {
@@ -373,8 +374,17 @@ func TestRouletteWheel(t *testing.T) {
 	}
 }
 
+// piNetwork returns a network of n PIs.
+func piNetwork(n int) *network.Network {
+	net := network.New("pis")
+	for range n {
+		net.AddPI("")
+	}
+	return net
+}
+
 func TestAssignmentTrail(t *testing.T) {
-	a := newAssignment(10)
+	a := newAssignment(piNetwork(10))
 	a.set(3, true)
 	m := a.mark()
 	a.set(4, false)
@@ -396,7 +406,7 @@ func TestAssignmentTrail(t *testing.T) {
 }
 
 func TestAssignmentSetPanicsOnConflict(t *testing.T) {
-	a := newAssignment(4)
+	a := newAssignment(piNetwork(4))
 	a.set(1, true)
 	a.set(1, true) // same value: fine
 	defer func() {

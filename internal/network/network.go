@@ -69,10 +69,11 @@ type Network struct {
 	pos   []PO
 
 	// Derived data, invalidated by structural edits.
-	fanouts [][]NodeID
-	levels  []int32
-	covers  map[NodeID]nodeCovers
-	dirty   bool
+	fanouts    [][]NodeID
+	levels     []int32
+	covers     []*nodeCovers
+	coverFuncs map[coverKey]*nodeCovers
+	dirty      bool
 }
 
 // New returns an empty network with the given name.
@@ -180,7 +181,7 @@ func (n *Network) update() {
 // in-place structural edit such as ReplaceFanin.
 func (n *Network) Invalidate() {
 	n.dirty = true
-	n.covers = nil
+	n.covers, n.coverFuncs = nil, nil
 }
 
 // Fanouts returns the fanout node IDs of id.
