@@ -76,7 +76,9 @@ cover:
 # wall-clock budget, must come back inside `timeout 5` with a partial
 # result and the undecided exit code (3): the SAT-hard "square" benchmark
 # on the sat engine at workers=1 and 4 and on the word engine, b14_C on
-# the BDD engine, and cmd/simgen's final sweep of voter.
+# the BDD engine, and cmd/simgen's final sweep of voter. Usage legs: a
+# negative escalation count or BDD node limit must exit 2 (usage error)
+# instead of running a ladder that resolves nothing.
 .PHONY: smoke
 smoke:
 	@$(GO) build -o .smoke-sweep ./cmd/sweep
@@ -95,6 +97,18 @@ smoke:
 			exit 1; \
 		fi; \
 		echo "smoke: $$run: ok (exit 3, partial result)"; \
+	done
+	@for run in \
+		"-benchmark alu4 -max-escalations -1" \
+		"-benchmark alu4 -bdd-nodes -1"; do \
+		timeout 5 ./.smoke-sweep $$run >/dev/null 2>&1; \
+		code=$$?; \
+		if [ $$code -ne 2 ]; then \
+			echo "smoke: sweep $$run: expected exit 2 (usage error), got $$code"; \
+			rm -f .smoke-sweep .smoke-simgen; \
+			exit 1; \
+		fi; \
+		echo "smoke: sweep $$run: ok (exit 2, usage error)"; \
 	done
 	@rm -f .smoke-sweep .smoke-simgen
 
@@ -179,7 +193,7 @@ cache-soak:
 	@echo "cache-soak: warm runs SAT-free with byte-identical reduced networks"
 
 # Datapath word-vs-bit contrast: CEC of the committed multiplier corpus
-# pairs with the word-staged adaptive portfolio vs the plain bit-level
+# pairs with the word-staged portfolio vs the plain bit-level
 # portfolio (root bench_test.go BenchmarkDatapathCEC). The benchmark
 # asserts the mul10x10 tripwire in-process (word must beat bit-level by
 # >=2x wall clock; ~36x measured on a 2-vCPU Xeon); medians feed
@@ -191,8 +205,8 @@ bench-datapath:
 		-count $(BENCHSCALE_COUNT) -timeout 30m .
 
 # Datapath verification layer: golden corpus replay (word-staged CEC of
-# every committed pair + the mutated NEQ pair), the word/adaptive unit and
-# property layer, and a bounded differential fuzz campaign over the
+# every committed pair + the mutated NEQ pair), the word detection and
+# word-engine unit layer, and a bounded differential fuzz campaign over the
 # datapath preset with the injected-unsound word engine self-check.
 .PHONY: datapath-test
 datapath-test:

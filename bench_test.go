@@ -667,7 +667,6 @@ func datapathCEC(b *testing.B, an, bn *Network, word bool) (time.Duration, sweep
 	}
 	if word {
 		opts.Sweep.WordStage = true
-		opts.Sweep.Adaptive = true
 	}
 	start := time.Now()
 	res, err := sweep.CEC(an, bn, opts)
@@ -681,7 +680,7 @@ func datapathCEC(b *testing.B, an, bn *Network, word bool) (time.Duration, sweep
 }
 
 // BenchmarkDatapathCEC measures the split multiplier pairs with the
-// word-staged adaptive portfolio ("word") vs the plain bit-level
+// word-staged portfolio ("word") vs the plain bit-level
 // portfolio ("bit"). The setup is the datapath tripwire: on the 10x10
 // pair the word arm must beat the bit-level arm by at least 2x wall clock
 // — generous against the ~36x measured on a 2-vCPU Xeon

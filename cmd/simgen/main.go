@@ -36,7 +36,6 @@ func main() {
 		list       = flag.Bool("list", false, "list built-in benchmarks and exit")
 		engine     = flag.String("engine", "none", "sweep the refined classes afterwards: none|sat|bdd|portfolio|word")
 		wordStage  = flag.Bool("word", false, "insert the word-level proving stage into the final sweep's portfolio")
-		adaptive   = flag.Bool("adaptive", false, "adaptive first-engine policy for the final sweep (portfolio only)")
 		dump       = flag.String("dump-patterns", "", "write all generated vectors to this pattern file")
 		cacheDir   = flag.String("cache-dir", "", "persistent verification cache: replay stored patterns first, record generated ones, and feed proofs to the final sweep")
 		replay     = flag.String("replay", "", "replay vectors from a pattern file instead of generating")
@@ -215,7 +214,7 @@ func main() {
 	// The final sweep settles the refined classes with the selected engine:
 	// the per-iteration cost column above is exactly the worst-case number
 	// of proof obligations it discharges.
-	opts := simgen.SweepOptions{Engine: engineKind, WordStage: *wordStage, Adaptive: *adaptive, Tracer: obsSetup.Tracer}
+	opts := simgen.SweepOptions{Engine: engineKind, WordStage: *wordStage, Tracer: obsSetup.Tracer}
 	if sess != nil {
 		opts.Cache = sess
 	}

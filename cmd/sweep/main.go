@@ -53,7 +53,6 @@ type config struct {
 	bddNodes    int
 	workers     int
 	wordStage   bool
-	adaptive    bool
 	cacheDir    string
 	basePath    string
 	tracer      simgen.Tracer
@@ -78,7 +77,6 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 1, "parallel sweep workers (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.engine, "engine", "sat", "verification engine: sat|bdd|portfolio|word")
 	flag.BoolVar(&cfg.wordStage, "word", false, "insert the word-level proving stage into the portfolio (structure detection + frontier learning)")
-	flag.BoolVar(&cfg.adaptive, "adaptive", false, "adaptive first-engine policy from per-shape wall-time attribution (portfolio only)")
 	flag.StringVar(&cfg.reduce, "reduce", "", "write the swept (merged) network to this BLIF file")
 	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "persistent verification cache directory (proofs, clause hints, patterns)")
 	flag.StringVar(&cfg.basePath, "base", "", "previous revision BLIF: sweep incrementally, scheduling only the diff's fanout (requires -cache-dir)")
@@ -126,6 +124,10 @@ func main() {
 	}
 	if cfg.workers == 0 {
 		cfg.workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.maxEscalate < 0 || cfg.bddNodes < 0 {
+		fmt.Fprintf(os.Stderr, "sweep: -max-escalations and -bdd-nodes must be >= 0, got %d and %d\n", cfg.maxEscalate, cfg.bddNodes)
+		exit(exitUsage)
 	}
 
 	ctx := context.Background()
@@ -179,7 +181,6 @@ func (c config) sweepOptions() simgen.SweepOptions {
 		BDDFallback:       c.bddFallback,
 		BDDNodeLimit:      c.bddNodes,
 		WordStage:         c.wordStage,
-		Adaptive:          c.adaptive,
 		Tracer:            c.tracer,
 	}
 }

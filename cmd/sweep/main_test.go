@@ -75,13 +75,13 @@ func TestGolden(t *testing.T) {
 		{"pdc", 0, []string{"-benchmark", "pdc", "-conflict-budget", "1000"}},
 		{"apex2_revs", 0, []string{"-benchmark", "apex2", "-method", "revs"}},
 		{"pdc_none", 0, []string{"-benchmark", "pdc", "-method", "none"}},
-		{"pdc_portfolio_word", 0, []string{"-benchmark", "pdc", "-engine", "portfolio", "-word", "-adaptive"}},
+		{"pdc_portfolio_word", 0, []string{"-benchmark", "pdc", "-engine", "portfolio", "-word"}},
 		// The warm run replays the cold run's patterns and settles every
 		// pair from its proofs, so the two must run in this order.
 		{"pdc_cache_cold", 0, []string{"-benchmark", "pdc", "-cache-dir", cache}},
 		{"pdc_cache_warm", 0, []string{"-benchmark", "pdc", "-cache-dir", cache}},
 		{"cec_cmp16", 0, []string{datapath("cmp16_a"), datapath("cmp16_b")}},
-		{"cec_mul8x8_neq", 1, []string{"-engine", "portfolio", "-word", "-adaptive",
+		{"cec_mul8x8_neq", 1, []string{"-engine", "portfolio", "-word",
 			datapath("mul8x8_a"), datapath("mul8x8_neq")}},
 	}
 	for _, c := range cases {
@@ -155,4 +155,12 @@ func TestEngineBDD(t *testing.T) {
 		t.Errorf("no BDD sweep line in\n%s", out)
 	}
 	runBin(t, bin, 2, "-benchmark", "alu4", "-method", "bogus")
+}
+
+// TestNegativeLadderFlags checks that a negative escalation count or BDD
+// node limit is a usage error, not a run that resolves nothing.
+func TestNegativeLadderFlags(t *testing.T) {
+	bin := buildSweep(t)
+	runBin(t, bin, 2, "-benchmark", "alu4", "-max-escalations", "-1")
+	runBin(t, bin, 2, "-benchmark", "alu4", "-bdd-nodes", "-1")
 }

@@ -40,7 +40,6 @@ func run() error {
 		maxTimeout   = flag.Duration("max-timeout", 0, "cap on per-job budgets (0 = no cap)")
 		dataDir      = flag.String("data", "", "root directory for path circuit refs (empty disables them)")
 		cacheDir     = flag.String("cache-dir", "", "persistent verification cache shared by all sweep/simgen jobs (empty disables)")
-		memo         = flag.Bool("memo", false, "memoize finished job results keyed on circuit contents + normalized spec")
 		drainBudget  = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on the first signal")
 		cancelBudget = flag.Duration("cancel-timeout", 5*time.Second, "drain budget after canceling jobs")
 	)
@@ -63,7 +62,6 @@ func run() error {
 		MaxTimeout:     *maxTimeout,
 		DataDir:        *dataDir,
 		CacheDir:       *cacheDir,
-		Memo:           *memo,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

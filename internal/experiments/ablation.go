@@ -54,13 +54,11 @@ func Ablation(cfg Config) (AblationResult, error) {
 		mk   func(net *network.Network, seed int64) core.VectorSource
 	}
 	sources := []source{
-		{"RevS", func(n *network.Network, s int64) core.VectorSource { return core.NewReverse(n, s) }},
-		{"RandS", func(n *network.Network, s int64) core.VectorSource { return core.NewRandom(n, s) }},
+		{MethodRevS.Name, MethodRevS.source},
+		{MethodRandS.Name, MethodRandS.source},
 		{"1-distance", func(n *network.Network, s int64) core.VectorSource { return core.NewOneDistance(n, s, 8) }},
 		{"SAT-vectors", func(n *network.Network, s int64) core.VectorSource { return core.NewSATVector(n, s) }},
-		{"SimGen", func(n *network.Network, s int64) core.VectorSource {
-			return core.NewGenerator(n, core.StrategySimGen, s)
-		}},
+		{MethodSimGen.Name, MethodSimGen.source},
 		{"SimGen/topo", func(n *network.Network, s int64) core.VectorSource {
 			g := core.NewGenerator(n, core.StrategySimGen, s)
 			g.GoldPolicy = core.GoldTopology

@@ -16,35 +16,27 @@ import (
 	"simgen/internal/sweep"
 )
 
-// Method names one vector-generation technique under evaluation.
+// Method names one vector-generation technique under evaluation: its
+// label in the paper's tables and its key in core's method table.
 type Method struct {
 	Name string
-	// New creates the vector source for a network. A nil source denotes
-	// pure random simulation.
-	New func(net *network.Network, seed int64) core.VectorSource
+	key  string
 }
 
 // The paper's five techniques (Table 1) plus the random baseline (Fig. 7).
 var (
-	MethodRandS = Method{"RandS", func(n *network.Network, s int64) core.VectorSource {
-		return core.NewRandom(n, s)
-	}}
-	MethodRevS = Method{"RevS", func(n *network.Network, s int64) core.VectorSource {
-		return core.NewReverse(n, s)
-	}}
-	MethodSIRD = Method{"SI+RD", func(n *network.Network, s int64) core.VectorSource {
-		return core.NewGenerator(n, core.StrategySIRD, s)
-	}}
-	MethodAIRD = Method{"AI+RD", func(n *network.Network, s int64) core.VectorSource {
-		return core.NewGenerator(n, core.StrategyAIRD, s)
-	}}
-	MethodAIDC = Method{"AI+DC", func(n *network.Network, s int64) core.VectorSource {
-		return core.NewGenerator(n, core.StrategyAIDC, s)
-	}}
-	MethodSimGen = Method{"SimGen", func(n *network.Network, s int64) core.VectorSource {
-		return core.NewGenerator(n, core.StrategySimGen, s)
-	}}
+	MethodRandS  = Method{"RandS", "rands"}
+	MethodRevS   = Method{"RevS", "revs"}
+	MethodSIRD   = Method{"SI+RD", "si+rd"}
+	MethodAIRD   = Method{"AI+RD", "ai+rd"}
+	MethodAIDC   = Method{"AI+DC", "ai+dc"}
+	MethodSimGen = Method{"SimGen", "simgen"}
 )
+
+// source builds the method's vector source through core.NewSource.
+func (m Method) source(net *network.Network, seed int64) core.VectorSource {
+	return core.NewSource(net, m.key, seed)
+}
 
 // Table1Methods is the method set of Table 1, in paper order.
 var Table1Methods = []Method{MethodRevS, MethodSIRD, MethodAIRD, MethodAIDC, MethodSimGen}
@@ -113,7 +105,7 @@ func runSimulation(net *network.Network, m Method, cfg Config) (*core.Runner, Pi
 	if cfg.BatchSize > 0 {
 		runner.BatchSize = cfg.BatchSize
 	}
-	runFixed(runner, m.New(net, cfg.Seed+1), cfg.GuidedIterations)
+	runFixed(runner, m.source(net, cfg.Seed+1), cfg.GuidedIterations)
 	return runner, PipelineResult{
 		Method:  m.Name,
 		Cost:    runner.Classes.Cost(),

@@ -39,8 +39,7 @@ func TestDatapathTwinsDetectWords(t *testing.T) {
 // TestDatapathDifferentialClean holds the word-level engines to the same
 // exhaustive-simulation oracle as the bit-level engines on circuits where
 // word detection fires: every engine — including the word engine and the
-// word-staged adaptive portfolio — must produce exactly the ground-truth
-// partition.
+// word-staged portfolio — must produce exactly the ground-truth partition.
 func TestDatapathDifferentialClean(t *testing.T) {
 	perKind := 3
 	if testing.Short() {
@@ -73,7 +72,6 @@ func TestDatapathMetamorphicWordStage(t *testing.T) {
 	cfg := Config{Seed: 7, SweepOpts: sweep.Options{
 		Engine:    sweep.EnginePortfolio,
 		WordStage: true,
-		Adaptive:  true,
 		SimPIs:    -1,
 	}}
 	for _, kind := range DatapathKinds() {

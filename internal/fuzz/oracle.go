@@ -32,9 +32,9 @@ type Config struct {
 	// can deliberately break the sweeper to prove the oracle catches it.
 	SweepOpts sweep.Options
 	// WordEngines additionally runs the word-level engines — the standalone
-	// word engine and the portfolio with the word stage and adaptive policy
-	// on — against the same exhaustive oracle and the same coarse partition
-	// as the bit-level engines. The portfolio run disables its simulation
+	// word engine and the portfolio with the word stage on — against the
+	// same exhaustive oracle and the same coarse partition as the bit-level
+	// engines. The portfolio run disables its simulation
 	// stage so every candidate pair actually reaches the word stage. The
 	// datapath campaign preset enables this.
 	WordEngines bool
@@ -224,7 +224,6 @@ func runEngines(net *network.Network, cfg Config) []engineRun {
 		wpOpts := cfg.SweepOpts
 		wpOpts.Engine = sweep.EnginePortfolio
 		wpOpts.WordStage = true
-		wpOpts.Adaptive = true
 		wpOpts.SimPIs = -1 // no sim stage: every pair faces the word stage
 		wp := sweep.New(net, freshClasses(), wpOpts)
 		wpres := wp.Run()

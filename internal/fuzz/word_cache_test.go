@@ -13,13 +13,12 @@ import (
 )
 
 // wordSweepOpts is the word-enabled portfolio configuration the datapath
-// cache tests run under: the word stage and adaptive policy on, the sim
-// stage off so every obligation reaches the cache probe and the word stage.
+// cache tests run under: the word stage on, the sim stage off so every
+// obligation reaches the cache probe and the word stage.
 func wordSweepOpts() sweep.Options {
 	return sweep.Options{
 		Engine:    sweep.EnginePortfolio,
 		WordStage: true,
-		Adaptive:  true,
 		SimPIs:    -1,
 	}
 }

@@ -108,8 +108,6 @@ func (c *Collector) Emit(ev Event) {
 		r.Word.Bits += int(ev.WordBits)
 	case KindWordFrontier:
 		r.Word.FrontierProofs++
-	case KindPolicyPick:
-		r.Word.PolicyPicks++
 	case KindPoolFlush:
 		r.Pool.Flushes++
 		r.Pool.Lanes += int(ev.Lanes)
@@ -186,15 +184,14 @@ type CacheReport struct {
 	RevalidateFails int `json:"revalidate_fails"`
 }
 
-// WordReport summarizes word-level structure detection, frontier proving,
-// and adaptive policy activity. All fields are zero (and the report section
-// is omitted) when the word stage is off.
+// WordReport summarizes word-level structure detection and frontier
+// proving. All fields are zero (and the report section is omitted) when the
+// word stage is off.
 type WordReport struct {
 	Detections     int `json:"detections"`
 	Words          int `json:"words"`
 	Bits           int `json:"bits"`
 	FrontierProofs int `json:"frontier_proofs"`
-	PolicyPicks    int `json:"policy_picks"`
 }
 
 // GenReport summarizes the simulation runner and its vector source.
@@ -282,7 +279,6 @@ func (r *Report) counters(put func(name string, v int64)) {
 	put("word.detections", int64(r.Word.Detections))
 	put("word.bits", int64(r.Word.Bits))
 	put("word.frontier_proofs", int64(r.Word.FrontierProofs))
-	put("word.policy_picks", int64(r.Word.PolicyPicks))
 	var conflicts, props int64
 	for _, e := range r.Engines {
 		put("prove."+e.Name+".total", int64(e.Proves))
@@ -325,8 +321,8 @@ func (r Report) Format() string {
 			r.Cache.RevalidateFails, r.Cache.Evictions)
 	}
 	if r.Word.Detections > 0 {
-		fmt.Fprintf(&b, "word: %d candidate words (%d bits), %d frontier proofs, %d policy picks\n",
-			r.Word.Words, r.Word.Bits, r.Word.FrontierProofs, r.Word.PolicyPicks)
+		fmt.Fprintf(&b, "word: %d candidate words (%d bits), %d frontier proofs\n",
+			r.Word.Words, r.Word.Bits, r.Word.FrontierProofs)
 	}
 	if len(r.Engines) > 0 {
 		fmt.Fprintf(&b, "%-10s %8s %8s %8s %8s %12s %12s\n",

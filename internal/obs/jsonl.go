@@ -122,14 +122,6 @@ func (t *JSONL) Emit(ev Event) {
 	case KindWordFrontier:
 		b = appendPair(b, ev)
 		b = appendOptField(b, "slice", int64(ev.Rung))
-	case KindPolicyPick:
-		b = appendEngine(b, ev.Engine)
-		b = appendPair(b, ev)
-		if ev.Point != "" {
-			b = append(b, `,"shape":"`...)
-			b = append(b, ev.Point...)
-			b = append(b, '"')
-		}
 	case KindSimBatch:
 		b = appendField(b, "iter", int64(ev.Iter))
 		b = appendField(b, "vectors", int64(ev.Vectors))

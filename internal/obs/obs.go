@@ -116,10 +116,6 @@ const (
 	// learned into the shared solver ahead of a wide word miter (A, B,
 	// Rung=slice index).
 	KindWordFrontier
-	// KindPolicyPick records the adaptive portfolio policy choosing the
-	// first engine for an obligation shape (A, B, Engine, Point=shape key).
-	// Adaptive runs only.
-	KindPolicyPick
 
 	numKinds
 )
@@ -147,7 +143,6 @@ var kindNames = [numKinds]string{
 
 	KindWordDetect:   "word_detect",
 	KindWordFrontier: "word_frontier",
-	KindPolicyPick:   "policy_pick",
 }
 
 func (k Kind) String() string {

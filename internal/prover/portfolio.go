@@ -47,10 +47,9 @@ type Portfolio struct {
 
 	sim    *Sim // nil when disabled
 	sat    *SAT
-	word   *Word        // word-level stage; nil when disabled
-	bdd    *BDD         // built lazily on first fallback
-	prober Prober       // cross-run verification memory; nil when disabled
-	attr   *Attribution // adaptive first-engine policy; nil when disabled
+	word   *Word  // word-level stage; nil when disabled
+	bdd    *BDD   // built lazily on first fallback
+	prober Prober // cross-run verification memory; nil when disabled
 }
 
 // NewPortfolio creates a portfolio over the network. hook injects test
@@ -97,12 +96,6 @@ func (p *Portfolio) EnableWord(plan *WordPlan) {
 	p.word.SetTracer(p.tr)
 }
 
-// SetAttribution attaches a shared attribution table, enabling the
-// adaptive first-engine policy: obligations whose shape has enough
-// history skip straight to the engine that has been settling that shape
-// cheapest. nil restores the fixed ladder order.
-func (p *Portfolio) SetAttribution(attr *Attribution) { p.attr = attr }
-
 // SetProber attaches the cross-run verification memory as rung 0 of the
 // schedule: every Prove consults it before any engine runs, and settled
 // verdicts are recorded back. nil detaches it.
@@ -136,37 +129,11 @@ func (p *Portfolio) Prove(ctx context.Context, a, b network.NodeID, budget Budge
 			}
 		}
 	}
-	// Adaptive first-engine policy: with enough history for this
-	// obligation shape, jump straight to the engine that settles it
-	// cheapest instead of walking the fixed ladder from the bottom.
-	var shape ShapeKey
-	pick := ""
-	if p.attr != nil {
-		shape = p.shapeOf(a, b)
-		if eng, ok := p.attr.Best(shape); ok {
-			pick = eng
-			p.tr.Emit(obs.Event{Kind: obs.KindPolicyPick, Engine: eng,
-				A: int32(a), B: int32(b), Point: shape.String()})
-		}
-	}
-	if p.sim != nil && pick != "sat" && pick != "bdd" {
+	if p.sim != nil {
 		r := p.sim.Prove(ctx, a, b, budget)
 		agg.Add(r.Stats)
-		p.observe(shape, "sim", r)
 		if r.Verdict != Unknown {
 			p.record(a, b, r, 0)
-			r.Stats = agg
-			return r
-		}
-	}
-	ranBDD := false
-	if pick == "bdd" && p.policy.BDDFallback {
-		r := p.ensureBDD().Prove(ctx, a, b, budget)
-		agg.Add(r.Stats)
-		p.observe(shape, "bdd", r)
-		ranBDD = true
-		if r.Verdict != Unknown {
-			p.record(a, b, r, p.policy.MaxEscalations)
 			r.Stats = agg
 			return r
 		}
@@ -174,9 +141,6 @@ func (p *Portfolio) Prove(ctx context.Context, a, b network.NodeID, budget Budge
 	if p.word != nil {
 		r := p.word.Prepare(ctx, a, b, budget)
 		agg.Add(r.Stats)
-		if r.Stats.WordChecks > 0 {
-			p.observe(shape, "word", r)
-		}
 		if r.Verdict != Unknown {
 			p.record(a, b, r, 0)
 			r.Stats = agg
@@ -193,7 +157,6 @@ func (p *Portfolio) Prove(ctx context.Context, a, b network.NodeID, budget Budge
 		}
 		r := p.sat.Prove(ctx, a, b, budget)
 		agg.Add(r.Stats)
-		p.observe(shape, "sat", r)
 		if r.Verdict != Unknown {
 			p.record(a, b, r, rung)
 			r.Stats = agg
@@ -205,14 +168,11 @@ func (p *Portfolio) Prove(ctx context.Context, a, b network.NodeID, budget Budge
 			return Result{Stats: agg}
 		}
 	}
-	if p.policy.BDDFallback && !ranBDD {
+	if p.policy.BDDFallback {
 		r := p.ensureBDD().Prove(ctx, a, b, budget)
 		agg.Add(r.Stats)
-		p.observe(shape, "bdd", r)
 		if r.Verdict != Unknown {
 			p.record(a, b, r, p.policy.MaxEscalations)
-			r.Stats = agg
-			return r
 		}
 		r.Stats = agg
 		return r

@@ -3,9 +3,12 @@ package prover
 import (
 	"context"
 	"math/rand"
+	"regexp"
+	"strings"
 	"testing"
 
 	"simgen/internal/network"
+	"simgen/internal/obs"
 	"simgen/internal/sim"
 	"simgen/internal/tt"
 	"simgen/internal/word"
@@ -129,6 +132,36 @@ func TestWordEngineTwinAdder(t *testing.T) {
 	verifyCex(t, ta.net, ta.s1[0], ta.s2[1], r.Cex)
 	if !refEqual(t, ta.net, ta.s1[0], ta.s2[0]) || refEqual(t, ta.net, ta.s1[0], ta.s2[1]) {
 		t.Fatal("reference oracle disagrees with the intended twin structure")
+	}
+}
+
+// TestPortfolioFixedStageOrder pins the portfolio's one stage order on the
+// twin adder: a pair within SimPIs is settled by simulation alone, and a
+// wider in-word pair skips simulation and meets the word stage before any
+// SAT call.
+func TestPortfolioFixedStageOrder(t *testing.T) {
+	ta, plan := newTwinAdderPlan(t, 4)
+	for _, c := range []struct {
+		bit  int
+		want *regexp.Regexp // engines of the prove_start events, in order
+	}{
+		{0, regexp.MustCompile(`^sim$`)},
+		{3, regexp.MustCompile(`^word( sat)+$`)},
+	} {
+		p := NewPortfolio(ta.net, Policy{SimPIs: 4}, nil)
+		p.EnableWord(plan)
+		rec := &obs.Recorder{}
+		p.SetTracer(rec)
+		if r := p.Prove(context.Background(), ta.s1[c.bit], ta.s2[c.bit], Budget{}); r.Verdict != Equal {
+			t.Fatalf("sum bit %d: verdict %v, want equal", c.bit, r.Verdict)
+		}
+		var seq []string
+		for _, ev := range rec.Filter(obs.KindProveStart) {
+			seq = append(seq, ev.Engine)
+		}
+		if got := strings.Join(seq, " "); !c.want.MatchString(got) {
+			t.Errorf("sum bit %d: engines started %q, want %s", c.bit, got, c.want)
+		}
 	}
 }
 

@@ -86,9 +86,9 @@ func mutateHalf(t *testing.T, net *network.Network) *network.Network {
 }
 
 // TestDatapathCorpusReplay replays the golden datapath corpus through CEC
-// with the word stage and adaptive policy on: every committed EQ pair must
-// prove EQUIVALENT, and the mutated multiplier pair must come back NOT
-// EQUIVALENT with a counterexample that separates the original circuits.
+// with the word stage on: every committed EQ pair must prove EQUIVALENT,
+// and the mutated multiplier pair must come back NOT EQUIVALENT with a
+// counterexample that separates the original circuits.
 // `go test ./internal/sweep -run DatapathCorpus -update-datapath`
 // regenerates the corpus from the genbench builders.
 func TestDatapathCorpusReplay(t *testing.T) {
@@ -112,7 +112,7 @@ func TestDatapathCorpusReplay(t *testing.T) {
 
 	opts := CECOptions{
 		Seed:  1,
-		Sweep: Options{Engine: EnginePortfolio, WordStage: true, Adaptive: true},
+		Sweep: Options{Engine: EnginePortfolio, WordStage: true},
 	}
 	for _, name := range datapathCorpus {
 		name := name

@@ -41,8 +41,8 @@ func hashSATVerdicts(h hash.Hash, rec *obs.Recorder) int {
 
 // TestSATVerdictGolden runs the committed mul8x8 EQ and NEQ datapath pairs
 // through word-staged portfolio CEC, and two genbench circuits through a
-// budgeted SAT sweep, all single-worker and without the wall-time-driven
-// adaptive policy, so the stream of SAT calls is deterministic.
+// budgeted SAT sweep, all single-worker, so the stream of SAT calls is
+// deterministic.
 func TestSATVerdictGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiplier pairs are the slow half of the corpus")

@@ -151,10 +151,11 @@ type Options struct {
 	// byte-identically to one built before the stage existed. Implied by
 	// EngineWord.
 	WordStage bool
-	// Adaptive enables the attribution-driven first-engine policy for the
-	// portfolio: obligation shapes with enough per-engine wall-time
-	// history skip straight to the engine that settles them cheapest
-	// instead of walking the fixed ladder. Off by default.
+	// Adaptive is ignored: the portfolio always runs its fixed stage
+	// order.
+	//
+	// Deprecated: the adaptive first-engine policy is gone; nothing reads
+	// this field.
 	Adaptive bool
 
 	// FaultHook, when set, is consulted before every SAT pair check and may
@@ -404,17 +405,10 @@ func newSweeper(net *network.Network, classes *sim.Classes, opts Options, simula
 			plan = prover.NewWordPlan(net, word.Detect(net))
 			emitWordDetect(opts.Tracer, plan)
 		}
-		var attr *prover.Attribution
-		if opts.Adaptive {
-			attr = prover.NewAttribution()
-		}
 		factory = func() prover.Engine {
 			p := prover.NewPortfolio(net, policy, hook)
 			if plan != nil {
 				p.EnableWord(plan)
-			}
-			if attr != nil {
-				p.SetAttribution(attr)
 			}
 			return p
 		}

@@ -3,6 +3,7 @@ package sweepd
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
 
@@ -57,9 +58,6 @@ func TestSharedCacheAcrossJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := waitDone(t, j2)
-	if warm.Memoized {
-		t.Fatal("memoization is off; result must come from a fresh execution")
-	}
 	if warm.Sweep == nil {
 		t.Fatal("warm job carries no sweep result")
 	}
@@ -75,73 +73,64 @@ func TestSharedCacheAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestJobMemoization submits an identical spec twice with Memo on: the
-// second job's result is served from the memo without execution, and a job
-// with a different spec is not.
-func TestJobMemoization(t *testing.T) {
-	srv := New(Config{Workers: 1, Memo: true})
-	defer srv.Drain(context.Background())
-
-	spec := JobSpec{
-		Kind:    KindSweep,
-		Circuit: CircuitRef{Benchmark: "alu4"},
-		Seed:    5,
+// TestStoreCapRetention runs more finished jobs than the store retains:
+// the oldest terminal jobs are evicted, so Jobs() holds the last StoreCap
+// of them and an evicted ID is unknown to the server and over HTTP.
+func TestStoreCapRetention(t *testing.T) {
+	const storeCap = 2
+	srv, hs := newTestServer(t, Config{Workers: 1, StoreCap: storeCap})
+	spec := JobSpec{Kind: KindSimGen, Circuit: CircuitRef{Benchmark: "alu4"}}
+	var ids []string
+	for seed := int64(1); seed <= 6; seed++ {
+		spec.Seed = seed
+		j := mustSubmit(t, srv, spec)
+		waitDone(t, j)
+		ids = append(ids, j.ID)
 	}
-	first := waitDone(t, mustSubmit(t, srv, spec))
-	if first.Memoized {
-		t.Fatal("first execution cannot be a memo hit")
+	jobs := srv.Jobs()
+	if len(jobs) != storeCap || jobs[0].ID != ids[4] || jobs[1].ID != ids[5] {
+		got := make([]string, len(jobs))
+		for i, j := range jobs {
+			got[i] = j.ID
+		}
+		t.Fatalf("store retains %v, want the last two of %v", got, ids)
 	}
-	second := waitDone(t, mustSubmit(t, srv, spec))
-	if !second.Memoized {
-		t.Fatal("identical respec did not hit the memo")
-	}
-	if second.Verdict != first.Verdict || second.FinalCost != first.FinalCost {
-		t.Fatalf("memoized result diverges: %+v vs %+v", second, first)
-	}
-
-	other := spec
-	other.Seed = 6
-	third := waitDone(t, mustSubmit(t, srv, other))
-	if third.Memoized {
-		t.Fatal("different seed must not hit the memo")
-	}
-
-	// Traced jobs bypass the memo: their event stream must be generated.
-	traced := spec
-	traced.Trace = true
-	fourth := waitDone(t, mustSubmit(t, srv, traced))
-	if fourth.Memoized {
-		t.Fatal("traced job must not be memoized")
+	for _, id := range ids[:4] {
+		if srv.Job(id) != nil {
+			t.Errorf("evicted job %s still resolves", id)
+		}
+		resp, err := http.Get(hs.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /jobs/%s: want 404, got %d", id, resp.StatusCode)
+		}
 	}
 }
 
-// TestMemoBoundedByStore runs more distinct memoizable jobs than the store
-// retains: a memo entry lives only as long as the job that filled it, so
-// the memo never outgrows StoreCap, and a retained job's repeat is still
-// served from it.
-func TestMemoBoundedByStore(t *testing.T) {
-	const storeCap = 2
-	srv := New(Config{Workers: 1, Memo: true, StoreCap: storeCap})
-	defer srv.Drain(context.Background())
-
-	spec := JobSpec{Kind: KindSimGen, Circuit: CircuitRef{Benchmark: "alu4"}}
-	for seed := int64(1); seed <= 6; seed++ {
-		spec.Seed = seed
-		if res := waitDone(t, mustSubmit(t, srv, spec)); res.Memoized {
-			t.Fatalf("seed %d: a first execution cannot be a memo hit", seed)
-		}
+// TestStoreKeepsLiveJobsPastCap: eviction only takes terminal jobs, so a
+// store holding nothing but queued jobs keeps every one past its cap, and
+// drops the oldest once they finish.
+func TestStoreKeepsLiveJobsPastCap(t *testing.T) {
+	st := newStore(2)
+	var live []*Job
+	for i := 0; i < 4; i++ {
+		j := newJob(st.nextID(), JobSpec{Kind: KindSweep})
+		st.add(j)
+		live = append(live, j)
 	}
-	if n := len(srv.Jobs()); n != storeCap {
-		t.Fatalf("store retains %d jobs, want %d", n, storeCap)
+	if n := len(st.list()); n != 4 {
+		t.Fatalf("store holds %d of 4 queued jobs past cap 2", n)
 	}
-	srv.memoMu.Lock()
-	entries := len(srv.memo)
-	srv.memoMu.Unlock()
-	if entries > storeCap {
-		t.Fatalf("memo holds %d entries for %d retained jobs", entries, storeCap)
+	for _, j := range live {
+		j.finish(&Result{}, "")
 	}
-	if res := waitDone(t, mustSubmit(t, srv, spec)); !res.Memoized {
-		t.Fatal("repeat of a retained job was not served from the memo")
+	st.add(newJob(st.nextID(), JobSpec{Kind: KindSweep}))
+	jobs := st.list()
+	if len(jobs) != 2 || jobs[0] != live[3] {
+		t.Fatalf("store holds %d jobs once they finished, want the newest finished one and the queued one", len(jobs))
 	}
 }
 

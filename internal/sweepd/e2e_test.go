@@ -260,6 +260,7 @@ func TestCancelQueuedJob(t *testing.T) {
 
 func TestSubmitValidationAndLookup(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	minusOne := -1
 	for name, spec := range map[string]JobSpec{
 		"unknown kind":    {Kind: "mutate", Circuit: CircuitRef{BLIF: andBLIF}},
 		"no circuit":      {Kind: KindSweep},
@@ -269,6 +270,8 @@ func TestSubmitValidationAndLookup(t *testing.T) {
 		"bad engine":      {Kind: KindSweep, Circuit: CircuitRef{BLIF: andBLIF}, Engine: "quantum"},
 		"path w/o root":   {Kind: KindSweep, Circuit: CircuitRef{Path: "x.blif"}},
 		"sweep+circuit_b": {Kind: KindSweep, Circuit: CircuitRef{BLIF: andBLIF}, CircuitB: CircuitRef{BLIF: orBLIF}},
+		"negative rungs":  {Kind: KindSweep, Circuit: CircuitRef{BLIF: andBLIF}, MaxEscalations: &minusOne},
+		"negative nodes":  {Kind: KindSweep, Circuit: CircuitRef{BLIF: andBLIF}, BDDNodes: -1},
 	} {
 		if name == "path w/o root" {
 			// Admission accepts it; the job itself fails at load time.

@@ -2,13 +2,11 @@ package sweepd
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -50,13 +48,6 @@ type Config struct {
 	// job accelerate the next. An unopenable cache is logged and skipped;
 	// the service runs uncached.
 	CacheDir string
-	// Memo enables job-level result memoization: a sweep/simgen/cec job
-	// whose normalized spec and circuit contents match an already-finished
-	// job returns that job's result without executing. Traced jobs and
-	// servers with a JobHook never memoize (their side channels must run).
-	// A memo entry is dropped when the store evicts the job that filled
-	// it, so StoreCap bounds the memo too.
-	Memo bool
 	// Metrics receives service and engine metrics (created when nil).
 	Metrics *obs.Metrics
 	// JobHook, when set, is called as each job starts; it may adjust the
@@ -81,9 +72,6 @@ type Server struct {
 	cache     *pcache.Store
 	cacheOnce sync.Once
 
-	memoMu sync.Mutex
-	memo   map[string]memoEntry
-
 	// admitMu guards queue sends against Drain's close(queue): submitters
 	// hold it shared, Drain exclusively. draining is checked under it.
 	admitMu  sync.RWMutex
@@ -99,8 +87,6 @@ type Server struct {
 	mCompleted *obs.Counter
 	mFailed    *obs.Counter
 	mCanceled  *obs.Counter
-	mMemoHits  *obs.Counter
-	mMemoMiss  *obs.Counter
 	gDepth     *obs.Gauge
 	gPeak      *obs.Gauge
 	gRunning   *obs.Gauge
@@ -131,7 +117,6 @@ func New(cfg Config) *Server {
 		loader:  NewLoader(cfg.DataDir, m),
 		store:   newStore(cfg.StoreCap),
 		queue:   make(chan *Job, cfg.QueueDepth),
-		memo:    make(map[string]memoEntry),
 
 		mAccepted:  m.Counter("sweepd.jobs.accepted"),
 		mRejected:  m.Counter("sweepd.jobs.rejected"),
@@ -145,9 +130,6 @@ func New(cfg Config) *Server {
 		hAdmission: m.Histogram("sweepd.admission.latency"),
 		hQueueWait: m.Histogram("sweepd.job.queue_wait"),
 		hLatency:   m.Histogram("sweepd.job.latency"),
-
-		mMemoHits: m.Counter("sweepd.memo.hits"),
-		mMemoMiss: m.Counter("sweepd.memo.misses"),
 	}
 	if cfg.CacheDir != "" {
 		pc, err := pcache.Open(cfg.CacheDir)
@@ -190,9 +172,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.mRejected.Add(1)
 		return nil, ErrQueueFull
 	}
-	for _, old := range s.store.add(j) {
-		s.memoDrop(old)
-	}
+	s.store.add(j)
 	s.mAccepted.Add(1)
 	depth := int64(len(s.queue))
 	s.gDepth.Set(depth)
@@ -294,31 +274,10 @@ func (s *Server) runJob(j *Job) {
 	}
 	opts.Tracer = obs.Multi(tracers...)
 
-	memoKey, memoOK := s.memoKey(j.Spec)
-	if memoOK {
-		if prior := s.memoGet(memoKey); prior != nil {
-			s.mMemoHits.Add(1)
-			hit := *prior
-			hit.Memoized = true
-			hit.ElapsedMS = 0
-			if j.finish(&hit, "") == StatusDone {
-				s.mCompleted.Add(1)
-			} else {
-				s.mCanceled.Add(1)
-			}
-			s.hLatency.Observe(time.Since(j.started))
-			return
-		}
-		s.mMemoMiss.Add(1)
-	}
-
 	res, err := s.executeSafe(ctx, j, opts)
 	errMsg := ""
 	if err != nil {
 		errMsg = err.Error()
-	}
-	if memoOK && err == nil && res != nil && res.Verdict != "undecided" && j.Status() != StatusCanceled {
-		s.memoPut(memoKey, j, res)
 	}
 	switch j.finish(res, errMsg) {
 	case StatusDone:
@@ -341,96 +300,6 @@ func (s *Server) executeSafe(ctx context.Context, j *Job, opts sweep.Options) (r
 		}
 	}()
 	return ExecuteCached(ctx, j.Spec, s.loader, opts, s.cache)
-}
-
-// memoKey derives the job's memoization key: a digest over the normalized
-// spec (trace fields cleared — they do not affect the result) and the
-// resolved contents of every circuit it names. Not every job is
-// memoizable: traced jobs must emit their event stream, a JobHook may
-// perturb any job, and a Path circuit whose file is unreadable will fail
-// identically on execution anyway.
-func (s *Server) memoKey(spec JobSpec) (string, bool) {
-	if !s.cfg.Memo || spec.Trace || s.cfg.JobHook != nil {
-		return "", false
-	}
-	h := sha256.New()
-	for _, ref := range []CircuitRef{spec.Circuit, spec.CircuitB} {
-		d, ok := s.circuitDigest(ref)
-		if !ok {
-			return "", false
-		}
-		h.Write(d)
-	}
-	spec.Trace, spec.Deterministic = false, false
-	b, err := json.Marshal(spec)
-	if err != nil {
-		return "", false
-	}
-	h.Write(b)
-	return string(h.Sum(nil)), true
-}
-
-// circuitDigest hashes one circuit ref by content: inline payloads and
-// benchmark names are self-describing; Path refs hash the file bytes so an
-// edited file is a different job.
-func (s *Server) circuitDigest(ref CircuitRef) ([]byte, bool) {
-	h := sha256.New()
-	switch {
-	case ref.BLIF != "":
-		h.Write([]byte("blif\x00" + ref.BLIF))
-	case ref.Bench != "":
-		h.Write([]byte("bench\x00" + ref.Bench))
-	case ref.AIGER != "":
-		h.Write([]byte("aiger\x00" + ref.AIGER))
-	case ref.Benchmark != "":
-		h.Write([]byte("benchmark\x00" + ref.Benchmark))
-	case ref.Path != "":
-		if s.cfg.DataDir == "" {
-			return nil, false
-		}
-		b, err := os.ReadFile(filepath.Join(s.cfg.DataDir, filepath.Clean("/"+ref.Path)))
-		if err != nil {
-			return nil, false
-		}
-		h.Write([]byte("path\x00"))
-		h.Write(b)
-	default:
-		h.Write([]byte("empty"))
-	}
-	return h.Sum(nil), true
-}
-
-// memoEntry is one memoized result and the job that produced it. The entry
-// lives only as long as that job is retained by the store, so the memo is
-// bounded by StoreCap.
-type memoEntry struct {
-	res *Result
-	job *Job
-}
-
-func (s *Server) memoGet(key string) *Result {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	return s.memo[key].res
-}
-
-// memoPut records j's result under key. It runs before j turns terminal,
-// so the store cannot evict j before the entry exists.
-func (s *Server) memoPut(key string, j *Job, res *Result) {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	s.memo[key] = memoEntry{res: res, job: j}
-	j.memoKey = key
-}
-
-// memoDrop forgets the entry an evicted job filled, unless a later job
-// with the same key has replaced it.
-func (s *Server) memoDrop(j *Job) {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	if e, ok := s.memo[j.memoKey]; ok && e.job == j {
-		delete(s.memo, j.memoKey)
-	}
 }
 
 // JobView is the JSON shape of a job in status and list responses.

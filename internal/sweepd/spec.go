@@ -179,8 +179,8 @@ func (sp *JobSpec) validate() error {
 	}
 	if sp.Iterations < 0 || sp.RandRounds < 0 || sp.Workers < 1 ||
 		sp.ConflictBudget < 0 || sp.PropagationBudget < 0 || sp.MaxPairs < 0 ||
-		sp.TimeoutMS < 0 {
-		return fmt.Errorf("negative budgets, iterations, or timeout")
+		*sp.MaxEscalations < 0 || sp.BDDNodes < 0 || sp.TimeoutMS < 0 {
+		return fmt.Errorf("negative budgets, ladder settings, iterations, or timeout")
 	}
 	return nil
 }
@@ -257,8 +257,4 @@ type Result struct {
 
 	// ElapsedMS is the job's execution wall time (queue wait excluded).
 	ElapsedMS int64 `json:"elapsed_ms"`
-
-	// Memoized marks a result served from the job-level memo (Config.Memo)
-	// instead of a fresh execution.
-	Memoized bool `json:"memoized,omitempty"`
 }

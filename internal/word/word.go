@@ -9,9 +9,9 @@
 // the same candidate with the same slice index and equal simulation
 // signatures are frontier pairs, proven bottom-up so learned per-bit
 // equalities collapse the wide miters above them (FORWORD,
-// arXiv:2507.02008; Datapath-CEC, arXiv:2501.14740). Classification of a
-// candidate's Kind is heuristic and advisory — it labels traces and the
-// adaptive policy's obligation shapes, never a proof.
+// arXiv:2507.02008; Datapath-CEC, arXiv:2501.14740). Membership only
+// selects which pairs the stage tries; every verdict still comes from a
+// prover.
 package word
 
 import (
@@ -20,42 +20,7 @@ import (
 	"strings"
 
 	"simgen/internal/network"
-	"simgen/internal/tt"
 )
-
-// Kind is the advisory structural class of a candidate word.
-type Kind uint8
-
-const (
-	// KindUnknown marks candidates with no recognized slice pattern.
-	KindUnknown Kind = iota
-	// KindAdd marks carry-chain arithmetic: slices linear (XOR-shaped) in
-	// at least one support variable, over prefix ranges of operand words.
-	KindAdd
-	// KindMux marks mux-tree slices: a select variable whose cofactors
-	// have disjoint support.
-	KindMux
-	// KindShift marks shifter slices: two or more select variables.
-	KindShift
-	// KindCmp marks comparator slices: unate-free single-bit reductions
-	// over whole operand ranges.
-	KindCmp
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindAdd:
-		return "add"
-	case KindMux:
-		return "mux"
-	case KindShift:
-		return "shift"
-	case KindCmp:
-		return "cmp"
-	default:
-		return "unknown"
-	}
-}
 
 // Limits on what counts as a word slice: a node may draw on at most
 // maxWords input words and maxLoose loose (non-word) inputs.
@@ -73,7 +38,6 @@ type Bit struct {
 // Candidate is one detected word: a group of nodes sharing an input-word
 // footprint, ordered by slice.
 type Candidate struct {
-	Kind  Kind
 	Words []string // input-word names the slices draw on
 	Loose int      // loose PI count shared by the group
 	Bits  []Bit    // members ordered by (Slice, Node)
@@ -395,7 +359,6 @@ func Detect(net *network.Network) *Structure {
 		})
 		c := *meta[key]
 		c.Bits = bits
-		c.Kind = classify(net, bits, c.Loose)
 		ci := int32(len(st.Cands))
 		for _, b := range bits {
 			st.member[b.Node] = ci
@@ -404,99 +367,4 @@ func Detect(net *network.Network) *Structure {
 		st.Cands = append(st.Cands, c)
 	}
 	return st
-}
-
-// classify votes an advisory Kind from the members' local LUT functions.
-func classify(net *network.Network, bits []Bit, loose int) Kind {
-	linear, mux, shift := 0, 0, 0
-	for _, b := range bits {
-		nd := net.Node(b.Node)
-		k := nd.Func.NumVars()
-		if k == 0 || k > 6 {
-			continue
-		}
-		sels := muxSelVars(nd.Func, k)
-		switch {
-		case sels >= 2:
-			shift++
-		case sels == 1:
-			mux++
-		case hasLinearVar(nd.Func, k):
-			linear++
-		}
-	}
-	half := (len(bits) + 1) / 2
-	switch {
-	case shift >= half && loose >= 2:
-		return KindShift
-	case mux+shift >= half && loose >= 1:
-		return KindMux
-	case linear >= half:
-		return KindAdd
-	case len(bits) <= 2 && loose == 0:
-		return KindCmp
-	default:
-		return KindUnknown
-	}
-}
-
-// hasLinearVar reports whether some variable appears linearly (XOR-like):
-// both cofactors are complements.
-func hasLinearVar(f tt.Table, k int) bool {
-	size := 1 << uint(k)
-	for v := 0; v < k; v++ {
-		linear := true
-		for m := 0; m < size && linear; m++ {
-			if m&(1<<uint(v)) != 0 {
-				continue
-			}
-			if f.Bit(m) == f.Bit(m|1<<uint(v)) {
-				linear = false
-			}
-		}
-		if linear {
-			return true
-		}
-	}
-	return false
-}
-
-// muxSelVars counts variables that act as mux selects: the two cofactors
-// are non-constant and depend on disjoint variable sets.
-func muxSelVars(f tt.Table, k int) int {
-	size := 1 << uint(k)
-	sels := 0
-	for v := 0; v < k; v++ {
-		var dep0, dep1 uint32
-		ones0, ones1, n := 0, 0, 0
-		for m := 0; m < size; m++ {
-			if m&(1<<uint(v)) != 0 {
-				continue
-			}
-			n++
-			b0, b1 := f.Bit(m), f.Bit(m|1<<uint(v))
-			if b0 {
-				ones0++
-			}
-			if b1 {
-				ones1++
-			}
-			for u := 0; u < k; u++ {
-				if u == v || m&(1<<uint(u)) != 0 {
-					continue
-				}
-				if f.Bit(m|1<<uint(u)) != b0 {
-					dep0 |= 1 << uint(u)
-				}
-				if f.Bit(m|1<<uint(u)|1<<uint(v)) != b1 {
-					dep1 |= 1 << uint(u)
-				}
-			}
-		}
-		if dep0&dep1 == 0 && dep0 != 0 && dep1 != 0 &&
-			ones0 != 0 && ones0 != n && ones1 != 0 && ones1 != n {
-			sels++
-		}
-	}
-	return sels
 }
