@@ -139,15 +139,15 @@ bench-test:
 bench-full:
 	$(GO) test -bench=. -benchmem
 
-# Simulation-core micro-benchmarks: the arena kernel, incremental
-# resimulation, bucketed refinement, vector packing, the sweeping
-# counterexample pool, end-to-end service throughput, SimGen and
-# reverse-simulation vector generation, the exhaustive-simulation
-# prover rung, NPN canonization, the proof cache's structural diff and
-# the CDCL solver's raw propagation rate.
+# Simulation-core micro-benchmarks: the arena kernel, bucketed
+# refinement, vector packing, the sweeping counterexample pool,
+# end-to-end service throughput, SimGen and reverse-simulation vector
+# generation, the exhaustive-simulation prover rung, NPN canonization,
+# the proof cache's structural diff and the CDCL solver's raw
+# propagation rate.
 # BENCHCOUNT repetitions give the gate stable medians.
 BENCHCOUNT ?= 5
-BENCHES ?= BenchmarkSimulate|BenchmarkResimulate|BenchmarkRefine|BenchmarkPackVectors|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep|BenchmarkAblationSimGen|BenchmarkAblationRevS|BenchmarkSimEngine|BenchmarkNPNCanon|BenchmarkDiff|BenchmarkSolve
+BENCHES ?= BenchmarkSimulate|BenchmarkRefine|BenchmarkPackVectors|BenchmarkSweepCexPool|BenchmarkObligationScheduler|BenchmarkTracerOverhead|BenchmarkSweepdThroughput|BenchmarkWarmSweep|BenchmarkAblationSimGen|BenchmarkAblationRevS|BenchmarkSimEngine|BenchmarkNPNCanon|BenchmarkDiff|BenchmarkSolve
 BENCHDIRS ?= ./internal/sim ./internal/sweep ./internal/sweepd ./internal/tt ./internal/pcache ./internal/sat .
 .PHONY: bench
 bench:

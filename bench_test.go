@@ -24,6 +24,7 @@ import (
 	"simgen/internal/experiments"
 	"simgen/internal/genbench"
 	"simgen/internal/mapper"
+	"simgen/internal/network"
 	"simgen/internal/pcache"
 	"simgen/internal/prover"
 	"simgen/internal/sim"
@@ -298,10 +299,11 @@ func BenchmarkSimEngine(b *testing.B) {
 	run := core.NewRunner(net, 1, 42)
 	type pair struct{ a, b NodeID }
 	var pairs []pair
+	cone := network.NewCone(net)
 	for _, ci := range run.Classes.NonSingleton() {
 		members := run.Classes.Members(ci)
 		for _, m := range members[1:] {
-			if len(prover.Support(net, members[0], m)) <= prover.DefaultSimPIs {
+			if len(prover.Support(net, cone, members[0], m)) <= prover.DefaultSimPIs {
 				pairs = append(pairs, pair{members[0], m})
 			}
 		}

@@ -14,6 +14,7 @@ type Builder struct {
 	net   *network.Network
 	varOf map[network.NodeID]int
 	cache map[network.NodeID]Ref
+	cone  *network.Cone
 }
 
 // NewBuilder returns a builder whose manager has one variable per primary
@@ -26,6 +27,7 @@ func NewBuilder(net *network.Network) *Builder {
 		net:   net,
 		varOf: make(map[network.NodeID]int, net.NumPIs()),
 		cache: make(map[network.NodeID]Ref),
+		cone:  network.NewCone(net),
 	}
 	for i, pi := range net.PIs() {
 		b.varOf[pi] = i
@@ -33,17 +35,14 @@ func NewBuilder(net *network.Network) *Builder {
 	return b
 }
 
-// Node returns the BDD of the node's function over the primary inputs. It
+// Node returns the BDD of the node's function over the primary inputs,
+// building the uncached part of its fanin cone in DFS post-order. It
 // polls ctx before each node it builds: a done context returns ctx.Err(),
 // keeping the finished nodes cached.
 func (b *Builder) Node(ctx context.Context, id network.NodeID) (Ref, error) {
-	if r, ok := b.cache[id]; ok {
-		return r, nil
-	}
-	for _, cid := range b.net.FaninCone(id) {
-		if _, done := b.cache[cid]; done {
-			continue
-		}
+	b.cone.Reset()
+	b.cone.Add(id, b.cached)
+	for _, cid := range b.cone.Nodes {
 		if err := ctx.Err(); err != nil {
 			return False, err
 		}
@@ -54,6 +53,13 @@ func (b *Builder) Node(ctx context.Context, id network.NodeID) (Ref, error) {
 		b.cache[cid] = r
 	}
 	return b.cache[id], nil
+}
+
+// cached reports whether id's BDD is built. Node builds a cone fanins
+// first, so the cached set is closed under fanins: the walk's stop set.
+func (b *Builder) cached(id network.NodeID) bool {
+	_, ok := b.cache[id]
+	return ok
 }
 
 func (b *Builder) build(id network.NodeID) (Ref, error) {

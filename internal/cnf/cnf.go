@@ -15,14 +15,22 @@ type Encoder struct {
 	Solver *sat.Solver
 	net    *network.Network
 	varOf  map[network.NodeID]int
+
+	// encoded holds the nodes whose clauses are emitted. It is closed
+	// under fanins, unlike varOf (Var may allocate ahead of EncodeCone),
+	// so it is the walk's stop set.
+	encoded map[network.NodeID]bool
+	cone    *network.Cone
 }
 
 // NewEncoder returns an encoder for net writing into solver.
 func NewEncoder(net *network.Network, solver *sat.Solver) *Encoder {
 	return &Encoder{
-		Solver: solver,
-		net:    net,
-		varOf:  make(map[network.NodeID]int),
+		Solver:  solver,
+		net:     net,
+		varOf:   make(map[network.NodeID]int),
+		encoded: make(map[network.NodeID]bool),
+		cone:    network.NewCone(net),
 	}
 }
 
@@ -44,19 +52,16 @@ func (e *Encoder) Lit(id network.NodeID, neg bool) sat.Lit {
 }
 
 // Encoded reports whether the node's cone has already been encoded.
-func (e *Encoder) Encoded(id network.NodeID) bool {
-	_, ok := e.varOf[id]
-	return ok
-}
+func (e *Encoder) Encoded(id network.NodeID) bool { return e.encoded[id] }
 
 // EncodeCone emits Tseitin clauses for every node in root's fanin cone that
-// has not been encoded yet. It returns false when the solver became
-// trivially unsatisfiable (cannot happen for well-formed networks).
+// has not been encoded yet, in the cone's DFS post-order. It returns false
+// when the solver became trivially unsatisfiable (cannot happen for
+// well-formed networks).
 func (e *Encoder) EncodeCone(root network.NodeID) bool {
-	for _, id := range e.net.FaninCone(root) {
-		if _, done := e.varOf[id]; done {
-			continue
-		}
+	e.cone.Reset()
+	e.cone.Add(root, e.Encoded)
+	for _, id := range e.cone.Nodes {
 		if !e.encodeNode(id) {
 			return false
 		}
@@ -65,6 +70,7 @@ func (e *Encoder) EncodeCone(root network.NodeID) bool {
 }
 
 func (e *Encoder) encodeNode(id network.NodeID) bool {
+	e.encoded[id] = true
 	nd := e.net.Node(id)
 	y := e.Var(id)
 	switch nd.Kind {

@@ -208,4 +208,34 @@ func TestIncrementalConeEncoding(t *testing.T) {
 	if !e.Encoded(mid) || !e.Encoded(y) {
 		t.Fatal("Encoded() wrong")
 	}
+	// The walk stops at y itself: re-encoding allocates nothing.
+	if allocs := testing.AllocsPerRun(10, func() { e.EncodeCone(y) }); allocs != 0 {
+		t.Fatalf("re-encoding an encoded cone allocates %v objects, want 0", allocs)
+	}
+}
+
+func TestLitBeforeEncodeCone(t *testing.T) {
+	// Var allows a caller to take a node's variable before EncodeCone
+	// emits its clauses; the node must still be encoded, so a pair that
+	// differs only in fanin order stays equivalent.
+	n := network.New("commuted")
+	a := n.AddPI("a")
+	b := n.AddPI("b")
+	and2 := tt.Var(2, 0).And(tt.Var(2, 1))
+	g := n.AddLUT("g", []network.NodeID{a, b}, and2)
+	h := n.AddLUT("h", []network.NodeID{b, a}, and2)
+	n.AddPO("g", g)
+	n.AddPO("h", h)
+	s := sat.New()
+	e := NewEncoder(n, s)
+	e.Lit(g, false)
+	if e.Encoded(g) {
+		t.Fatal("Encoded() true before EncodeCone")
+	}
+	if got := s.Solve(e.Miter(g, h)); got != sat.Unsat {
+		t.Fatalf("a&b vs b&a: %v, want UNSAT", got)
+	}
+	if !e.Encoded(g) || !e.Encoded(h) {
+		t.Fatal("Encoded() false after Miter")
+	}
 }

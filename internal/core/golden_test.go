@@ -12,10 +12,13 @@ import (
 	"simgen/internal/sim"
 )
 
-// hashingSource forwards to a Generator and feeds every batch it returns
+// hashingSource forwards to a generator and feeds every batch it returns
 // into h, one length-prefixed byte per vector bit.
 type hashingSource struct {
-	g *Generator
+	g interface {
+		VectorSource
+		StatsSource
+	}
 	h hash.Hash
 }
 
@@ -78,6 +81,43 @@ func TestVectorStreamGolden(t *testing.T) {
 		}
 		run := NewRunner(net, 1, 1)
 		src := &hashingSource{g: NewGenerator(net, StrategySimGen, 1), h: sha256.New()}
+		for i := 0; i < 20; i++ {
+			run.Step(src, i)
+		}
+		gs := src.GenStats()
+		writeInts(src.h, gs.Decisions, gs.Implications, gs.Conflicts, gs.Backtracks, int64(run.Classes.Cost()))
+		if got := hex.EncodeToString(src.h.Sum(nil)); got != want[name] {
+			t.Errorf("%s: vector stream hash %s, want %s (stats %+v, cost %d)",
+				name, got, want[name], gs, run.Classes.Cost())
+		}
+	}
+}
+
+// TestRevSStreamGolden pins RevS's output byte for byte the same way:
+// every vector of 20 stepped iterations of 64 at seed 1 over the same
+// circuits, then the final generation counters and partition cost. RevS
+// visits the pair's union cone in descending node ID; any change to that
+// order moves its RNG draws and trips this.
+func TestRevSStreamGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("maps three suite circuits")
+	}
+	want := map[string]string{
+		"alu4":  "d3eb084d19d55a5330486475e8edcb892745e2baaeadaac7e974b8cf17a35f71",
+		"apex2": "7d038c200b2fbc63379481991776d22dbb471a9a8a7655126db3b300e2917697",
+		"pdc":   "4d790e1f39a5e8242fef1212d3782db88397a76581246eaf6b0431eee9568fd8",
+	}
+	for _, name := range []string{"alu4", "apex2", "pdc"} {
+		b, ok := genbench.ByName(name)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", name)
+		}
+		net, err := b.LUTNetwork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := NewRunner(net, 1, 1)
+		src := &hashingSource{g: NewReverse(net, 1), h: sha256.New()}
 		for i := 0; i < 20; i++ {
 			run.Step(src, i)
 		}

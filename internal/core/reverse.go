@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 
 	"simgen/internal/network"
 	"simgen/internal/sim"
@@ -16,9 +15,10 @@ import (
 // without structural guidance, and aborts the whole vector on the first
 // conflicting assignment.
 type Reverse struct {
-	net *network.Network
-	eng *engine
-	rng *rand.Rand
+	net  *network.Network
+	eng  *engine
+	rng  *rand.Rand
+	cone *network.Cone // the pair's union cone
 
 	// Stats counters.
 	Attempts  int
@@ -30,9 +30,10 @@ type Reverse struct {
 // NewReverse returns a reverse-simulation generator for the network.
 func NewReverse(net *network.Network, seed int64) *Reverse {
 	return &Reverse{
-		net: net,
-		eng: newEngine(net),
-		rng: rand.New(rand.NewSource(seed)),
+		net:  net,
+		eng:  newEngine(net),
+		rng:  rand.New(rand.NewSource(seed)),
+		cone: network.NewCone(net),
 	}
 }
 
@@ -63,22 +64,12 @@ func (r *Reverse) VectorForPair(a, b network.NodeID) ([]bool, bool) {
 
 	// Union of both fanin cones in reverse topological order: node IDs are
 	// topological, so descending ID order visits fanouts before fanins.
-	cone := map[network.NodeID]bool{}
-	for _, id := range r.net.FaninCone(a) {
-		cone[id] = true
-	}
-	for _, id := range r.net.FaninCone(b) {
-		cone[id] = true
-	}
-	nodes := make([]network.NodeID, 0, len(cone))
-	for id := range cone {
-		nodes = append(nodes, id)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] > nodes[j] })
-
-	for _, id := range nodes {
+	r.cone.Reset()
+	r.cone.Add(a, nil)
+	r.cone.Add(b, nil)
+	for id := max(a, b); id >= 0; id-- {
 		nd := r.net.Node(id)
-		if nd.Kind != network.KindLUT && nd.Kind != network.KindConst {
+		if !r.cone.Has(id) || (nd.Kind != network.KindLUT && nd.Kind != network.KindConst) {
 			continue
 		}
 		out, ok := e.vals.get(id)

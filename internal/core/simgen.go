@@ -50,14 +50,8 @@ type Generator struct {
 	order   []int
 	honored []bool
 
-	// coneCache memoizes fanin cones per target; classes revisit the same
-	// targets across iterations, making this the generator's hottest
-	// allocation site otherwise.
-	coneCache map[network.NodeID][]network.NodeID
-
-	// inCone[id] == epoch marks the cone of the target being justified.
-	inCone []uint32
-	epoch  uint32
+	// cone holds the fanin cone of the target being justified.
+	cone *network.Cone
 
 	// Backtrack, when positive, allows that many backtracks per target: on
 	// a conflict the engine undoes the most recent decision and tries a
@@ -83,8 +77,7 @@ func NewGenerator(net *network.Network, strategy Strategy, seed int64) *Generato
 		rng:       rand.New(rand.NewSource(seed)),
 		TargetCap: 32,
 		goldState: newGoldState(),
-		coneCache: make(map[network.NodeID][]network.NodeID),
-		inCone:    make([]uint32, net.NumNodes()),
+		cone:      network.NewCone(net),
 	}
 }
 
@@ -200,18 +193,8 @@ func (g *Generator) processTarget(target network.NodeID, want bool) bool {
 		return false
 	}
 
-	cone, ok := g.coneCache[target]
-	if !ok {
-		cone = g.net.FaninCone(target)
-		g.coneCache[target] = cone
-	}
-	if g.epoch++; g.epoch == 0 { // wrapped: stale marks could match
-		clear(g.inCone)
-		g.epoch = 1
-	}
-	for _, id := range cone {
-		g.inCone[id] = g.epoch
-	}
+	g.cone.Reset()
+	g.cone.Add(target, nil)
 	var stuck map[network.NodeID]bool // allocated on first use (rare)
 	// Decision stack for optional backtracking (disabled when
 	// g.Backtrack == 0, the paper's configuration).
@@ -291,7 +274,7 @@ func (g *Generator) latestUpdated(stuck map[network.NodeID]bool) network.NodeID 
 	e := g.eng
 	for i := len(e.vals.trail) - 1; i >= 0; i-- {
 		id := e.vals.trail[i]
-		if g.inCone[id] != g.epoch || e.kind[id] != network.KindLUT || stuck[id] {
+		if !g.cone.Has(id) || e.kind[id] != network.KindLUT || stuck[id] {
 			continue
 		}
 		if !e.entry(id).has(entJustified) {

@@ -12,9 +12,9 @@ import (
 // TestKernelDifferential is the arena-kernel differential oracle: on 200+
 // fuzz-generated networks spanning every shape preset, the production
 // simulator (sim.Simulator, both one-shot and reused) must agree bit for
-// bit with the retained naive reference evaluator — including the
-// incremental resimulation path after random input mutations and the
-// cone-restricted path (SimulateCone) followed by a full Simulate.
+// bit with the retained naive reference evaluator — including a reused
+// instance after random input mutations and the cone-restricted path
+// (SimulateCone over a network.Cone) followed by a full Simulate.
 func TestKernelDifferential(t *testing.T) {
 	const iterations = 240
 	rng := rand.New(rand.NewSource(42))
@@ -45,8 +45,8 @@ func TestKernelDifferential(t *testing.T) {
 		got = s.Simulate(inputs, nwords)
 		diffValues(t, it, name, "reused", net.NumNodes(), got, want)
 
-		// Incremental path: mutate a random subset of PIs and resimulate;
-		// the TFO-cone recomputation must match a full reference run.
+		// Mutated-input path: change a random subset of PIs and simulate
+		// again on the same instance; it must match a full reference run.
 		cur := make([]sim.Words, len(inputs))
 		for i := range inputs {
 			cur[i] = append(sim.Words(nil), inputs[i]...)
@@ -56,11 +56,10 @@ func TestKernelDifferential(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					cur[i][rng.Intn(nwords)] = rng.Uint64()
 				}
-				s.SetInput(i, cur[i])
 			}
-			got = s.Resimulate()
+			got = s.Simulate(cur, nwords)
 			want = sim.Reference(net, cur, nwords)
-			diffValues(t, it, name, "incremental", net.NumNodes(), got, want)
+			diffValues(t, it, name, "mutated", net.NumNodes(), got, want)
 		}
 
 		// Cone path: a random root pair's union cone on the same instance
@@ -68,6 +67,7 @@ func TestKernelDifferential(t *testing.T) {
 		// afterwards must lay the whole arena out again. A separate stream
 		// keeps the networks of later iterations unchanged.
 		crng := rand.New(rand.NewSource(int64(it)))
+		cone := network.NewCone(net)
 		piIdx := make(map[network.NodeID]int, net.NumPIs())
 		for i, pi := range net.PIs() {
 			piIdx[pi] = i
@@ -79,7 +79,11 @@ func TestKernelDifferential(t *testing.T) {
 				network.NodeID(crng.Intn(net.NumNodes())),
 				network.NodeID(crng.Intn(net.NumNodes())),
 			}
-			got = s.SimulateCone(roots, cw, func(pi network.NodeID, dst sim.Words) {
+			cone.Reset()
+			for _, r := range roots {
+				cone.Add(r, nil)
+			}
+			got = s.SimulateCone(cone, cw, func(pi network.NodeID, dst sim.Words) {
 				copy(dst, cin[piIdx[pi]])
 			})
 			for _, r := range roots {

@@ -179,19 +179,9 @@ func applyEdit(net *network.Network, e edit) *network.Network {
 // extract rebuilds only the logic reachable from the POs; primary inputs
 // are kept only while still referenced.
 func extract(net *network.Network) *network.Network {
-	needed := make([]bool, net.NumNodes())
-	var mark func(id network.NodeID)
-	mark = func(id network.NodeID) {
-		if needed[id] {
-			return
-		}
-		needed[id] = true
-		for _, f := range net.Node(id).Fanins {
-			mark(f)
-		}
-	}
+	needed := network.NewCone(net)
 	for _, po := range net.POs() {
-		mark(po.Driver)
+		needed.Add(po.Driver, nil)
 	}
 
 	dst := network.New(net.Name)
@@ -201,7 +191,7 @@ func extract(net *network.Network) *network.Network {
 	}
 	for id := 0; id < net.NumNodes(); id++ {
 		nid := network.NodeID(id)
-		if !needed[nid] {
+		if !needed.Has(nid) {
 			continue
 		}
 		nd := net.Node(nid)

@@ -91,12 +91,13 @@ func FreePairFraction(net *network.Network, classes *sim.Classes, maxPIs int) fl
 		maxPIs = prover.DefaultSimPIs
 	}
 	free, total := 0, 0
+	cone := network.NewCone(net)
 	for _, ci := range classes.NonSingleton() {
 		members := classes.Members(ci)
 		rep := members[0]
 		for _, m := range members[1:] {
 			total++
-			if len(prover.Support(net, rep, m)) <= maxPIs {
+			if len(prover.Support(net, cone, rep, m)) <= maxPIs {
 				free++
 			}
 		}

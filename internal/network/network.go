@@ -219,39 +219,6 @@ func (n *Network) FaninIndex(id, f NodeID) int {
 	return -1
 }
 
-// FaninCone returns the IDs of all nodes in the fanin cone of root
-// (including root itself), in DFS post-order — fanins appear before the
-// nodes that use them, so the slice is topologically sorted and root is
-// last.
-func (n *Network) FaninCone(root NodeID) []NodeID {
-	visited := make(map[NodeID]bool, 64)
-	var order []NodeID
-	var dfs func(id NodeID)
-	dfs = func(id NodeID) {
-		if visited[id] {
-			return
-		}
-		visited[id] = true
-		for _, f := range n.nodes[id].Fanins {
-			dfs(f)
-		}
-		order = append(order, id)
-	}
-	dfs(root)
-	return order
-}
-
-// ConePIs returns the primary inputs within the fanin cone of root.
-func (n *Network) ConePIs(root NodeID) []NodeID {
-	var pis []NodeID
-	for _, id := range n.FaninCone(root) {
-		if n.nodes[id].Kind == KindPI {
-			pis = append(pis, id)
-		}
-	}
-	return pis
-}
-
 // ReplaceFanin rewrites every occurrence of old in node id's fanin list
 // with repl. The caller must ensure repl < id to preserve the topological
 // invariant. It returns the number of replaced positions.

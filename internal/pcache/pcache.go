@@ -32,6 +32,7 @@ type Session struct {
 
 	mu     sync.Mutex
 	keyer  *Keyer
+	cone   *network.Cone  // the revalidated pair's union cone
 	kernel *sim.Simulator // revalidation cone evaluator; built on first use
 }
 
@@ -43,6 +44,7 @@ func NewSession(store *Store, net *network.Network, tr obs.Tracer) *Session {
 		net:   net,
 		tr:    obs.OrNop(tr),
 		keyer: NewKeyer(net),
+		cone:  network.NewCone(net),
 	}
 }
 

@@ -36,13 +36,14 @@ const (
 	revalRandomWords = 4
 )
 
-// simulateCone runs the session's cone evaluator, compiling it on first
-// use. The caller holds s.mu.
+// simulateCone runs the session's cone evaluator over the pair's union
+// cone, which the caller has walked into s.cone, compiling the evaluator
+// on first use. The caller holds s.mu.
 func (s *Session) simulateCone(a, b network.NodeID, nwords int, fill func(pi network.NodeID, dst sim.Words)) (va, vb sim.Words) {
 	if s.kernel == nil {
 		s.kernel = sim.NewSimulator(s.net)
 	}
-	vals := s.kernel.SimulateCone([]network.NodeID{a, b}, nwords, fill)
+	vals := s.kernel.SimulateCone(s.cone, nwords, fill)
 	return vals[a], vals[b]
 }
 
@@ -50,7 +51,7 @@ func (s *Session) simulateCone(a, b network.NodeID, nwords int, fill func(pi net
 // combined support when it fits the cutoff, random words otherwise. seed
 // makes the random fallback deterministic per pair.
 func (s *Session) revalEqual(a, b network.NodeID, seed uint64) bool {
-	support := prover.Support(s.net, a, b)
+	support := prover.Support(s.net, s.cone, a, b)
 	if k := len(support); k <= revalExhaustivePIs {
 		varOf := make(map[network.NodeID]int, k)
 		for j, pi := range support {
@@ -84,6 +85,9 @@ func (s *Session) revalSeparates(a, b network.NodeID, cex []bool) bool {
 			val[pi] = ^uint64(0)
 		}
 	}
+	s.cone.Reset()
+	s.cone.Add(a, nil)
+	s.cone.Add(b, nil)
 	va, vb := s.simulateCone(a, b, 1, func(pi network.NodeID, dst sim.Words) {
 		dst[0] = val[pi]
 	})

@@ -3,6 +3,7 @@ package prover
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"simgen/internal/network"
@@ -162,7 +163,7 @@ func TestPortfolioSimSkipsSAT(t *testing.T) {
 }
 
 // TestSupportUnion checks the combined-support helper against per-node
-// cones.
+// cones: a's inputs first, then the rest of b's, on one reused walker.
 func TestSupportUnion(t *testing.T) {
 	n := network.New("sup")
 	a := n.AddPI("a")
@@ -173,10 +174,11 @@ func TestSupportUnion(t *testing.T) {
 	y := n.AddLUT("y", []network.NodeID{b, c}, and2)
 	n.AddPO("px", x)
 	n.AddPO("py", y)
-	if got := len(Support(n, x, y)); got != 3 {
-		t.Fatalf("combined support = %d PIs, want 3", got)
+	cone := network.NewCone(n)
+	if got := Support(n, cone, x, y); !slices.Equal(got, []network.NodeID{a, b, c}) {
+		t.Fatalf("combined support = %v, want [%d %d %d]", got, a, b, c)
 	}
-	if got := len(Support(n, x, x)); got != 2 {
-		t.Fatalf("self support = %d PIs, want 2", got)
+	if got := Support(n, cone, x, x); !slices.Equal(got, []network.NodeID{a, b}) {
+		t.Fatalf("self support = %v, want [%d %d]", got, a, b)
 	}
 }

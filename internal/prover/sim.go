@@ -25,6 +25,7 @@ type Sim struct {
 	net    *network.Network
 	maxPIs int
 	tr     obs.Tracer
+	cone   *network.Cone // the pair's union cone, walked once per proof
 
 	// kernel is the cone evaluator, compiled on the first proof. Compiling
 	// reads the network's lazily cached covers, which are not
@@ -39,7 +40,7 @@ func NewSim(net *network.Network, maxPIs int) *Sim {
 	if maxPIs <= 0 {
 		maxPIs = DefaultSimPIs
 	}
-	return &Sim{net: net, maxPIs: maxPIs, tr: obs.Nop}
+	return &Sim{net: net, maxPIs: maxPIs, tr: obs.Nop, cone: network.NewCone(net)}
 }
 
 // Name implements Engine.
@@ -48,18 +49,17 @@ func (e *Sim) Name() string { return "sim" }
 // SetTracer implements Engine.
 func (e *Sim) SetTracer(t obs.Tracer) { e.tr = obs.OrNop(t) }
 
-// Support returns the combined structural support of the pair: the union
-// of both fanin cones' primary inputs.
-func Support(net *network.Network, a, b network.NodeID) []network.NodeID {
-	pis := net.ConePIs(a)
-	seen := make(map[network.NodeID]bool, len(pis))
-	for _, pi := range pis {
-		seen[pi] = true
-	}
-	for _, pi := range net.ConePIs(b) {
-		if !seen[pi] {
-			seen[pi] = true
-			pis = append(pis, pi)
+// Support walks the pair's union fanin cone into c (a's cone, then the
+// rest of b's) and returns the primary inputs in it, in walk order: the
+// combined structural support. c keeps the cone for sim.SimulateCone.
+func Support(net *network.Network, c *network.Cone, a, b network.NodeID) []network.NodeID {
+	c.Reset()
+	c.Add(a, nil)
+	c.Add(b, nil)
+	var pis []network.NodeID
+	for _, id := range c.Nodes {
+		if net.Node(id).Kind == network.KindPI {
+			pis = append(pis, id)
 		}
 	}
 	return pis
@@ -68,7 +68,7 @@ func Support(net *network.Network, a, b network.NodeID) []network.NodeID {
 // Prove implements Engine. Declined pairs (support over the cutoff) emit
 // no events: the engine did no work for them.
 func (e *Sim) Prove(ctx context.Context, a, b network.NodeID, _ Budget) Result {
-	support := Support(e.net, a, b)
+	support := Support(e.net, e.cone, a, b)
 	if len(support) > e.maxPIs {
 		return Result{} // declined: Unknown with zero stats
 	}
@@ -84,8 +84,8 @@ func (e *Sim) Prove(ctx context.Context, a, b network.NodeID, _ Budget) Result {
 	return res
 }
 
-// enumerate simulates all 2^k support assignments over both cones and
-// compares the roots.
+// enumerate simulates all 2^k support assignments over the union cone
+// Support walked and compares the roots.
 func (e *Sim) enumerate(a, b network.NodeID, support []network.NodeID) (Verdict, []bool) {
 	varOf := make(map[network.NodeID]int, len(support))
 	for j, pi := range support {
@@ -94,7 +94,7 @@ func (e *Sim) enumerate(a, b network.NodeID, support []network.NodeID) (Verdict,
 	if e.kernel == nil {
 		e.kernel = sim.NewSimulator(e.net)
 	}
-	vals := e.kernel.SimulateCone([]network.NodeID{a, b}, 1<<max(0, len(support)-6),
+	vals := e.kernel.SimulateCone(e.cone, 1<<max(0, len(support)-6),
 		func(pi network.NodeID, dst sim.Words) {
 			j := varOf[pi]
 			for w := range dst {

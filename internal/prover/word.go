@@ -136,8 +136,7 @@ type Word struct {
 	sat  *SAT
 	tr   obs.Tracer
 
-	stamp []uint32
-	epoch uint32
+	cone  *network.Cone   // the obligation's union cone
 	tried map[uint64]bool // frontier pairs already attempted, either outcome
 }
 
@@ -149,7 +148,7 @@ func NewWord(net *network.Network, plan *WordPlan, s *SAT) *Word {
 		plan:  plan,
 		sat:   s,
 		tr:    obs.Nop,
-		stamp: make([]uint32, net.NumNodes()),
+		cone:  network.NewCone(net),
 		tried: make(map[uint64]bool),
 	}
 }
@@ -207,13 +206,9 @@ func (e *Word) Prepare(ctx context.Context, a, b network.NodeID, budget Budget) 
 	// Mark the union cone; frontier proving stays inside it so the work is
 	// exactly what the final miter needs (cone members' slices never exceed
 	// the roots', since their support is a subset).
-	e.epoch++
-	for _, id := range e.net.FaninCone(a) {
-		e.stamp[id] = e.epoch
-	}
-	for _, id := range e.net.FaninCone(b) {
-		e.stamp[id] = e.epoch
-	}
+	e.cone.Reset()
+	e.cone.Add(a, nil)
+	e.cone.Add(b, nil)
 
 	fb := budget
 	if fb.Conflicts == 0 || fb.Conflicts > frontierConflicts {
@@ -225,7 +220,7 @@ func (e *Word) Prepare(ctx context.Context, a, b network.NodeID, budget Budget) 
 		if proved >= maxFrontierPairs || ctx.Err() != nil {
 			break
 		}
-		if e.stamp[pr.x] != e.epoch || e.stamp[pr.y] != e.epoch {
+		if !e.cone.Has(pr.x) || !e.cone.Has(pr.y) {
 			continue
 		}
 		if (pr.x == a && pr.y == b) || (pr.x == b && pr.y == a) {

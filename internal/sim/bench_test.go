@@ -64,23 +64,6 @@ func BenchmarkSimulate(b *testing.B) {
 	})
 }
 
-// BenchmarkResimulate measures the incremental path: one PI word changes
-// and only its transitive fanout cone is recomputed.
-func BenchmarkResimulate(b *testing.B) {
-	net := benchNet(48, 2000, 1)
-	rng := rand.New(rand.NewSource(3))
-	inputs := RandomInputs(net, 1, rng)
-	net.Fanouts(0)
-	s := NewSimulator(net)
-	s.Simulate(inputs, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SetInput(i%len(inputs), Words{rng.Uint64()})
-		s.Resimulate()
-	}
-}
-
 // TestSimulateZeroAlloc guards the arena invariant behind the tracing
 // layer's zero-cost claim: a reused Simulator must not allocate on the
 // batch-simulation hot path, so any instrumentation added there shows up
@@ -96,25 +79,6 @@ func TestSimulateZeroAlloc(t *testing.T) {
 		s.Simulate(inputs, 1)
 	}); allocs != 0 {
 		t.Fatalf("Simulate allocates %v objects/op on the reuse path, want 0", allocs)
-	}
-}
-
-// TestResimulateZeroAlloc guards the incremental path the counterexample
-// pool drives: flipping one input and recomputing its fanout cone must not
-// allocate either.
-func TestResimulateZeroAlloc(t *testing.T) {
-	net := benchNet(48, 2000, 1)
-	rng := rand.New(rand.NewSource(3))
-	inputs := RandomInputs(net, 1, rng)
-	net.Fanouts(0)
-	s := NewSimulator(net)
-	s.Simulate(inputs, 1)
-	w := Words{rng.Uint64()}
-	if allocs := testing.AllocsPerRun(10, func() {
-		s.SetInput(0, w)
-		s.Resimulate()
-	}); allocs != 0 {
-		t.Fatalf("Resimulate allocates %v objects/op, want 0", allocs)
 	}
 }
 

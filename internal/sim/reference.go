@@ -11,7 +11,7 @@ import (
 // the original simulation kernel, retained verbatim as the differential
 // oracle for the arena-backed Simulator — it shares no code with the
 // specialized kernels, so any bug in kernel dispatch, arena indexing, or
-// incremental re-simulation shows up as a bit mismatch against it.
+// cone-restricted evaluation shows up as a bit mismatch against it.
 //
 // Production code should use Simulate or a reusable Simulator; Reference
 // exists for tests and benchmarks ("before" arm of the throughput study).

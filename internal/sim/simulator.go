@@ -8,7 +8,6 @@ package sim
 
 import (
 	"context"
-	"sort"
 
 	"simgen/internal/network"
 	"simgen/internal/tt"
@@ -53,17 +52,13 @@ type instr struct {
 // Simulator is a reusable bit-parallel evaluator over one network. It
 // compiles the network's ISOP covers into a flat program once, then
 // evaluates arbitrarily many input batches into a single flat arena with
-// no per-node allocation. It additionally supports incremental
-// re-simulation: after SetInput, Resimulate re-evaluates only the
-// transitive fanout cone of the changed inputs, pruning subtrees whose
-// recomputed value did not change.
+// no per-node allocation.
 //
-// The Values returned by Simulate/SimulateContext/Resimulate are views
-// into the arena: they stay valid (and reflect the latest call) until the
-// next Simulate with a different word count or the next SimulateCone, and
-// are overwritten by every subsequent call. Callers that need the data
-// beyond the next call must copy it. A Simulator is not safe for
-// concurrent use.
+// The Values returned by Simulate/SimulateContext are views into the
+// arena: they stay valid (and reflect the latest call) until the next
+// Simulate with a different word count or the next SimulateCone, and are
+// overwritten by every subsequent call. Callers that need the data beyond
+// the next call must copy it. A Simulator is not safe for concurrent use.
 type Simulator struct {
 	net   *network.Network
 	prog  []instr
@@ -75,13 +70,6 @@ type Simulator struct {
 	views   Values
 	full    bool  // views lay out every node (false after SimulateCone)
 	scratch Words // cube accumulator for opGeneric
-	evalBuf Words // recompute buffer for Resimulate change pruning
-
-	// Incremental state.
-	touched []int32 // staged changed PI rows
-	dirty   []bool  // per node: value changed during the current Resimulate
-	inCone  []bool  // per node: member of the cone being collected
-	cone    []int32 // scratch list of cone node ids
 }
 
 // NewSimulator compiles the network into a kernel program. The covers
@@ -182,7 +170,7 @@ func (s *Simulator) appendCube(cube tt.Cube, fanins []network.NodeID) (off, n in
 }
 
 // reserve sizes the arena for rows rows of nwords words, and the scratch
-// buffers for nwords. Views are left for the caller to lay out.
+// buffer for nwords. Views are left for the caller to lay out.
 func (s *Simulator) reserve(rows, nwords int) {
 	if nwords <= 0 {
 		panic("sim: word count must be positive")
@@ -198,11 +186,8 @@ func (s *Simulator) reserve(rows, nwords int) {
 	}
 	if cap(s.scratch) < nwords {
 		s.scratch = make(Words, nwords)
-		s.evalBuf = make(Words, nwords)
 	}
 	s.scratch = s.scratch[:nwords]
-	s.evalBuf = s.evalBuf[:nwords]
-	s.touched = s.touched[:0]
 }
 
 // ensure lays every node's view out over the arena for nwords; a no-op
@@ -223,13 +208,6 @@ func (s *Simulator) row(id int32) Words { return s.views[id] }
 
 // NumWords returns the word count of the most recent simulation.
 func (s *Simulator) NumWords() int { return s.nwords }
-
-// Val returns the current simulation words of one node (a live view into
-// the arena — see the Simulator lifetime rules).
-func (s *Simulator) Val(id network.NodeID) Words { return s.views[id] }
-
-// Values returns the current per-node view slice (live, not copied).
-func (s *Simulator) Values() Values { return s.views }
 
 // Simulate evaluates the network on the given primary-input words,
 // reusing the arena. inputs[i] must hold nwords entries for the i-th PI.
@@ -261,36 +239,25 @@ func (s *Simulator) SimulateContext(ctx context.Context, inputs []Words, nwords 
 			s.evalInto(in, s.views[id])
 		}
 	}
-	s.touched = s.touched[:0]
 	return s.views, true
 }
 
-// SimulateCone evaluates only the union fanin cone of roots — the first
-// root's cone in DFS post-order (network.FaninCone order), then the
-// unvisited suffix of each later root's — into a cone-sized arena. fill
-// writes the nwords words of each primary input in the cone, called once
-// per PI in that cone order. The returned Values are indexed by node id,
-// but only rows of cone nodes are valid; they stay valid until the next
-// call of any Simulate method. A later Simulate lays the full arena out
-// again, and SetInput/Resimulate need such a full Simulate first.
-func (s *Simulator) SimulateCone(roots []network.NodeID, nwords int, fill func(pi network.NodeID, dst Words)) Values {
-	if s.inCone == nil {
-		s.inCone = make([]bool, len(s.prog))
-	}
-	s.cone = s.cone[:0]
-	for _, r := range roots {
-		s.collect(r)
-	}
-
-	s.reserve(len(s.cone), nwords)
+// SimulateCone evaluates only the nodes walked into c, in c.Nodes order
+// (the DFS post-order of network.Cone, so fanins come first), into a
+// cone-sized arena. fill writes the nwords words of each primary input in
+// the cone, called once per PI in that order. The returned Values are
+// indexed by node id, but only rows of cone nodes are valid; they stay
+// valid until the next call of any Simulate method. A later Simulate lays
+// the full arena out again.
+func (s *Simulator) SimulateCone(c *network.Cone, nwords int, fill func(pi network.NodeID, dst Words)) Values {
+	s.reserve(len(c.Nodes), nwords)
 	s.full = false
-	for i, id := range s.cone {
-		s.inCone[id] = false
+	for i, id := range c.Nodes {
 		s.views[id] = Words(s.arena[i*nwords : (i+1)*nwords : (i+1)*nwords])
 	}
-	for _, id := range s.cone {
+	for _, id := range c.Nodes {
 		if in := &s.prog[id]; in.op == opInput {
-			fill(network.NodeID(id), s.views[id])
+			fill(id, s.views[id])
 		} else {
 			s.evalInto(in, s.views[id])
 		}
@@ -298,22 +265,8 @@ func (s *Simulator) SimulateCone(roots []network.NodeID, nwords int, fill func(p
 	return s.views
 }
 
-// collect appends the unvisited part of id's fanin cone to s.cone in DFS
-// post-order, marking it in s.inCone.
-func (s *Simulator) collect(id network.NodeID) {
-	if s.inCone[id] {
-		return
-	}
-	s.inCone[id] = true
-	for _, f := range s.net.Node(id).Fanins {
-		s.collect(f)
-	}
-	s.cone = append(s.cone, int32(id))
-}
-
 // evalInto runs one node's kernel (any op but opInput), writing the result
-// into dst (an arena row or a scratch buffer). dst must not alias any
-// fanin row.
+// into dst, the node's arena row.
 func (s *Simulator) evalInto(in *instr, dst Words) {
 	switch in.op {
 	case opConst0:
@@ -391,110 +344,6 @@ func (s *Simulator) andLits(in *instr, dst Words) {
 			}
 		}
 	}
-}
-
-// SetInput stages new words for the i-th primary input (copying them into
-// the arena) ahead of an incremental Resimulate. A full Simulate must
-// have run before; the word count must match it. Inputs whose words are
-// unchanged are ignored.
-func (s *Simulator) SetInput(i int, w Words) {
-	if !s.full {
-		panic("sim: SetInput before a full Simulate")
-	}
-	if len(w) != s.nwords {
-		panic("sim: input word count mismatch")
-	}
-	pi := int32(s.net.PIs()[i])
-	row := s.views[pi]
-	same := true
-	for j := range w {
-		if row[j] != w[j] {
-			same = false
-			break
-		}
-	}
-	if same {
-		return
-	}
-	copy(row, w)
-	s.touched = append(s.touched, pi)
-}
-
-// Resimulate incrementally re-evaluates the nodes in the transitive
-// fanout cone of the inputs changed via SetInput since the last
-// simulation, in topological order, stopping early along branches whose
-// recomputed value is unchanged. It returns the (live) view slice.
-func (s *Simulator) Resimulate() Values {
-	if len(s.touched) == 0 {
-		return s.views
-	}
-	n := len(s.prog)
-	if s.dirty == nil {
-		s.dirty = make([]bool, n)
-		s.inCone = make([]bool, n)
-	}
-	// Collect the TFO cone of the touched inputs.
-	s.cone = s.cone[:0]
-	stack := append([]int32(nil), s.touched...)
-	for _, id := range s.touched {
-		s.dirty[id] = true
-		s.inCone[id] = true
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, fo := range s.net.Fanouts(network.NodeID(id)) {
-			if !s.inCone[fo] {
-				s.inCone[fo] = true
-				s.cone = append(s.cone, int32(fo))
-				stack = append(stack, int32(fo))
-			}
-		}
-	}
-	// Node IDs are a topological order, so sorting the cone gives a valid
-	// evaluation order.
-	sort.Slice(s.cone, func(i, j int) bool { return s.cone[i] < s.cone[j] })
-	for _, id := range s.cone {
-		in := &s.prog[id]
-		if in.op == opInput || in.op == opConst0 || in.op == opConst1 {
-			continue
-		}
-		// Re-evaluate only when a fanin actually changed value.
-		changed := false
-		for _, f := range s.net.Node(network.NodeID(id)).Fanins {
-			if s.dirty[f] {
-				changed = true
-				break
-			}
-		}
-		if !changed {
-			continue
-		}
-		s.evalInto(in, s.evalBuf)
-		row := s.views[id]
-		same := true
-		for w := range row {
-			if row[w] != s.evalBuf[w] {
-				same = false
-				break
-			}
-		}
-		if !same {
-			copy(row, s.evalBuf)
-			s.dirty[id] = true
-		}
-	}
-	// Reset marks for the next round.
-	for _, id := range s.touched {
-		s.dirty[id] = false
-		s.inCone[id] = false
-	}
-	for _, id := range s.cone {
-		s.dirty[id] = false
-		s.inCone[id] = false
-	}
-	s.touched = s.touched[:0]
-	return s.views
 }
 
 func clearWords(w Words) {

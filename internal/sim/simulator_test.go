@@ -102,63 +102,6 @@ func TestSimulatorViewsOverwritten(t *testing.T) {
 	}
 }
 
-// TestResimulateIncremental drives the incremental path: after SetInput on
-// a subset of PIs, Resimulate must agree with a full reference run, and
-// untouched runs must also stay correct.
-func TestResimulateIncremental(t *testing.T) {
-	n, _ := dispatchNet()
-	s := NewSimulator(n)
-	rng := rand.New(rand.NewSource(13))
-	inputs := RandomInputs(n, 2, rng)
-	s.Simulate(inputs, 2)
-
-	cur := make([]Words, len(inputs))
-	for i := range inputs {
-		cur[i] = append(Words(nil), inputs[i]...)
-	}
-	for round := 0; round < 50; round++ {
-		// Mutate a random subset of PIs (sometimes none — Resimulate on a
-		// clean state must be a no-op that still returns correct values).
-		for i := range cur {
-			if rng.Intn(3) == 0 {
-				cur[i][rng.Intn(2)] = rng.Uint64()
-			}
-			s.SetInput(i, cur[i])
-		}
-		got := s.Resimulate()
-		want := Reference(n, cur, 2)
-		for id := 0; id < n.NumNodes(); id++ {
-			if !wordsEqual(got[id], want[id]) {
-				t.Fatalf("round %d: node %d: incremental=%v reference=%v",
-					round, id, got[id], want[id])
-			}
-		}
-	}
-}
-
-// TestSetInputNoChange verifies that re-setting identical input words does
-// not stage any recomputation (the TFO cone stays empty).
-func TestSetInputNoChange(t *testing.T) {
-	n, _ := dispatchNet()
-	s := NewSimulator(n)
-	rng := rand.New(rand.NewSource(14))
-	inputs := RandomInputs(n, 1, rng)
-	before := append(Values(nil), s.Simulate(inputs, 1)...)
-	snapshot := make([]uint64, n.NumNodes())
-	for id := range snapshot {
-		snapshot[id] = before[id][0]
-	}
-	for i := range inputs {
-		s.SetInput(i, inputs[i])
-	}
-	got := s.Resimulate()
-	for id := 0; id < n.NumNodes(); id++ {
-		if got[id][0] != snapshot[id] {
-			t.Fatalf("node %d changed after identity SetInput", id)
-		}
-	}
-}
-
 // TestRefineNMasksPadding verifies that RefineN ignores lanes beyond nbits:
 // garbage in the padding bits must not split classes.
 func TestRefineNMasksPadding(t *testing.T) {

@@ -43,9 +43,6 @@ type cexPool struct {
 	// discovered before any obligation is scheduled.
 	keep bool
 	kept [][]bool
-
-	flushes int // flushed batches (stats)
-	lanesIn int // total lanes simulated across flushes (stats)
 }
 
 // poolLaneCap is the lane capacity of the pool: one simulation word.
@@ -149,8 +146,6 @@ func (p *cexPool) flush() (dropped []pair) {
 	}
 	vals := p.sim.Simulate(p.inputs, 1)
 	p.classes.RefineN(vals, p.lanes)
-	p.flushes++
-	p.lanesIn += p.lanes
 	p.lanes = 0
 	for _, pr := range p.pending {
 		cm := p.classes.ClassOf(pr.m)
