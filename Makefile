@@ -114,7 +114,7 @@ smoke:
 
 # Fuzzing smoke: a short differential+metamorphic campaign (deterministic
 # seed, must be clean), the broken-sweeper self-test (must be caught), and
-# a few seconds of each Go-native parser/ISOP fuzz target.
+# a few seconds of each Go-native parser/ISOP/mapper fuzz target.
 FUZZTIME ?= 10s
 .PHONY: fuzz
 fuzz:
@@ -124,6 +124,7 @@ fuzz:
 	$(GO) test ./internal/blif -fuzz=FuzzParseBench -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/aiger -fuzz=FuzzAigerParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tt -fuzz=FuzzISOP -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mapper -fuzz=FuzzMap -fuzztime=$(FUZZTIME)
 
 # The bench module's own tests (bench/ is a separate Go module, so
 # `go test ./...` at the root does not reach it): the smoke test over every

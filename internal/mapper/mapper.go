@@ -3,13 +3,15 @@
 // SimGen paper applies to every benchmark before sweeping.
 //
 // The mapper enumerates priority cuts per node (Mishchenko et al., FPGA'06):
-// cuts of the two fanins are merged, pruned to the K best by (depth, area
-// flow), and the best cut of each node needed by the cover becomes one LUT.
+// cuts of the two fanins are merged, pruned to the CutsPerNode best by
+// (depth, area flow), and the best cut of each node needed by the cover
+// becomes one LUT.
 package mapper
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"simgen/internal/aig"
 	"simgen/internal/network"
@@ -27,52 +29,104 @@ type Options struct {
 // DefaultOptions mirrors the paper's "if -K 6" configuration.
 func DefaultOptions() Options { return Options{K: 6, CutsPerNode: 8} }
 
-// cut is a set of leaf nodes, sorted ascending.
+// cut addresses one cut's leaves, sorted ascending, in a leaf buffer. Its
+// signature sig has bit l%64 set for every leaf l, so a cut has at least
+// as many leaves as its signature has bits, and equal leaf sets have
+// equal signatures.
 type cut struct {
+	off, n int32
+	sig    uint64
+}
+
+// cutArena holds the cuts of every node in two flat arenas: node v's kept
+// cuts, best first, then its trivial cut {v}, are rec[first[v]:first[v+1]],
+// and a record's leaves are leaves[off:off+n].
+type cutArena struct {
+	first  []int32
+	rec    []cut
 	leaves []uint32
-	depth  int32
-	flow   float64
 }
 
-func (c *cut) sig() uint64 {
-	h := uint64(1469598103934665603)
-	for _, l := range c.leaves {
-		h ^= uint64(l)
-		h *= 1099511628211
+func (a *cutArena) of(v uint32) []cut       { return a.rec[a.first[v]:a.first[v+1]] }
+func (a *cutArena) leavesOf(c cut) []uint32 { return a.leaves[c.off : c.off+c.n] }
+func (a *cutArena) best(v uint32) []uint32  { return a.leavesOf(a.rec[a.first[v]]) }
+
+// add appends a cut to the node being filled in.
+func (a *cutArena) add(sig uint64, leaves ...uint32) {
+	a.rec = append(a.rec, cut{int32(len(a.leaves)), int32(len(leaves)), sig})
+	a.leaves = append(a.leaves, leaves...)
+}
+
+// cand is a candidate cut of the node being mapped.
+type cand struct {
+	cut
+	depth int32
+	flow  float64
+}
+
+// candidates is one node's candidate cuts and their leaves, reused across
+// nodes.
+type candidates struct {
+	set []cand
+	buf []uint32
+}
+
+// add makes buf[start:], whose signature is sig, a candidate unless a
+// candidate has the same leaves, and returns it, or nil for a duplicate.
+// The signature only filters the exact comparison: distinct leaf sets
+// that share one are both kept.
+func (s *candidates) add(start int, sig uint64) *cand {
+	l := s.buf[start:]
+	for i := range s.set {
+		if c := &s.set[i]; c.sig == sig && slices.Equal(s.buf[c.off:c.off+c.n], l) {
+			s.buf = s.buf[:start]
+			return nil
+		}
 	}
-	return h
+	s.set = append(s.set, cand{cut: cut{int32(start), int32(len(l)), sig}})
+	return &s.set[len(s.set)-1]
 }
 
-// mergeLeaves unions two sorted leaf sets, failing when the union exceeds k.
-func mergeLeaves(a, b []uint32, k int) ([]uint32, bool) {
-	out := make([]uint32, 0, k)
+// byPriority orders candidates by depth, then area flow, then leaf count.
+func byPriority(a, b cand) int {
+	switch {
+	case a.depth != b.depth:
+		return int(a.depth - b.depth)
+	case a.flow < b.flow:
+		return -1
+	case a.flow > b.flow:
+		return 1
+	}
+	return int(a.n - b.n)
+}
+
+// mergeLeaves appends the union of two sorted leaf sets to dst. When the
+// union exceeds k leaves it returns dst unchanged and false.
+func mergeLeaves(dst, a, b []uint32, k int) ([]uint32, bool) {
+	start := len(dst)
 	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var next uint32
-		switch {
-		case i >= len(a):
-			next = b[j]
-			j++
-		case j >= len(b):
-			next = a[i]
+	for i < len(a) && j < len(b) {
+		if len(dst)-start == k {
+			return dst[:start], false
+		}
+		switch x, y := a[i], b[j]; {
+		case x < y:
+			dst = append(dst, x)
 			i++
-		case a[i] < b[j]:
-			next = a[i]
-			i++
-		case a[i] > b[j]:
-			next = b[j]
+		case x > y:
+			dst = append(dst, y)
 			j++
 		default:
-			next = a[i]
+			dst = append(dst, x)
 			i++
 			j++
 		}
-		if len(out) == k {
-			return nil, false
-		}
-		out = append(out, next)
 	}
-	return out, true
+	// One side is used up; the other's rest holds no shared leaf.
+	if len(dst)-start+len(a)-i+len(b)-j > k {
+		return dst[:start], false
+	}
+	return append(append(dst, a[i:]...), b[j:]...), true
 }
 
 // Map covers the graph with K-input LUTs and returns the resulting network.
@@ -86,67 +140,55 @@ func Map(g *aig.Graph, opts Options) (*network.Network, error) {
 	n := g.NumNodes()
 	refs := g.Refs()
 
-	cuts := make([][]cut, n)     // priority cuts per node (ANDs only)
+	bound := n * (opts.CutsPerNode + 1) // kept cuts plus the trivial one
+	cuts := cutArena{
+		first:  make([]int32, n+1),
+		rec:    make([]cut, 0, bound),
+		leaves: make([]uint32, 0, bound*opts.K),
+	}
 	arrival := make([]int32, n)  // depth of the best cut
 	flowOf := make([]float64, n) // area flow of the best cut
+	var cs candidates
 
-	for node := uint32(1); node < uint32(n); node++ {
-		if g.IsPI(node) {
-			continue
-		}
-		f0, f1 := g.Fanins(node)
-		c0 := candCuts(cuts, f0.Node())
-		c1 := candCuts(cuts, f1.Node())
-		seen := map[uint64]bool{}
-		var set []cut
-		for _, a := range c0 {
-			for _, b := range c1 {
-				leaves, ok := mergeLeaves(a.leaves, b.leaves, opts.K)
-				if !ok {
-					continue
+	for node := uint32(0); node < uint32(n); node++ {
+		cuts.first[node] = int32(len(cuts.rec))
+		if g.IsAnd(node) {
+			// Merge every pair of fanin cuts, the trivial ones included.
+			f0, f1 := g.Fanins(node)
+			cs.set, cs.buf = cs.set[:0], cs.buf[:0]
+			for _, a := range cuts.of(f0.Node()) {
+				for _, b := range cuts.of(f1.Node()) {
+					sig := a.sig | b.sig
+					if bits.OnesCount64(sig) > opts.K {
+						continue // more than K leaves for sure
+					}
+					start := len(cs.buf)
+					var ok bool
+					if cs.buf, ok = mergeLeaves(cs.buf, cuts.leavesOf(a), cuts.leavesOf(b), opts.K); !ok {
+						continue
+					}
+					leaves := cs.buf[start:]
+					if c := cs.add(start, sig); c != nil {
+						c.depth = cutDepth(arrival, leaves)
+						c.flow = cutFlow(flowOf, refs, node, leaves)
+					}
 				}
-				c := cut{leaves: leaves}
-				s := c.sig()
-				if seen[s] {
-					continue
-				}
-				seen[s] = true
-				c.depth = cutDepth(arrival, leaves)
-				c.flow = cutFlow(flowOf, refs, node, leaves)
-				set = append(set, c)
 			}
-		}
-		sort.Slice(set, func(i, j int) bool {
-			if set[i].depth != set[j].depth {
-				return set[i].depth < set[j].depth
+			if len(cs.set) == 0 {
+				return nil, fmt.Errorf("mapper: node %d has no feasible cut", node)
 			}
-			if set[i].flow != set[j].flow {
-				return set[i].flow < set[j].flow
+			slices.SortFunc(cs.set, byPriority)
+			for _, c := range cs.set[:min(len(cs.set), opts.CutsPerNode)] {
+				cuts.add(c.sig, cs.buf[c.off:c.off+c.n]...)
 			}
-			return len(set[i].leaves) < len(set[j].leaves)
-		})
-		if len(set) > opts.CutsPerNode {
-			set = set[:opts.CutsPerNode]
+			arrival[node] = cs.set[0].depth
+			flowOf[node] = cs.set[0].flow
 		}
-		if len(set) == 0 {
-			return nil, fmt.Errorf("mapper: node %d has no feasible cut", node)
-		}
-		cuts[node] = set
-		arrival[node] = set[0].depth
-		flowOf[node] = set[0].flow
+		cuts.add(1<<(node%64), node)
 	}
+	cuts.first[n] = int32(len(cuts.rec))
 
-	return buildCover(g, cuts, opts)
-}
-
-// candCuts returns the cut set of a fanin node for merging: its priority
-// cuts plus the trivial cut {node}. PIs only have the trivial cut.
-func candCuts(cuts [][]cut, node uint32) []cut {
-	trivial := cut{leaves: []uint32{node}}
-	out := make([]cut, 0, len(cuts[node])+1)
-	out = append(out, cuts[node]...)
-	out = append(out, trivial)
-	return out
+	return buildCover(g, &cuts)
 }
 
 func cutDepth(arrival []int32, leaves []uint32) int32 {
@@ -173,7 +215,7 @@ func cutFlow(flowOf []float64, refs []int32, node uint32, leaves []uint32) float
 
 // buildCover selects the best cut for every node required by the POs and
 // constructs the LUT network.
-func buildCover(g *aig.Graph, cuts [][]cut, opts Options) (*network.Network, error) {
+func buildCover(g *aig.Graph, cuts *cutArena) (*network.Network, error) {
 	n := g.NumNodes()
 	required := make([]bool, n)
 	for _, po := range g.POs() {
@@ -187,7 +229,7 @@ func buildCover(g *aig.Graph, cuts [][]cut, opts Options) (*network.Network, err
 		if !required[node] || !g.IsAnd(uint32(node)) {
 			continue
 		}
-		for _, leaf := range cuts[node][0].leaves {
+		for _, leaf := range cuts.best(uint32(node)) {
 			if g.IsAnd(leaf) {
 				required[leaf] = true
 			}
@@ -203,20 +245,21 @@ func buildCover(g *aig.Graph, cuts [][]cut, opts Options) (*network.Network, err
 		nodeOf[g.PILit(i).Node()] = net.AddPI(g.PIName(i))
 	}
 
+	fn := coneFunc{g: g, stamp: make([]uint32, n), slot: make([]int32, n)}
+	var fanins []network.NodeID // AddLUT copies them
 	for node := uint32(1); node < uint32(n); node++ {
 		if !required[node] || !g.IsAnd(node) {
 			continue
 		}
-		best := cuts[node][0]
-		fn := cutFunction(g, node, best.leaves)
-		fanins := make([]network.NodeID, len(best.leaves))
-		for i, leaf := range best.leaves {
+		best := cuts.best(node)
+		fanins = fanins[:0]
+		for _, leaf := range best {
 			if nodeOf[leaf] == network.NoNode {
 				return nil, fmt.Errorf("mapper: leaf %d of node %d not yet mapped", leaf, node)
 			}
-			fanins[i] = nodeOf[leaf]
+			fanins = append(fanins, nodeOf[leaf])
 		}
-		nodeOf[node] = net.AddLUT("", fanins, fn)
+		nodeOf[node] = net.AddLUT("", fanins, fn.cutFunction(node, best))
 	}
 
 	inverters := map[network.NodeID]network.NodeID{}
@@ -250,37 +293,75 @@ func buildCover(g *aig.Graph, cuts [][]cut, opts Options) (*network.Network, err
 	return net, nil
 }
 
+// varMasks[i] is every word of the truth table of variable i < 6.
+var varMasks = [6]uint64{0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000}
+
+// coneFunc computes cut functions over the graph. During one call, node
+// v's truth table is the w words at words[slot[v]*w] when stamp[v] is the
+// call's epoch.
+type coneFunc struct {
+	g     *aig.Graph
+	stamp []uint32
+	slot  []int32
+	words []uint64
+	w     int
+	epoch uint32
+}
+
 // cutFunction computes the truth table of node over the given cut leaves.
-func cutFunction(g *aig.Graph, node uint32, leaves []uint32) tt.Table {
+func (f *coneFunc) cutFunction(node uint32, leaves []uint32) tt.Table {
 	k := len(leaves)
-	memo := map[uint32]tt.Table{}
+	f.epoch++
+	f.words = f.words[:0]
+	f.w = 1
+	if k > 6 {
+		f.w = 1 << (k - 6)
+	}
 	for i, l := range leaves {
-		memo[l] = tt.Var(k, i)
+		f.stamp[l], f.slot[l] = f.epoch, int32(i)
+		for w := 0; w < f.w; w++ {
+			switch {
+			case i < 6:
+				f.words = append(f.words, varMasks[i])
+			case w>>(i-6)&1 != 0:
+				f.words = append(f.words, ^uint64(0))
+			default:
+				f.words = append(f.words, 0)
+			}
+		}
 	}
-	var eval func(n uint32) tt.Table
-	evalLit := func(l aig.Lit) tt.Table {
-		t := eval(l.Node())
-		if l.IsNeg() {
-			return t.Not()
-		}
-		return t
+	off := int(f.eval(node)) * f.w
+	return tt.FromWords(k, f.words[off:off+f.w])
+}
+
+// eval returns the slot of node n's truth table, computing it first.
+func (f *coneFunc) eval(n uint32) int32 {
+	if f.stamp[n] == f.epoch {
+		return f.slot[n]
 	}
-	eval = func(n uint32) tt.Table {
-		if t, ok := memo[n]; ok {
-			return t
+	switch {
+	case n == 0:
+		f.words = append(f.words, make([]uint64, f.w)...)
+	case f.g.IsPI(n):
+		// A PI inside the cone that is not a leaf cannot happen: cuts
+		// always stop at PIs.
+		panic(fmt.Sprintf("mapper: PI %d inside cut cone", n))
+	default:
+		f0, f1 := f.g.Fanins(n)
+		a, b := int(f.eval(f0.Node()))*f.w, int(f.eval(f1.Node()))*f.w
+		var na, nb uint64
+		if f0.IsNeg() {
+			na = ^uint64(0)
 		}
-		if n == 0 {
-			return tt.Const(k, false)
+		if f1.IsNeg() {
+			nb = ^uint64(0)
 		}
-		if g.IsPI(n) {
-			// A PI inside the cone that is not a leaf cannot happen: cuts
-			// always stop at PIs.
-			panic(fmt.Sprintf("mapper: PI %d inside cut cone", n))
+		for w := 0; w < f.w; w++ {
+			f.words = append(f.words, (f.words[a+w]^na)&(f.words[b+w]^nb))
 		}
-		f0, f1 := g.Fanins(n)
-		t := evalLit(f0).And(evalLit(f1))
-		memo[n] = t
-		return t
 	}
-	return eval(node)
+	s := int32(len(f.words)/f.w - 1)
+	f.stamp[n], f.slot[n] = f.epoch, s
+	return s
 }

@@ -74,21 +74,55 @@ func TestMapRandomGraphs(t *testing.T) {
 	}
 }
 
+// TestMapRespectsK maps random graphs at several K. Above K=6 the graphs
+// get more PIs, so that some LUT is wider than one 64-bit truth-table word.
 func TestMapRespectsK(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, k := range []int{2, 3, 4, 6} {
-		g := randomAIG(rng, 8, 150, 3)
+	for _, k := range []int{2, 3, 4, 6, 7, 8, 10} {
+		npis := 8
+		if k > 6 {
+			npis = 14
+		}
+		g := randomAIG(rng, npis, 150, 3)
 		net, err := Map(g, Options{K: k, CutsPerNode: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
+		widest := 0
 		for id := 0; id < net.NumNodes(); id++ {
 			nd := net.Node(network.NodeID(id))
 			if nd.Kind == network.KindLUT && len(nd.Fanins) > k {
 				t.Fatalf("K=%d violated: LUT with %d inputs", k, len(nd.Fanins))
 			}
+			widest = max(widest, len(nd.Fanins))
+		}
+		if k > 6 && widest <= 6 {
+			t.Fatalf("K=%d: widest LUT has %d inputs, so no multi-word cut function ran", k, widest)
 		}
 		checkEquivalent(t, g, net, rng)
+	}
+}
+
+// TestDedupKeepsSignatureCollisions hands the dedup step two distinct leaf
+// sets with one signature. Both must become candidates: a rule that
+// trusted the signature alone would drop the second.
+func TestDedupKeepsSignatureCollisions(t *testing.T) {
+	const sig = 1<<1 | 1<<2 // the signature of {1, 2} and of {65, 66}
+	var s candidates
+	s.buf = append(s.buf, 1, 2)
+	if s.add(0, sig) == nil {
+		t.Fatal("first leaf set dropped")
+	}
+	s.buf = append(s.buf, 65, 66)
+	if s.add(2, sig) == nil {
+		t.Fatal("distinct leaf set with a shared signature dropped")
+	}
+	s.buf = append(s.buf, 1, 2)
+	if s.add(4, sig) != nil {
+		t.Fatal("duplicate leaf set kept")
+	}
+	if len(s.set) != 2 || len(s.buf) != 4 {
+		t.Fatalf("%d candidates over %d leaves, want 2 over 4", len(s.set), len(s.buf))
 	}
 }
 
