@@ -3,6 +3,11 @@ package sweep_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"simgen/internal/blif"
@@ -189,5 +194,55 @@ func TestIncrementalTFO(t *testing.T) {
 	// cache without becoming an obligation.
 	if swW.Rep(g1) != swW.Rep(g2) {
 		t.Fatal("untouched equivalence not merged by the cache pre-pass")
+	}
+}
+
+// TestCacheJournalGolden pins the compacted journal a default cold run
+// leaves behind: the flow of `sweep -benchmark pdc -cache-dir d` (simgen
+// guided simulation, seed 1, one worker, the CLI's default ladder), with
+// the store closed and the file hashed. It holds 19 eq, 2 neq and 331 pat
+// records. A change to what the cache records, or to how Close lays the
+// journal out, moves the hash.
+func TestCacheJournalGolden(t *testing.T) {
+	const want = "09bdb46edabc4b888b7bf1b60e5891eb2fd6535cf507a669c58cdcdd3e750e09"
+	dir := t.TempDir()
+	ctx := context.Background()
+	net := loadBench(t, "pdc")
+	st, err := pcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sweep.CECOptions{
+		Sweep: sweep.Options{
+			EscalationFactor: 4,
+			MaxEscalations:   2,
+			BDDNodeLimit:     1 << 20,
+			Cache:            pcache.NewSession(st, net, nil),
+		},
+		GuidedIterations: 20,
+		Method:           "simgen",
+		Seed:             1,
+		Workers:          1,
+	}
+	ref, err := sweep.Refine(ctx, net, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep.New(net, ref.Run.Classes, opts.Sweep).RunParallelContext(ctx, opts.Workers)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		kinds := map[string]int{}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			kind, _, _ := strings.Cut(strings.TrimPrefix(line, `{"t":"`), `"`)
+			kinds[kind]++
+		}
+		t.Fatalf("journal sha256 %s, want %s (record kinds %v)", got, want, kinds)
 	}
 }
