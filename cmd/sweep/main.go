@@ -78,7 +78,7 @@ func main() {
 	flag.StringVar(&cfg.engine, "engine", "sat", "verification engine: sat|bdd|portfolio|word")
 	flag.BoolVar(&cfg.wordStage, "word", false, "insert the word-level proving stage into the portfolio (structure detection + frontier learning)")
 	flag.StringVar(&cfg.reduce, "reduce", "", "write the swept (merged) network to this BLIF file")
-	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "persistent verification cache directory (proofs, clause hints, patterns)")
+	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "persistent verification cache directory (verdicts and simulation patterns)")
 	flag.StringVar(&cfg.basePath, "base", "", "previous revision BLIF: sweep incrementally, scheduling only the diff's fanout (requires -cache-dir)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -214,7 +214,7 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 	}
 	opts := cfg.flowOptions()
 
-	// Persistent verification cache: proofs and clause hints feed the
+	// Persistent verification cache: revalidated verdicts answer the
 	// prover; recorded patterns replay before guided simulation so a warm
 	// run rebuilds every split the previous run discovered.
 	var store *simgen.ProofCache
@@ -293,9 +293,9 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 		fmt.Printf("reduced network: %s -> %s (%s)\n", net.Stats(), merged.Stats(), cfg.reduce)
 	}
 	if store != nil {
-		eq, neq, clauses, pats, evicted := store.Counts()
-		fmt.Printf("cache: %d equal, %d differ, %d clause hints, %d patterns (%d evicted)\n",
-			eq, neq, clauses, pats, evicted)
+		eq, neq, pats, evicted := store.Counts()
+		fmt.Printf("cache: %d equal, %d differ, %d patterns (%d evicted)\n",
+			eq, neq, pats, evicted)
 	}
 	return code, nil
 }

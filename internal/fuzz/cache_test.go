@@ -49,7 +49,7 @@ func TestPoisonedCacheSoundness(t *testing.T) {
 			rep := members[0]
 			for _, m := range members[1:] {
 				if !tables[rep].Equal(tables[m]) {
-					sess.RecordProof(rep, m, prover.Equal, nil, 1)
+					sess.RecordProof(rep, m, prover.Equal, nil)
 					badA, badB = rep, m
 					poisoned++
 				}

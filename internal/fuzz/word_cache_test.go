@@ -102,7 +102,7 @@ func TestPoisonedWordCacheSoundness(t *testing.T) {
 				for j := i + 1; j < len(cand.Bits); j++ {
 					a, b := cand.Bits[i].Node, cand.Bits[j].Node
 					if !tables[a].Equal(tables[b]) {
-						sess.RecordProof(a, b, prover.Equal, nil, 1)
+						sess.RecordProof(a, b, prover.Equal, nil)
 						wordPairs = append(wordPairs, [2]network.NodeID{a, b})
 					}
 				}
@@ -118,7 +118,7 @@ func TestPoisonedWordCacheSoundness(t *testing.T) {
 			rep := members[0]
 			for _, m := range members[1:] {
 				if !tables[rep].Equal(tables[m]) {
-					sess.RecordProof(rep, m, prover.Equal, nil, 1)
+					sess.RecordProof(rep, m, prover.Equal, nil)
 				}
 			}
 		}

@@ -1,8 +1,8 @@
 // Package pcache is the cross-run verification memory: a persistent,
-// journaled cache of proven equivalences, solver hints, and
-// high-split-power simulation patterns, keyed on NPN-canonical cone
-// structure so records survive node renumbering and re-synthesis of
-// untouched logic.
+// journaled cache of verdicts (proven equivalences and disproofs with
+// their counterexamples) and high-split-power simulation patterns, keyed
+// on NPN-canonical cone structure so records survive node renumbering and
+// re-synthesis of untouched logic.
 //
 // A Store is the disk-backed state (one per cache directory; in sweepd,
 // one per process). A Session binds a store to one concrete network: it
@@ -48,14 +48,11 @@ func NewSession(store *Store, net *network.Network, tr obs.Tracer) *Session {
 	}
 }
 
-// Store returns the underlying store.
-func (s *Session) Store() *Store { return s.store }
-
 // Probe implements prover.Prober: look the pair up by structural key and
 // revalidate any record against the current network before reporting a
-// hit. A record that fails revalidation (or a direct record whose check
-// hash disagrees — a key collision) is evicted and the probe reported as
-// a miss with RevalFailed set.
+// hit. Anything else is a miss: no record, or a record that failed
+// revalidation (or a direct record whose check hash disagrees — a key
+// collision), which is evicted and reported with RevalFailed set.
 func (s *Session) Probe(_ context.Context, a, b network.NodeID) prover.CacheProbe {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -94,7 +91,6 @@ func (s *Session) Probe(_ context.Context, a, b network.NodeID) prover.CacheProb
 		s.tr.Emit(obs.Event{Kind: obs.KindCacheRevalidateFail, A: int32(a), B: int32(b)})
 		s.tr.Emit(obs.Event{Kind: obs.KindCacheEvict, Dropped: 1})
 	}
-	cp.StartRung = s.store.ClauseHint(ka, kb, chk)
 	s.tr.Emit(obs.Event{Kind: obs.KindCacheMiss, A: int32(a), B: int32(b)})
 	return cp
 }
@@ -102,24 +98,18 @@ func (s *Session) Probe(_ context.Context, a, b network.NodeID) prover.CacheProb
 // RecordProof implements prover.Prober: store a settled verdict under the
 // pair's structural keys. Differ verdicts must carry a full-PI
 // counterexample (anything else is dropped — it could not be replayed for
-// revalidation later). Pairs settled above rung 0 also leave a solver
-// hint so the next run starts at the budget that worked.
-func (s *Session) RecordProof(a, b network.NodeID, v prover.Verdict, cex []bool, rung int) {
+// revalidation later).
+func (s *Session) RecordProof(a, b network.NodeID, v prover.Verdict, cex []bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ka, kb, chk := s.keyer.pairKey(a, b)
 	switch v {
 	case prover.Equal:
-		s.store.AddEqual(ka, kb, chk, rung)
+		s.store.AddEqual(ka, kb, chk)
 	case prover.Differ:
 		if len(cex) == s.net.NumPIs() {
-			s.store.AddDiffer(ka, kb, chk, cex, rung)
+			s.store.AddDiffer(ka, kb, chk, cex)
 		}
-	default:
-		return
-	}
-	if rung > 0 {
-		s.store.AddClause(ka, kb, chk, rung, 0)
 	}
 }
 

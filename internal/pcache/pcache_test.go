@@ -1,6 +1,7 @@
 package pcache
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -96,10 +97,9 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.AddEqual(1, 2, 100, 1)
-	st.AddEqual(2, 3, 101, 0) // transitive: 1~3 via the key union-find
-	st.AddDiffer(7, 8, 200, []bool{true, false, true}, 2)
-	st.AddClause(1, 2, 100, 2, 0)
+	st.AddEqual(1, 2, 100)
+	st.AddEqual(2, 3, 101) // transitive: 1~3 via the key union-find
+	st.AddDiffer(7, 8, 200, []bool{true, false, true})
 	st.AddPattern([]bool{true, true, false}, 5)
 	st.AddPattern([]bool{false, true, true}, 9)
 	if err := st.Close(); err != nil {
@@ -124,12 +124,67 @@ func TestStoreRoundTrip(t *testing.T) {
 	if hit.kind != hitDiffer || len(hit.cex) != 3 || !hit.cex[0] || hit.cex[1] || !hit.cex[2] {
 		t.Fatalf("differ lookup: kind %d cex %v", hit.kind, hit.cex)
 	}
-	if r := st2.ClauseHint(1, 2, 100); r != 2 {
-		t.Fatalf("clause hint = %d, want 2", r)
-	}
 	pats := st2.Patterns(3)
 	if len(pats) != 2 || pats[0].Score != 9 || pats[1].Score != 5 {
 		t.Fatalf("patterns not score-ordered: %+v", pats)
+	}
+}
+
+// TestJournalDropsSolverHints loads a version-1 journal written before
+// solver hints were dropped: its eq and neq records carry "rung" fields
+// and it holds a "clause" record. The verdicts and the pattern must load,
+// and Close must compact the hint and the rungs away.
+func TestJournalDropsSolverHints(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, journalName)
+	old := `{"t":"hdr","v":1}
+{"t":"eq","a":"0000000000000001","b":"0000000000000002","c":"0000000000000064","rung":1}
+{"t":"eq","a":"0000000000000002","b":"0000000000000003","c":"0000000000000065"}
+{"t":"neq","a":"0000000000000007","b":"0000000000000008","c":"00000000000000c8","cex":"05","npi":3,"rung":2}
+{"t":"clause","a":"0000000000000001","b":"0000000000000002","c":"0000000000000064","rung":2}
+{"t":"pat","vec":"03","npi":3,"sc":5}
+`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Recovered() {
+		t.Fatal("journal with solver hints reported recovered")
+	}
+	if hit := st.Lookup(1, 2, 100); hit.kind != hitEqual {
+		t.Fatalf("direct equal lookup: kind %d", hit.kind)
+	}
+	if hit := st.Lookup(1, 3, 999); hit.kind != hitEqual {
+		t.Fatalf("transitive equal lookup: kind %d", hit.kind)
+	}
+	hit := st.Lookup(7, 8, 200)
+	if hit.kind != hitDiffer || len(hit.cex) != 3 || !hit.cex[0] || hit.cex[1] || !hit.cex[2] {
+		t.Fatalf("differ lookup: kind %d cex %v", hit.kind, hit.cex)
+	}
+	pats := st.Patterns(3)
+	if len(pats) != 1 || pats[0].Score != 5 || !pats[0].Bits[0] || !pats[0].Bits[1] || pats[0].Bits[2] {
+		t.Fatalf("patterns = %+v, want [110] with score 5", pats)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"t":"clause"`)) || bytes.Contains(data, []byte(`"rung"`)) {
+		t.Fatalf("compacted journal keeps solver hints:\n%s", data)
+	}
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if eq, neq, pats, _ := st2.Counts(); eq != 2 || neq != 1 || pats != 1 {
+		t.Fatalf("compacted journal holds eq=%d neq=%d pats=%d, want 2, 1, 1", eq, neq, pats)
 	}
 }
 
@@ -140,11 +195,11 @@ func TestStoreChkCollisionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.AddEqual(1, 2, 100, 0)
+	st.AddEqual(1, 2, 100)
 	if hit := st.Lookup(1, 2, 555); hit.kind != hitCollision {
 		t.Fatalf("mismatched check hash: kind %d, want collision", hit.kind)
 	}
-	st.AddDiffer(7, 8, 200, []bool{true}, 0)
+	st.AddDiffer(7, 8, 200, []bool{true})
 	if hit := st.Lookup(7, 8, 201); hit.kind != hitCollision {
 		t.Fatalf("mismatched differ check hash: kind %d, want collision", hit.kind)
 	}
@@ -156,8 +211,8 @@ func TestStoreTruncatedJournalRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.AddEqual(1, 2, 100, 0)
-	st.AddDiffer(7, 8, 200, []bool{true, false}, 1)
+	st.AddEqual(1, 2, 100)
+	st.AddDiffer(7, 8, 200, []bool{true, false})
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +234,8 @@ func TestStoreTruncatedJournalRecovery(t *testing.T) {
 	if !st2.Recovered() {
 		t.Fatal("truncated journal not reported as recovered")
 	}
-	if eq, neq, cl, pats, _ := st2.Counts(); eq+neq+cl+pats != 0 {
-		t.Fatalf("recovered store not cold: eq=%d neq=%d clauses=%d pats=%d", eq, neq, cl, pats)
+	if eq, neq, pats, _ := st2.Counts(); eq+neq+pats != 0 {
+		t.Fatalf("recovered store not cold: eq=%d neq=%d pats=%d", eq, neq, pats)
 	}
 	if hit := st2.Lookup(1, 2, 100); hit.kind != hitNone {
 		t.Fatal("recovered store answered from corrupted journal")
@@ -189,7 +244,7 @@ func TestStoreTruncatedJournalRecovery(t *testing.T) {
 		t.Fatalf("corrupted journal not preserved: %v", err)
 	}
 	// The recovered store must be writable and survive a clean cycle.
-	st2.AddEqual(4, 5, 300, 0)
+	st2.AddEqual(4, 5, 300)
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +309,8 @@ func TestPoisonedEqualCompactedAway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.AddEqual(1, 2, 100, 0)
-	st.AddEqual(10, 11, 110, 0)
+	st.AddEqual(1, 2, 100)
+	st.AddEqual(10, 11, 110)
 	if dropped := st.PoisonEqual(1, 2); dropped != 1 {
 		t.Fatalf("dropped = %d, want 1", dropped)
 	}
@@ -291,7 +346,7 @@ func TestSessionRevalidationRejectsPoison(t *testing.T) {
 
 	// A poisoned entry: an Equal record for functionally different cones
 	// (g = a&b vs w = a|b). Revalidation must reject it.
-	sess.RecordProof(g, w, prover.Equal, nil, 1)
+	sess.RecordProof(g, w, prover.Equal, nil)
 	cp := sess.Probe(ctx, g, w)
 	if cp.Hit {
 		t.Fatal("poisoned equal record accepted")
@@ -301,14 +356,14 @@ func TestSessionRevalidationRejectsPoison(t *testing.T) {
 	}
 
 	// A genuine record: g and h are equivalent and must hit.
-	sess.RecordProof(g, h, prover.Equal, nil, 0)
+	sess.RecordProof(g, h, prover.Equal, nil)
 	cp = sess.Probe(ctx, g, h)
 	if !cp.Hit || cp.Verdict != prover.Equal {
 		t.Fatalf("genuine equal record missed: %+v", cp)
 	}
 
 	// A genuine differ record with its counterexample replays exactly.
-	sess.RecordProof(g, w, prover.Differ, []bool{true, false}, 1)
+	sess.RecordProof(g, w, prover.Differ, []bool{true, false})
 	cp = sess.Probe(ctx, g, w)
 	if !cp.Hit || cp.Verdict != prover.Differ {
 		t.Fatalf("genuine differ record missed: %+v", cp)
@@ -319,7 +374,7 @@ func TestSessionRevalidationRejectsPoison(t *testing.T) {
 
 	// A differ record whose stored cex does not separate the pair (g vs h
 	// are equal, so no vector can) must be evicted, not trusted.
-	sess.RecordProof(g, h, prover.Differ, []bool{true, true}, 1)
+	sess.RecordProof(g, h, prover.Differ, []bool{true, true})
 	cp = sess.Probe(ctx, g, h)
 	// The equal-class record for (g, h) still answers after the bogus
 	// differ record is rejected — the probe falls back to the key
@@ -334,11 +389,11 @@ func TestSessionRevalidationRejectsPoison(t *testing.T) {
 	// genuine twin must hit.
 	pnet, chain, tree, poisoned := parityNet(10)
 	psess := NewSession(st, pnet, nil)
-	psess.RecordProof(chain, poisoned, prover.Equal, nil, 0)
+	psess.RecordProof(chain, poisoned, prover.Equal, nil)
 	if cp := psess.Probe(ctx, chain, poisoned); cp.Hit || !cp.RevalFailed {
 		t.Fatalf("poisoned one-minterm equal record: %+v, want a revalidation failure", cp)
 	}
-	psess.RecordProof(chain, tree, prover.Equal, nil, 0)
+	psess.RecordProof(chain, tree, prover.Equal, nil)
 	if cp := psess.Probe(ctx, chain, tree); !cp.Hit || cp.Verdict != prover.Equal {
 		t.Fatalf("genuine 10-PI equal record missed: %+v", cp)
 	}

@@ -15,25 +15,25 @@ import (
 // pattern's score is refreshed with the split power it showed this run,
 // so stale patterns sink toward eviction.
 
-// ReplaySource serves the stored patterns highest-score-first as a
-// core.VectorSource. Exhausted sources return empty batches (which a
-// Runner treats as a successful no-op iteration, so drive it with
-// Session.Replay rather than Runner.Run).
-type ReplaySource struct {
+// replaySource serves the stored patterns highest-score-first as a
+// core.VectorSource. An exhausted source returns empty batches, which a
+// Runner treats as a successful no-op iteration, so Replay stops at
+// exhausted.
+type replaySource struct {
 	vecs []Pattern
 	pos  int
 }
 
-// Source snapshots the store's patterns for this network's PI width.
-func (s *Session) Source() *ReplaySource {
-	return &ReplaySource{vecs: s.store.Patterns(s.net.NumPIs())}
+// source snapshots the store's patterns for this network's PI width.
+func (s *Session) source() *replaySource {
+	return &replaySource{vecs: s.store.Patterns(s.net.NumPIs())}
 }
 
 // Name implements core.VectorSource.
-func (r *ReplaySource) Name() string { return "pcache" }
+func (r *replaySource) Name() string { return "pcache" }
 
 // NextBatch implements core.VectorSource.
-func (r *ReplaySource) NextBatch(_ *sim.Classes, max int) [][]bool {
+func (r *replaySource) NextBatch(_ *sim.Classes, max int) [][]bool {
 	if max <= 0 || r.pos >= len(r.vecs) {
 		return nil
 	}
@@ -49,17 +49,17 @@ func (r *ReplaySource) NextBatch(_ *sim.Classes, max int) [][]bool {
 	return batch
 }
 
-// Exhausted reports whether every stored pattern has been served.
-func (r *ReplaySource) Exhausted() bool { return r.pos >= len(r.vecs) }
+// exhausted reports whether every stored pattern has been served.
+func (r *replaySource) exhausted() bool { return r.pos >= len(r.vecs) }
 
 // Replay refines run's classes with every stored pattern and rescores
 // each replayed batch with the class splits it actually produced.
 // Returns the number of batches replayed; stops early on ctx
 // cancellation.
 func (s *Session) Replay(ctx context.Context, run *core.Runner) int {
-	src := s.Source()
+	src := s.source()
 	batches := 0
-	for !src.Exhausted() {
+	for !src.exhausted() {
 		start := src.pos
 		before := run.Classes.NumClasses()
 		if _, ok := run.StepContext(ctx, src, batches); !ok {

@@ -36,41 +36,32 @@ const (
 	revalRandomWords = 4
 )
 
-// simulateCone runs the session's cone evaluator over the pair's union
-// cone, which the caller has walked into s.cone, compiling the evaluator
-// on first use. The caller holds s.mu.
-func (s *Session) simulateCone(a, b network.NodeID, nwords int, fill func(pi network.NodeID, dst sim.Words)) (va, vb sim.Words) {
+// evaluator returns the session's cone evaluator, compiling it on first
+// use. The caller holds s.mu.
+func (s *Session) evaluator() *sim.Simulator {
 	if s.kernel == nil {
 		s.kernel = sim.NewSimulator(s.net)
 	}
-	vals := s.kernel.SimulateCone(s.cone, nwords, fill)
-	return vals[a], vals[b]
+	return s.kernel
 }
 
 // revalEqual re-checks a recorded equivalence: exhaustive over the
 // combined support when it fits the cutoff, random words otherwise. seed
 // makes the random fallback deterministic per pair.
 func (s *Session) revalEqual(a, b network.NodeID, seed uint64) bool {
-	support := prover.Support(s.net, s.cone, a, b)
-	if k := len(support); k <= revalExhaustivePIs {
-		varOf := make(map[network.NodeID]int, k)
-		for j, pi := range support {
-			varOf[pi] = j
-		}
-		return slices.Equal(s.simulateCone(a, b, 1<<max(0, k-6), func(pi network.NodeID, dst sim.Words) {
-			j := varOf[pi]
+	var vals sim.Values
+	if len(prover.Support(s.net, s.cone, a, b)) <= revalExhaustivePIs {
+		vals = s.evaluator().SimulateConeExhaustive(s.cone)
+	} else {
+		state := seed
+		vals = s.evaluator().SimulateCone(s.cone, revalRandomWords, func(pi network.NodeID, dst sim.Words) {
 			for w := range dst {
-				dst[w] = sim.ExhaustiveWord(j, w)
+				state += 0x9e3779b97f4a7c15
+				dst[w] = mix64(state ^ (uint64(pi)<<32 | uint64(w)))
 			}
-		}))
+		})
 	}
-	state := seed
-	return slices.Equal(s.simulateCone(a, b, revalRandomWords, func(pi network.NodeID, dst sim.Words) {
-		for w := range dst {
-			state += 0x9e3779b97f4a7c15
-			dst[w] = mix64(state ^ (uint64(pi)<<32 | uint64(w)))
-		}
-	}))
+	return slices.Equal(vals[a], vals[b])
 }
 
 // revalSeparates re-checks a recorded disproof by replaying its stored
@@ -88,8 +79,8 @@ func (s *Session) revalSeparates(a, b network.NodeID, cex []bool) bool {
 	s.cone.Reset()
 	s.cone.Add(a, nil)
 	s.cone.Add(b, nil)
-	va, vb := s.simulateCone(a, b, 1, func(pi network.NodeID, dst sim.Words) {
+	vals := s.evaluator().SimulateCone(s.cone, 1, func(pi network.NodeID, dst sim.Words) {
 		dst[0] = val[pi]
 	})
-	return va[0]&1 != vb[0]&1
+	return vals[a][0]&1 != vals[b][0]&1
 }

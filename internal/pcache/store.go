@@ -13,25 +13,25 @@ import (
 )
 
 // Store is the disk-backed verification memory shared across runs (and,
-// in sweepd, across jobs): a journal of three record kinds keyed on
+// in sweepd, across jobs): a journal of verdicts and patterns keyed on
 // NPN-canonical cone structure —
 //
-//   - proven equivalences, kept as a union-find over structural keys so a
-//     warm run hits even when its obligations pair different members of
-//     the same proven class than the cold run did,
-//   - solver hints ("clause" records): the escalation rung and conflict
-//     spend at which the SAT engine settled a pair, replayed as a
-//     starting-budget hint (the learned equivalence literals themselves
-//     are replayed through Engine.Learn on every cache hit),
-//   - high-split-power simulation patterns with their measured
-//     split-power scores, recycled as a seed stream and evicted
+//   - proven equivalences ("eq" records), kept as a union-find over
+//     structural keys so a warm run hits even when its obligations pair
+//     different members of the same proven class than the cold run did,
+//   - disproofs ("neq" records) with the separating assignment that
+//     revalidates them,
+//   - high-split-power simulation patterns ("pat" records) with their
+//     measured split-power scores, recycled as a seed stream and evicted
 //     lowest-score-first to keep the store bounded.
 //
 // The journal is JSON Lines (journal.jsonl under the store directory):
 // live records append during a run, Close compacts the surviving state
 // into a fresh file via an atomic rename. A truncated or garbage journal
 // is detected on Open, logged, and discarded — the run proceeds
-// cache-cold; it never fails and never trusts a partial parse.
+// cache-cold; it never fails and never trusts a partial parse. Older
+// journals may also hold "clause" records (solver hints) and "rung"
+// fields; Open skips both and the next Close compacts them away.
 type Store struct {
 	mu        sync.Mutex
 	dir       string
@@ -41,23 +41,20 @@ type Store struct {
 	closed    bool
 
 	// Proven equivalences: union-find over keys for transitive lookups,
-	// plus the direct records for check-hash validation and the rewrite.
+	// plus the direct records' check hashes for validation and the rewrite.
 	parent map[uint64]uint64
-	eq     map[[2]uint64]eqRec
+	eq     map[[2]uint64]uint64
 	poison map[uint64]bool // poisoned class roots: revalidation failed inside
 
-	neq     map[[2]uint64]neqRec
-	clauses map[[2]uint64]clauseRec
+	neq map[[2]uint64]neqRec
 
 	pats   []Pattern
 	patIdx map[string]int // packed bits -> pats index
 
 	evicted int64
 
-	// PatternCap bounds the pattern pool (lowest score evicted first);
-	// RecordCap bounds each proof/clause map (further adds are dropped).
+	// PatternCap bounds the pattern pool (lowest score evicted first).
 	PatternCap int
-	RecordCap  int
 }
 
 // Pattern is one recycled simulation vector with its split-power score.
@@ -66,44 +63,31 @@ type Pattern struct {
 	Score int
 }
 
-type eqRec struct {
-	chk  uint64
-	rung int
-}
-
 type neqRec struct {
-	chk  uint64
-	cex  []bool
-	rung int
+	chk uint64
+	cex []bool
 }
 
-type clauseRec struct {
-	chk       uint64
-	rung      int
-	conflicts int64
-}
-
-// Defaults for the store bounds.
+// Store bounds: DefaultPatternCap is PatternCap's initial value;
+// recordCap bounds each proof map (further adds are dropped).
 const (
 	DefaultPatternCap = 8192
-	DefaultRecordCap  = 1 << 20
+	recordCap         = 1 << 20
 )
 
 // journal schema: one JSON object per line, discriminated by "t".
 const journalName = "journal.jsonl"
 
 type rec struct {
-	T    string `json:"t"`
-	V    int    `json:"v,omitempty"`    // hdr: format version
-	A    string `json:"a,omitempty"`    // eq/neq/clause: sorted key pair, hex
-	B    string `json:"b,omitempty"`    //
-	C    string `json:"c,omitempty"`    // check hash, hex
-	Cex  string `json:"cex,omitempty"`  // neq: packed counterexample, hex
-	Vec  string `json:"vec,omitempty"`  // pat: packed vector, hex
-	NPI  int    `json:"npi,omitempty"`  // neq/pat: primary-input count
-	Rung int    `json:"rung,omitempty"` // eq/neq/clause: settling rung
-	Conf int64  `json:"conf,omitempty"` // clause: conflicts spent
-	Sc   int    `json:"sc,omitempty"`   // pat: split-power score
+	T   string `json:"t"`
+	V   int    `json:"v,omitempty"`   // hdr: format version
+	A   string `json:"a,omitempty"`   // eq/neq: sorted key pair, hex
+	B   string `json:"b,omitempty"`   //
+	C   string `json:"c,omitempty"`   // check hash, hex
+	Cex string `json:"cex,omitempty"` // neq: packed counterexample, hex
+	Vec string `json:"vec,omitempty"` // pat: packed vector, hex
+	NPI int    `json:"npi,omitempty"` // neq/pat: primary-input count
+	Sc  int    `json:"sc,omitempty"`  // pat: split-power score
 }
 
 const journalVersion = 1
@@ -119,13 +103,11 @@ func Open(dir string) (*Store, error) {
 		dir:        dir,
 		path:       filepath.Join(dir, journalName),
 		parent:     map[uint64]uint64{},
-		eq:         map[[2]uint64]eqRec{},
+		eq:         map[[2]uint64]uint64{},
 		poison:     map[uint64]bool{},
 		neq:        map[[2]uint64]neqRec{},
-		clauses:    map[[2]uint64]clauseRec{},
 		patIdx:     map[string]int{},
 		PatternCap: DefaultPatternCap,
-		RecordCap:  DefaultRecordCap,
 	}
 	if err := s.load(); err != nil {
 		log.Printf("pcache: %s: %v; discarding cache, proceeding cold", s.path, err)
@@ -150,10 +132,9 @@ func Open(dir string) (*Store, error) {
 // reset discards all in-memory state.
 func (s *Store) reset() {
 	s.parent = map[uint64]uint64{}
-	s.eq = map[[2]uint64]eqRec{}
+	s.eq = map[[2]uint64]uint64{}
 	s.poison = map[uint64]bool{}
 	s.neq = map[[2]uint64]neqRec{}
-	s.clauses = map[[2]uint64]clauseRec{}
 	s.pats = nil
 	s.patIdx = map[string]int{}
 }
@@ -202,16 +183,17 @@ func (s *Store) apply(r rec, line int) error {
 	}
 	switch r.T {
 	case "eq":
-		s.eq[key] = eqRec{chk: chk, rung: r.Rung}
+		s.eq[key] = chk
 		s.link(key[0], key[1])
 	case "neq":
 		cex, err := unpackBits(r.Cex, r.NPI)
 		if err != nil {
 			return fmt.Errorf("line %d: %v", line, err)
 		}
-		s.neq[key] = neqRec{chk: chk, cex: cex, rung: r.Rung}
+		s.neq[key] = neqRec{chk: chk, cex: cex}
 	case "clause":
-		s.clauses[key] = clauseRec{chk: chk, rung: r.Rung, conflicts: r.Conf}
+		// A solver hint from an older journal: nothing reads it, so the
+		// next Close drops it.
 	case "pat":
 		bits, err := unpackBits(r.Vec, r.NPI)
 		if err != nil {
@@ -224,7 +206,7 @@ func (s *Store) apply(r rec, line int) error {
 	return nil
 }
 
-// keys decodes the key pair and check hash of a proof/clause record.
+// keys decodes the key pair and check hash of a proof record.
 func (r rec) keys() ([2]uint64, uint64, error) {
 	a, err := parseHex64(r.A)
 	if err != nil {
@@ -329,52 +311,36 @@ func (s *Store) append(r rec) {
 }
 
 // AddEqual records a proven equivalence between the cones keyed ka and kb.
-func (s *Store) AddEqual(ka, kb, chk uint64, rung int) {
+func (s *Store) AddEqual(ka, kb, chk uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := sortKeys(ka, kb)
 	if _, ok := s.eq[key]; ok {
 		return
 	}
-	if len(s.eq) >= s.RecordCap {
+	if len(s.eq) >= recordCap {
 		return
 	}
-	s.eq[key] = eqRec{chk: chk, rung: rung}
+	s.eq[key] = chk
 	s.link(ka, kb)
-	s.append(rec{T: "eq", A: hex64(key[0]), B: hex64(key[1]), C: hex64(chk), Rung: rung})
+	s.append(rec{T: "eq", A: hex64(key[0]), B: hex64(key[1]), C: hex64(chk)})
 }
 
 // AddDiffer records a disproven pair with its separating assignment.
-func (s *Store) AddDiffer(ka, kb, chk uint64, cex []bool, rung int) {
+func (s *Store) AddDiffer(ka, kb, chk uint64, cex []bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := sortKeys(ka, kb)
 	if _, ok := s.neq[key]; ok {
 		return
 	}
-	if len(s.neq) >= s.RecordCap {
+	if len(s.neq) >= recordCap {
 		return
 	}
 	c := append([]bool(nil), cex...)
-	s.neq[key] = neqRec{chk: chk, cex: c, rung: rung}
+	s.neq[key] = neqRec{chk: chk, cex: c}
 	s.append(rec{T: "neq", A: hex64(key[0]), B: hex64(key[1]), C: hex64(chk),
-		Cex: packBits(c), NPI: len(c), Rung: rung})
-}
-
-// AddClause records the solver hint for a pair that needed escalation.
-func (s *Store) AddClause(ka, kb, chk uint64, rung int, conflicts int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := sortKeys(ka, kb)
-	if old, ok := s.clauses[key]; ok && old.rung >= rung {
-		return
-	}
-	if len(s.clauses) >= s.RecordCap {
-		return
-	}
-	s.clauses[key] = clauseRec{chk: chk, rung: rung, conflicts: conflicts}
-	s.append(rec{T: "clause", A: hex64(key[0]), B: hex64(key[1]), C: hex64(chk),
-		Rung: rung, Conf: conflicts})
+		Cex: packBits(c), NPI: len(c)})
 }
 
 // lookup outcomes for Session.Probe.
@@ -390,7 +356,6 @@ const (
 type lookup struct {
 	kind hitKind
 	cex  []bool
-	rung int
 }
 
 // Lookup consults the proof records for the pair (ka, kb): an exact
@@ -406,25 +371,15 @@ func (s *Store) Lookup(ka, kb, chk uint64) lookup {
 		if r.chk != chk {
 			return lookup{kind: hitCollision}
 		}
-		return lookup{kind: hitDiffer, cex: r.cex, rung: r.rung}
+		return lookup{kind: hitDiffer, cex: r.cex}
 	}
-	if r, ok := s.eq[key]; ok && r.chk != chk {
+	if rchk, ok := s.eq[key]; ok && rchk != chk {
 		return lookup{kind: hitCollision}
 	}
 	if root := s.find(ka); root == s.find(kb) && !s.poison[root] {
 		return lookup{kind: hitEqual}
 	}
 	return lookup{kind: hitNone}
-}
-
-// ClauseHint returns the recorded starting rung for the pair (0 when none).
-func (s *Store) ClauseHint(ka, kb, chk uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.clauses[sortKeys(ka, kb)]; ok && r.chk == chk {
-		return r.rung
-	}
-	return 0
 }
 
 // PoisonEqual marks the equivalence class containing ka (and kb) as
@@ -556,11 +511,11 @@ func (s *Store) Patterns(npi int) []Pattern {
 }
 
 // Counts reports the live record populations (equivalences, disproofs,
-// clause hints, patterns) and the total records evicted this process.
-func (s *Store) Counts() (eq, neq, clauses, pats int, evicted int64) {
+// patterns) and the total records evicted this process.
+func (s *Store) Counts() (eq, neq, pats int, evicted int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.eq), len(s.neq), len(s.clauses), len(s.pats), s.evicted
+	return len(s.eq), len(s.neq), len(s.pats), s.evicted
 }
 
 // Close compacts the surviving records into a fresh journal and atomically
@@ -595,8 +550,7 @@ func (s *Store) Close() error {
 	}
 	sortKeyPairs(eqKeys)
 	for _, key := range eqKeys {
-		r := s.eq[key]
-		write(rec{T: "eq", A: hex64(key[0]), B: hex64(key[1]), C: hex64(r.chk), Rung: r.rung})
+		write(rec{T: "eq", A: hex64(key[0]), B: hex64(key[1]), C: hex64(s.eq[key])})
 	}
 	neqKeys := make([][2]uint64, 0, len(s.neq))
 	for key := range s.neq {
@@ -606,17 +560,7 @@ func (s *Store) Close() error {
 	for _, key := range neqKeys {
 		r := s.neq[key]
 		write(rec{T: "neq", A: hex64(key[0]), B: hex64(key[1]), C: hex64(r.chk),
-			Cex: packBits(r.cex), NPI: len(r.cex), Rung: r.rung})
-	}
-	clKeys := make([][2]uint64, 0, len(s.clauses))
-	for key := range s.clauses {
-		clKeys = append(clKeys, key)
-	}
-	sortKeyPairs(clKeys)
-	for _, key := range clKeys {
-		r := s.clauses[key]
-		write(rec{T: "clause", A: hex64(key[0]), B: hex64(key[1]), C: hex64(r.chk),
-			Rung: r.rung, Conf: r.conflicts})
+			Cex: packBits(r.cex), NPI: len(r.cex)})
 	}
 	pats := append([]Pattern(nil), s.pats...)
 	sort.SliceStable(pats, func(i, j int) bool { return pats[i].Score > pats[j].Score })

@@ -106,34 +106,16 @@ func (p *Portfolio) Prove(ctx context.Context, a, b network.NodeID, budget Budge
 	var agg Stats
 	if p.prober != nil {
 		cp := p.prober.Probe(ctx, a, b)
-		agg.CacheProbes++
-		if cp.RevalFailed {
-			agg.CacheRevalFails++
-		}
+		agg.CountProbe(cp)
 		if cp.Hit {
-			agg.CacheHits++
 			return Result{Verdict: cp.Verdict, Cex: cp.Cex, Stats: agg}
-		}
-		agg.CacheMisses++
-		// A recorded solver hint pre-scales the starting budget to the
-		// rung that settled the pair last time. This is a hint, not an
-		// escalation: no rung events, no Escalations accounting — the
-		// ladder below runs unchanged, just better funded.
-		if hint := cp.StartRung; hint > 0 {
-			if hint > p.policy.MaxEscalations {
-				hint = p.policy.MaxEscalations
-			}
-			factor := p.policy.factor()
-			for i := 0; i < hint; i++ {
-				budget = budget.scale(factor)
-			}
 		}
 	}
 	if p.sim != nil {
 		r := p.sim.Prove(ctx, a, b, budget)
 		agg.Add(r.Stats)
 		if r.Verdict != Unknown {
-			p.record(a, b, r, 0)
+			p.record(a, b, r)
 			r.Stats = agg
 			return r
 		}
@@ -142,7 +124,7 @@ func (p *Portfolio) Prove(ctx context.Context, a, b network.NodeID, budget Budge
 		r := p.word.Prepare(ctx, a, b, budget)
 		agg.Add(r.Stats)
 		if r.Verdict != Unknown {
-			p.record(a, b, r, 0)
+			p.record(a, b, r)
 			r.Stats = agg
 			return r
 		}
@@ -158,7 +140,7 @@ func (p *Portfolio) Prove(ctx context.Context, a, b network.NodeID, budget Budge
 		r := p.sat.Prove(ctx, a, b, budget)
 		agg.Add(r.Stats)
 		if r.Verdict != Unknown {
-			p.record(a, b, r, rung)
+			p.record(a, b, r)
 			r.Stats = agg
 			return r
 		}
@@ -172,7 +154,7 @@ func (p *Portfolio) Prove(ctx context.Context, a, b network.NodeID, budget Budge
 		r := p.ensureBDD().Prove(ctx, a, b, budget)
 		agg.Add(r.Stats)
 		if r.Verdict != Unknown {
-			p.record(a, b, r, p.policy.MaxEscalations)
+			p.record(a, b, r)
 		}
 		r.Stats = agg
 		return r
@@ -190,11 +172,11 @@ func (p *Portfolio) ensureBDD() *BDD {
 }
 
 // record stores a settled verdict back into the verification memory.
-func (p *Portfolio) record(a, b network.NodeID, r Result, rung int) {
+func (p *Portfolio) record(a, b network.NodeID, r Result) {
 	if p.prober == nil {
 		return
 	}
-	p.prober.RecordProof(a, b, r.Verdict, r.Cex, rung)
+	p.prober.RecordProof(a, b, r.Verdict, r.Cex)
 }
 
 // Learn implements Engine by teaching the SAT stage; the other stages are

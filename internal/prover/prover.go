@@ -96,6 +96,21 @@ func (s *Stats) Add(o Stats) {
 	s.CacheRevalFails += o.CacheRevalFails
 }
 
+// CountProbe folds one verification-memory lookup into the cache
+// counters: every probe is a hit or a miss, and a miss may also be a
+// revalidation failure.
+func (s *Stats) CountProbe(cp CacheProbe) {
+	s.CacheProbes++
+	if cp.RevalFailed {
+		s.CacheRevalFails++
+	}
+	if cp.Hit {
+		s.CacheHits++
+	} else {
+		s.CacheMisses++
+	}
+}
+
 // Result is the outcome of one Prove call. Cex is a full primary-input
 // assignment separating the pair when Verdict is Differ.
 type Result struct {
@@ -135,9 +150,8 @@ type Engine interface {
 }
 
 // CacheProbe is the outcome of one verification-memory lookup (see
-// Prober). A Hit carries a revalidated verdict the caller may use in
-// place of running any engine; a miss may still carry a StartRung hint
-// from a recorded solver record.
+// Prober): a Hit carries a revalidated verdict the caller may use in
+// place of running any engine; anything else is a miss.
 type CacheProbe struct {
 	// Hit reports a usable, revalidated record.
 	Hit bool
@@ -146,9 +160,6 @@ type CacheProbe struct {
 	// Cex is the recorded separating assignment when Verdict is Differ;
 	// replaying it is what revalidated the record, so it is exact.
 	Cex []bool
-	// StartRung is the escalation rung a recorded solver hint suggests
-	// starting from (0 when none): the pair needed that budget last time.
-	StartRung int
 	// RevalFailed reports that a record matched the key but failed
 	// revalidation and was evicted; the probe is a miss.
 	RevalFailed bool
@@ -161,9 +172,9 @@ type CacheProbe struct {
 type Prober interface {
 	// Probe looks the pair up and revalidates any record found.
 	Probe(ctx context.Context, a, b network.NodeID) CacheProbe
-	// RecordProof stores a settled verdict (Equal or Differ, with the
-	// separating assignment and the escalation rung that settled it).
-	RecordProof(a, b network.NodeID, v Verdict, cex []bool, rung int)
+	// RecordProof stores a settled verdict (Equal, or Differ with the
+	// separating assignment).
+	RecordProof(a, b network.NodeID, v Verdict, cex []bool)
 }
 
 // Fault is a test-only injected failure, returned by a FaultHook to

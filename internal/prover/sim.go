@@ -51,7 +51,8 @@ func (e *Sim) SetTracer(t obs.Tracer) { e.tr = obs.OrNop(t) }
 
 // Support walks the pair's union fanin cone into c (a's cone, then the
 // rest of b's) and returns the primary inputs in it, in walk order: the
-// combined structural support. c keeps the cone for sim.SimulateCone.
+// combined structural support. c keeps the cone for the Simulator's
+// SimulateCone and SimulateConeExhaustive, whose PI order it matches.
 func Support(net *network.Network, c *network.Cone, a, b network.NodeID) []network.NodeID {
 	c.Reset()
 	c.Add(a, nil)
@@ -85,22 +86,13 @@ func (e *Sim) Prove(ctx context.Context, a, b network.NodeID, _ Budget) Result {
 }
 
 // enumerate simulates all 2^k support assignments over the union cone
-// Support walked and compares the roots.
+// Support walked (support[j] is variable j, the cone's j-th PI) and
+// compares the roots.
 func (e *Sim) enumerate(a, b network.NodeID, support []network.NodeID) (Verdict, []bool) {
-	varOf := make(map[network.NodeID]int, len(support))
-	for j, pi := range support {
-		varOf[pi] = j
-	}
 	if e.kernel == nil {
 		e.kernel = sim.NewSimulator(e.net)
 	}
-	vals := e.kernel.SimulateCone(e.cone, 1<<max(0, len(support)-6),
-		func(pi network.NodeID, dst sim.Words) {
-			j := varOf[pi]
-			for w := range dst {
-				dst[w] = sim.ExhaustiveWord(j, w)
-			}
-		})
+	vals := e.kernel.SimulateConeExhaustive(e.cone)
 
 	va, vb := vals[a], vals[b]
 	for w := range va {

@@ -265,6 +265,26 @@ func (s *Simulator) SimulateCone(c *network.Cone, nwords int, fill func(pi netwo
 	return s.views
 }
 
+// SimulateConeExhaustive is SimulateCone over every assignment of the
+// cone's k primary inputs: the j-th PI in c.Nodes order drives variable j
+// of the ExhaustiveWord layout, over 1 << max(0, k-6) words. Lanes past
+// 2^k (k < 6) repeat assignments modulo 2^k. The caller bounds k.
+func (s *Simulator) SimulateConeExhaustive(c *network.Cone) Values {
+	k := 0
+	for _, id := range c.Nodes {
+		if s.prog[id].op == opInput {
+			k++
+		}
+	}
+	j := 0
+	return s.SimulateCone(c, 1<<max(0, k-6), func(_ network.NodeID, dst Words) {
+		for w := range dst {
+			dst[w] = ExhaustiveWord(j, w)
+		}
+		j++
+	})
+}
+
 // evalInto runs one node's kernel (any op but opInput), writing the result
 // into dst, the node's arena row.
 func (s *Simulator) evalInto(in *instr, dst Words) {

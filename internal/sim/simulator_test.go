@@ -102,6 +102,59 @@ func TestSimulatorViewsOverwritten(t *testing.T) {
 	}
 }
 
+// TestSimulateConeExhaustive pins the exhaustive cone layout: the j-th PI
+// in the cone's walk order, not in PI order, carries variable j over
+// 1 << max(0, k-6) words, and the root matches the reference evaluator
+// on those inputs.
+func TestSimulateConeExhaustive(t *testing.T) {
+	n := network.New("cone")
+	pis := make([]network.NodeID, 8)
+	for i := range pis {
+		pis[i] = n.AddPI("")
+	}
+	xor2 := tt.Var(2, 0).Xor(tt.Var(2, 1))
+	or2 := tt.Var(2, 0).Or(tt.Var(2, 1))
+	// The root folds pis[7..1] in reverse; pis[0] stays outside the cone,
+	// so k = 7 and the cone takes 2 words.
+	root := pis[7]
+	for i := 6; i >= 1; i-- {
+		fn := xor2
+		if i%3 == 0 {
+			fn = or2
+		}
+		root = n.AddLUT("", []network.NodeID{root, pis[i]}, fn)
+	}
+	n.AddPO("", root)
+	c := network.NewCone(n)
+	c.Add(root, nil)
+	vals := NewSimulator(n).SimulateConeExhaustive(c)
+
+	const nwords = 2
+	inputs := make([]Words, n.NumPIs())
+	for i := range inputs {
+		inputs[i] = make(Words, nwords)
+	}
+	j := 0
+	for _, id := range c.Nodes {
+		if n.Node(id).Kind != network.KindPI {
+			continue
+		}
+		for w := range inputs[id] {
+			inputs[id][w] = ExhaustiveWord(j, w)
+		}
+		if !wordsEqual(vals[id], inputs[id]) {
+			t.Fatalf("PI %d (variable %d): got %#x, want %#x", id, j, vals[id], inputs[id])
+		}
+		j++
+	}
+	if j != 7 {
+		t.Fatalf("cone holds %d PIs, want 7", j)
+	}
+	if want := Reference(n, inputs, nwords)[root]; !wordsEqual(vals[root], want) {
+		t.Fatalf("root: got %#x, want %#x", vals[root], want)
+	}
+}
+
 // TestRefineNMasksPadding verifies that RefineN ignores lanes beyond nbits:
 // garbage in the padding bits must not split classes.
 func TestRefineNMasksPadding(t *testing.T) {

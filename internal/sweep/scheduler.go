@@ -222,22 +222,14 @@ func (s *scheduler) prePass(ctx context.Context) {
 				continue
 			}
 			cp := s.opts.Cache.Probe(ctx, rep, m)
-			s.res.CacheProbes++
-			if cp.RevalFailed {
-				s.res.CacheRevalFails++
-			}
-			if cp.Hit {
-				s.res.CacheHits++
-				if cp.Verdict == prover.Equal {
-					if cm := s.classes.ClassOf(m); cm >= 0 && cm == s.classes.ClassOf(rep) {
-						s.uf.union(rep, m)
-						s.classes.Remove(m)
-					}
-					s.res.CacheMerged++
-					continue
+			s.res.CountProbe(cp)
+			if cp.Hit && cp.Verdict == prover.Equal {
+				if cm := s.classes.ClassOf(m); cm >= 0 && cm == s.classes.ClassOf(rep) {
+					s.uf.union(rep, m)
+					s.classes.Remove(m)
 				}
-			} else {
-				s.res.CacheMisses++
+				s.res.CacheMerged++
+				continue
 			}
 			// Differ hit or cache miss: outside the edit's fanout there is
 			// nothing new to prove, so the member leaves its class rather

@@ -44,8 +44,8 @@ type Config struct {
 	DataDir string
 	// CacheDir, when set, opens one persistent verification cache
 	// (internal/pcache) shared by every sweep and simgen job the process
-	// runs: proofs, clause hints, and simulation patterns learned by one
-	// job accelerate the next. An unopenable cache is logged and skipped;
+	// runs: verdicts and simulation patterns learned by one job
+	// accelerate the next. An unopenable cache is logged and skipped;
 	// the service runs uncached.
 	CacheDir string
 	// Metrics receives service and engine metrics (created when nil).

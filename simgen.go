@@ -122,8 +122,8 @@ type (
 	// Metrics is a registry of counters, gauges, and latency histograms.
 	Metrics = obs.Metrics
 	// ProofCache is the persistent cross-run verification memory: a
-	// journaled, NPN-keyed store of proven equivalences, solver hints,
-	// and high-split-power simulation patterns (one per cache directory).
+	// journaled, NPN-keyed store of verdicts and high-split-power
+	// simulation patterns (one per cache directory).
 	ProofCache = pcache.Store
 	// CacheSession binds a ProofCache to one network for one run; it
 	// plugs into SweepOptions.Cache and replays stored patterns.
