@@ -77,8 +77,11 @@ cover:
 # result and the undecided exit code (3): the SAT-hard "square" benchmark
 # on the sat engine at workers=1 and 4 and on the word engine, b14_C on
 # the BDD engine, and cmd/simgen's final sweep of voter. Usage legs: a
-# negative escalation count or BDD node limit must exit 2 (usage error)
-# instead of running a ladder that resolves nothing.
+# negative escalation count, BDD node limit, conflict budget or iteration
+# count must exit 2 (usage error) without a panic, from cmd/sweep and
+# cmd/simgen alike, instead of running a ladder that resolves nothing or
+# reading the value as another. A Go panic also exits 2, so each leg
+# fails on a panic in its stderr too.
 .PHONY: smoke
 smoke:
 	@$(GO) build -o .smoke-sweep ./cmd/sweep
@@ -99,18 +102,22 @@ smoke:
 		echo "smoke: $$run: ok (exit 3, partial result)"; \
 	done
 	@for run in \
-		"-benchmark alu4 -max-escalations -1" \
-		"-benchmark alu4 -bdd-nodes -1"; do \
-		timeout 5 ./.smoke-sweep $$run >/dev/null 2>&1; \
+		"sweep -benchmark alu4 -max-escalations -1" \
+		"sweep -benchmark alu4 -bdd-nodes -1" \
+		"sweep -benchmark alu4 -conflict-budget -1" \
+		"sweep -benchmark alu4 -iterations -1" \
+		"simgen -benchmark alu4 -iterations -1"; do \
+		timeout 5 ./.smoke-$$run >/dev/null 2>.smoke-stderr; \
 		code=$$?; \
-		if [ $$code -ne 2 ]; then \
-			echo "smoke: sweep $$run: expected exit 2 (usage error), got $$code"; \
-			rm -f .smoke-sweep .smoke-simgen; \
+		if [ $$code -ne 2 ] || grep -q 'panic:' .smoke-stderr; then \
+			echo "smoke: $$run: expected exit 2 (usage error) without a panic, got $$code"; \
+			cat .smoke-stderr; \
+			rm -f .smoke-sweep .smoke-simgen .smoke-stderr; \
 			exit 1; \
 		fi; \
-		echo "smoke: sweep $$run: ok (exit 2, usage error)"; \
+		echo "smoke: $$run: ok (exit 2, usage error)"; \
 	done
-	@rm -f .smoke-sweep .smoke-simgen
+	@rm -f .smoke-sweep .smoke-simgen .smoke-stderr
 
 # Fuzzing smoke: a short differential+metamorphic campaign (deterministic
 # seed, must be clean), the broken-sweeper self-test (must be caught), and

@@ -26,16 +26,17 @@ import (
 )
 
 func main() {
+	opts := simgen.DefaultCECOptions()
+	flag.StringVar(&opts.Method, "method", opts.Method, "vector source: simgen|ai+dc+mffc|ai+dc|ai+rd|si+rd|revs|rands")
+	flag.IntVar(&opts.GuidedIterations, "iterations", opts.GuidedIterations, "maximum guided iterations (generation stops earlier once the cost is flat for 3)")
+	flag.IntVar(&opts.RandomRounds, "random-rounds", opts.RandomRounds, "initial random rounds of 64 vectors (0 = 1)")
+	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "random seed")
+	flag.BoolVar(&opts.Sweep.WordStage, "word", opts.Sweep.WordStage, "insert the word-level proving stage into the final sweep's portfolio")
 	var (
 		benchmark  = flag.String("benchmark", "", "run a named built-in benchmark instead of a BLIF file")
-		method     = flag.String("method", "simgen", "vector source: simgen|ai+dc+mffc|ai+dc|ai+rd|si+rd|revs|rands")
-		iterations = flag.Int("iterations", 20, "maximum guided iterations (generation stops earlier once the cost is flat for 3)")
 		batch      = flag.Int("batch", 1, "vectors per iteration")
-		randRounds = flag.Int("random-rounds", 1, "initial random rounds (64 vectors each)")
-		seed       = flag.Int64("seed", 1, "random seed")
 		list       = flag.Bool("list", false, "list built-in benchmarks and exit")
 		engine     = flag.String("engine", "none", "sweep the refined classes afterwards: none|sat|bdd|portfolio|word")
-		wordStage  = flag.Bool("word", false, "insert the word-level proving stage into the final sweep's portfolio")
 		dump       = flag.String("dump-patterns", "", "write all generated vectors to this pattern file")
 		cacheDir   = flag.String("cache-dir", "", "persistent verification cache: replay stored patterns first, record generated ones, and feed proofs to the final sweep")
 		replay     = flag.String("replay", "", "replay vectors from a pattern file instead of generating")
@@ -99,15 +100,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simgen: -timeout must be positive, got %v\n", *timeout)
 		exit(2)
 	}
-	// The method and the final sweep's engine are checked before any
-	// generation runs.
-	var engineKind simgen.EngineKind
-	err = simgen.CheckMethod(*method)
-	if *method == "none" {
+	// The flow's settings and the final sweep's engine are checked before
+	// any generation runs.
+	err = opts.Check()
+	if opts.Method == "none" {
 		err = fmt.Errorf("-method none generates nothing")
 	}
 	if err == nil && *engine != "none" {
-		engineKind, err = simgen.ParseSweepEngine(*engine)
+		opts.Sweep.Engine, err = simgen.ParseSweepEngine(*engine)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simgen: %v\n", err)
@@ -132,7 +132,7 @@ func main() {
 		exit(2)
 	}
 
-	run := simgen.NewRunner(net, *randRounds, *seed)
+	run := simgen.NewRunner(net, opts.RandomRounds, opts.Seed)
 	run.BatchSize = *batch
 	run.SetTracer(obsSetup.Tracer)
 	fmt.Printf("circuit: %s (%s)\n", net.Name, net.Stats())
@@ -162,7 +162,7 @@ func main() {
 		exit(0)
 	}
 
-	src := simgen.NewSource(net, *method, *seed)
+	src := simgen.NewSource(net, opts.Method, opts.Seed)
 	// Every batch the driver generates, including one the deadline cut
 	// short, goes to -dump-patterns and to the cache session (scored by
 	// the classes it split).
@@ -193,15 +193,15 @@ func main() {
 		}
 		fmt.Printf("wrote %d patterns to %s\n", len(dumped), *dump)
 	}
-	stats := run.RunContext(ctx, src, *iterations)
+	stats := run.RunContext(ctx, src, opts.GuidedIterations)
 	for _, st := range stats {
 		fmt.Printf("iter %3d  cost %6d  vectors %3d  elapsed %v\n",
 			st.Iteration, st.Cost, st.Vectors, st.Elapsed)
 	}
-	fmt.Printf("guided: %d of %d iterations (%s)\n", len(stats), *iterations, run.Stopped())
-	if len(stats) < *iterations && ctx.Err() != nil {
+	fmt.Printf("guided: %d of %d iterations (%s)\n", len(stats), opts.GuidedIterations, run.Stopped())
+	if len(stats) < opts.GuidedIterations && ctx.Err() != nil {
 		fmt.Printf("timeout after %d/%d iterations; partial cost: %d (%s)\n",
-			len(stats), *iterations, run.Classes.Cost(), src.Name())
+			len(stats), opts.GuidedIterations, run.Classes.Cost(), src.Name())
 		flushDump()
 		exit(3)
 	}
@@ -211,14 +211,14 @@ func main() {
 		exit(0)
 	}
 
-	// The final sweep settles the refined classes with the selected engine:
-	// the per-iteration cost column above is exactly the worst-case number
-	// of proof obligations it discharges.
-	opts := simgen.SweepOptions{Engine: engineKind, WordStage: *wordStage, Tracer: obsSetup.Tracer}
+	// The final sweep settles the refined classes with the selected engine
+	// on the flow's default ladder: the per-iteration cost column above is
+	// exactly the worst-case number of proof obligations it discharges.
+	opts.Sweep.Tracer = obsSetup.Tracer
 	if sess != nil {
-		opts.Cache = sess
+		opts.Sweep.Cache = sess
 	}
-	res := simgen.NewSweeper(net, run.Classes, opts).RunContext(ctx)
+	res := simgen.NewSweeper(net, run.Classes, opts.Sweep).RunContext(ctx)
 	fmt.Printf("%s sweep: %s\n", *engine, res)
 	fmt.Printf("proved %d equivalences, disproved %d pairs, final cost %d\n",
 		res.Proved, res.Disproved, res.FinalCost)

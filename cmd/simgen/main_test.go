@@ -54,6 +54,19 @@ func TestFinalSweepExitCodes(t *testing.T) {
 	}
 }
 
+// TestNegativeFlowFlags checks that a negative iteration or random round
+// count is a usage error before any generation runs, not a panic (which
+// also exits 2) or a run that reads it as another value.
+func TestNegativeFlowFlags(t *testing.T) {
+	bin := buildSimgen(t)
+	for _, flag := range []string{"-iterations", "-random-rounds"} {
+		code, out := exitCode(t, bin, "-benchmark", "alu4", flag, "-1")
+		if code != 2 || strings.Contains(out, "panic:") || strings.Contains(out, "iter ") {
+			t.Errorf("%s -1: exit %d, want 2 without a panic or generation\n%s", flag, code, out)
+		}
+	}
+}
+
 // TestDumpPatternsFailures builds the command and checks both ways
 // -dump-patterns can fail: an uncreatable path is a usage error before any
 // generation runs, and a failed write exits 1. Either way the exit path

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
 	"simgen"
 	"simgen/internal/obsflag"
@@ -36,47 +35,36 @@ const (
 	exitUndecided = 3
 )
 
+// config is the command's settings: the flow's, bound straight to their
+// flags, and where to write the reduced network, keep the proof cache and
+// find the base revision.
 type config struct {
-	method      string
-	engine      string
-	engineKind  simgen.EngineKind
-	reduce      string
-	iterations  int
-	randRounds  int
-	seed        int64
-	budget      int64
-	propBudget  int64
-	timeout     time.Duration
-	escalate    int
-	maxEscalate int
-	bddFallback bool
-	bddNodes    int
-	workers     int
-	wordStage   bool
-	cacheDir    string
-	basePath    string
-	tracer      simgen.Tracer
+	flow     simgen.CECOptions
+	reduce   string
+	cacheDir string
+	basePath string
 }
 
 func main() {
 	var (
 		benchmark = flag.String("benchmark", "", "sweep a named built-in benchmark")
-		cfg       config
+		cfg       = config{flow: simgen.DefaultCECOptions()}
+		opts      = &cfg.flow
 	)
-	flag.StringVar(&cfg.method, "method", "simgen", "guided simulation before sweeping: simgen|ai+dc+mffc|ai+dc|ai+rd|si+rd|revs|rands|none")
-	flag.IntVar(&cfg.iterations, "iterations", 20, "maximum guided iterations (generation stops earlier once the cost is flat for 3)")
-	flag.IntVar(&cfg.randRounds, "random-rounds", 0, "initial random rounds of 64 vectors (0 = 1 for a sweep, 2 for CEC)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "random seed")
-	flag.Int64Var(&cfg.budget, "conflict-budget", 0, "SAT conflict budget per call (0 = unlimited)")
-	flag.Int64Var(&cfg.propBudget, "propagation-budget", 0, "SAT propagation budget per call (0 = unlimited)")
-	flag.DurationVar(&cfg.timeout, "timeout", 0, "wall-clock deadline for the whole run (0 = none)")
-	flag.IntVar(&cfg.escalate, "escalate", 4, "budget multiplier per escalation rung")
-	flag.IntVar(&cfg.maxEscalate, "max-escalations", 2, "escalation rungs for budget-exhausted pairs (0 = drop immediately)")
-	flag.BoolVar(&cfg.bddFallback, "bdd-fallback", false, "retry pairs that exhaust the final rung on the BDD engine")
-	flag.IntVar(&cfg.bddNodes, "bdd-nodes", 1<<20, "BDD fallback node limit (0 = manager default)")
-	flag.IntVar(&cfg.workers, "workers", 1, "parallel sweep workers (0 = GOMAXPROCS)")
-	flag.StringVar(&cfg.engine, "engine", "sat", "verification engine: sat|bdd|portfolio|word")
-	flag.BoolVar(&cfg.wordStage, "word", false, "insert the word-level proving stage into the portfolio (structure detection + frontier learning)")
+	flag.StringVar(&opts.Method, "method", opts.Method, "guided simulation before sweeping: simgen|ai+dc+mffc|ai+dc|ai+rd|si+rd|revs|rands|none")
+	flag.IntVar(&opts.GuidedIterations, "iterations", opts.GuidedIterations, "maximum guided iterations (generation stops earlier once the cost is flat for 3)")
+	flag.IntVar(&opts.RandomRounds, "random-rounds", opts.RandomRounds, "initial random rounds of 64 vectors (0 = 1 for a sweep, 2 for CEC)")
+	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "random seed")
+	flag.Int64Var(&opts.Sweep.ConflictBudget, "conflict-budget", opts.Sweep.ConflictBudget, "SAT conflict budget per call (0 = unlimited)")
+	flag.Int64Var(&opts.Sweep.PropagationBudget, "propagation-budget", opts.Sweep.PropagationBudget, "SAT propagation budget per call (0 = unlimited)")
+	timeout := flag.Duration("timeout", 0, "wall-clock deadline for the whole run (0 = none)")
+	flag.IntVar(&opts.Sweep.EscalationFactor, "escalate", opts.Sweep.EscalationFactor, "budget multiplier per escalation rung")
+	flag.IntVar(&opts.Sweep.MaxEscalations, "max-escalations", opts.Sweep.MaxEscalations, "escalation rungs for budget-exhausted pairs (0 = drop immediately)")
+	flag.BoolVar(&opts.Sweep.BDDFallback, "bdd-fallback", opts.Sweep.BDDFallback, "retry pairs that exhaust the final rung on the BDD engine")
+	flag.IntVar(&opts.Sweep.BDDNodeLimit, "bdd-nodes", opts.Sweep.BDDNodeLimit, "BDD fallback node limit (0 = manager default)")
+	flag.IntVar(&opts.Workers, "workers", opts.Workers, "parallel sweep workers (0 = GOMAXPROCS)")
+	engine := flag.String("engine", opts.Sweep.Engine.String(), "verification engine: sat|bdd|portfolio|word")
+	flag.BoolVar(&opts.Sweep.WordStage, "word", opts.Sweep.WordStage, "insert the word-level proving stage into the portfolio (structure detection + frontier learning)")
 	flag.StringVar(&cfg.reduce, "reduce", "", "write the swept (merged) network to this BLIF file")
 	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "persistent verification cache directory (verdicts and simulation patterns)")
 	flag.StringVar(&cfg.basePath, "base", "", "previous revision BLIF: sweep incrementally, scheduling only the diff's fanout (requires -cache-dir)")
@@ -96,7 +84,7 @@ func main() {
 		stopProf()
 		os.Exit(exitUsage)
 	}
-	cfg.tracer = obsSetup.Tracer
+	opts.Sweep.Tracer = obsSetup.Tracer
 	exit := func(code int) {
 		if err := obsSetup.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
@@ -108,36 +96,25 @@ func main() {
 		os.Exit(code)
 	}
 
-	if kind, err := simgen.ParseSweepEngine(cfg.engine); err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		exit(exitUsage)
-	} else {
-		cfg.engineKind = kind
+	if opts.Sweep.Engine, err = simgen.ParseSweepEngine(*engine); err == nil {
+		err = opts.Check()
 	}
-	if err := simgen.CheckMethod(cfg.method); err != nil {
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		exit(exitUsage)
 	}
-	if cfg.workers < 0 {
-		fmt.Fprintf(os.Stderr, "sweep: -workers must be >= 0 (0 = GOMAXPROCS), got %d\n", cfg.workers)
-		exit(exitUsage)
-	}
-	if cfg.workers == 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.maxEscalate < 0 || cfg.bddNodes < 0 {
-		fmt.Fprintf(os.Stderr, "sweep: -max-escalations and -bdd-nodes must be >= 0, got %d and %d\n", cfg.maxEscalate, cfg.bddNodes)
-		exit(exitUsage)
+	if opts.Workers == 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 
 	ctx := context.Background()
-	if cfg.timeout < 0 {
-		fmt.Fprintf(os.Stderr, "sweep: -timeout must be positive, got %v\n", cfg.timeout)
+	if *timeout < 0 {
+		fmt.Fprintf(os.Stderr, "sweep: -timeout must be positive, got %v\n", *timeout)
 		exit(exitUsage)
 	}
-	if cfg.timeout > 0 {
+	if *timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
 
@@ -171,33 +148,6 @@ func load(path string) (*simgen.Network, error) {
 	return simgen.ParseBLIF(f)
 }
 
-func (c config) sweepOptions() simgen.SweepOptions {
-	return simgen.SweepOptions{
-		Engine:            c.engineKind,
-		ConflictBudget:    c.budget,
-		PropagationBudget: c.propBudget,
-		EscalationFactor:  c.escalate,
-		MaxEscalations:    c.maxEscalate,
-		BDDFallback:       c.bddFallback,
-		BDDNodeLimit:      c.bddNodes,
-		WordStage:         c.wordStage,
-		Tracer:            c.tracer,
-	}
-}
-
-// flowOptions are the options of the whole flow: Refine, then the sweep or
-// CEC.
-func (c config) flowOptions() simgen.CECOptions {
-	return simgen.CECOptions{
-		Sweep:            c.sweepOptions(),
-		RandomRounds:     c.randRounds,
-		GuidedIterations: c.iterations,
-		Method:           c.method,
-		Seed:             c.seed,
-		Workers:          c.workers,
-	}
-}
-
 func runSweep(ctx context.Context, benchmark string, args []string, cfg config) (int, error) {
 	var net *simgen.Network
 	var err error
@@ -212,7 +162,7 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 	if cfg.basePath != "" && cfg.cacheDir == "" {
 		return exitUsage, fmt.Errorf("-base requires -cache-dir")
 	}
-	opts := cfg.flowOptions()
+	opts := cfg.flow
 
 	// Persistent verification cache: revalidated verdicts answer the
 	// prover; recorded patterns replay before guided simulation so a warm
@@ -231,7 +181,7 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 		if store.Recovered() {
 			fmt.Fprintf(os.Stderr, "sweep: cache journal was corrupt; starting cold (damaged journal kept as *.corrupt)\n")
 		}
-		opts.Sweep.Cache = simgen.NewCacheSession(store, net, cfg.tracer)
+		opts.Sweep.Cache = simgen.NewCacheSession(store, net, opts.Sweep.Tracer)
 	}
 
 	// Incremental mode: diff against the previous revision and restrict
@@ -263,14 +213,14 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 	if ref.Replayed > 0 {
 		fmt.Printf("cache: replayed %d pattern batches: cost %d\n", ref.Replayed, ref.ReplayCost)
 	}
-	if cfg.method != "none" {
-		fmt.Printf("guided: %d of %d iterations (%s)\n", len(ref.Guided), cfg.iterations, ref.Run.Stopped())
+	if opts.Method != "none" {
+		fmt.Printf("guided: %d of %d iterations (%s)\n", len(ref.Guided), opts.GuidedIterations, ref.Run.Stopped())
 	}
-	fmt.Printf("after guided simulation (%s): cost %d\n", cfg.method, ref.Run.Classes.Cost())
+	fmt.Printf("after guided simulation (%s): cost %d\n", opts.Method, ref.Run.Classes.Cost())
 
 	sw := simgen.NewSweeper(net, ref.Run.Classes, opts.Sweep)
-	res := sw.RunParallelContext(ctx, cfg.workers)
-	fmt.Printf("%s sweeping: %s\n", cfg.engine, res)
+	res := sw.RunParallelContext(ctx, opts.Workers)
+	fmt.Printf("%s sweeping: %s\n", opts.Sweep.Engine, res)
 	fmt.Printf("proved %d equivalences, disproved %d pairs, final cost %d\n",
 		res.Proved, res.Disproved, res.FinalCost)
 	code := exitOK
@@ -309,7 +259,7 @@ func runCEC(ctx context.Context, pathA, pathB string, cfg config) (int, error) {
 	if err != nil {
 		return exitFail, err
 	}
-	res, err := simgen.CECContext(ctx, a, b, cfg.flowOptions())
+	res, err := simgen.CECContext(ctx, a, b, cfg.flow)
 	if err != nil {
 		return exitFail, err
 	}

@@ -157,10 +157,20 @@ func TestEngineBDD(t *testing.T) {
 	runBin(t, bin, 2, "-benchmark", "alu4", "-method", "bogus")
 }
 
-// TestNegativeLadderFlags checks that a negative escalation count or BDD
-// node limit is a usage error, not a run that resolves nothing.
+// TestNegativeLadderFlags checks that a negative escalation count, BDD
+// node limit, budget, iteration count or random round count is a usage
+// error, not a run that resolves nothing or quietly reads the value as
+// another.
 func TestNegativeLadderFlags(t *testing.T) {
 	bin := buildSweep(t)
-	runBin(t, bin, 2, "-benchmark", "alu4", "-max-escalations", "-1")
-	runBin(t, bin, 2, "-benchmark", "alu4", "-bdd-nodes", "-1")
+	for _, args := range [][]string{
+		{"-max-escalations", "-1"},
+		{"-bdd-nodes", "-1"},
+		{"-conflict-budget", "-5"},
+		{"-propagation-budget", "-1"},
+		{"-iterations", "-1"},
+		{"-random-rounds", "-1"},
+	} {
+		runBin(t, bin, 2, append([]string{"-benchmark", "alu4"}, args...)...)
+	}
 }

@@ -67,7 +67,8 @@ func bufferRunner(t *testing.T, npi int) *Runner {
 
 // TestRunContextStagnation checks the guided driver's stop rule on scripted
 // batches: it stops after the third consecutive flat iteration, a cost drop
-// resets the count, an empty batch counts as flat, and n bounds the run.
+// resets the count, an empty batch counts as flat, and n bounds the run
+// (zero or negative runs nothing).
 func TestRunContextStagnation(t *testing.T) {
 	S, F, E := stepSplit, stepFlat, stepEmpty
 	cases := []struct {
@@ -84,6 +85,8 @@ func TestRunContextStagnation(t *testing.T) {
 		{"n bounds the run", []int{S, S, S, S, S, S}, 4, 4, StopLimit},
 		{"third flat on the last iteration", []int{S, F, F, F}, 4, 4, StopLimit},
 		{"two flat then the limit", []int{S, F, F}, 3, 3, StopLimit},
+		{"zero n", []int{S}, 0, 0, StopLimit},
+		{"negative n", []int{S}, -1, 0, StopLimit},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

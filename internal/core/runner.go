@@ -214,9 +214,9 @@ func (r *Runner) Run(src VectorSource, n int) []IterationStat {
 // or a passed deadline also ends the run. It returns the statistics of the
 // iterations that completed, which for a given source and seed are always
 // a prefix of what n calls of Step would produce; Stopped says which rule
-// ended the run.
+// ended the run. n <= 0 runs no iteration and stops on the limit.
 func (r *Runner) RunContext(ctx context.Context, src VectorSource, n int) []IterationStat {
-	stats := make([]IterationStat, 0, n)
+	stats := make([]IterationStat, 0, max(n, 0))
 	r.stopped = StopLimit
 	cost, flat := r.Classes.Cost(), 0
 	for i := 0; i < n; i++ {

@@ -7,7 +7,6 @@ import (
 	"simgen/internal/core"
 	"simgen/internal/genbench"
 	"simgen/internal/network"
-	"simgen/internal/sim"
 	"simgen/internal/tt"
 )
 
@@ -107,84 +106,5 @@ func TestSimGenVectorsBeatRandomOnSplitPower(t *testing.T) {
 	rv := SplitPower(net, r.Classes, rnd.NextBatch(r.Classes, 8))
 	if g < rv {
 		t.Fatalf("SimGen split power %d below random %d after random saturation", g, rv)
-	}
-}
-
-func TestStuckNodes(t *testing.T) {
-	net := loadNet(t, "e64")
-	rng := rand.New(rand.NewSource(3))
-	few := randomVectors(rng, net.NumPIs(), 2)
-	many := randomVectors(rng, net.NumPIs(), 64)
-	sFew, sMany := StuckNodes(net, few), StuckNodes(net, many)
-	if sMany > sFew {
-		t.Fatalf("more vectors cannot stick more nodes: %d vs %d", sFew, sMany)
-	}
-	if StuckNodes(net, nil) != net.NumNodes() {
-		t.Fatal("no vectors: everything is stuck")
-	}
-}
-
-func TestDistance(t *testing.T) {
-	vecs := [][]bool{
-		{false, false, false, false},
-		{true, false, false, false},
-		{true, true, false, false},
-	}
-	if d := Distance(vecs); d != 0.25 {
-		t.Fatalf("distance %v, want 0.25", d)
-	}
-	if Distance(vecs[:1]) != 0 {
-		t.Fatal("single vector distance")
-	}
-	// 1-distance source scores exactly 1/width against its base... build
-	// consecutive flips.
-	net := loadNet(t, "misex3c")
-	one := core.NewOneDistance(net, 1, 1)
-	batch := one.NextBatch(nil, 16)
-	d := Distance(batch)
-	// Vectors are flips of the same base, so consecutive distance is 0, 1
-	// or 2 bits; the mean must be well below random (~width/2).
-	if d > 3/float64(net.NumPIs()) {
-		t.Fatalf("1-distance vectors too far apart: %v", d)
-	}
-}
-
-func TestFreePairFraction(t *testing.T) {
-	// Two identical AND gates over the same two PIs: one candidate pair
-	// with combined support 2.
-	n := network.New("free")
-	a := n.AddPI("a")
-	b := n.AddPI("b")
-	and2 := tt.Var(2, 0).And(tt.Var(2, 1))
-	x := n.AddLUT("x", []network.NodeID{a, b}, and2)
-	y := n.AddLUT("y", []network.NodeID{a, b}, and2)
-	n.AddPO("px", x)
-	n.AddPO("py", y)
-
-	rng := rand.New(rand.NewSource(7))
-	classes := sim.NewClasses(n, sim.Simulate(n, sim.RandomInputs(n, 1, rng), 1))
-	if got := FreePairFraction(n, classes, 2); got != 1 {
-		t.Fatalf("support-2 pair with maxPIs=2: fraction %v, want 1", got)
-	}
-	if got := FreePairFraction(n, classes, 1); got != 0 {
-		t.Fatalf("support-2 pair with maxPIs=1: fraction %v, want 0", got)
-	}
-	// maxPIs <= 0 falls back to the portfolio default cutoff (>= 2 here).
-	if got := FreePairFraction(n, classes, 0); got != 1 {
-		t.Fatalf("default cutoff: fraction %v, want 1", got)
-	}
-}
-
-func TestFreePairFractionBounds(t *testing.T) {
-	net := loadNet(t, "misex3c")
-	rng := rand.New(rand.NewSource(11))
-	classes := sim.NewClasses(net, sim.Simulate(net, sim.RandomInputs(net, 1, rng), 1))
-	frac := FreePairFraction(net, classes, 0)
-	if frac < 0 || frac > 1 {
-		t.Fatalf("fraction out of range: %v", frac)
-	}
-	// Every pair is free when the cutoff covers the whole input space.
-	if got := FreePairFraction(net, classes, net.NumPIs()); got != 1 {
-		t.Fatalf("cutoff = all PIs: fraction %v, want 1", got)
 	}
 }

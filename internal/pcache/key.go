@@ -1,6 +1,8 @@
 package pcache
 
 import (
+	"slices"
+
 	"simgen/internal/network"
 	"simgen/internal/tt"
 )
@@ -199,7 +201,7 @@ func symSort(canon tt.Table, sv []nodeHash) {
 				perm[p] = p
 			}
 			perm[i], perm[j] = j, i
-			if tablesEqual(canon.Permute(perm), canon) {
+			if slices.Equal(canon.Permute(perm).Words(), canon.Words()) {
 				cls[find(j)] = find(i)
 			}
 		}
@@ -226,19 +228,6 @@ func symSort(canon tt.Table, sv []nodeHash) {
 			}
 		}
 	}
-}
-
-func tablesEqual(a, b tt.Table) bool {
-	aw, bw := a.Words(), b.Words()
-	if len(aw) != len(bw) {
-		return false
-	}
-	for i := range aw {
-		if aw[i] != bw[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // pairKey returns the order-independent key pair of the two cones plus the

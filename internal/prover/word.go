@@ -106,14 +106,6 @@ func (p *WordPlan) Sig(id network.NodeID) []uint64 {
 	return p.sig[id]
 }
 
-// FrontierPairs reports the number of precomputed anchor pairs.
-func (p *WordPlan) FrontierPairs() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.pairs)
-}
-
 // Word is the word-level proving stage: for obligations whose nodes belong
 // to detected word candidates, it proves the in-cone frontier of slice
 // equalities bottom-up and learns each into the shared SAT solver, so the

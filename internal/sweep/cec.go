@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"simgen/internal/core"
 	"simgen/internal/network"
 	"simgen/internal/prover"
 	"simgen/internal/sim"
@@ -98,11 +99,13 @@ type CECResult struct {
 }
 
 // CECOptions configures the paper's flow: Refine's simulation half, then
-// the Sweep, and for CEC the per-output checks.
+// the Sweep, and for CEC the per-output checks. DefaultCECOptions holds
+// the defaults every front end starts from, and Check is the one range
+// rule they all apply.
 type CECOptions struct {
 	Sweep Options
 	// RandomRounds is the number of 64-vector random simulation rounds
-	// seeding the classes; below 1 means 1 for Refine and 2 for CEC.
+	// seeding the classes; 0 means 1 for Refine and 2 for CEC.
 	RandomRounds int
 	// GuidedIterations, when > 0, is the most guided iterations run
 	// before sweeping; the guided driver stops earlier once the cost has
@@ -118,6 +121,62 @@ type CECOptions struct {
 	Workers int
 }
 
+// Flow defaults that this package also reads outside DefaultCECOptions.
+const (
+	defaultMethod   = "simgen"
+	defaultBDDNodes = 1 << 20
+)
+
+// DefaultCECOptions returns the flow's defaults, the ones cmd/sweep and
+// cmd/simgen register their flags with and sweepd fills unset job fields
+// from. RandomRounds stays 0.
+func DefaultCECOptions() CECOptions {
+	return CECOptions{
+		Sweep: Options{
+			Engine:           EngineSAT,
+			EscalationFactor: 4,
+			MaxEscalations:   2,
+			BDDNodeLimit:     defaultBDDNodes,
+		},
+		GuidedIterations: 20,
+		Method:           defaultMethod,
+		Seed:             1,
+		Workers:          1,
+	}
+}
+
+// Check reports the first setting out of range: a Method outside core's
+// method table (Refine reads an empty one as "simgen" first), an unknown
+// engine kind, or a negative count, budget or ladder limit. A negative
+// SimPIs or RetryLimit and an EscalationFactor below 2 keep their
+// documented meanings.
+func (o CECOptions) Check() error {
+	if err := core.CheckMethod(o.Method); err != nil {
+		return fmt.Errorf("sweep: %w", err)
+	}
+	if !o.Sweep.Engine.known() {
+		return fmt.Errorf("sweep: unknown engine kind %d", int(o.Sweep.Engine))
+	}
+	for _, v := range []struct {
+		name string
+		val  int64
+	}{
+		{"iterations", int64(o.GuidedIterations)},
+		{"random rounds", int64(o.RandomRounds)},
+		{"workers", int64(o.Workers)},
+		{"conflict budget", o.Sweep.ConflictBudget},
+		{"propagation budget", o.Sweep.PropagationBudget},
+		{"max pairs", int64(o.Sweep.MaxPairs)},
+		{"escalation rungs", int64(o.Sweep.MaxEscalations)},
+		{"BDD node limit", int64(o.Sweep.BDDNodeLimit)},
+	} {
+		if v.val < 0 {
+			return fmt.Errorf("sweep: %s must be >= 0, got %d", v.name, v.val)
+		}
+	}
+	return nil
+}
+
 // CEC checks combinational equivalence of two networks using simulation,
 // SAT sweeping, and final per-output SAT calls.
 func CEC(a, b *network.Network, opts CECOptions) (CECResult, error) {
@@ -129,13 +188,14 @@ func CEC(a, b *network.Network, opts CECOptions) (CECResult, error) {
 // returning an Undecided verdict with partial sweep accounting rather than
 // an error. Output pairs whose SAT call exhausts its budget climb the same
 // escalation ladder as sweeping pairs and finally fall back to the BDD
-// engine when Options.BDDFallback is set.
+// engine when Options.BDDFallback is set. Settings that Check rejects are
+// an error, as for Refine.
 func CECContext(ctx context.Context, a, b *network.Network, opts CECOptions) (CECResult, error) {
 	m, pairs, err := Combine(a, b)
 	if err != nil {
 		return CECResult{}, err
 	}
-	if opts.RandomRounds < 1 {
+	if opts.RandomRounds == 0 {
 		opts.RandomRounds = 2
 	}
 	ref, err := Refine(ctx, m, opts)
@@ -147,12 +207,8 @@ func CECContext(ctx context.Context, a, b *network.Network, opts CECOptions) (CE
 	// counterexample pool; sequential and parallel sweeps are the same
 	// scheduler at different worker counts.
 	sw := newSweeper(m, ref.Run.Classes, opts.Sweep, ref.Run.Simulator())
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	res := CECResult{Equivalent: true}
-	res.Sweep = sw.sched.run(ctx, workers)
+	res.Sweep = sw.sched.run(ctx, opts.Workers)
 
 	// Final check per PO pair, on the same primary engine the scheduler
 	// swept with: its learned equalities typically make these calls

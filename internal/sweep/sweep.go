@@ -95,21 +95,35 @@ const (
 	EngineWord
 )
 
+// engineNames is the one table of engine names, indexed by kind; it backs
+// ParseEngine and String.
+var engineNames = [...]string{
+	EngineSAT:       "sat",
+	EngineBDD:       "bdd",
+	EnginePortfolio: "portfolio",
+	EngineWord:      "word",
+}
+
 // ParseEngine maps a CLI engine name to its kind.
 func ParseEngine(s string) (EngineKind, error) {
-	switch s {
-	case "sat":
-		return EngineSAT, nil
-	case "bdd":
-		return EngineBDD, nil
-	case "portfolio":
-		return EnginePortfolio, nil
-	case "word":
-		return EngineWord, nil
-	default:
-		return EngineSAT, fmt.Errorf("sweep: unknown engine %q (want sat|bdd|portfolio|word)", s)
+	for k, name := range engineNames {
+		if name == s {
+			return EngineKind(k), nil
+		}
 	}
+	return EngineSAT, fmt.Errorf("sweep: unknown engine %q (want %s)", s, strings.Join(engineNames[:], "|"))
 }
+
+// String returns the kind's engine name, the one ParseEngine maps to it.
+func (k EngineKind) String() string {
+	if k.known() {
+		return engineNames[k]
+	}
+	return fmt.Sprintf("EngineKind(%d)", int(k))
+}
+
+// known reports whether the kind names an engine.
+func (k EngineKind) known() bool { return k >= 0 && int(k) < len(engineNames) }
 
 // Options configures a sweep.
 type Options struct {
@@ -229,7 +243,7 @@ func (o Options) policy() prover.Policy {
 		}
 		p.BDDFallback = true
 		if p.BDDNodeLimit == 0 {
-			p.BDDNodeLimit = 1 << 20
+			p.BDDNodeLimit = defaultBDDNodes
 		}
 	}
 	return p
@@ -329,14 +343,14 @@ type Refinement struct {
 // opts.Sweep.Cache (when set) replay, then the Method's source (empty
 // means "simgen"), seeded with Seed+1, refines the classes for at most
 // GuidedIterations iterations, each batch recorded back into the cache.
-// New(net, ref.Run.Classes, opts.Sweep) sweeps what is left.
+// New(net, ref.Run.Classes, opts.Sweep) sweeps what is left. Settings
+// that CECOptions.Check rejects are an error before any work.
 func Refine(ctx context.Context, net *network.Network, opts CECOptions) (Refinement, error) {
-	method := opts.Method
-	if method == "" {
-		method = "simgen"
+	if opts.Method == "" {
+		opts.Method = defaultMethod
 	}
-	if err := core.CheckMethod(method); err != nil {
-		return Refinement{}, fmt.Errorf("sweep: %w", err)
+	if err := opts.Check(); err != nil {
+		return Refinement{}, err
 	}
 	run := core.NewRunner(net, opts.RandomRounds, opts.Seed)
 	run.SetTracer(opts.Sweep.Tracer)
@@ -349,7 +363,7 @@ func Refine(ctx context.Context, net *network.Network, opts CECOptions) (Refinem
 	if opts.GuidedIterations <= 0 {
 		return ref, nil
 	}
-	if src := core.NewSource(net, method, opts.Seed+1); src != nil {
+	if src := core.NewSource(net, opts.Method, opts.Seed+1); src != nil {
 		if cache != nil {
 			// Score each batch by the class splits it produced, so warm
 			// runs replay the strongest vectors first; the sweep records
@@ -471,10 +485,7 @@ func (s *Sweeper) RunParallel(workers int) Result {
 // class is always released, and the remaining workers keep sweeping. The
 // panicked pair is requeued for up to Options.RetryLimit attempts before
 // being dropped as unresolved (Result.Requeued/Retried account the
-// degradation).
+// degradation). workers <= 1 sweeps sequentially, as RunContext does.
 func (s *Sweeper) RunParallelContext(ctx context.Context, workers int) Result {
-	if workers <= 1 {
-		return s.RunContext(ctx)
-	}
 	return s.sched.run(ctx, workers)
 }

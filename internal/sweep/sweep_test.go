@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"simgen/internal/core"
@@ -306,6 +308,49 @@ func TestCECMethodOption(t *testing.T) {
 	}
 	if _, err := CEC(a, b, CECOptions{Seed: 4, GuidedIterations: 5, Method: "bogus"}); err == nil {
 		t.Fatal("unknown method should be rejected")
+	}
+}
+
+// TestCheck checks the flow's one range rule: every negative count,
+// budget and ladder limit, an unknown method and an unknown engine kind
+// are rejected, by Check and by CECContext through Refine, while the
+// settings whose negative or small values carry a meaning pass. Engine
+// names round-trip through String and ParseEngine.
+func TestCheck(t *testing.T) {
+	for k := range engineNames {
+		if got, err := ParseEngine(EngineKind(k).String()); err != nil || got != EngineKind(k) {
+			t.Errorf("ParseEngine(%q) = %v, %v", EngineKind(k), got, err)
+		}
+	}
+	if err := DefaultCECOptions().Check(); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	for name, set := range map[string]func(*CECOptions){
+		"iterations":         func(o *CECOptions) { o.GuidedIterations = -1 },
+		"random rounds":      func(o *CECOptions) { o.RandomRounds = -1 },
+		"workers":            func(o *CECOptions) { o.Workers = -3 },
+		"conflict budget":    func(o *CECOptions) { o.Sweep.ConflictBudget = -5 },
+		"propagation budget": func(o *CECOptions) { o.Sweep.PropagationBudget = -1 },
+		"max pairs":          func(o *CECOptions) { o.Sweep.MaxPairs = -1 },
+		"escalation rungs":   func(o *CECOptions) { o.Sweep.MaxEscalations = -1 },
+		"BDD node limit":     func(o *CECOptions) { o.Sweep.BDDNodeLimit = -1 },
+		"engine kind":        func(o *CECOptions) { o.Sweep.Engine = EngineKind(len(engineNames)) },
+		"method":             func(o *CECOptions) { o.Method = "bogus" },
+	} {
+		o := DefaultCECOptions()
+		set(&o)
+		if err := o.Check(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: Check() = %v, want an error naming it", name, err)
+		}
+	}
+	o := DefaultCECOptions()
+	o.Sweep.SimPIs, o.Sweep.RetryLimit, o.Sweep.EscalationFactor = -1, -1, -3
+	if err := o.Check(); err != nil {
+		t.Errorf("SimPIs, RetryLimit and EscalationFactor keep their meanings: %v", err)
+	}
+	a, b := buildAdders(t)
+	if _, err := CECContext(context.Background(), a, b, CECOptions{Seed: 1, RandomRounds: -1}); err == nil {
+		t.Error("CECContext ran with RandomRounds -1")
 	}
 }
 

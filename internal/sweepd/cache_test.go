@@ -171,7 +171,7 @@ func TestGuidedHookRecordsDriverBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	res, err := ExecuteCached(context.Background(), spec, loader, spec.sweepOptions(), store)
+	res, err := Execute(context.Background(), spec, loader, spec.sweepOptions(), store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,6 +272,7 @@ func TestSubmitValidationAndLookup(t *testing.T) {
 		"sweep+circuit_b": {Kind: KindSweep, Circuit: CircuitRef{BLIF: andBLIF}, CircuitB: CircuitRef{BLIF: orBLIF}},
 		"negative rungs":  {Kind: KindSweep, Circuit: CircuitRef{BLIF: andBLIF}, MaxEscalations: &minusOne},
 		"negative nodes":  {Kind: KindSweep, Circuit: CircuitRef{BLIF: andBLIF}, BDDNodes: -1},
+		"workers -3":      {Kind: KindSweep, Circuit: CircuitRef{BLIF: andBLIF}, Workers: -3},
 	} {
 		if name == "path w/o root" {
 			// Admission accepts it; the job itself fails at load time.

@@ -16,18 +16,15 @@ import (
 // sweep.Refine and sweep.New (or sweep.CECContext): a workers=1
 // deterministic job traces byte-identical to a direct CLI run on the same
 // seed.
-func Execute(ctx context.Context, spec JobSpec, loader *Loader, opts sweep.Options) (*Result, error) {
-	return ExecuteCached(ctx, spec, loader, opts, nil)
-}
-
-// ExecuteCached is Execute with a persistent verification cache: sweep and
+//
+// cache, when not nil, is the persistent verification cache: sweep and
 // simgen jobs replay its stored patterns before guided refinement, probe
 // its proofs from the scheduler, and record what they learn for later
-// jobs. cache may be shared across concurrent jobs (the store is
-// internally locked); nil degrades to Execute. CEC jobs ignore the cache:
-// they sweep a combined two-circuit network whose node keys would collide
-// with the single-circuit runs' records only by construction, not intent.
-func ExecuteCached(ctx context.Context, spec JobSpec, loader *Loader, opts sweep.Options, cache *pcache.Store) (*Result, error) {
+// jobs. It may be shared across concurrent jobs (the store is internally
+// locked). CEC jobs ignore it: they sweep a combined two-circuit network
+// whose node keys would collide with the single-circuit runs' records
+// only by construction, not intent.
+func Execute(ctx context.Context, spec JobSpec, loader *Loader, opts sweep.Options, cache *pcache.Store) (*Result, error) {
 	start := time.Now()
 	res, err := execute(ctx, spec, loader, opts, cache)
 	if res != nil {

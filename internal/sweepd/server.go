@@ -299,7 +299,7 @@ func (s *Server) executeSafe(ctx context.Context, j *Job, opts sweep.Options) (r
 			err = fmt.Errorf("job panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	return ExecuteCached(ctx, j.Spec, s.loader, opts, s.cache)
+	return Execute(ctx, j.Spec, s.loader, opts, s.cache)
 }
 
 // JobView is the JSON shape of a job in status and list responses.

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"time"
 
-	"simgen/internal/core"
 	"simgen/internal/sweep"
 )
 
@@ -78,7 +77,7 @@ type JobSpec struct {
 	// stops earlier once the cost has been flat for 3.
 	Iterations int `json:"iterations,omitempty"`
 	// RandRounds seeds the classes with this many 64-vector random rounds
-	// (default 1 for sweep/simgen, 2 for cec).
+	// (0 = 1 for sweep/simgen, 2 for cec).
 	RandRounds int `json:"random_rounds,omitempty"`
 	// Seed drives every randomized step (default 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -96,8 +95,9 @@ type JobSpec struct {
 	PropagationBudget int64 `json:"propagation_budget,omitempty"`
 	MaxPairs          int   `json:"max_pairs,omitempty"`
 	// Escalate / MaxEscalations / BDDFallback / BDDNodes configure the
-	// budget-escalation ladder (defaults mirror cmd/sweep: factor 4, two
-	// rungs, no BDD fallback).
+	// budget-escalation ladder (defaults are cmd/sweep's, from
+	// sweep.DefaultCECOptions: factor 4, two rungs, no BDD fallback,
+	// 2^20 nodes).
 	Escalate       int  `json:"escalate,omitempty"`
 	MaxEscalations *int `json:"max_escalations,omitempty"`
 	BDDFallback    bool `json:"bdd_fallback,omitempty"`
@@ -118,43 +118,40 @@ type JobSpec struct {
 	Deterministic bool `json:"deterministic,omitempty"`
 }
 
-// normalize fills defaults in place.
+// normalize fills unset fields in place from the flow's defaults
+// (sweep.DefaultCECOptions). RandRounds stays 0, which the flow reads as
+// 1 round for sweep and simgen jobs and 2 for cec.
 func (sp *JobSpec) normalize() {
+	d := sweep.DefaultCECOptions()
 	if sp.Method == "" {
-		sp.Method = "simgen"
+		sp.Method = d.Method
 	}
 	if sp.Iterations == 0 {
-		sp.Iterations = 20
-	}
-	if sp.RandRounds == 0 {
-		if sp.Kind == KindCEC {
-			sp.RandRounds = 2
-		} else {
-			sp.RandRounds = 1
-		}
+		sp.Iterations = d.GuidedIterations
 	}
 	if sp.Seed == 0 {
-		sp.Seed = 1
+		sp.Seed = d.Seed
 	}
 	if sp.Engine == "" {
-		sp.Engine = "sat"
+		sp.Engine = d.Sweep.Engine.String()
 	}
-	if sp.Workers < 1 {
-		sp.Workers = 1
+	if sp.Workers == 0 {
+		sp.Workers = d.Workers
 	}
 	if sp.Escalate == 0 {
-		sp.Escalate = 4
+		sp.Escalate = d.Sweep.EscalationFactor
 	}
 	if sp.MaxEscalations == nil {
-		two := 2
-		sp.MaxEscalations = &two
+		sp.MaxEscalations = &d.Sweep.MaxEscalations
 	}
 	if sp.BDDNodes == 0 {
-		sp.BDDNodes = 1 << 20
+		sp.BDDNodes = d.Sweep.BDDNodeLimit
 	}
 }
 
-// validate rejects malformed specs; it assumes normalize ran.
+// validate rejects malformed specs; it assumes normalize ran. The flow's
+// settings get the range check every front end applies,
+// sweep.CECOptions.Check.
 func (sp *JobSpec) validate() error {
 	switch sp.Kind {
 	case KindSweep, KindSimGen:
@@ -171,18 +168,13 @@ func (sp *JobSpec) validate() error {
 	if n := sp.Circuit.set(); n != 1 {
 		return fmt.Errorf("jobs need exactly one circuit source, got %d", n)
 	}
-	if err := core.CheckMethod(sp.Method); err != nil {
-		return err
+	if sp.TimeoutMS < 0 {
+		return fmt.Errorf("timeout_ms must be >= 0, got %d", sp.TimeoutMS)
 	}
 	if _, err := sweep.ParseEngine(sp.Engine); err != nil {
 		return err
 	}
-	if sp.Iterations < 0 || sp.RandRounds < 0 || sp.Workers < 1 ||
-		sp.ConflictBudget < 0 || sp.PropagationBudget < 0 || sp.MaxPairs < 0 ||
-		*sp.MaxEscalations < 0 || sp.BDDNodes < 0 || sp.TimeoutMS < 0 {
-		return fmt.Errorf("negative budgets, ladder settings, iterations, or timeout")
-	}
-	return nil
+	return sp.flowOptions(sp.sweepOptions()).Check()
 }
 
 // sweepOptions translates the spec into the scheduler's options; the caller

@@ -258,6 +258,10 @@ func NewSource(net *Network, method string, seed int64) VectorSource {
 // CheckMethod reports whether NewSource knows the method name.
 func CheckMethod(method string) error { return core.CheckMethod(method) }
 
+// DefaultCECOptions returns the flow's shared defaults, the ones cmd/sweep,
+// cmd/simgen and sweepd start from; CECOptions.Check is their range rule.
+func DefaultCECOptions() CECOptions { return sweep.DefaultCECOptions() }
+
 // Refine runs the simulation half of the flow: random rounds, cache
 // pattern replay, then the guided method; see CECOptions.
 func Refine(ctx context.Context, net *Network, opts CECOptions) (Refinement, error) {
