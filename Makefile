@@ -80,8 +80,9 @@ cover:
 # negative escalation count, BDD node limit, conflict budget or iteration
 # count must exit 2 (usage error) without a panic, from cmd/sweep and
 # cmd/simgen alike, instead of running a ladder that resolves nothing or
-# reading the value as another. A Go panic also exits 2, so each leg
-# fails on a panic in its stderr too.
+# reading the value as another; so must a cmd/simgen -batch below 1, which
+# would generate nothing. A Go panic also exits 2, so each leg fails on a
+# panic in its stderr too.
 .PHONY: smoke
 smoke:
 	@$(GO) build -o .smoke-sweep ./cmd/sweep
@@ -106,7 +107,9 @@ smoke:
 		"sweep -benchmark alu4 -bdd-nodes -1" \
 		"sweep -benchmark alu4 -conflict-budget -1" \
 		"sweep -benchmark alu4 -iterations -1" \
-		"simgen -benchmark alu4 -iterations -1"; do \
+		"simgen -benchmark alu4 -iterations -1" \
+		"simgen -benchmark alu4 -batch 0" \
+		"simgen -benchmark alu4 -batch -1"; do \
 		timeout 5 ./.smoke-$$run >/dev/null 2>.smoke-stderr; \
 		code=$$?; \
 		if [ $$code -ne 2 ] || grep -q 'panic:' .smoke-stderr; then \

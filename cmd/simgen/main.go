@@ -9,6 +9,9 @@
 //	simgen [flags] circuit.blif
 //	simgen [flags] -benchmark apex2
 //
+// Circuit files are read by extension: .blif, .bench, or AIGER (.aag,
+// .aig) mapped into 6-input LUTs.
+//
 // Exit codes: 0 success, 1 error, 2 usage error, 3 the -timeout deadline
 // cut generation or the final sweep short (partial results are still
 // printed).
@@ -33,7 +36,7 @@ func main() {
 	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "random seed")
 	flag.BoolVar(&opts.Sweep.WordStage, "word", opts.Sweep.WordStage, "insert the word-level proving stage into the final sweep's portfolio")
 	var (
-		benchmark  = flag.String("benchmark", "", "run a named built-in benchmark instead of a BLIF file")
+		benchmark  = flag.String("benchmark", "", "run a named built-in benchmark instead of a circuit file")
 		batch      = flag.Int("batch", 1, "vectors per iteration")
 		list       = flag.Bool("list", false, "list built-in benchmarks and exit")
 		engine     = flag.String("engine", "none", "sweep the refined classes afterwards: none|sat|bdd|portfolio|word")
@@ -100,11 +103,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simgen: -timeout must be positive, got %v\n", *timeout)
 		exit(2)
 	}
-	// The flow's settings and the final sweep's engine are checked before
-	// any generation runs.
+	// The flow's settings, the batch size and the final sweep's engine are
+	// checked before any generation runs.
 	err = opts.Check()
 	if opts.Method == "none" {
 		err = fmt.Errorf("-method none generates nothing")
+	}
+	if err == nil && *batch < 1 {
+		err = fmt.Errorf("-batch must be >= 1, got %d", *batch)
 	}
 	if err == nil && *engine != "none" {
 		opts.Sweep.Engine, err = simgen.ParseSweepEngine(*engine)
@@ -269,12 +275,7 @@ func loadCircuit(benchmark string, args []string) (*simgen.Network, error) {
 		return simgen.LoadBenchmark(benchmark)
 	}
 	if len(args) != 1 {
-		return nil, fmt.Errorf("need a BLIF file or -benchmark name")
+		return nil, fmt.Errorf("need a circuit file or -benchmark name")
 	}
-	f, err := os.Open(args[0])
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return simgen.ParseBLIF(f)
+	return simgen.LoadFile(args[0])
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"testing"
 
 	"simgen"
+	"simgen/internal/aiger"
+	"simgen/internal/genbench"
 )
 
 // buildSimgen compiles the command into a temporary directory.
@@ -45,8 +48,8 @@ func exitCode(t *testing.T, bin string, args ...string) (int, string) {
 func TestFinalSweepExitCodes(t *testing.T) {
 	bin := buildSimgen(t)
 	code, out := exitCode(t, bin, "-benchmark", "alu4", "-engine", "bogus", "-iterations", "3")
-	if code != 2 || strings.Contains(out, "iter ") {
-		t.Errorf("unknown engine: exit %d, want 2 before generation\n%s", code, out)
+	if want := "simgen: unknown engine \"bogus\" (want sat|bdd|portfolio|word)\n"; code != 2 || out != want {
+		t.Errorf("unknown engine: exit %d, want 2 before generation with %q\n%s", code, want, out)
 	}
 	code, out = exitCode(t, bin, "-benchmark", "voter", "-iterations", "0", "-engine", "sat", "-timeout", "200ms")
 	if code != 3 || !strings.Contains(out, "(timed out)") {
@@ -55,15 +58,56 @@ func TestFinalSweepExitCodes(t *testing.T) {
 }
 
 // TestNegativeFlowFlags checks that a negative iteration or random round
-// count is a usage error before any generation runs, not a panic (which
-// also exits 2) or a run that reads it as another value.
+// count, or a batch below 1 (which would generate no vector and stop as if
+// the cost were flat), is a usage error before any generation runs, not a
+// panic (which also exits 2) or a run that reads it as another value. The
+// message carries the command's prefix once.
 func TestNegativeFlowFlags(t *testing.T) {
 	bin := buildSimgen(t)
-	for _, flag := range []string{"-iterations", "-random-rounds"} {
-		code, out := exitCode(t, bin, "-benchmark", "alu4", flag, "-1")
-		if code != 2 || strings.Contains(out, "panic:") || strings.Contains(out, "iter ") {
-			t.Errorf("%s -1: exit %d, want 2 without a panic or generation\n%s", flag, code, out)
+	for _, c := range []struct{ flag, val, want string }{
+		{"-iterations", "-1", "iterations must be >= 0, got -1"},
+		{"-random-rounds", "-1", "random rounds must be >= 0, got -1"},
+		{"-batch", "0", "-batch must be >= 1, got 0"},
+		{"-batch", "-1", "-batch must be >= 1, got -1"},
+	} {
+		code, out := exitCode(t, bin, "-benchmark", "alu4", c.flag, c.val)
+		if want := "simgen: " + c.want + "\n"; code != 2 || out != want {
+			t.Errorf("%s %s: exit %d, want 2 with %q\n%s", c.flag, c.val, code, want, out)
 		}
+	}
+}
+
+// TestCircuitFormats checks that the command reads circuit files by
+// extension: a genbench circuit written as ASCII and binary AIGER runs, and
+// an unknown extension is a usage error.
+func TestCircuitFormats(t *testing.T) {
+	bin := buildSimgen(t)
+	b, _ := genbench.ByName("arbiter")
+	g := b.Build()
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name   string
+		binary bool
+	}{{"arbiter.aag", false}, {"arbiter.aig", true}} {
+		var buf bytes.Buffer
+		if err := aiger.Write(&buf, g, c.binary); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, out := exitCode(t, bin, "-iterations", "2", path); code != 0 || !strings.Contains(out, "final cost:") {
+			t.Errorf("%s: exit %d\n%s", c.name, code, out)
+		}
+	}
+	vPath := filepath.Join(dir, "arbiter.v")
+	if err := os.WriteFile(vPath, []byte("module arbiter;\nendmodule\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out := exitCode(t, bin, vPath)
+	if want := "simgen: unsupported circuit extension \".v\" (want .blif, .bench, .aag or .aig)\n"; code != 2 || out != want {
+		t.Errorf(".v: exit %d, want 2 with %q\n%s", code, want, out)
 	}
 }
 

@@ -4,10 +4,13 @@
 // Usage:
 //
 //	sweep [flags] circuit.blif          # sweep: prove/disprove node pairs
-//	sweep [flags] a.blif b.blif         # CEC: compare two circuits
+//	sweep [flags] a.blif b.aag          # CEC: compare two circuits
 //	sweep [flags] -benchmark apex2      # sweep a built-in benchmark
 //	sweep -cache-dir d circuit.blif     # sweep with a persistent proof cache
 //	sweep -cache-dir d -base old.blif new.blif   # incremental re-sweep of an edit
+//
+// Circuit files are read by extension: .blif, .bench, or AIGER (.aag,
+// .aig) mapped into 6-input LUTs.
 //
 // Exit codes: 0 success (sweep finished / circuits equivalent),
 // 1 verification failure (circuits inequivalent) or runtime error,
@@ -67,7 +70,7 @@ func main() {
 	flag.BoolVar(&opts.Sweep.WordStage, "word", opts.Sweep.WordStage, "insert the word-level proving stage into the portfolio (structure detection + frontier learning)")
 	flag.StringVar(&cfg.reduce, "reduce", "", "write the swept (merged) network to this BLIF file")
 	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "persistent verification cache directory (verdicts and simulation patterns)")
-	flag.StringVar(&cfg.basePath, "base", "", "previous revision BLIF: sweep incrementally, scheduling only the diff's fanout (requires -cache-dir)")
+	flag.StringVar(&cfg.basePath, "base", "", "previous revision's circuit file: sweep incrementally, scheduling only the diff's fanout (requires -cache-dir)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	obsFlags := obsflag.Register(flag.CommandLine)
@@ -134,18 +137,9 @@ func main() {
 		}
 		exit(code)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: sweep [flags] circuit.blif | sweep [flags] a.blif b.blif")
+		fmt.Fprintln(os.Stderr, "usage: sweep [flags] circuit | sweep [flags] a b | sweep [flags] -benchmark name")
 		exit(exitUsage)
 	}
-}
-
-func load(path string) (*simgen.Network, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return simgen.ParseBLIF(f)
 }
 
 func runSweep(ctx context.Context, benchmark string, args []string, cfg config) (int, error) {
@@ -154,7 +148,7 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 	if benchmark != "" {
 		net, err = simgen.LoadBenchmark(benchmark)
 	} else {
-		net, err = load(args[0])
+		net, err = simgen.LoadFile(args[0])
 	}
 	if err != nil {
 		return exitFail, err
@@ -188,7 +182,7 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 	// obligation scheduling to the transitive fanout of the changed nodes;
 	// everything outside the mask settles from the cache pre-pass.
 	if cfg.basePath != "" {
-		baseNet, err := load(cfg.basePath)
+		baseNet, err := simgen.LoadFile(cfg.basePath)
 		if err != nil {
 			return exitFail, err
 		}
@@ -251,11 +245,11 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 }
 
 func runCEC(ctx context.Context, pathA, pathB string, cfg config) (int, error) {
-	a, err := load(pathA)
+	a, err := simgen.LoadFile(pathA)
 	if err != nil {
 		return exitFail, err
 	}
-	b, err := load(pathB)
+	b, err := simgen.LoadFile(pathB)
 	if err != nil {
 		return exitFail, err
 	}

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"simgen/internal/aig"
+	"simgen/internal/aiger"
+	"simgen/internal/genbench"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
@@ -31,9 +36,16 @@ func buildSweep(t *testing.T) string {
 // it exits with code.
 func runBin(t *testing.T, bin string, code int, args ...string) []byte {
 	t.Helper()
-	var stdout, stderr bytes.Buffer
+	stdout, _ := runBoth(t, bin, code, args...)
+	return stdout
+}
+
+// runBoth is runBin returning the standard error too.
+func runBoth(t *testing.T, bin string, code int, args ...string) (stdout, stderr []byte) {
+	t.Helper()
+	var outBuf, errBuf bytes.Buffer
 	cmd := exec.Command(bin, args...)
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
 	err := cmd.Run()
 	got := 0
 	var ee *exec.ExitError
@@ -43,9 +55,9 @@ func runBin(t *testing.T, bin string, code int, args ...string) []byte {
 		t.Fatalf("sweep %v: %v", args, err)
 	}
 	if got != code {
-		t.Fatalf("sweep %v: exit %d, want %d\n%s%s", args, got, code, stdout.Bytes(), stderr.Bytes())
+		t.Fatalf("sweep %v: exit %d, want %d\n%s%s", args, got, code, outBuf.Bytes(), errBuf.Bytes())
 	}
-	return stdout.Bytes()
+	return outBuf.Bytes(), errBuf.Bytes()
 }
 
 var (
@@ -160,17 +172,87 @@ func TestEngineBDD(t *testing.T) {
 // TestNegativeLadderFlags checks that a negative escalation count, BDD
 // node limit, budget, iteration count or random round count is a usage
 // error, not a run that resolves nothing or quietly reads the value as
-// another.
+// another, and that its message carries the command's prefix once.
 func TestNegativeLadderFlags(t *testing.T) {
 	bin := buildSweep(t)
-	for _, args := range [][]string{
-		{"-max-escalations", "-1"},
-		{"-bdd-nodes", "-1"},
-		{"-conflict-budget", "-5"},
-		{"-propagation-budget", "-1"},
-		{"-iterations", "-1"},
-		{"-random-rounds", "-1"},
+	for _, c := range []struct{ flag, val, setting string }{
+		{"-max-escalations", "-1", "escalation rungs"},
+		{"-bdd-nodes", "-1", "BDD node limit"},
+		{"-conflict-budget", "-5", "conflict budget"},
+		{"-propagation-budget", "-1", "propagation budget"},
+		{"-iterations", "-1", "iterations"},
+		{"-random-rounds", "-1", "random rounds"},
 	} {
-		runBin(t, bin, 2, append([]string{"-benchmark", "alu4"}, args...)...)
+		_, stderr := runBoth(t, bin, 2, "-benchmark", "alu4", c.flag, c.val)
+		if want := "sweep: " + c.setting + " must be >= 0, got " + c.val + "\n"; string(stderr) != want {
+			t.Errorf("%s %s: stderr %q, want %q", c.flag, c.val, stderr, want)
+		}
 	}
+	_, stderr := runBoth(t, bin, 2, "-benchmark", "alu4", "-engine", "bogus")
+	if want := "sweep: unknown engine \"bogus\" (want sat|bdd|portfolio|word)\n"; string(stderr) != want {
+		t.Errorf("-engine bogus: stderr %q, want %q", stderr, want)
+	}
+}
+
+// TestCircuitFormats checks that the command reads every circuit format by
+// extension: a genbench circuit written as .bench and as ASCII AIGER checks
+// EQUIVALENT against itself, and each sweeps on its own.
+func TestCircuitFormats(t *testing.T) {
+	bin := buildSweep(t)
+	b, _ := genbench.ByName("arbiter")
+	g := b.Build()
+	dir := t.TempDir()
+	benchPath, aagPath := filepath.Join(dir, "arbiter.bench"), filepath.Join(dir, "arbiter.aag")
+	var aag bytes.Buffer
+	if err := aiger.Write(&aag, g, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(aagPath, aag.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(benchPath, []byte(benchText(g)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := runBin(t, bin, 0, benchPath, aagPath); !bytes.Contains(out, []byte("\nEQUIVALENT\n")) {
+		t.Errorf("CEC .bench vs .aag: no EQUIVALENT in\n%s", out)
+	}
+	for _, path := range []string{benchPath, aagPath} {
+		runBin(t, bin, 0, "-iterations", "2", path)
+	}
+	vPath := filepath.Join(dir, "arbiter.v")
+	if err := os.WriteFile(vPath, []byte("module arbiter;\nendmodule\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr := runBoth(t, bin, 1, vPath)
+	if want := "sweep: unsupported circuit extension \".v\" (want .blif, .bench, .aag or .aig)\n"; string(stderr) != want {
+		t.Errorf(".v: stderr %q, want %q", stderr, want)
+	}
+}
+
+// benchText renders an and-inverter graph as a .bench netlist: an AND gate
+// per AIG node, a NOT gate per node for its complement, and node 0 (the
+// constant) as the first input AND its complement.
+func benchText(g *aig.Graph) string {
+	var b strings.Builder
+	sig := func(l aig.Lit) string {
+		if l.IsNeg() {
+			return fmt.Sprintf("n%d_n", l.Node())
+		}
+		return fmt.Sprintf("n%d", l.Node())
+	}
+	for i := 0; i < g.NumPIs(); i++ {
+		fmt.Fprintf(&b, "INPUT(n%d)\n", i+1)
+	}
+	for _, po := range g.POs() {
+		fmt.Fprintf(&b, "OUTPUT(%s)\n", sig(po.Lit))
+	}
+	b.WriteString("n0 = AND(n1, n1_n)\n")
+	for n := uint32(0); n < uint32(g.NumNodes()); n++ {
+		if g.IsAnd(n) {
+			f0, f1 := g.Fanins(n)
+			fmt.Fprintf(&b, "n%d = AND(%s, %s)\n", n, sig(f0), sig(f1))
+		}
+		fmt.Fprintf(&b, "n%d_n = NOT(n%d)\n", n, n)
+	}
+	return b.String()
 }

@@ -17,7 +17,7 @@ import (
 // "_C" (combinational) transformation used by the ITC'99 suite.
 func ParseBench(r io.Reader) (*network.Network, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 
 	type gate struct {
 		out  string

@@ -22,7 +22,7 @@ import (
 // are rejected.
 func Parse(r io.Reader) (*network.Network, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 
 	var (
 		modelName string

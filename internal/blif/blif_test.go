@@ -1,7 +1,10 @@
 package blif
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -347,5 +350,39 @@ func TestParseLatchCombinationalCut(t *testing.T) {
 	// Undefined latch data rejected.
 	if _, err := Parse(strings.NewReader(".model m\n.inputs a\n.outputs a\n.latch zz q\n.end\n")); err == nil {
 		t.Fatal("undefined latch input accepted")
+	}
+}
+
+// fill is an endless reader of one byte value.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// longLine reads as prefix, n copies of b and a newline, then rest.
+func longLine(prefix string, b byte, n int, rest string) io.Reader {
+	return io.MultiReader(strings.NewReader(prefix), io.LimitReader(fill(b), int64(n)), strings.NewReader("\n"+rest))
+}
+
+// TestLongLines checks that both readers, whose line buffer starts small,
+// take a line longer than 1 MiB and still refuse one over their 16 MiB cap.
+func TestLongLines(t *testing.T) {
+	for name, c := range map[string]struct {
+		parse func(io.Reader) (*network.Network, error)
+		src   string
+	}{
+		"blif":  {Parse, sampleBLIF},
+		"bench": {ParseBench, sampleBench},
+	} {
+		if _, err := c.parse(longLine("# ", 'x', 1<<20, c.src)); err != nil {
+			t.Errorf("%s: 1 MiB comment: %v", name, err)
+		}
+		if _, err := c.parse(longLine("# ", 'x', 1<<24, c.src)); !errors.Is(err, bufio.ErrTooLong) {
+			t.Errorf("%s: 16 MiB comment: err %v, want %v", name, err, bufio.ErrTooLong)
+		}
 	}
 }

@@ -86,14 +86,16 @@ func shrinkRound(net *network.Network, failing Property) (*network.Network, bool
 			}
 		}
 	}
-	// Pass 4: drop single fanins of surviving LUTs.
+	// Pass 4: drop single fanins of surviving LUTs. A drop that sheds the
+	// dropped fanin's cone renumbers the network, and nid may then lie past
+	// its end.
 	for id := cur.NumNodes() - 1; id >= 0; id-- {
 		if id >= cur.NumNodes() {
 			id = cur.NumNodes() - 1
 			continue
 		}
 		nid := network.NodeID(id)
-		for j := 0; ; j++ {
+		for j := 0; id < cur.NumNodes(); j++ {
 			nd := cur.Node(nid)
 			if nd.Kind != network.KindLUT || len(nd.Fanins) < 2 || j >= len(nd.Fanins) {
 				break

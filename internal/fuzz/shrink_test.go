@@ -106,3 +106,25 @@ func TestShrinkKeepsFailingInput(t *testing.T) {
 		t.Fatal("Shrink never evaluated the property")
 	}
 }
+
+// TestShrinkFaninDropShedsCone pins pass 4 on a drop that sheds dead
+// logic: dropping the first fanin of the PO's LUT removes the cone that fed
+// it, so the LUT's old id lies past the end of the shrunk network before
+// its second fanin is tried.
+func TestShrinkFaninDropShedsCone(t *testing.T) {
+	net := network.New("cone")
+	a, b, c := net.AddPI("a"), net.AddPI("b"), net.AddPI("c")
+	x := net.AddLUT("x", []network.NodeID{a, b}, tt.Var(2, 0).And(tt.Var(2, 1)))
+	net.AddPO("f", net.AddLUT("top", []network.NodeID{x, c}, tt.Var(2, 0).Or(tt.Var(2, 1))))
+	// Only the input and the fanin drop (top over c alone, 2 nodes) keep
+	// the failure: every substitution of passes 2 and 3 either removes top
+	// or leaves 3 nodes.
+	prop := func(n *network.Network) bool {
+		po := n.POs()[0].Driver
+		return n.Node(po).Name == "top" && (n.NumNodes() == 5 || n.NumNodes() == 2)
+	}
+	out := Shrink(net, prop, 0)
+	if !prop(out) || out.NumNodes() != 2 {
+		t.Fatalf("shrunk to %d nodes, want top over c alone", out.NumNodes())
+	}
+}

@@ -41,7 +41,7 @@ func Write(w io.Writer, vectors [][]bool) error {
 // have exactly that many bits; width 0 accepts any consistent width.
 func Read(r io.Reader, width int) ([][]bool, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	var out [][]bool
 	lineno := 0
 	for sc.Scan() {

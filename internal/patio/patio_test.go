@@ -1,7 +1,10 @@
 package patio
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -146,5 +149,28 @@ func TestEmpty(t *testing.T) {
 	got, err := Read(&buf, 0)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty round-trip: %v %v", got, err)
+	}
+}
+
+// fill is an endless reader of one byte value.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestReadLongLines checks that the reader, whose line buffer starts small,
+// takes a pattern wider than 1 MiB and still refuses a line over its
+// 16 MiB cap.
+func TestReadLongLines(t *testing.T) {
+	vecs, err := Read(io.LimitReader(fill('1'), 1<<20+1), 0)
+	if err != nil || len(vecs) != 1 || len(vecs[0]) != 1<<20+1 || !vecs[0][1<<20] {
+		t.Errorf("1 MiB pattern: %d patterns, err %v", len(vecs), err)
+	}
+	if _, err := Read(io.LimitReader(fill('1'), 1<<24+1), 0); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("16 MiB pattern: err %v, want %v", err, bufio.ErrTooLong)
 	}
 }

@@ -3,8 +3,10 @@ package pcache
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"simgen/internal/network"
@@ -273,6 +275,40 @@ func TestStoreGarbageJournalRecovery(t *testing.T) {
 	defer st.Close()
 	if !st.Recovered() {
 		t.Fatal("garbage journal not reported as recovered")
+	}
+}
+
+// TestJournalLongLines checks that the journal reader, whose line buffer
+// starts small, loads a pattern record longer than 1 MiB and still refuses
+// a valid one over its 4 MiB cap, setting that journal aside.
+func TestJournalLongLines(t *testing.T) {
+	for _, c := range []struct {
+		npi       int
+		recovered bool
+		pats      int
+	}{
+		{8 * (1<<19 + 1), false, 1}, // 1 MiB + 2 hex digits
+		{8 * (1<<21 + 1), true, 0},  // 4 MiB + 2 hex digits
+	} {
+		dir := t.TempDir()
+		hdr, _ := json.Marshal(rec{T: "hdr", V: journalVersion})
+		pat, _ := json.Marshal(rec{T: "pat", Vec: strings.Repeat("0", c.npi/4), NPI: c.npi, Sc: 1})
+		journal := append(append(append(hdr, '\n'), pat...), '\n')
+		if err := os.WriteFile(filepath.Join(dir, journalName), journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, pats, _ := st.Counts()
+		if st.Recovered() != c.recovered || pats != c.pats {
+			t.Errorf("%d-byte record: recovered %v with %d patterns, want %v with %d",
+				len(pat), st.Recovered(), pats, c.recovered, c.pats)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -151,7 +151,7 @@ func (s *Store) load() error {
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	sc.Buffer(nil, 1<<22)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -171,7 +171,7 @@ func (s *Store) load() error {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("line %d: %v", line, err)
+		return fmt.Errorf("line %d: %v", line+1, err) // the line it could not read
 	}
 	return nil
 }

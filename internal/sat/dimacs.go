@@ -27,7 +27,7 @@ const implicitVarSlack = 1 << 16
 // count.
 func ParseDIMACS(r io.Reader) (*Solver, int, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	s := New()
 	declared, limit := -1, implicitVarSlack
 	var clause []Lit

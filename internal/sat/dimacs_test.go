@@ -1,7 +1,10 @@
 package sat
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -115,5 +118,31 @@ func TestDIMACSRoundTrip(t *testing.T) {
 		if (got == Sat) != wantSat {
 			t.Fatalf("trial %d: round-trip changed satisfiability", trial)
 		}
+	}
+}
+
+// fill is an endless reader of one byte value.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestParseDIMACSLongLines checks that the reader, whose line buffer starts
+// small, takes a comment longer than 1 MiB and still refuses one over its
+// 16 MiB cap.
+func TestParseDIMACSLongLines(t *testing.T) {
+	comment := func(n int) io.Reader {
+		return io.MultiReader(strings.NewReader("c "), io.LimitReader(fill('x'), int64(n)),
+			strings.NewReader("\np cnf 1 1\n1 0\n"))
+	}
+	if _, nvars, err := ParseDIMACS(comment(1 << 20)); err != nil || nvars != 1 {
+		t.Errorf("1 MiB comment: nvars %d, err %v", nvars, err)
+	}
+	if _, _, err := ParseDIMACS(comment(1 << 24)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("16 MiB comment: err %v, want %v", err, bufio.ErrTooLong)
 	}
 }

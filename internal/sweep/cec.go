@@ -23,10 +23,10 @@ type POPair struct {
 // the same number of PIs (matched by position) and POs.
 func Combine(a, b *network.Network) (*network.Network, []POPair, error) {
 	if a.NumPIs() != b.NumPIs() {
-		return nil, nil, fmt.Errorf("sweep: PI count mismatch: %d vs %d", a.NumPIs(), b.NumPIs())
+		return nil, nil, fmt.Errorf("PI count mismatch: %d vs %d", a.NumPIs(), b.NumPIs())
 	}
 	if a.NumPOs() != b.NumPOs() {
-		return nil, nil, fmt.Errorf("sweep: PO count mismatch: %d vs %d", a.NumPOs(), b.NumPOs())
+		return nil, nil, fmt.Errorf("PO count mismatch: %d vs %d", a.NumPOs(), b.NumPOs())
 	}
 	m := network.New(a.Name + "_vs_" + b.Name)
 	mapA := copyInto(m, a, nil)
@@ -149,13 +149,14 @@ func DefaultCECOptions() CECOptions {
 // method table (Refine reads an empty one as "simgen" first), an unknown
 // engine kind, or a negative count, budget or ladder limit. A negative
 // SimPIs or RetryLimit and an EscalationFactor below 2 keep their
-// documented meanings.
+// documented meanings. The error names the setting and carries no package
+// prefix: each front end prints it under its own name.
 func (o CECOptions) Check() error {
 	if err := core.CheckMethod(o.Method); err != nil {
-		return fmt.Errorf("sweep: %w", err)
+		return err
 	}
 	if !o.Sweep.Engine.known() {
-		return fmt.Errorf("sweep: unknown engine kind %d", int(o.Sweep.Engine))
+		return fmt.Errorf("unknown engine kind %d", int(o.Sweep.Engine))
 	}
 	for _, v := range []struct {
 		name string
@@ -171,7 +172,7 @@ func (o CECOptions) Check() error {
 		{"BDD node limit", int64(o.Sweep.BDDNodeLimit)},
 	} {
 		if v.val < 0 {
-			return fmt.Errorf("sweep: %s must be >= 0, got %d", v.name, v.val)
+			return fmt.Errorf("%s must be >= 0, got %d", v.name, v.val)
 		}
 	}
 	return nil

@@ -111,7 +111,7 @@ func ParseEngine(s string) (EngineKind, error) {
 			return EngineKind(k), nil
 		}
 	}
-	return EngineSAT, fmt.Errorf("sweep: unknown engine %q (want %s)", s, strings.Join(engineNames[:], "|"))
+	return EngineSAT, fmt.Errorf("unknown engine %q (want %s)", s, strings.Join(engineNames[:], "|"))
 }
 
 // String returns the kind's engine name, the one ParseEngine maps to it.

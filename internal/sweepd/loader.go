@@ -2,15 +2,11 @@ package sweepd
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 
-	"simgen/internal/aiger"
-	"simgen/internal/blif"
-	"simgen/internal/genbench"
-	"simgen/internal/mapper"
+	"simgen/internal/load"
 	"simgen/internal/network"
 	"simgen/internal/obs"
 )
@@ -50,15 +46,11 @@ func NewLoader(dataDir string, m *obs.Metrics) *Loader {
 func (l *Loader) Load(ref CircuitRef) (*network.Network, error) {
 	switch {
 	case ref.BLIF != "":
-		return blif.Parse(strings.NewReader(ref.BLIF))
+		return load.Read(strings.NewReader(ref.BLIF), ".blif")
 	case ref.Bench != "":
-		return blif.ParseBench(strings.NewReader(ref.Bench))
+		return load.Read(strings.NewReader(ref.Bench), ".bench")
 	case ref.AIGER != "":
-		g, err := aiger.Read(strings.NewReader(ref.AIGER))
-		if err != nil {
-			return nil, err
-		}
-		return mapper.Map(g, mapper.DefaultOptions())
+		return load.Read(strings.NewReader(ref.AIGER), ".aag")
 	case ref.Benchmark != "":
 		return l.benchmark(ref.Benchmark)
 	case ref.Path != "":
@@ -83,11 +75,7 @@ func (l *Loader) benchmark(name string) (*network.Network, error) {
 	// Generate outside the lock: mapping a large benchmark is the
 	// expensive part and must not serialize unrelated loads. A racing
 	// duplicate generation is deterministic, so either copy may win.
-	b, ok := genbench.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("sweepd: unknown benchmark %q", name)
-	}
-	net, err := b.LUTNetwork()
+	net, err := load.Benchmark(name)
 	if err != nil {
 		return nil, err
 	}
@@ -105,32 +93,13 @@ func (l *Loader) benchmark(name string) (*network.Network, error) {
 	return net, nil
 }
 
-// file parses a circuit file under the data root by extension.
+// file reads a circuit file under the data root by extension.
 func (l *Loader) file(rel string) (*network.Network, error) {
 	if l.dataDir == "" {
 		return nil, fmt.Errorf("sweepd: path circuits disabled (no -data root)")
 	}
 	clean := filepath.Clean("/" + rel) // forces the path under the root
-	full := filepath.Join(l.dataDir, clean)
-	f, err := os.Open(full)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch ext := strings.ToLower(filepath.Ext(full)); ext {
-	case ".blif":
-		return blif.Parse(f)
-	case ".bench":
-		return blif.ParseBench(f)
-	case ".aag", ".aig":
-		g, err := aiger.Read(f)
-		if err != nil {
-			return nil, err
-		}
-		return mapper.Map(g, mapper.DefaultOptions())
-	default:
-		return nil, fmt.Errorf("sweepd: unsupported circuit extension %q", ext)
-	}
+	return load.File(filepath.Join(l.dataDir, clean))
 }
 
 // warm forces the network's lazily built derived data (ISOP covers,

@@ -37,8 +37,9 @@ type CircuitRef struct {
 	Bench string `json:"bench,omitempty"`
 	// AIGER is an inline ASCII AIGER payload (mapped into 6-LUTs).
 	AIGER string `json:"aiger,omitempty"`
-	// Benchmark names a built-in generated benchmark (cached and shared
-	// across jobs by the service).
+	// Benchmark names a built-in generated benchmark, of the paper suite
+	// or the datapath family (cached and shared across jobs by the
+	// service).
 	Benchmark string `json:"benchmark,omitempty"`
 	// Path is a server-side circuit file relative to the service's data
 	// root (-data); rejected when the service runs without one.

@@ -2,6 +2,7 @@ package tt
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -312,6 +313,38 @@ func TestISOPKnownFunctions(t *testing.T) {
 	}
 	if cov := ISOP(Const(3, false)); len(cov) != 0 {
 		t.Fatalf("const0 cover = %v", cov)
+	}
+}
+
+// tableISOP runs the table recursion whatever the arity: the reference the
+// one-word kernel must reproduce cube for cube.
+func tableISOP(f Table) Cover {
+	cover, _ := isop(f, f, f.nvars-1)
+	return cover
+}
+
+// TestISOPWordMatchesTable checks that the one-word kernel returns exactly
+// the table recursion's cover (same cubes, same order, nil for constant 0)
+// on every function of at most 4 variables and on random 5- and
+// 6-variable functions, on-set and off-set alike.
+func TestISOPWordMatchesTable(t *testing.T) {
+	check := func(f Table) {
+		t.Helper()
+		for _, g := range []Table{f, f.Not()} {
+			if got, want := ISOP(g), tableISOP(g); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d f=%s: word cover %v, table cover %v", g.nvars, g, got, want)
+			}
+		}
+	}
+	for n := 0; n <= 4; n++ {
+		for w := uint64(0); w < 1<<(1<<n); w++ {
+			check(FromWords(n, []uint64{w}))
+		}
+	}
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 10000; trial++ {
+		check(randomTable(rng, 5))
+		check(randomTable(rng, 6))
 	}
 }
 

@@ -33,7 +33,6 @@ package simgen
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"simgen/internal/aig"
@@ -41,6 +40,7 @@ import (
 	"simgen/internal/blif"
 	"simgen/internal/core"
 	"simgen/internal/genbench"
+	"simgen/internal/load"
 	"simgen/internal/mapper"
 	"simgen/internal/metrics"
 	"simgen/internal/network"
@@ -439,16 +439,11 @@ func DatapathBenchmarks() []Benchmark { return genbench.Datapath() }
 // LoadBenchmark generates a named benchmark (paper suite or datapath
 // family) and maps it into 6-input LUTs, the preprocessing the paper
 // applies to every circuit.
-func LoadBenchmark(name string) (*Network, error) {
-	b, ok := genbench.ByName(name)
-	if !ok {
-		b, ok = genbench.DatapathByName(name)
-	}
-	if !ok {
-		return nil, fmt.Errorf("simgen: unknown benchmark %q (see Benchmarks())", name)
-	}
-	return b.LUTNetwork()
-}
+func LoadBenchmark(name string) (*Network, error) { return load.Benchmark(name) }
+
+// LoadFile reads a circuit file by its extension: .blif, .bench, or AIGER
+// (.aag/.aig) mapped into 6-input LUTs like a benchmark.
+func LoadFile(path string) (*Network, error) { return load.File(path) }
 
 // PutOnTop stacks copies of a circuit (outputs feeding the next copy's
 // inputs), the paper's scalability transformation ("&putontop").
