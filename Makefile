@@ -76,28 +76,36 @@ cover:
 # wall-clock budget, must come back inside `timeout 5` with a partial
 # result and the undecided exit code (3): the SAT-hard "square" benchmark
 # on the sat engine at workers=1 and 4 and on the word engine, b14_C on
-# the BDD engine, and cmd/simgen's final sweep of voter. Usage legs: a
-# negative escalation count, BDD node limit, conflict budget or iteration
-# count must exit 2 (usage error) without a panic, from cmd/sweep and
-# cmd/simgen alike, instead of running a ladder that resolves nothing or
-# reading the value as another; so must a cmd/simgen -batch below 1, which
-# would generate nothing. A Go panic also exits 2, so each leg fails on a
-# panic in its stderr too.
+# the BDD engine, and cmd/simgen's final sweep of voter. Each deadline must
+# fall well inside its run: uncut, square takes about 105 ms of wall on the
+# sat engine at workers=1 and 95 ms on the word engine on a 2-vCPU Xeon, so
+# those two legs get 50 ms.
+#
+# Usage legs: a negative escalation count, BDD node limit, conflict budget
+# or iteration count must exit 2 (usage error) without a panic, from
+# cmd/sweep and cmd/simgen alike, instead of running a ladder that resolves
+# nothing or reading the value as another; so must a cmd/simgen -batch
+# below 1, which would generate nothing, an unknown cmd/sweep benchmark,
+# cmd/sweep -base without -cache-dir, and an unknown experiment or a
+# negative iteration count in cmd/experiments, which must fail before any
+# table runs. A Go panic also exits 2, so each leg fails on a panic in its
+# stderr too.
 .PHONY: smoke
 smoke:
 	@$(GO) build -o .smoke-sweep ./cmd/sweep
 	@$(GO) build -o .smoke-simgen ./cmd/simgen
+	@$(GO) build -o .smoke-experiments ./cmd/experiments
 	@for run in \
-		"sweep -benchmark square -method none -timeout 100ms -workers 1" \
+		"sweep -benchmark square -method none -timeout 50ms -workers 1" \
 		"sweep -benchmark square -method none -timeout 100ms -workers 4" \
-		"sweep -benchmark square -method none -timeout 100ms -engine word" \
+		"sweep -benchmark square -method none -timeout 50ms -engine word" \
 		"sweep -benchmark b14_C -method none -timeout 100ms -engine bdd" \
 		"simgen -benchmark voter -iterations 0 -engine sat -timeout 200ms"; do \
 		timeout 5 ./.smoke-$$run >/dev/null; \
 		code=$$?; \
 		if [ $$code -ne 3 ]; then \
 			echo "smoke: $$run: expected exit 3 (undecided on timeout), got $$code"; \
-			rm -f .smoke-sweep .smoke-simgen; \
+			rm -f .smoke-sweep .smoke-simgen .smoke-experiments; \
 			exit 1; \
 		fi; \
 		echo "smoke: $$run: ok (exit 3, partial result)"; \
@@ -109,18 +117,22 @@ smoke:
 		"sweep -benchmark alu4 -iterations -1" \
 		"simgen -benchmark alu4 -iterations -1" \
 		"simgen -benchmark alu4 -batch 0" \
-		"simgen -benchmark alu4 -batch -1"; do \
+		"simgen -benchmark alu4 -batch -1" \
+		"sweep -benchmark nope" \
+		"sweep -benchmark alu4 -base x.blif" \
+		"experiments nope" \
+		"experiments -iterations -1 table1"; do \
 		timeout 5 ./.smoke-$$run >/dev/null 2>.smoke-stderr; \
 		code=$$?; \
 		if [ $$code -ne 2 ] || grep -q 'panic:' .smoke-stderr; then \
 			echo "smoke: $$run: expected exit 2 (usage error) without a panic, got $$code"; \
 			cat .smoke-stderr; \
-			rm -f .smoke-sweep .smoke-simgen .smoke-stderr; \
+			rm -f .smoke-sweep .smoke-simgen .smoke-experiments .smoke-stderr; \
 			exit 1; \
 		fi; \
 		echo "smoke: $$run: ok (exit 2, usage error)"; \
 	done
-	@rm -f .smoke-sweep .smoke-simgen .smoke-stderr
+	@rm -f .smoke-sweep .smoke-simgen .smoke-experiments .smoke-stderr
 
 # Fuzzing smoke: a short differential+metamorphic campaign (deterministic
 # seed, must be clean), the broken-sweeper self-test (must be caught), and

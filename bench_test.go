@@ -378,8 +378,8 @@ func BenchmarkCEC(b *testing.B) {
 	}
 }
 
-// --- Extension ablations: alternative vector sources, OUTgold policies,
-// backtracking, and the BDD-vs-SAT sweeping engines. ---
+// --- Extension ablations: alternative vector sources and the BDD-vs-SAT
+// sweeping engines. ---
 
 func benchSourcePipeline(b *testing.B, mk func(net *Network) VectorSource) {
 	net, err := LoadBenchmark("apex2")
@@ -416,38 +416,6 @@ func BenchmarkSourceSimGen(b *testing.B) {
 	benchSourcePipeline(b, func(net *Network) VectorSource {
 		return NewGenerator(net, StrategySimGen, 7)
 	})
-}
-
-// BenchmarkOutGoldPolicies compares the three OUTgold distribution policies
-// (the paper's extension hook) on the same workload.
-func BenchmarkOutGoldPolicies(b *testing.B) {
-	for _, policy := range []OutGoldPolicy{GoldAlternate, GoldTopology, GoldAdaptive} {
-		b.Run(policy.String(), func(b *testing.B) {
-			benchSourcePipeline(b, func(net *Network) VectorSource {
-				g := NewGenerator(net, StrategySimGen, 7)
-				g.GoldPolicy = policy
-				return g
-			})
-		})
-	}
-}
-
-// BenchmarkBacktracking compares the paper's no-backtracking configuration
-// against bounded backtracking.
-func BenchmarkBacktracking(b *testing.B) {
-	for _, bt := range []int{0, 4, 16} {
-		name := "off"
-		if bt > 0 {
-			name = strconv.Itoa(bt)
-		}
-		b.Run(name, func(b *testing.B) {
-			benchSourcePipeline(b, func(net *Network) VectorSource {
-				g := NewGenerator(net, StrategySimGen, 7)
-				g.Backtrack = bt
-				return g
-			})
-		})
-	}
 }
 
 // BenchmarkBDDSweepVsSAT compares the two sweeping engines on a

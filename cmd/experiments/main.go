@@ -1,15 +1,24 @@
 // Command experiments regenerates the tables and figures of the SimGen
 // paper's evaluation.
+//
+// Exit codes: 0 success, 1 an experiment failed, 2 usage error (an unknown
+// experiment or benchmark name, or a negative iteration count), reported
+// before any experiment runs.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"simgen/internal/experiments"
+	"simgen/internal/load"
 )
+
+// names lists the experiments run knows, in usage order.
+var names = []string{"table1", "table2", "table2big", "fig5", "fig6", "fig7", "ablation", "attribution", "all"}
 
 func main() {
 	var (
@@ -20,7 +29,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [flags] {table1|table2|table2big|fig5|fig6|fig7|ablation|attribution|all}")
+		fmt.Fprintf(os.Stderr, "usage: experiments [flags] {%s}\n", strings.Join(names, "|"))
 		os.Exit(2)
 	}
 
@@ -30,6 +39,10 @@ func main() {
 	if *benchList != "" {
 		cfg.Benchmarks = strings.Split(*benchList, ",")
 	}
+	if err := check(flag.Args(), cfg, *fig7Iters); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
 
 	for _, cmd := range flag.Args() {
 		if err := run(cmd, cfg, *fig7Iters); err != nil {
@@ -37,6 +50,29 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// check rejects what would otherwise fail, or quietly run nothing, partway
+// through a run: an unknown experiment or benchmark name and a negative
+// iteration count.
+func check(cmds []string, cfg experiments.Config, fig7Iters int) error {
+	for _, cmd := range cmds {
+		if !slices.Contains(names, cmd) {
+			return fmt.Errorf("unknown experiment %q (want %s)", cmd, strings.Join(names, "|"))
+		}
+	}
+	for _, name := range cfg.Benchmarks {
+		if _, err := load.Lookup(name); err != nil {
+			return err
+		}
+	}
+	if cfg.GuidedIterations < 0 {
+		return fmt.Errorf("-iterations must be >= 0, got %d", cfg.GuidedIterations)
+	}
+	if fig7Iters < 0 {
+		return fmt.Errorf("-fig7-iterations must be >= 0, got %d", fig7Iters)
+	}
+	return nil
 }
 
 func run(cmd string, cfg experiments.Config, fig7Iters int) error {
@@ -88,7 +124,7 @@ func run(cmd string, cfg experiments.Config, fig7Iters int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("== Extension ablation: vector sources and policies (normalized cost) ==")
+		fmt.Println("== Extension ablation: vector sources (normalized cost) ==")
 		fmt.Print(res.Format())
 	case "fig7":
 		for _, bench := range []string{"apex2", "cps"} {

@@ -14,8 +14,9 @@
 //
 // Exit codes: 0 success (sweep finished / circuits equivalent),
 // 1 verification failure (circuits inequivalent) or runtime error,
-// 2 usage error, 3 undecided (deadline or budgets exhausted; partial
-// results are printed).
+// 2 usage error (a bad flag, or a circuit or benchmark that cannot be
+// loaded), 3 undecided (deadline or budgets exhausted; partial results
+// are printed).
 package main
 
 import (
@@ -110,6 +111,11 @@ func main() {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 
+	if cfg.basePath != "" && cfg.cacheDir == "" {
+		fmt.Fprintln(os.Stderr, "sweep: -base requires -cache-dir")
+		exit(exitUsage)
+	}
+
 	ctx := context.Background()
 	if *timeout < 0 {
 		fmt.Fprintf(os.Stderr, "sweep: -timeout must be positive, got %v\n", *timeout)
@@ -121,25 +127,20 @@ func main() {
 		defer cancel()
 	}
 
+	var code int
 	switch {
 	case *benchmark != "" || flag.NArg() == 1:
-		code, err := runSweep(ctx, *benchmark, flag.Args(), cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			exit(exitFail)
-		}
-		exit(code)
+		code, err = runSweep(ctx, *benchmark, flag.Args(), cfg)
 	case flag.NArg() == 2:
-		code, err := runCEC(ctx, flag.Arg(0), flag.Arg(1), cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			exit(exitFail)
-		}
-		exit(code)
+		code, err = runCEC(ctx, flag.Arg(0), flag.Arg(1), cfg)
 	default:
 		fmt.Fprintln(os.Stderr, "usage: sweep [flags] circuit | sweep [flags] a b | sweep [flags] -benchmark name")
 		exit(exitUsage)
 	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+	}
+	exit(code)
 }
 
 func runSweep(ctx context.Context, benchmark string, args []string, cfg config) (int, error) {
@@ -151,10 +152,13 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 		net, err = simgen.LoadFile(args[0])
 	}
 	if err != nil {
-		return exitFail, err
+		return exitUsage, err
 	}
-	if cfg.basePath != "" && cfg.cacheDir == "" {
-		return exitUsage, fmt.Errorf("-base requires -cache-dir")
+	var baseNet *simgen.Network
+	if cfg.basePath != "" {
+		if baseNet, err = simgen.LoadFile(cfg.basePath); err != nil {
+			return exitUsage, err
+		}
 	}
 	opts := cfg.flow
 
@@ -181,11 +185,7 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 	// Incremental mode: diff against the previous revision and restrict
 	// obligation scheduling to the transitive fanout of the changed nodes;
 	// everything outside the mask settles from the cache pre-pass.
-	if cfg.basePath != "" {
-		baseNet, err := simgen.LoadFile(cfg.basePath)
-		if err != nil {
-			return exitFail, err
-		}
+	if baseNet != nil {
 		changed := simgen.DiffNetworks(baseNet, net)
 		opts.Sweep.TFOMask = simgen.TFOMask(net, changed)
 		masked := 0
@@ -247,11 +247,11 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 func runCEC(ctx context.Context, pathA, pathB string, cfg config) (int, error) {
 	a, err := simgen.LoadFile(pathA)
 	if err != nil {
-		return exitFail, err
+		return exitUsage, err
 	}
 	b, err := simgen.LoadFile(pathB)
 	if err != nil {
-		return exitFail, err
+		return exitUsage, err
 	}
 	res, err := simgen.CECContext(ctx, a, b, cfg.flow)
 	if err != nil {

@@ -223,9 +223,36 @@ func TestCircuitFormats(t *testing.T) {
 	if err := os.WriteFile(vPath, []byte("module arbiter;\nendmodule\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, stderr := runBoth(t, bin, 1, vPath)
+	_, stderr := runBoth(t, bin, 2, vPath)
 	if want := "sweep: unsupported circuit extension \".v\" (want .blif, .bench, .aag or .aig)\n"; string(stderr) != want {
 		t.Errorf(".v: stderr %q, want %q", stderr, want)
+	}
+}
+
+// TestLoadErrors checks that a circuit that cannot be loaded, whether
+// swept, compared or given as -base, and -base without -cache-dir are
+// usage errors (exit 2, as in cmd/simgen), with the command's prefix once.
+func TestLoadErrors(t *testing.T) {
+	bin := buildSweep(t)
+	dir := t.TempDir()
+	vPath := filepath.Join(dir, "a.v")
+	if err := os.WriteFile(vPath, []byte("module a;\nendmodule\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	unsupported := "sweep: unsupported circuit extension \".v\" (want .blif, .bench, .aag or .aig)\n"
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-benchmark", "nope"}, "sweep: unknown benchmark \"nope\"\n"},
+		{[]string{"-benchmark", "alu4", "-base", "x.blif"}, "sweep: -base requires -cache-dir\n"},
+		{[]string{"-benchmark", "alu4", "-cache-dir", filepath.Join(dir, "cache"), "-base", vPath}, unsupported},
+		{[]string{datapath("cmp16_a"), vPath}, unsupported},
+	} {
+		stdout, stderr := runBoth(t, bin, 2, c.args...)
+		if string(stderr) != c.want || len(stdout) != 0 {
+			t.Errorf("sweep %v: stderr %q, stdout %q; want stderr %q and no output", c.args, stderr, stdout, c.want)
+		}
 	}
 }
 

@@ -67,19 +67,14 @@ func (m *mffcDepths) of(id network.NodeID) float64 {
 }
 
 // chooseRow selects a consistent, progress-making row of the node by the
-// decision strategy, skipping row indices present in tried (used by
-// backtracking). It returns the index into the node's row set.
-func (e *engine) chooseRow(id network.NodeID, strategy DecisionStrategy, depths *mffcDepths, rng *rand.Rand, tried map[int]bool) (int, bool) {
+// decision strategy. It returns the index into the node's row set.
+func (e *engine) chooseRow(id network.NodeID, strategy DecisionStrategy, depths *mffcDepths, rng *rand.Rand) (int, bool) {
 	fanins := e.fanins(id)
 	st := e.stateOf(id)
 	rs := e.rows.of(id)
 
 	cand := e.cand[:0]
-	for i := range rs.rows {
-		if tried[i] {
-			continue
-		}
-		r := rs.rows[i]
+	for i, r := range rs.rows {
 		if r.consistent(st) && r.assignsNew(st) {
 			cand = append(cand, i)
 		}

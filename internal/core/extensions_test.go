@@ -4,65 +4,8 @@ import (
 	"testing"
 
 	"simgen/internal/network"
-	"simgen/internal/sim"
 	"simgen/internal/tt"
 )
-
-func TestOutGoldPolicies(t *testing.T) {
-	net, f, g := buildNeedleNetwork()
-	members := []network.NodeID{f, g}
-	for _, policy := range []OutGoldPolicy{GoldAlternate, GoldTopology, GoldAdaptive} {
-		gen := NewGenerator(net, StrategySimGen, 1)
-		gen.GoldPolicy = policy
-		targets, gold := gen.assignGold(members, false)
-		if len(targets) != 2 || len(gold) != 2 {
-			t.Fatalf("%v: wrong shape", policy)
-		}
-		if gold[0] == gold[1] {
-			t.Fatalf("%v: polarities not split", policy)
-		}
-		// Every policy must still let NextBatch split real classes.
-		r := NewRunner(net, 1, 9)
-		if r.Classes.Cost() == 0 {
-			continue
-		}
-		r.Run(gen, 8)
-		_ = r.Classes.Cost()
-	}
-}
-
-func TestGoldTopologyOrdersByLevel(t *testing.T) {
-	net, f, g := buildNeedleNetwork()
-	gen := NewGenerator(net, StrategySimGen, 1)
-	gen.GoldPolicy = GoldTopology
-	targets, _ := gen.assignGold([]network.NodeID{f, g}, false)
-	if net.Level(targets[0]) > net.Level(targets[1]) {
-		t.Fatal("topology policy did not sort by level")
-	}
-}
-
-func TestGoldAdaptiveFlipsOnFailure(t *testing.T) {
-	net, f, g := buildNeedleNetwork()
-	gen := NewGenerator(net, StrategySimGen, 1)
-	gen.GoldPolicy = GoldAdaptive
-	members := []network.NodeID{f, g}
-	_, gold1 := gen.assignGold(members, false)
-	// Report a total failure: the phase must flip.
-	gen.recordGoldOutcome(members, []bool{false, false})
-	_, gold2 := gen.assignGold(members, false)
-	if gold1[0] == gold2[0] {
-		t.Fatal("adaptive policy did not flip after failure")
-	}
-	// Report success: the phase stays.
-	gen.recordGoldOutcome(members, []bool{true, true})
-	_, gold3 := gen.assignGold(members, false)
-	if gold2[0] != gold3[0] {
-		t.Fatal("adaptive policy flipped after success")
-	}
-	if GoldAlternate.String() != "alternate" || GoldTopology.String() != "topology" || GoldAdaptive.String() != "adaptive" {
-		t.Fatal("policy names wrong")
-	}
-}
 
 func TestOneDistanceFlipsExactlyOneBit(t *testing.T) {
 	net, _, _ := buildNeedleNetwork()
@@ -145,74 +88,5 @@ func TestSATVectorSkipsEquivalentPairs(t *testing.T) {
 	}
 	if src.SATCalls == 0 {
 		t.Fatal("solver never consulted")
-	}
-}
-
-func TestBacktrackingRecoversConflicts(t *testing.T) {
-	// A target whose first (random) decision often conflicts: g = a AND b
-	// feeding h = a XOR g. Demanding h=1 with... craft a shared-input trap:
-	//   x = a OR b ; y = a AND c ; z = x AND y (target z=1)
-	// Deciding x=1 via the row "b=1"? No conflict there. Use the needle:
-	// chain classes where the deep-input row choice kills later targets.
-	// Instead verify the mechanism directly: with Backtrack > 0 the
-	// success rate on random networks can only improve or stay equal.
-	successes := func(backtrack int) int {
-		count := 0
-		for seed := int64(0); seed < 30; seed++ {
-			net, f, g := buildNeedleNetwork()
-			gen := NewGenerator(net, StrategyAIRD, seed)
-			gen.Backtrack = backtrack
-			// f=0 via decision (may pick the g-input row, killing g=1).
-			_, honored, _ := gen.VectorForTargets(
-				[]network.NodeID{f, g}, []bool{false, true})
-			if honored[0] && honored[1] {
-				count++
-			}
-		}
-		return count
-	}
-	without := successes(0)
-	with := successes(4)
-	if with < without {
-		t.Fatalf("backtracking reduced success rate: %d -> %d", without, with)
-	}
-	if with == 30 && without == 30 {
-		t.Skip("trap never triggered; cannot differentiate")
-	}
-	if with <= without {
-		t.Logf("backtracking did not improve on this circuit (%d vs %d)", without, with)
-	}
-}
-
-func TestBacktrackingSoundness(t *testing.T) {
-	// Honored targets must still match simulation when backtracking is on.
-	rngSeeds := []int64{1, 2, 3, 4, 5}
-	for _, seed := range rngSeeds {
-		net, f, g := buildNeedleNetwork()
-		gen := NewGenerator(net, StrategySimGen, seed)
-		gen.Backtrack = 8
-		vec, honored, _ := gen.VectorForTargets(
-			[]network.NodeID{f, g}, []bool{false, true})
-		out := sim.SimulateVector(net, vec)
-		if honored[0] && out[f] != false {
-			t.Fatal("backtracking broke target f")
-		}
-		if honored[1] && out[g] != true {
-			t.Fatal("backtracking broke target g")
-		}
-	}
-}
-
-func TestBacktrackCounterAdvances(t *testing.T) {
-	net, f, g := buildNeedleNetwork()
-	total := 0
-	for seed := int64(0); seed < 20; seed++ {
-		gen := NewGenerator(net, StrategyAIRD, seed)
-		gen.Backtrack = 4
-		gen.VectorForTargets([]network.NodeID{f, g}, []bool{false, true})
-		total += gen.Backtracks
-	}
-	if total == 0 {
-		t.Skip("no conflicts encountered; counter not exercised")
 	}
 }

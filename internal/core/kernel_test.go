@@ -375,12 +375,11 @@ func (s checkedSource) NextBatch(classes *sim.Classes, max int) [][]bool {
 	var out [][]bool
 	for i := 0; len(classIdx) > 0 && len(out) < max && i < 2*max; i++ {
 		members := classes.Members(classIdx[i%len(classIdx)])
-		if len(members) > g.TargetCap {
-			members = g.sampleMembers(members, g.TargetCap)
+		if len(members) > targetCap {
+			members = g.sampleMembers(members, targetCap)
 		}
-		targets, gold := g.assignGold(members, (i/len(classIdx))%2 == 1)
-		vec, honored, ok := g.VectorForTargets(targets, gold)
-		g.recordGoldOutcome(members, honored)
+		targets, gold := OutGoldPhase(members, (i/len(classIdx))%2 == 1)
+		vec, _, ok := g.VectorForTargets(targets, gold)
 		checkState(s.t, g.net, g.eng)
 		if ok {
 			out = append(out, vec)
@@ -390,26 +389,23 @@ func (s checkedSource) NextBatch(classes *sim.Classes, max int) [][]bool {
 }
 
 // TestStateIndexInvariant refines three suite circuits' classes with the
-// generator, with and without backtracking (which undoes to marks inside
-// a target), and recomputes every node's state index after each vector.
+// generator and recomputes every node's state index after each vector. A
+// conflict undoes the target's assignments to its mark, so the run must
+// meet conflicts for that undo path to be exercised.
 func TestStateIndexInvariant(t *testing.T) {
-	conflicts, backtracks := 0, 0
+	conflicts := 0
 	for _, name := range []string{"alu4", "apex2", "pdc"} {
 		b, _ := genbench.ByName(name)
 		net, err := b.LUTNetwork()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, backtrack := range []int{0, 4} {
-			g := NewGenerator(net, StrategySimGen, 1)
-			g.Backtrack = backtrack
-			NewRunner(net, 1, 42).Run(checkedSource{t, g}, 10)
-			conflicts += g.Conflicts
-			backtracks += g.Backtracks
-		}
+		g := NewGenerator(net, StrategySimGen, 1)
+		NewRunner(net, 1, 42).Run(checkedSource{t, g}, 10)
+		conflicts += g.Conflicts
 	}
-	if conflicts == 0 || backtracks == 0 {
-		t.Fatalf("conflicts %d, backtracks %d: an undo path went unexercised", conflicts, backtracks)
+	if conflicts == 0 {
+		t.Fatal("no conflicts: the undo path went unexercised")
 	}
 }
 

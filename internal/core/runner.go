@@ -23,12 +23,14 @@ type VectorSource interface {
 
 // GenStats aggregates the pattern-generation counters a vector source has
 // accumulated since creation: decision-strategy row choices, implication
-// engine row applications, justification conflicts, and backtracks.
+// engine row applications and justification conflicts.
 type GenStats struct {
 	Decisions    int64
 	Implications int64
 	Conflicts    int64
-	Backtracks   int64
+	// Backtracks is always zero: no generator backtracks. It is kept only
+	// because the bench module still reads it.
+	Backtracks int64
 }
 
 // StatsSource is optionally implemented by vector sources (Generator,
@@ -43,7 +45,6 @@ func (s GenStats) sub(prev GenStats) GenStats {
 		Decisions:    s.Decisions - prev.Decisions,
 		Implications: s.Implications - prev.Implications,
 		Conflicts:    s.Conflicts - prev.Conflicts,
-		Backtracks:   s.Backtracks - prev.Backtracks,
 	}
 }
 
@@ -195,8 +196,7 @@ func (r *Runner) step(ctx context.Context, src VectorSource, iteration int) (st 
 		gs := ss.GenStats()
 		d := gs.sub(r.lastGen)
 		r.lastGen = gs
-		ev.Decisions, ev.Implications = d.Decisions, d.Implications
-		ev.GenConflicts, ev.Backtracks = d.Conflicts, d.Backtracks
+		ev.Decisions, ev.Implications, ev.GenConflicts = d.Decisions, d.Implications, d.Conflicts
 	}
 	r.tr.Emit(ev)
 	return st, vectors, ok

@@ -121,28 +121,28 @@ func TestGeneratorBatchSplitsRealClasses(t *testing.T) {
 }
 
 func TestTargetCapSampling(t *testing.T) {
-	// A class larger than TargetCap is sampled down to TargetCap targets.
+	// A class larger than targetCap is sampled down to targetCap targets.
+	const size = 80
 	net := network.New("cap")
 	a := net.AddPI("a")
 	b := net.AddPI("b")
 	and2t := tt.Var(2, 0).And(tt.Var(2, 1))
 	var last network.NodeID
-	for i := 0; i < 40; i++ {
+	for i := 0; i < size; i++ {
 		last = net.AddLUT("", []network.NodeID{a, b}, and2t)
 	}
 	net.AddPO("o", last)
 	r := NewRunner(net, 1, 1)
 	found := false
 	for _, ci := range r.Classes.NonSingleton() {
-		if len(r.Classes.Members(ci)) >= 40 {
+		if len(r.Classes.Members(ci)) >= size {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("expected a 40-member class of identical LUTs")
+		t.Fatalf("expected a %d-member class of identical LUTs", size)
 	}
 	g := NewGenerator(net, StrategySimGen, 2)
-	g.TargetCap = 8
 	batch := g.NextBatch(r.Classes, 2)
 	// Identical nodes are genuinely equivalent: no vector can split them,
 	// so the batch is empty — but the generator must not panic or loop.
@@ -150,8 +150,8 @@ func TestTargetCapSampling(t *testing.T) {
 	if g.Attempts == 0 && g.Preset == 0 {
 		t.Fatal("generator never attempted the class")
 	}
-	if g.Attempts+g.Preset > 2*2*8+4 {
-		t.Fatalf("TargetCap ignored: %d attempts+preset", g.Attempts+g.Preset)
+	if g.Attempts+g.Preset > 2*2*targetCap+4 {
+		t.Fatalf("targetCap ignored: %d attempts+preset", g.Attempts+g.Preset)
 	}
 }
 

@@ -28,23 +28,20 @@ var (
 
 func (s Strategy) String() string { return s.Impl.String() + "+" + s.Dec.String() }
 
+// targetCap bounds how many members of a class become target nodes for one
+// vector; larger classes are sampled.
+const targetCap = 32
+
 // Generator produces targeted simulation vectors for a fixed network using
-// SimGen's guided reverse propagation (Algorithm 1 of the paper).
+// SimGen's guided reverse propagation (Algorithm 1 of the paper). Like the
+// paper, it alternates OUTgold values over a class and does not backtrack:
+// a conflict abandons the target.
 type Generator struct {
 	net      *network.Network
 	eng      *engine
 	depths   *mffcDepths
 	strategy Strategy
 	rng      *rand.Rand
-
-	// TargetCap bounds how many members of a class become target nodes for
-	// one vector; large classes are sampled.
-	TargetCap int
-
-	// GoldPolicy selects the OUTgold distribution (default: the paper's
-	// alternating policy).
-	GoldPolicy OutGoldPolicy
-	goldState  *goldState
 
 	// order and honored are VectorForTargets' scratch buffers.
 	order   []int
@@ -53,31 +50,22 @@ type Generator struct {
 	// cone holds the fanin cone of the target being justified.
 	cone *network.Cone
 
-	// Backtrack, when positive, allows that many backtracks per target: on
-	// a conflict the engine undoes the most recent decision and tries a
-	// different row instead of abandoning the target. The paper omits
-	// backtracking for speed; this option exists for the ablation study.
-	Backtrack int
-
 	// Stats counters.
-	Attempts   int // targets that required a fresh justification
-	Conflicts  int // justifications abandoned due to a conflict
-	Preset     int // targets already fixed by earlier propagation
-	Backtracks int // decisions undone by backtracking
-	Decisions  int // truth-table rows chosen by the decision strategy
+	Attempts  int // targets that required a fresh justification
+	Conflicts int // justifications abandoned due to a conflict
+	Preset    int // targets already fixed by earlier propagation
+	Decisions int // truth-table rows chosen by the decision strategy
 }
 
 // NewGenerator returns a generator for the network with the given strategy.
 func NewGenerator(net *network.Network, strategy Strategy, seed int64) *Generator {
 	return &Generator{
-		net:       net,
-		eng:       newEngine(net),
-		depths:    newMFFCDepths(net),
-		strategy:  strategy,
-		rng:       rand.New(rand.NewSource(seed)),
-		TargetCap: 32,
-		goldState: newGoldState(),
-		cone:      network.NewCone(net),
+		net:      net,
+		eng:      newEngine(net),
+		depths:   newMFFCDepths(net),
+		strategy: strategy,
+		rng:      rand.New(rand.NewSource(seed)),
+		cone:     network.NewCone(net),
 	}
 }
 
@@ -90,7 +78,6 @@ func (g *Generator) GenStats() GenStats {
 		Decisions:    int64(g.Decisions),
 		Implications: g.eng.implications,
 		Conflicts:    int64(g.Conflicts),
-		Backtracks:   int64(g.Backtracks),
 	}
 }
 
@@ -196,22 +183,12 @@ func (g *Generator) processTarget(target network.NodeID, want bool) bool {
 	g.cone.Reset()
 	g.cone.Add(target, nil)
 	var stuck map[network.NodeID]bool // allocated on first use (rare)
-	// Decision stack for optional backtracking (disabled when
-	// g.Backtrack == 0, the paper's configuration).
-	type decisionPoint struct {
-		mark  int
-		node  network.NodeID
-		tried map[int]bool
-	}
-	var stack []decisionPoint
-	backtracksLeft := g.Backtrack
-
 	for {
 		cand := g.latestUpdated(stuck)
 		if cand == network.NoNode {
 			return true // every assigned cone node is justified
 		}
-		idx, ok := e.chooseRow(cand, g.strategy.Dec, g.depths, g.rng, nil)
+		idx, ok := e.chooseRow(cand, g.strategy.Dec, g.depths, g.rng)
 		if !ok {
 			// No consistent row assigns anything new, yet the node is not
 			// justified: a degenerate state that cannot improve. Park it.
@@ -221,42 +198,10 @@ func (g *Generator) processTarget(target network.NodeID, want bool) bool {
 			stuck[cand] = true
 			continue
 		}
-		if g.Backtrack > 0 {
-			stack = append(stack, decisionPoint{
-				mark: e.vals.mark(), node: cand, tried: map[int]bool{idx: true},
-			})
-		}
 		g.Decisions++
 		e.applyRowIndex(cand, idx)
-		if e.propagate(g.strategy.Impl) {
-			continue
-		}
-		// Conflict: try backtracking before giving up on the target.
-		recovered := false
-		for backtracksLeft > 0 && len(stack) > 0 {
-			top := &stack[len(stack)-1]
-			e.vals.undoTo(top.mark)
-			e.clearQueue()
-			backtracksLeft--
-			g.Backtracks++
-			idx, ok := e.chooseRow(top.node, g.strategy.Dec, g.depths, g.rng, top.tried)
-			if !ok {
-				stack = stack[:len(stack)-1] // row choices exhausted here
-				continue
-			}
-			top.tried[idx] = true
-			g.Decisions++
-			e.applyRowIndex(top.node, idx)
-			if e.propagate(g.strategy.Impl) {
-				recovered = true
-				// Earlier "stuck" verdicts may no longer hold.
-				for k := range stuck {
-					delete(stuck, k)
-				}
-				break
-			}
-		}
-		if !recovered {
+		if !e.propagate(g.strategy.Impl) {
+			// Conflict: no backtracking, so the target is abandoned.
 			e.vals.undoTo(mark)
 			e.clearQueue()
 			return false
@@ -310,16 +255,14 @@ func (g *Generator) NextBatch(classes *sim.Classes, max int) [][]bool {
 	for i := 0; len(out) < max && i < attempts; i++ {
 		ci := classIdx[i%len(classIdx)]
 		members := classes.Members(ci)
-		if len(members) > g.TargetCap {
-			members = g.sampleMembers(members, g.TargetCap)
+		if len(members) > targetCap {
+			members = g.sampleMembers(members, targetCap)
 		}
 		// Alternate the OUTgold polarity across passes over the classes:
 		// a class whose first assignment is unsatisfiable often splits
 		// under the flipped one.
-		phase := (i/len(classIdx))%2 == 1
-		targets, gold := g.assignGold(members, phase)
-		vec, honored, ok := g.VectorForTargets(targets, gold)
-		g.recordGoldOutcome(members, honored)
+		targets, gold := OutGoldPhase(members, (i/len(classIdx))%2 == 1)
+		vec, _, ok := g.VectorForTargets(targets, gold)
 		if ok {
 			out = append(out, vec)
 		}

@@ -262,7 +262,10 @@ func TestProcessTargetUndoesOnConflict(t *testing.T) {
 	checkState(t, n, gen.eng)
 }
 
-func TestOutGoldAlternates(t *testing.T) {
+// TestOutGoldPhase checks the paper's OUTgold policy: targets in node-ID
+// order with alternating values, balanced between 0 and 1, and every value
+// flipped under the other phase, which NextBatch uses on alternate passes.
+func TestOutGoldPhase(t *testing.T) {
 	members := []network.NodeID{9, 3, 7, 5}
 	targets, gold := OutGold(members)
 	if targets[0] != 3 || targets[1] != 5 || targets[2] != 7 || targets[3] != 9 {
@@ -278,6 +281,12 @@ func TestOutGoldAlternates(t *testing.T) {
 	}
 	if zeros != 2 || ones != 2 {
 		t.Fatalf("gold not balanced: %v", gold)
+	}
+	flipped, flippedGold := OutGoldPhase(members, true)
+	for i := range gold {
+		if flipped[i] != targets[i] || flippedGold[i] == gold[i] {
+			t.Fatalf("phase true: targets %v gold %v, want %v with every value of %v flipped", flipped, flippedGold, targets, gold)
+		}
 	}
 }
 
@@ -303,7 +312,7 @@ func TestDCDecisionPrefersDontCares(t *testing.T) {
 			e.vals.reset()
 			e.clearQueue()
 			e.vals.set(g, true)
-			idx, ok := e.chooseRow(g, strategy, depths, rng, nil)
+			idx, ok := e.chooseRow(g, strategy, depths, rng)
 			if !ok {
 				t.Fatal("chooseRow found no row")
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"simgen/internal/core"
+	"simgen/internal/load"
 	"simgen/internal/network"
 )
 
@@ -44,10 +45,8 @@ type AblationResult struct {
 
 // Ablation runs the extended method comparison: beyond the paper's RevS/
 // SimGen pair it evaluates random simulation, 1-distance vectors
-// (Mishchenko et al.), SAT-generated vectors (Lee et al. style), the three
-// OUTgold policies, and bounded backtracking. This is the "further
-// simulation vector generation strategies" exploration the paper's
-// conclusion invites.
+// (Mishchenko et al.) and SAT-generated vectors (Lee et al. style), the
+// related-work baselines whose claims the paper measures itself against.
 func Ablation(cfg Config) (AblationResult, error) {
 	type source struct {
 		name string
@@ -59,21 +58,6 @@ func Ablation(cfg Config) (AblationResult, error) {
 		{"1-distance", func(n *network.Network, s int64) core.VectorSource { return core.NewOneDistance(n, s, 8) }},
 		{"SAT-vectors", func(n *network.Network, s int64) core.VectorSource { return core.NewSATVector(n, s) }},
 		{MethodSimGen.Name, MethodSimGen.source},
-		{"SimGen/topo", func(n *network.Network, s int64) core.VectorSource {
-			g := core.NewGenerator(n, core.StrategySimGen, s)
-			g.GoldPolicy = core.GoldTopology
-			return g
-		}},
-		{"SimGen/adapt", func(n *network.Network, s int64) core.VectorSource {
-			g := core.NewGenerator(n, core.StrategySimGen, s)
-			g.GoldPolicy = core.GoldAdaptive
-			return g
-		}},
-		{"SimGen/bt4", func(n *network.Network, s int64) core.VectorSource {
-			g := core.NewGenerator(n, core.StrategySimGen, s)
-			g.Backtrack = 4
-			return g
-		}},
 	}
 
 	res := AblationResult{PerBench: map[string][]AblationRow{}}
@@ -83,7 +67,7 @@ func Ablation(cfg Config) (AblationResult, error) {
 	sums := make([]float64, len(sources))
 	counted := 0
 	for _, name := range cfg.names() {
-		net, err := lutNetwork(name)
+		net, err := load.Benchmark(name)
 		if err != nil {
 			return res, err
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"simgen/internal/core"
+	"simgen/internal/load"
 	"simgen/internal/obs"
 	"simgen/internal/sweep"
 )
@@ -26,7 +27,7 @@ type AttributionRow struct {
 func Attribution(cfg Config) ([]AttributionRow, error) {
 	var rows []AttributionRow
 	for _, name := range cfg.names() {
-		net, err := lutNetwork(name)
+		net, err := load.Benchmark(name)
 		if err != nil {
 			return nil, err
 		}

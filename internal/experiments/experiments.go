@@ -6,11 +6,11 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"simgen/internal/core"
 	"simgen/internal/genbench"
+	"simgen/internal/load"
 	"simgen/internal/mapper"
 	"simgen/internal/network"
 	"simgen/internal/sweep"
@@ -89,15 +89,6 @@ type PipelineResult struct {
 	LUTs     int
 }
 
-// lutNetwork materializes a benchmark by name.
-func lutNetwork(name string) (*network.Network, error) {
-	b, ok := genbench.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown benchmark %q", name)
-	}
-	return b.LUTNetwork()
-}
-
 // runSimulation runs the simulation part of the pipeline: one random
 // partitioning round plus GuidedIterations of the method.
 func runSimulation(net *network.Network, m Method, cfg Config) (*core.Runner, PipelineResult) {
@@ -159,9 +150,9 @@ var ScaledSet = []ScaledBenchmark{
 
 // scaledNetwork builds the stacked LUT network for one scaled benchmark.
 func scaledNetwork(sb ScaledBenchmark) (*network.Network, error) {
-	b, ok := genbench.ByName(sb.Name)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown benchmark %q", sb.Name)
+	b, err := load.Lookup(sb.Name)
+	if err != nil {
+		return nil, err
 	}
 	stacked := genbench.PutOnTop(b.Build(), sb.Copies)
 	return mapper.Map(stacked, mapper.DefaultOptions())

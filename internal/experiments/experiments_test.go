@@ -164,7 +164,7 @@ func TestAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Sources) != 8 || res.Sources[0] != "RevS" {
+	if len(res.Sources) != 5 || res.Sources[0] != "RevS" {
 		t.Fatalf("sources: %v", res.Sources)
 	}
 	if res.NormCost[0] != 1.0 {
@@ -182,13 +182,13 @@ func TestAblation(t *testing.T) {
 	}
 	// Per-bench rows recorded, including the SAT call count.
 	rows := res.PerBench["apex2"]
-	if len(rows) != 8 {
+	if len(rows) != 5 {
 		t.Fatal("per-bench rows missing")
 	}
 	if rows[idx["SAT-vectors"]].SATCalls == 0 {
 		t.Fatal("SAT-vector calls not counted")
 	}
-	if !strings.Contains(res.Format(), "SimGen/topo") {
+	if !strings.Contains(res.Format(), "1-distance") {
 		t.Fatal("format incomplete")
 	}
 }

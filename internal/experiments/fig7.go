@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"simgen/internal/core"
+	"simgen/internal/load"
 )
 
 // TrajectoryPoint is one iteration of a Figure 7 run.
@@ -35,7 +36,7 @@ func Figure7(bench string, iterations, patience int, cfg Config) ([]Trajectory, 
 	}
 	var out []Trajectory
 	for _, scheme := range Figure7Schemes {
-		net, err := lutNetwork(bench)
+		net, err := load.Benchmark(bench)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"simgen/internal/load"
 	"simgen/internal/network"
 )
 
@@ -33,7 +34,7 @@ func Table1(cfg Config) (Table1Result, error) {
 	sumTime := make([]float64, len(Table1Methods))
 	counted := 0
 	for _, name := range cfg.names() {
-		net, err := lutNetwork(name)
+		net, err := load.Benchmark(name)
 		if err != nil {
 			return res, err
 		}
@@ -106,7 +107,7 @@ type Table2Row struct {
 func Table2(cfg Config) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, name := range cfg.names() {
-		net, err := lutNetwork(name)
+		net, err := load.Benchmark(name)
 		if err != nil {
 			return nil, err
 		}

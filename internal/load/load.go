@@ -55,16 +55,25 @@ func File(path string) (*network.Network, error) {
 	return Read(f, filepath.Ext(path))
 }
 
-// Benchmark generates the named built-in benchmark, looked up in the
-// paper's suite first and then in the datapath family, and maps it into
-// 6-input LUTs.
-func Benchmark(name string) (*network.Network, error) {
+// Lookup finds the named built-in benchmark in the paper's suite first and
+// then in the datapath family, without building it.
+func Lookup(name string) (genbench.Benchmark, error) {
 	b, ok := genbench.ByName(name)
 	if !ok {
 		b, ok = genbench.DatapathByName(name)
 	}
 	if !ok {
-		return nil, fmt.Errorf("unknown benchmark %q", name)
+		return genbench.Benchmark{}, fmt.Errorf("unknown benchmark %q", name)
+	}
+	return b, nil
+}
+
+// Benchmark generates the named built-in benchmark (see Lookup) and maps it
+// into 6-input LUTs.
+func Benchmark(name string) (*network.Network, error) {
+	b, err := Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return b.LUTNetwork()
 }

@@ -79,8 +79,8 @@ const (
 	// Dropped=defective pairs, Dur).
 	KindPoolFlush
 	// KindSimBatch records one simulation-runner iteration (Iter, Vectors,
-	// Cost, Decisions/Implications/Backtracks/GenConflicts deltas from the
-	// vector source, Dur).
+	// Cost, Decisions/Implications/GenConflicts deltas from the vector
+	// source, Dur).
 	KindSimBatch
 	// KindRequeue records an obligation returned to the queue after a
 	// transient engine failure (Worker, Class, A, B, Retries=retry count
@@ -197,7 +197,7 @@ type Event struct {
 	Cost         int64 // partition cost (Eq. 5) after the step
 	Decisions    int64 // pattern-generation decisions this batch
 	Implications int64 // pattern-generation implication steps this batch
-	Backtracks   int64 // pattern-generation backtracks this batch
+	Backtracks   int64 // always zero: no generator backtracks; kept because the bench module reads it
 	GenConflicts int64 // pattern-generation conflicts this batch
 
 	Workers int32 // worker count of the run

@@ -14,7 +14,7 @@
 //   - a CDCL SAT solver, Tseitin encoding, SAT sweeping and CEC
 //   - the 42-circuit benchmark suite and the paper's experiment harness
 //
-// All verification entry points have context-aware variants (SweepContext,
+// All verification entry points have context-aware variants (Refine,
 // CECContext, Sweeper.RunContext/RunParallelContext): a deadline or cancel
 // interrupts the SAT solver promptly and yields a partial result with
 // Incomplete/TimedOut accounting. Budget-exhausted pairs climb an
@@ -95,9 +95,6 @@ type (
 	Benchmark = genbench.Benchmark
 	// Refinement is the simulation half of the flow as Refine leaves it.
 	Refinement = sweep.Refinement
-	// OutGoldPolicy selects how OUTgold values are distributed over class
-	// members (the paper's extension hook).
-	OutGoldPolicy = core.OutGoldPolicy
 	// OneDistance is the 1-distance vector baseline (Mishchenko et al.).
 	OneDistance = core.OneDistance
 	// SATVector is the SAT-generated vector baseline (Lee et al. style).
@@ -177,13 +174,6 @@ const (
 	FaultWordAssumeEqual = sweep.FaultWordAssumeEqual
 )
 
-// OUTgold policies.
-const (
-	GoldAlternate = core.GoldAlternate
-	GoldTopology  = core.GoldTopology
-	GoldAdaptive  = core.GoldAdaptive
-)
-
 // Constant AIG literals.
 const (
 	LitFalse = aig.False
@@ -250,13 +240,11 @@ func NewGenerator(net *Network, strategy Strategy, seed int64) *Generator {
 
 // NewSource builds a guided method's vector source by name (simgen,
 // ai+dc+mffc, ai+dc, ai+rd, si+rd, revs, rands), or nil for "none"; it
-// panics on a name CheckMethod rejects.
+// panics on any other name, which Refine and CECOptions.Check reject with
+// an error.
 func NewSource(net *Network, method string, seed int64) VectorSource {
 	return core.NewSource(net, method, seed)
 }
-
-// CheckMethod reports whether NewSource knows the method name.
-func CheckMethod(method string) error { return core.CheckMethod(method) }
 
 // DefaultCECOptions returns the flow's shared defaults, the ones cmd/sweep,
 // cmd/simgen and sweepd start from; CECOptions.Check is their range rule.
@@ -310,16 +298,9 @@ func CleanupAIG(g *AIG) *AIG { return aig.Cleanup(g) }
 // shrinks them (ABC-style "refactor"); node count never grows.
 func Refactor(g *AIG, maxCut int) *AIG { return aig.Refactor(g, maxCut) }
 
-// Rewrite performs NPN-library cut rewriting (ABC-style "rewrite") on
-// single-fanout cones of up to four leaves; node count never grows.
-func Rewrite(g *AIG) *AIG { return aig.Rewrite(g) }
-
-// Optimize runs a synthesis script (passes from "balance", "rewrite",
-// "refactor", "cleanup"); a nil script selects the classic light script.
-func Optimize(g *AIG, script []string) *AIG { return aig.Optimize(g, script) }
-
-// OptimizeFixpoint repeats the script until node count and depth stop
-// improving.
+// OptimizeFixpoint runs a synthesis script (passes from "balance",
+// "rewrite", "refactor", "cleanup"; a nil script selects the classic light
+// script) until node count and depth stop improving.
 func OptimizeFixpoint(g *AIG, script []string, maxRounds int) *AIG {
 	return aig.OptimizeFixpoint(g, script, maxRounds)
 }
@@ -377,13 +358,6 @@ func Sweep(net *Network, classes *Classes, opts SweepOptions) SweepResult {
 	return sweep.New(net, classes, opts).Run()
 }
 
-// SweepContext is Sweep under a context: cancellation or a deadline
-// interrupts the SAT solver promptly and returns the partial result with
-// Incomplete (and TimedOut, for deadlines) set.
-func SweepContext(ctx context.Context, net *Network, classes *Classes, opts SweepOptions) SweepResult {
-	return sweep.New(net, classes, opts).RunContext(ctx)
-}
-
 // NewSweeper returns a sweeping engine whose representative mapping can be
 // inspected after Run.
 func NewSweeper(net *Network, classes *Classes, opts SweepOptions) *Sweeper {
@@ -431,10 +405,6 @@ func TFOMask(net *Network, changed []NodeID) []bool { return pcache.TFOMask(net,
 
 // Benchmarks returns the paper's 42-circuit suite.
 func Benchmarks() []Benchmark { return genbench.Registry() }
-
-// DatapathBenchmarks returns the datapath family (redundant multipliers,
-// adders, shifters, ALUs) that exercises the word-level engine.
-func DatapathBenchmarks() []Benchmark { return genbench.Datapath() }
 
 // LoadBenchmark generates a named benchmark (paper suite or datapath
 // family) and maps it into 6-input LUTs, the preprocessing the paper

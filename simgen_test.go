@@ -167,19 +167,30 @@ func TestFacadeExtensionSources(t *testing.T) {
 	}
 }
 
-func TestFacadeGeneratorOptions(t *testing.T) {
-	net, err := LoadBenchmark("apex2")
+// TestFacadeTracers sweeps a benchmark through a MultiTracer of the three
+// tracers the facade constructs: the collector's report, the metrics
+// snapshot and the sweep result must count the same scheduled obligations,
+// and the JSONL stream must carry events.
+func TestFacadeTracers(t *testing.T) {
+	net, err := LoadBenchmark("pdc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGenerator(net, StrategySimGen, 1)
-	g.GoldPolicy = GoldAdaptive
-	g.Backtrack = 4
+	var buf bytes.Buffer
+	col, jsonl, m := NewCollector(), NewJSONLTracer(&buf), NewMetrics()
 	run := NewRunner(net, 1, 42)
-	before := run.Classes.Cost()
-	run.Run(g, 10)
-	if run.Classes.Cost() > before {
-		t.Fatal("cost increased")
+	res := Sweep(net, run.Classes, SweepOptions{Tracer: MultiTracer(col, jsonl, NewMetricsTracer(m))})
+	if res.Scheduled == 0 {
+		t.Fatal("no obligations scheduled")
+	}
+	if got := col.Report().Obligations.Scheduled; got != res.Scheduled {
+		t.Errorf("report scheduled %d, result %d", got, res.Scheduled)
+	}
+	if got := m.Snapshot()["sweep.obligations"]; got != int64(res.Scheduled) {
+		t.Errorf("metrics sweep.obligations %d, result %d", got, res.Scheduled)
+	}
+	if buf.Len() == 0 || jsonl.Err() != nil {
+		t.Errorf("JSONL stream: %d bytes, error %v", buf.Len(), jsonl.Err())
 	}
 }
 
