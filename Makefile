@@ -86,10 +86,12 @@ cover:
 # cmd/sweep and cmd/simgen alike, instead of running a ladder that resolves
 # nothing or reading the value as another; so must a cmd/simgen -batch
 # below 1, which would generate nothing, an unknown cmd/sweep benchmark,
-# cmd/sweep -base without -cache-dir, and an unknown experiment or a
-# negative iteration count in cmd/experiments, which must fail before any
-# table runs. A Go panic also exits 2, so each leg fails on a panic in its
-# stderr too.
+# cmd/sweep -base without -cache-dir, -benchmark together with a circuit
+# file in either CLI, which would leave the file unread, and an unknown
+# experiment, a negative iteration count or a -benchmarks list that leaves
+# table2big no scaled circuit in cmd/experiments, which must fail before
+# any table runs. A Go panic also exits 2, so each leg fails on a panic in
+# its stderr too.
 .PHONY: smoke
 smoke:
 	@$(GO) build -o .smoke-sweep ./cmd/sweep
@@ -120,8 +122,11 @@ smoke:
 		"simgen -benchmark alu4 -batch -1" \
 		"sweep -benchmark nope" \
 		"sweep -benchmark alu4 -base x.blif" \
+		"sweep -benchmark alu4 x.blif" \
+		"simgen -benchmark alu4 x.blif" \
 		"experiments nope" \
-		"experiments -iterations -1 table1"; do \
+		"experiments -iterations -1 table1" \
+		"experiments -benchmarks pdc table2big"; do \
 		timeout 5 ./.smoke-$$run >/dev/null 2>.smoke-stderr; \
 		code=$$?; \
 		if [ $$code -ne 2 ] || grep -q 'panic:' .smoke-stderr; then \

@@ -22,7 +22,7 @@ var names = []string{"table1", "table2", "table2big", "fig5", "fig6", "fig7", "a
 
 func main() {
 	var (
-		benchList  = flag.String("benchmarks", "", "comma-separated subset of benchmarks (default: all 42)")
+		benchList  = flag.String("benchmarks", "", "comma-separated benchmarks every experiment is restricted to (default: all 42; table2big and fig6 run the scaled circuits built from listed ones, fig7 traces the listed ones instead of apex2 and cps)")
 		iterations = flag.Int("iterations", 20, "guided simulation iterations")
 		seed       = flag.Int64("seed", 20250706, "random seed")
 		fig7Iters  = flag.Int("fig7-iterations", 100, "iterations for figure 7 trajectories")
@@ -53,8 +53,9 @@ func main() {
 }
 
 // check rejects what would otherwise fail, or quietly run nothing, partway
-// through a run: an unknown experiment or benchmark name and a negative
-// iteration count.
+// through a run: an unknown experiment or benchmark name, a -benchmarks
+// list that leaves table2big or fig6 (alone or through all) no scaled
+// circuit, and a negative iteration count.
 func check(cmds []string, cfg experiments.Config, fig7Iters int) error {
 	for _, cmd := range cmds {
 		if !slices.Contains(names, cmd) {
@@ -66,6 +67,15 @@ func check(cmds []string, cfg experiments.Config, fig7Iters int) error {
 			return err
 		}
 	}
+	for _, cmd := range cmds {
+		if (cmd == "table2big" || cmd == "fig6" || cmd == "all") && len(scaledSet(cfg)) == 0 {
+			var base []string
+			for _, sb := range experiments.ScaledSet {
+				base = append(base, sb.Name)
+			}
+			return fmt.Errorf("%s: -benchmarks names no scaled circuit (want one of %s)", cmd, strings.Join(base, ","))
+		}
+	}
 	if cfg.GuidedIterations < 0 {
 		return fmt.Errorf("-iterations must be >= 0, got %d", cfg.GuidedIterations)
 	}
@@ -73,6 +83,30 @@ func check(cmds []string, cfg experiments.Config, fig7Iters int) error {
 		return fmt.Errorf("-fig7-iterations must be >= 0, got %d", fig7Iters)
 	}
 	return nil
+}
+
+// scaledSet returns the ScaledSet entries whose base circuit -benchmarks
+// lists, or all of them without a list.
+func scaledSet(cfg experiments.Config) []experiments.ScaledBenchmark {
+	if cfg.Benchmarks == nil {
+		return experiments.ScaledSet
+	}
+	set := []experiments.ScaledBenchmark{}
+	for _, sb := range experiments.ScaledSet {
+		if slices.Contains(cfg.Benchmarks, sb.Name) {
+			set = append(set, sb)
+		}
+	}
+	return set
+}
+
+// fig7Set returns the circuits Figure 7 traces: the -benchmarks list, or
+// the paper's apex2 and cps without one.
+func fig7Set(cfg experiments.Config) []string {
+	if cfg.Benchmarks != nil {
+		return cfg.Benchmarks
+	}
+	return []string{"apex2", "cps"}
 }
 
 func run(cmd string, cfg experiments.Config, fig7Iters int) error {
@@ -92,7 +126,7 @@ func run(cmd string, cfg experiments.Config, fig7Iters int) error {
 		fmt.Println("== Table 2 (upper): SAT calls and SAT time ==")
 		fmt.Print(experiments.FormatTable2(rows))
 	case "table2big":
-		rows, err := experiments.Table2Scaled(cfg, nil)
+		rows, err := experiments.Table2Scaled(cfg, scaledSet(cfg))
 		if err != nil {
 			return err
 		}
@@ -106,7 +140,7 @@ func run(cmd string, cfg experiments.Config, fig7Iters int) error {
 		fmt.Println("== Figure 5: normalized differences, SimGen vs RevS ==")
 		fmt.Print(experiments.FormatFigure(experiments.FigureRows(rows)))
 	case "fig6":
-		rows, err := experiments.Table2Scaled(cfg, nil)
+		rows, err := experiments.Table2Scaled(cfg, scaledSet(cfg))
 		if err != nil {
 			return err
 		}
@@ -127,7 +161,7 @@ func run(cmd string, cfg experiments.Config, fig7Iters int) error {
 		fmt.Println("== Extension ablation: vector sources (normalized cost) ==")
 		fmt.Print(res.Format())
 	case "fig7":
-		for _, bench := range []string{"apex2", "cps"} {
+		for _, bench := range fig7Set(cfg) {
 			trs, err := experiments.Figure7(bench, fig7Iters, 3, cfg)
 			if err != nil {
 				return err

@@ -103,14 +103,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simgen: -timeout must be positive, got %v\n", *timeout)
 		exit(2)
 	}
-	// The flow's settings, the batch size and the final sweep's engine are
-	// checked before any generation runs.
+	// The flow's settings, the batch size, the circuit arguments and the
+	// final sweep's engine are checked before any generation runs.
 	err = opts.Check()
 	if opts.Method == "none" {
 		err = fmt.Errorf("-method none generates nothing")
 	}
 	if err == nil && *batch < 1 {
 		err = fmt.Errorf("-batch must be >= 1, got %d", *batch)
+	}
+	if err == nil && *benchmark != "" && flag.NArg() > 0 {
+		err = fmt.Errorf("-benchmark takes no circuit file argument")
 	}
 	if err == nil && *engine != "none" {
 		opts.Sweep.Engine, err = simgen.ParseSweepEngine(*engine)

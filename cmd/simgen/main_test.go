@@ -77,6 +77,17 @@ func TestNegativeFlowFlags(t *testing.T) {
 	}
 }
 
+// TestBenchmarkWithCircuitFile checks that -benchmark together with a
+// circuit file argument, which would go unread, is a usage error before
+// any generation runs.
+func TestBenchmarkWithCircuitFile(t *testing.T) {
+	bin := buildSimgen(t)
+	code, out := exitCode(t, bin, "-benchmark", "alu4", "-iterations", "1", "nope.blif")
+	if want := "simgen: -benchmark takes no circuit file argument\n"; code != 2 || out != want {
+		t.Errorf("exit %d, want 2 with %q\n%s", code, want, out)
+	}
+}
+
 // TestCircuitFormats checks that the command reads circuit files by
 // extension: a genbench circuit written as ASCII and binary AIGER runs, and
 // an unknown extension is a usage error.

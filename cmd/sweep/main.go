@@ -115,6 +115,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep: -base requires -cache-dir")
 		exit(exitUsage)
 	}
+	if *benchmark != "" && flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "sweep: -benchmark takes no circuit file argument")
+		exit(exitUsage)
+	}
 
 	ctx := context.Background()
 	if *timeout < 0 {

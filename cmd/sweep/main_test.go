@@ -230,8 +230,10 @@ func TestCircuitFormats(t *testing.T) {
 }
 
 // TestLoadErrors checks that a circuit that cannot be loaded, whether
-// swept, compared or given as -base, and -base without -cache-dir are
-// usage errors (exit 2, as in cmd/simgen), with the command's prefix once.
+// swept, compared or given as -base, -base without -cache-dir and
+// -benchmark together with circuit file arguments (which would go unread)
+// are usage errors (exit 2, as in cmd/simgen), with the command's prefix
+// once.
 func TestLoadErrors(t *testing.T) {
 	bin := buildSweep(t)
 	dir := t.TempDir()
@@ -240,6 +242,7 @@ func TestLoadErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	unsupported := "sweep: unsupported circuit extension \".v\" (want .blif, .bench, .aag or .aig)\n"
+	benchAndFile := "sweep: -benchmark takes no circuit file argument\n"
 	for _, c := range []struct {
 		args []string
 		want string
@@ -248,6 +251,8 @@ func TestLoadErrors(t *testing.T) {
 		{[]string{"-benchmark", "alu4", "-base", "x.blif"}, "sweep: -base requires -cache-dir\n"},
 		{[]string{"-benchmark", "alu4", "-cache-dir", filepath.Join(dir, "cache"), "-base", vPath}, unsupported},
 		{[]string{datapath("cmp16_a"), vPath}, unsupported},
+		{[]string{"-benchmark", "alu4", "nope.blif"}, benchAndFile},
+		{[]string{"-benchmark", "alu4", "nope1.blif", "nope2.blif"}, benchAndFile},
 	} {
 		stdout, stderr := runBoth(t, bin, 2, c.args...)
 		if string(stderr) != c.want || len(stdout) != 0 {

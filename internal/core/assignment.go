@@ -10,11 +10,7 @@
 // decision (heuristic row selection).
 package core
 
-import (
-	"slices"
-
-	"simgen/internal/network"
-)
+import "simgen/internal/network"
 
 // value is a ternary node value.
 type value int8
@@ -36,24 +32,30 @@ func boolValue(b bool) value {
 // checkpoint/undo. The trail is in assignment order, which is what the
 // latestUpdated rule of Algorithm 1 reads.
 //
-// It also keeps each node's ternary state index current: the sum over the
-// node's fanin positions i of digit v+1 (0 unassigned, 1 for 0, 2 for 1)
-// times 3^i, the memo index of the implication kernel. Every set and undo
-// updates the index of each fanout through its fanout refs.
+// It also keeps each node's ternary state index current, the memo index of
+// the implication kernel: for a node of arity k, the sum over its fanin
+// positions i of digit v+1 (0 unassigned, 1 for 0, 2 for 1) times 3^i,
+// plus its own output digit times 3^k. Every set and undo updates the
+// indices that hold the node's digit through its wake list. The index is 0
+// when nothing is assigned, and it stays 0 for a PI and for a node wider
+// than memoArity.
 type assignment struct {
 	vals  []value
 	state []int32
 	trail []network.NodeID
 
-	// The fanout refs of node id are fo[foOff[id]:foOff[id+1]], in
-	// network.Fanouts order: node-ID order, one ref per fanin position.
-	foOff []int32
-	fo    []fanoutRef
+	// The wake list of node id is wake[wakeOff[id]:wakeOff[id+1]]: a self
+	// ref of weight 3^k unless the node is a PI, then its fanout refs in
+	// network.Fanouts order (node-ID order, one ref per fanin position).
+	// The engine enqueues a node's wake list when it assigns the node.
+	wakeOff []int32
+	wake    []wakeRef
 }
 
-// fanoutRef is one fanin position of a fanout node: the node and 3^position,
-// or weight 0 when the node is wider than memoArity and has no index.
-type fanoutRef struct {
+// wakeRef is one node whose index holds a digit of the list's owner: the
+// node and the digit's weight, 3^position for a fanin position and 3^k for
+// the output, or 0 when the node is wider than memoArity and has no index.
+type wakeRef struct {
 	node   network.NodeID
 	weight int32
 }
@@ -62,34 +64,41 @@ type fanoutRef struct {
 func newAssignment(net *network.Network) *assignment {
 	n := net.NumNodes()
 	a := &assignment{
-		vals:  make([]value, n),
-		state: make([]int32, n),
-		foOff: make([]int32, n+1),
+		vals:    make([]value, n),
+		state:   make([]int32, n),
+		wakeOff: make([]int32, n+1),
 	}
+	next := make([]int32, n)
 	for id := range n {
 		a.vals[id] = unassigned
-		a.foOff[id+1] = a.foOff[id] + int32(len(net.Fanouts(network.NodeID(id))))
+		next[id] = a.wakeOff[id]
+		if net.Node(network.NodeID(id)).Kind != network.KindPI {
+			next[id]++ // the self ref's slot
+		}
+		a.wakeOff[id+1] = next[id] + int32(len(net.Fanouts(network.NodeID(id))))
 	}
-	a.fo = make([]fanoutRef, a.foOff[n])
-	next := slices.Clone(a.foOff[:n])
+	a.wake = make([]wakeRef, a.wakeOff[n])
 	for id := range n {
-		fanins := net.Node(network.NodeID(id)).Fanins
+		nd := net.Node(network.NodeID(id))
 		w := int32(1)
-		if len(fanins) > memoArity {
+		if len(nd.Fanins) > memoArity {
 			w = 0
 		}
-		for _, f := range fanins {
-			a.fo[next[f]] = fanoutRef{network.NodeID(id), w}
+		for _, f := range nd.Fanins {
+			a.wake[next[f]] = wakeRef{network.NodeID(id), w}
 			next[f]++
 			w *= 3
+		}
+		if nd.Kind != network.KindPI {
+			a.wake[a.wakeOff[id]] = wakeRef{network.NodeID(id), w}
 		}
 	}
 	return a
 }
 
-// fanouts returns the node's fanout refs.
-func (a *assignment) fanouts(id network.NodeID) []fanoutRef {
-	return a.fo[a.foOff[id]:a.foOff[id+1]]
+// wakes returns the node's wake list.
+func (a *assignment) wakes(id network.NodeID) []wakeRef {
+	return a.wake[a.wakeOff[id]:a.wakeOff[id+1]]
 }
 
 // get returns the node's value and whether it is assigned.
@@ -115,9 +124,9 @@ func (a *assignment) set(id network.NodeID, v bool) {
 	a.trail = append(a.trail, id)
 }
 
-// shift adds digit times each fanout ref's weight to the fanout's index.
+// shift adds digit times each wake ref's weight to the ref's index.
 func (a *assignment) shift(id network.NodeID, digit int32) {
-	for _, r := range a.fanouts(id) {
+	for _, r := range a.wakes(id) {
 		a.state[r.node] += digit * r.weight
 	}
 }
@@ -135,5 +144,12 @@ func (a *assignment) undoTo(mark int) {
 	a.trail = a.trail[:mark]
 }
 
-// reset clears the whole assignment.
-func (a *assignment) reset() { a.undoTo(0) }
+// reset clears the whole assignment. Every index is 0 when nothing is
+// assigned, so it clears the index array instead of undoing the trail.
+func (a *assignment) reset() {
+	for _, id := range a.trail {
+		a.vals[id] = unassigned
+	}
+	clear(a.state)
+	a.trail = a.trail[:0]
+}

@@ -33,6 +33,11 @@ type engine struct {
 	rows *rowCache
 	vals *assignment
 
+	// memo[id] is the memo table of the node's function, indexed by the
+	// node's state index; it is set on the node's first lookup and stays
+	// nil for a node wider than memoArity.
+	memo [][]uint32
+
 	// kind and the fanin lists are flat copies of the network taken at
 	// construction; the fanins of id are fin[finOff[id]:finOff[id+1]].
 	// The network must not change under the engine.
@@ -57,11 +62,14 @@ func newEngine(net *network.Network) *engine {
 	e := &engine{
 		rows:   newRowCache(net),
 		vals:   newAssignment(net),
+		memo:   make([][]uint32, n),
 		queued: make([]bool, n),
 		kind:   make([]network.Kind, n),
 		finOff: make([]int32, n+1),
 	}
-	e.fin = make([]network.NodeID, 0, len(e.vals.fo))
+	// Every fanin position has a fanout ref in some wake list, so the
+	// list's length bounds the fanin count.
+	e.fin = make([]network.NodeID, 0, len(e.vals.wake))
 	for id := range n {
 		nd := net.Node(network.NodeID(id))
 		e.kind[id] = nd.Kind
@@ -83,13 +91,17 @@ func (e *engine) enqueue(id network.NodeID) {
 	}
 }
 
-// assignAndWake sets a node value and schedules every node whose row
-// matching could change: the node itself (its inputs may now be implied
-// backward) and its fanouts (their input values changed).
+// assignAndWake sets an unassigned node's value and schedules every node
+// whose row matching could change, in one pass over the node's wake list:
+// the node itself (its inputs may now be implied backward) and its fanouts
+// (their input values changed). A PI has no self ref, since it has no rows.
 func (e *engine) assignAndWake(id network.NodeID, v bool) {
-	e.vals.set(id, v)
-	e.enqueue(id)
-	for _, r := range e.vals.fanouts(id) {
+	a := e.vals
+	a.vals[id] = boolValue(v)
+	a.trail = append(a.trail, id)
+	digit := int32(boolValue(v)) + 1
+	for _, r := range a.wakes(id) {
+		a.state[r.node] += digit * r.weight
 		e.enqueue(r.node)
 	}
 }
@@ -97,16 +109,14 @@ func (e *engine) assignAndWake(id network.NodeID, v bool) {
 // propagate runs implications to fixpoint starting from the queued nodes.
 // It returns false on conflict (a node whose assignment matches no row).
 // Implications flow both backward (output to inputs) and forward (inputs
-// to output), independently of node levels, per Definition 2.2.
+// to output), independently of node levels, per Definition 2.2. Only wake
+// lists fill the queue, and they name no PI.
 func (e *engine) propagate(strategy ImplicationStrategy) bool {
 	for len(e.queue) > 0 {
 		id := e.queue[len(e.queue)-1]
 		e.queue = e.queue[:len(e.queue)-1]
 		e.queued[id] = false
 
-		if e.kind[id] == network.KindPI {
-			continue
-		}
 		x := e.entry(id)
 		if x.has(entConflict) {
 			e.clearQueue()
@@ -119,9 +129,8 @@ func (e *engine) propagate(strategy ImplicationStrategy) bool {
 		// free output needs no assign.
 		if x.has(entSingle) || strategy == ImplAdvanced {
 			e.implications++
-			outKnown := x.has(entOutAgree) && !e.vals.assigned(id)
-			if x.mask != 0 || outKnown {
-				e.assign(id, outKnown, x.has(entOutVal), uint32(x.mask), uint32(x.val))
+			if x.has(entOutFree) || x.mask() != 0 {
+				e.assign(id, x.has(entOutFree), x.has(entOutVal), x.mask(), x.val())
 			}
 		}
 	}
@@ -149,4 +158,10 @@ func (e *engine) clearQueue() {
 		e.queued[id] = false
 	}
 	e.queue = e.queue[:0]
+}
+
+// reset clears the assignment and the queue.
+func (e *engine) reset() {
+	e.vals.reset()
+	e.clearQueue()
 }

@@ -138,15 +138,18 @@ func refPropagateTied(rows []row, fanins []network.NodeID, in []value, out *valu
 
 // checkState recomputes every node's ternary state index from the node
 // values and the network's fanin lists and compares it with the one the
-// engine's assignment keeps.
+// engine's assignment keeps: the node's own output digit, then its fanin
+// digits, most significant first. A PI and a node wider than memoArity
+// have index 0.
 func checkState(t *testing.T, net *network.Network, e *engine) {
 	t.Helper()
 	for id := range e.vals.state {
-		fanins := net.Node(network.NodeID(id)).Fanins
+		nd := net.Node(network.NodeID(id))
 		want := int32(0)
-		if len(fanins) <= memoArity {
-			for i := len(fanins) - 1; i >= 0; i-- {
-				want = want*3 + int32(e.vals.vals[fanins[i]]+1)
+		if nd.Kind != network.KindPI && len(nd.Fanins) <= memoArity {
+			want = int32(e.vals.vals[id] + 1)
+			for i := len(nd.Fanins) - 1; i >= 0; i-- {
+				want = want*3 + int32(e.vals.vals[nd.Fanins[i]]+1)
 			}
 		}
 		if got := e.vals.state[id]; got != want {
@@ -162,8 +165,8 @@ func entryAsRef(x implEntry) refEntry {
 		justified: x.has(entJustified),
 		outAgree:  x.has(entOutAgree),
 		outVal:    x.has(entOutAgree) && x.has(entOutVal),
-		mask:      uint32(x.mask),
-		val:       uint32(x.val),
+		mask:      x.mask(),
+		val:       x.val(),
 	}
 }
 
@@ -183,8 +186,7 @@ func singleLUT(fn tt.Table) (*network.Network, network.NodeID) {
 // base-3 digits of s (digit 0 unassigned, 1 for 0, 2 for 1; the output
 // last) and sets in to each fanin position's value.
 func setState(e *engine, id network.NodeID, s int, in []value) value {
-	e.vals.reset()
-	e.clearQueue()
+	e.reset()
 	fanins := e.fanins(id)
 	for i, f := range fanins {
 		if j := slices.Index(fanins, f); j < i {
@@ -240,8 +242,12 @@ func checkLUT(t *testing.T, net *network.Network, id network.NodeID, propagate b
 		}
 		want.val &= want.mask
 		for pass := 0; pass < 2; pass++ { // fill, then hit
-			if got := entryAsRef(e.entry(id)); got != want {
+			x := e.entry(id)
+			if got := entryAsRef(x); got != want {
 				t.Fatalf("%v state %d pass %d: entry %+v, reference %+v", fn, s, pass, got, want)
+			}
+			if free := want.outAgree && !want.conflict && out == unassigned; x.has(entOutFree) != free {
+				t.Fatalf("%v state %d pass %d: output-free flag %v, want %v", fn, s, pass, x.has(entOutFree), free)
 			}
 		}
 		if !propagate {
@@ -433,6 +439,65 @@ func TestKernelSharedPerFunction(t *testing.T) {
 	}
 	if v, ok := e.vals.get(c); !ok || v {
 		t.Fatal("g2=0 with b=1 must imply c=0 from g1's memo")
+	}
+	if e.memo[g1] == nil || e.memo[g3] == nil {
+		t.Fatal("a looked-up node has no memo table")
+	}
+	if &e.memo[g1][0] != &e.memo[g2][0] || &e.memo[g1][0] == &e.memo[g3][0] {
+		t.Fatal("memo tables not shared per function")
+	}
+}
+
+// TestEngineReset checks that a reset leaves every value unassigned, every
+// state index 0 and the queue empty, after a trail longer than half the
+// network and after a one-node trail, and that the engine then propagates
+// as a fresh one does.
+func TestEngineReset(t *testing.T) {
+	b, _ := genbench.ByName("alu4")
+	net, err := b.LUTNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pis := net.PIs()
+	// run assigns the first n PIs with propagation, then the last PI
+	// without, so its wake list is still queued, and returns the trail.
+	run := func(e *engine, n int) []network.NodeID {
+		rng := rand.New(rand.NewSource(1))
+		for _, pi := range pis[:n] {
+			if !e.vals.assigned(pi) {
+				e.assignAndWake(pi, rng.Intn(2) == 1)
+				if !e.propagate(ImplAdvanced) {
+					t.Fatal("conflict under PI assignments")
+				}
+			}
+		}
+		e.assignAndWake(pis[len(pis)-1], true)
+		if len(e.queue) == 0 {
+			t.Fatal("nothing queued before the reset")
+		}
+		return slices.Clone(e.vals.trail)
+	}
+	e := newEngine(net)
+	for _, n := range []int{len(pis) - 1, 0} {
+		want := run(newEngine(net), n)
+		if n > 0 && len(want) <= net.NumNodes()/2 {
+			t.Fatalf("trail of %d nodes, want more than half of %d", len(want), net.NumNodes())
+		}
+		run(e, n)
+		e.reset()
+		for id := range net.NumNodes() {
+			if e.vals.vals[id] != unassigned || e.vals.state[id] != 0 || e.queued[id] {
+				t.Fatalf("trail %d: node %d after reset: value %d, index %d, queued %v",
+					len(want), id, e.vals.vals[id], e.vals.state[id], e.queued[id])
+			}
+		}
+		if len(e.queue) != 0 || len(e.vals.trail) != 0 {
+			t.Fatalf("trail %d: queue %d and trail %d long after reset", len(want), len(e.queue), len(e.vals.trail))
+		}
+		if got := run(e, n); !slices.Equal(got, want) {
+			t.Fatalf("trail %d: after reset the trail differs from a fresh engine's", len(want))
+		}
+		checkState(t, net, e)
 	}
 }
 

@@ -55,8 +55,7 @@ func (r *Reverse) GenStats() GenStats {
 // inputs without a conflict.
 func (r *Reverse) VectorForPair(a, b network.NodeID) ([]bool, bool) {
 	e := r.eng
-	e.vals.reset()
-	e.clearQueue()
+	e.reset()
 	r.Attempts++
 
 	e.vals.set(a, false)

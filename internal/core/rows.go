@@ -23,37 +23,40 @@ const memoArity = 6
 // function, so all nodes computing one function of at most memoArity
 // inputs share one rowSet.
 //
-// The memo is indexed by the node's ternary state: fanin position i
-// contributes digit v+1 (0 unassigned, 1 for 0, 2 for 1) times 3^i, and
-// the output's digit picks one of three tables of 3^k entries, each
-// allocated on its first miss.
+// The memo is indexed by the node's ternary state index (see assignment):
+// one table of 3^(k+1) packed entries, allocated whole on its first miss.
 type rowSet struct {
 	rows []row
-	memo [3][]implEntry
+	memo []uint32
 }
 
-// implEntry summarizes the rows consistent with one ternary state: mask
+// implEntry summarizes the rows consistent with one ternary state in one
+// word: flags in bits 0-7, mask in bits 8-23 and val in bits 24-39. mask
 // holds the unassigned input positions every consistent row cares about
-// with the same value, val those values.
-type implEntry struct {
-	mask, val uint16
-	flags     uint8
-}
+// with the same value, val those values. The entry of a node of at most
+// memoArity inputs fits the low 32 bits, which the memo tables hold.
+type implEntry uint64
 
 const (
-	entFilled    uint8 = 1 << iota // memo slot computed
-	entConflict                    // no consistent row
-	entSingle                      // exactly one consistent row
-	entJustified                   // some consistent row has all cared inputs assigned
-	entOutAgree                    // all consistent rows have one output value...
-	entOutVal                      // ...namely 1
+	entFilled    implEntry = 1 << iota // memo slot computed
+	entConflict                        // no consistent row
+	entSingle                          // exactly one consistent row
+	entJustified                       // some consistent row has all cared inputs assigned
+	entOutAgree                        // all consistent rows have one output value...
+	entOutVal                          // ...namely 1
+	entOutFree                         // they agree and the output is unassigned
 )
 
-func (x implEntry) has(f uint8) bool { return x.flags&f != 0 }
+func (x implEntry) has(f implEntry) bool { return x&f != 0 }
+
+func (x implEntry) mask() uint32 { return uint32(x>>8) & 0xffff }
+
+func (x implEntry) val() uint32 { return uint32(x >> 24) }
 
 // fill computes the entry for a state by scanning the rows.
 func (rs *rowSet) fill(st nodeState) implEntry {
-	x := implEntry{flags: entFilled | entOutAgree}
+	flags := entFilled | entOutAgree
+	var mask, val uint32
 	count := 0
 	for i := range rs.rows {
 		r := &rs.rows[i]
@@ -61,30 +64,33 @@ func (rs *rowSet) fill(st nodeState) implEntry {
 			continue
 		}
 		if r.cube.Mask&^st.inMask == 0 {
-			x.flags |= entJustified
+			flags |= entJustified
 		}
 		if count == 0 {
-			x.mask, x.val = uint16(r.cube.Mask), uint16(r.cube.Val)
+			mask, val = r.cube.Mask, r.cube.Val
 			if r.out {
-				x.flags |= entOutVal
+				flags |= entOutVal
 			}
 		} else {
-			if r.out != x.has(entOutVal) {
-				x.flags &^= entOutAgree
+			if r.out != flags.has(entOutVal) {
+				flags &^= entOutAgree
 			}
-			x.mask &^= ^uint16(r.cube.Mask) | (x.val ^ uint16(r.cube.Val))
+			mask &^= ^r.cube.Mask | (val ^ r.cube.Val)
 		}
 		count++
 	}
-	x.mask &^= uint16(st.inMask)
-	x.val &= x.mask
+	mask &^= st.inMask
+	val &= mask
 	switch count {
 	case 0:
-		return implEntry{flags: entFilled | entConflict}
+		return entFilled | entConflict
 	case 1:
-		x.flags |= entSingle
+		flags |= entSingle
 	}
-	return x
+	if flags.has(entOutAgree) && st.out == unassigned {
+		flags |= entOutFree
+	}
+	return flags | implEntry(mask)<<8 | implEntry(val)<<24
 }
 
 // rowCache lazily builds rowSets per node, shared per function.
@@ -146,29 +152,38 @@ func (rc *rowCache) build(id network.NodeID) *rowSet {
 	return rs
 }
 
-// pow3[k] is the size of one output digit's table for arity k.
+// pow3[k] is 3^k, the weight of a k-input node's output digit.
 var pow3 = [memoArity + 1]int{1, 3, 9, 27, 81, 243, 729}
 
-// entry returns the implication entry of the node's current state, from the
-// memo at the node's ternary state index when the arity allows.
+// entry returns the implication entry of the node's current state. A hit
+// reads only the node's memo table and its state index.
 func (e *engine) entry(id network.NodeID) implEntry {
+	tab := e.memo[id]
+	if i := uint(e.vals.state[id]); i < uint(len(tab)) {
+		if x := tab[i]; x != 0 {
+			return implEntry(x)
+		}
+	}
+	return e.fillEntry(id)
+}
+
+// fillEntry is entry's miss path. It fills the entry from the rows, and
+// memoizes it in the table of the node's function when the arity allows,
+// pointing the node at that table on its first miss.
+func (e *engine) fillEntry(id network.NodeID) implEntry {
 	rs := e.rows.of(id)
 	k := int(e.finOff[id+1] - e.finOff[id])
 	if k > memoArity {
 		return rs.fill(e.stateOf(id))
 	}
+	if rs.memo == nil {
+		rs.memo = make([]uint32, 3*pow3[k])
+	}
+	e.memo[id] = rs.memo
 	idx := e.vals.state[id]
-	out := e.vals.vals[id] + 1
-	tab := rs.memo[out]
-	if tab == nil {
-		tab = make([]implEntry, pow3[k])
-		rs.memo[out] = tab
-	}
-	if x := tab[idx]; x.has(entFilled) {
-		return x
-	}
-	st := nodeState{out: out - 1}
-	for i, d := 0, idx; i < k; i, d = i+1, d/3 {
+	var st nodeState
+	d := idx
+	for i := 0; i < k; i, d = i+1, d/3 {
 		if d%3 != 0 {
 			st.inMask |= 1 << uint(i)
 			if d%3 == 2 {
@@ -176,8 +191,10 @@ func (e *engine) entry(id network.NodeID) implEntry {
 			}
 		}
 	}
-	tab[idx] = rs.fill(st)
-	return tab[idx]
+	st.out = value(d) - 1
+	x := rs.fill(st)
+	rs.memo[idx] = uint32(x)
+	return x
 }
 
 // nodeState captures the node's currently assigned fanin values as cube

@@ -111,8 +111,7 @@ func OutGoldPhase(members []network.NodeID, phase bool) ([]network.NodeID, []boo
 // reused by the next call.
 func (g *Generator) VectorForTargets(targets []network.NodeID, gold []bool) ([]bool, []bool, bool) {
 	e := g.eng
-	e.vals.reset()
-	e.clearQueue()
+	e.reset()
 
 	// Order target nodes by decreasing network depth (Alg. 1 line 2).
 	order := g.order[:0]
@@ -203,7 +202,6 @@ func (g *Generator) processTarget(target network.NodeID, want bool) bool {
 		if !e.propagate(g.strategy.Impl) {
 			// Conflict: no backtracking, so the target is abandoned.
 			e.vals.undoTo(mark)
-			e.clearQueue()
 			return false
 		}
 	}

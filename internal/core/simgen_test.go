@@ -309,8 +309,7 @@ func TestDCDecisionPrefersDontCares(t *testing.T) {
 		depths := newMFFCDepths(n)
 		hits := 0
 		for i := 0; i < 400; i++ {
-			e.vals.reset()
-			e.clearQueue()
+			e.reset()
 			e.vals.set(g, true)
 			idx, ok := e.chooseRow(g, strategy, depths, rng)
 			if !ok {
