@@ -74,12 +74,13 @@ cover:
 
 # Deadline smoke test: every engine and both CLIs, each cut by a short
 # wall-clock budget, must come back inside `timeout 5` with a partial
-# result and the undecided exit code (3): the SAT-hard "square" benchmark
+# result and the undecided exit code (3): the SAT-hard "voter" benchmark
 # on the sat engine at workers=1 and 4 and on the word engine, b14_C on
 # the BDD engine, and cmd/simgen's final sweep of voter. Each deadline must
-# fall well inside its run: uncut, square takes about 105 ms of wall on the
-# sat engine at workers=1 and 95 ms on the word engine on a 2-vCPU Xeon, so
-# those two legs get 50 ms.
+# fall well inside its run: uncut, voter takes about 1.9 s of wall on the
+# sat engine at workers=1, 5 s at workers=4 and 2.9 s on the word engine
+# on a 2-vCPU Xeon. The sweep legs need more than 12 inputs (voter has
+# 31): a narrower network is enumerated in milliseconds.
 #
 # Usage legs: a negative escalation count, BDD node limit, conflict budget
 # or iteration count must exit 2 (usage error) without a panic, from
@@ -90,17 +91,19 @@ cover:
 # file in either CLI, which would leave the file unread, and an unknown
 # experiment, a negative iteration count or a -benchmarks list that leaves
 # table2big no scaled circuit in cmd/experiments, which must fail before
-# any table runs. A Go panic also exits 2, so each leg fails on a panic in
-# its stderr too.
+# any table runs; so must cmd/sweep's -reduce, -cache-dir or -base with two
+# circuits, which a CEC would leave unused, and a -reduce file that cannot
+# be created, which must fail before the run. A Go panic also exits 2, so
+# each leg fails on a panic in its stderr too.
 .PHONY: smoke
 smoke:
 	@$(GO) build -o .smoke-sweep ./cmd/sweep
 	@$(GO) build -o .smoke-simgen ./cmd/simgen
 	@$(GO) build -o .smoke-experiments ./cmd/experiments
 	@for run in \
-		"sweep -benchmark square -method none -timeout 50ms -workers 1" \
-		"sweep -benchmark square -method none -timeout 100ms -workers 4" \
-		"sweep -benchmark square -method none -timeout 50ms -engine word" \
+		"sweep -benchmark voter -method none -timeout 50ms -workers 1" \
+		"sweep -benchmark voter -method none -timeout 100ms -workers 4" \
+		"sweep -benchmark voter -method none -timeout 50ms -engine word" \
 		"sweep -benchmark b14_C -method none -timeout 100ms -engine bdd" \
 		"simgen -benchmark voter -iterations 0 -engine sat -timeout 200ms"; do \
 		timeout 5 ./.smoke-$$run >/dev/null; \
@@ -126,18 +129,21 @@ smoke:
 		"simgen -benchmark alu4 x.blif" \
 		"experiments nope" \
 		"experiments -iterations -1 table1" \
-		"experiments -benchmarks pdc table2big"; do \
+		"experiments -benchmarks pdc table2big" \
+		"sweep -reduce .smoke-reduced.blif testdata/datapath/cmp16_a.blif testdata/datapath/cmp16_b.blif" \
+		"sweep -cache-dir .smoke-cache -base testdata/datapath/cmp16_a.blif testdata/datapath/cmp16_a.blif testdata/datapath/cmp16_b.blif" \
+		"sweep -benchmark voter -reduce .smoke-missing/x.blif"; do \
 		timeout 5 ./.smoke-$$run >/dev/null 2>.smoke-stderr; \
 		code=$$?; \
 		if [ $$code -ne 2 ] || grep -q 'panic:' .smoke-stderr; then \
 			echo "smoke: $$run: expected exit 2 (usage error) without a panic, got $$code"; \
 			cat .smoke-stderr; \
-			rm -f .smoke-sweep .smoke-simgen .smoke-experiments .smoke-stderr; \
+			rm -rf .smoke-sweep .smoke-simgen .smoke-experiments .smoke-stderr .smoke-reduced.blif .smoke-cache; \
 			exit 1; \
 		fi; \
 		echo "smoke: $$run: ok (exit 2, usage error)"; \
 	done
-	@rm -f .smoke-sweep .smoke-simgen .smoke-experiments .smoke-stderr
+	@rm -rf .smoke-sweep .smoke-simgen .smoke-experiments .smoke-stderr .smoke-reduced.blif .smoke-cache
 
 # Fuzzing smoke: a short differential+metamorphic campaign (deterministic
 # seed, must be clean), the broken-sweeper self-test (must be caught), and

@@ -40,11 +40,11 @@ const (
 )
 
 // config is the command's settings: the flow's, bound straight to their
-// flags, and where to write the reduced network, keep the proof cache and
-// find the base revision.
+// flags, the file the reduced network goes to (created before the run),
+// and where to keep the proof cache and find the base revision.
 type config struct {
 	flow     simgen.CECOptions
-	reduce   string
+	reduce   *os.File
 	cacheDir string
 	basePath string
 }
@@ -69,7 +69,7 @@ func main() {
 	flag.IntVar(&opts.Workers, "workers", opts.Workers, "parallel sweep workers (0 = GOMAXPROCS)")
 	engine := flag.String("engine", opts.Sweep.Engine.String(), "verification engine: sat|bdd|portfolio|word")
 	flag.BoolVar(&opts.Sweep.WordStage, "word", opts.Sweep.WordStage, "insert the word-level proving stage into the portfolio (structure detection + frontier learning)")
-	flag.StringVar(&cfg.reduce, "reduce", "", "write the swept (merged) network to this BLIF file")
+	reduce := flag.String("reduce", "", "write the swept (merged) network to this BLIF file")
 	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "persistent verification cache directory (verdicts and simulation patterns)")
 	flag.StringVar(&cfg.basePath, "base", "", "previous revision's circuit file: sweep incrementally, scheduling only the diff's fanout (requires -cache-dir)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -111,20 +111,44 @@ func main() {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 
-	if cfg.basePath != "" && cfg.cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "sweep: -base requires -cache-dir")
-		exit(exitUsage)
-	}
 	if *benchmark != "" && flag.NArg() > 0 {
 		fmt.Fprintln(os.Stderr, "sweep: -benchmark takes no circuit file argument")
 		exit(exitUsage)
 	}
-
-	ctx := context.Background()
+	if *benchmark == "" && (flag.NArg() == 0 || flag.NArg() > 2) {
+		fmt.Fprintln(os.Stderr, "usage: sweep [flags] circuit | sweep [flags] a b | sweep [flags] -benchmark name")
+		exit(exitUsage)
+	}
+	cec := flag.NArg() == 2
+	if cec {
+		// A CEC reduces no network, keeps no proof cache and has no base
+		// revision: these flags would go unused.
+		for _, f := range []struct{ name, val string }{
+			{"-reduce", *reduce}, {"-cache-dir", cfg.cacheDir}, {"-base", cfg.basePath},
+		} {
+			if f.val != "" {
+				fmt.Fprintf(os.Stderr, "sweep: %s applies to a sweep, not to the CEC of two circuits\n", f.name)
+				exit(exitUsage)
+			}
+		}
+	}
+	if cfg.basePath != "" && cfg.cacheDir == "" {
+		fmt.Fprintln(os.Stderr, "sweep: -base requires -cache-dir")
+		exit(exitUsage)
+	}
 	if *timeout < 0 {
 		fmt.Fprintf(os.Stderr, "sweep: -timeout must be positive, got %v\n", *timeout)
 		exit(exitUsage)
 	}
+	if *reduce != "" {
+		// Created with the other outputs, so a bad path fails before the run.
+		if cfg.reduce, err = os.Create(*reduce); err != nil {
+			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+			exit(exitUsage)
+		}
+	}
+
+	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -132,14 +156,10 @@ func main() {
 	}
 
 	var code int
-	switch {
-	case *benchmark != "" || flag.NArg() == 1:
-		code, err = runSweep(ctx, *benchmark, flag.Args(), cfg)
-	case flag.NArg() == 2:
+	if cec {
 		code, err = runCEC(ctx, flag.Arg(0), flag.Arg(1), cfg)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: sweep [flags] circuit | sweep [flags] a b | sweep [flags] -benchmark name")
-		exit(exitUsage)
+	} else {
+		code, err = runSweep(ctx, *benchmark, flag.Args(), cfg)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
@@ -207,18 +227,28 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 		return exitFail, err
 	}
 	fmt.Printf("circuit: %s (%s)\n", net.Name, net.Stats())
-	fmt.Printf("after random simulation: cost %d\n", ref.InitialCost)
-	if ref.Replayed > 0 {
-		fmt.Printf("cache: replayed %d pattern batches: cost %d\n", ref.Replayed, ref.ReplayCost)
+	if ref.Exact() {
+		// Every input assignment was simulated: the classes are exact, so
+		// no random round, replay or guided iteration ran.
+		fmt.Printf("after exhaustive simulation (%d vectors): cost %d\n", 1<<net.NumPIs(), ref.InitialCost)
+		fmt.Printf("guided: 0 of %d iterations (%s)\n", opts.GuidedIterations, ref.Run.Stopped())
+	} else {
+		fmt.Printf("after random simulation: cost %d\n", ref.InitialCost)
+		if ref.Replayed > 0 {
+			fmt.Printf("cache: replayed %d pattern batches: cost %d\n", ref.Replayed, ref.ReplayCost)
+		}
+		if opts.Method != "none" {
+			fmt.Printf("guided: %d of %d iterations (%s)\n", len(ref.Guided), opts.GuidedIterations, ref.Run.Stopped())
+		}
+		fmt.Printf("after guided simulation (%s): cost %d\n", opts.Method, ref.Run.Classes.Cost())
 	}
-	if opts.Method != "none" {
-		fmt.Printf("guided: %d of %d iterations (%s)\n", len(ref.Guided), opts.GuidedIterations, ref.Run.Stopped())
-	}
-	fmt.Printf("after guided simulation (%s): cost %d\n", opts.Method, ref.Run.Classes.Cost())
 
 	sw := simgen.NewSweeper(net, ref.Run.Classes, opts.Sweep)
 	res := sw.RunParallelContext(ctx, opts.Workers)
 	fmt.Printf("%s sweeping: %s\n", opts.Sweep.Engine, res)
+	if ref.Exact() {
+		fmt.Printf("enumerated %d equivalences with no engine call\n", res.Enumerated)
+	}
 	fmt.Printf("proved %d equivalences, disproved %d pairs, final cost %d\n",
 		res.Proved, res.Disproved, res.FinalCost)
 	code := exitOK
@@ -228,17 +258,15 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 		code = exitUndecided
 	}
 
-	if cfg.reduce != "" {
+	if cfg.reduce != nil {
 		merged := simgen.ApplySweep(net, sw.Rep)
-		f, err := os.Create(cfg.reduce)
-		if err != nil {
+		if err := simgen.WriteBLIF(cfg.reduce, merged); err != nil {
 			return exitFail, err
 		}
-		defer f.Close()
-		if err := simgen.WriteBLIF(f, merged); err != nil {
+		if err := cfg.reduce.Close(); err != nil {
 			return exitFail, err
 		}
-		fmt.Printf("reduced network: %s -> %s (%s)\n", net.Stats(), merged.Stats(), cfg.reduce)
+		fmt.Printf("reduced network: %s -> %s (%s)\n", net.Stats(), merged.Stats(), cfg.reduce.Name())
 	}
 	if store != nil {
 		eq, neq, pats, evicted := store.Counts()

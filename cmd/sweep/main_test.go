@@ -72,7 +72,8 @@ func datapath(name string) string {
 // TestGolden pins what the command prints and traces on fixed seeds: stdout
 // with durations masked, and the -trace stream without its wall-clock
 // fields. The runs cover sweep mode with each guided method, the portfolio
-// with the word stage, a cold then warm proof cache, and CEC.
+// with the word stage, a cold then warm proof cache, CEC, and a network
+// narrow enough to enumerate (square, 10 inputs).
 //
 // Regenerate with: go test ./cmd/sweep -run TestGolden -update
 func TestGolden(t *testing.T) {
@@ -95,6 +96,7 @@ func TestGolden(t *testing.T) {
 		{"cec_cmp16", 0, []string{datapath("cmp16_a"), datapath("cmp16_b")}},
 		{"cec_mul8x8_neq", 1, []string{"-engine", "portfolio", "-word",
 			datapath("mul8x8_a"), datapath("mul8x8_neq")}},
+		{"square_enumerated", 0, []string{"-benchmark", "square"}},
 	}
 	for _, c := range cases {
 		trace := filepath.Join(t.TempDir(), "trace.jsonl")
@@ -230,10 +232,12 @@ func TestCircuitFormats(t *testing.T) {
 }
 
 // TestLoadErrors checks that a circuit that cannot be loaded, whether
-// swept, compared or given as -base, -base without -cache-dir and
-// -benchmark together with circuit file arguments (which would go unread)
-// are usage errors (exit 2, as in cmd/simgen), with the command's prefix
-// once.
+// swept, compared or given as -base, -base without -cache-dir,
+// -benchmark together with circuit file arguments (which would go unread),
+// -reduce, -cache-dir or -base with two circuits (a CEC, which uses none of
+// them) and a -reduce file that cannot be created are usage errors (exit
+// 2, as in cmd/simgen), with the command's prefix once, before any work:
+// nothing on stdout, and no reduced network or cache left behind.
 func TestLoadErrors(t *testing.T) {
 	bin := buildSweep(t)
 	dir := t.TempDir()
@@ -243,6 +247,12 @@ func TestLoadErrors(t *testing.T) {
 	}
 	unsupported := "sweep: unsupported circuit extension \".v\" (want .blif, .bench, .aag or .aig)\n"
 	benchAndFile := "sweep: -benchmark takes no circuit file argument\n"
+	cecFlag := func(name string) string {
+		return "sweep: " + name + " applies to a sweep, not to the CEC of two circuits\n"
+	}
+	reduced, cache := filepath.Join(dir, "reduced.blif"), filepath.Join(dir, "cec-cache")
+	missing := filepath.Join(dir, "missing", "x.blif")
+	cmpA, cmpB := datapath("cmp16_a"), datapath("cmp16_b")
 	for _, c := range []struct {
 		args []string
 		want string
@@ -253,10 +263,20 @@ func TestLoadErrors(t *testing.T) {
 		{[]string{datapath("cmp16_a"), vPath}, unsupported},
 		{[]string{"-benchmark", "alu4", "nope.blif"}, benchAndFile},
 		{[]string{"-benchmark", "alu4", "nope1.blif", "nope2.blif"}, benchAndFile},
+		{[]string{"-reduce", reduced, cmpA, cmpB}, cecFlag("-reduce")},
+		{[]string{"-cache-dir", cache, cmpA, cmpB}, cecFlag("-cache-dir")},
+		{[]string{"-cache-dir", cache, "-base", cmpA, cmpA, cmpB}, cecFlag("-cache-dir")},
+		{[]string{"-base", cmpA, cmpA, cmpB}, cecFlag("-base")},
+		{[]string{"-benchmark", "voter", "-reduce", missing}, "sweep: open " + missing + ": no such file or directory\n"},
 	} {
 		stdout, stderr := runBoth(t, bin, 2, c.args...)
 		if string(stderr) != c.want || len(stdout) != 0 {
 			t.Errorf("sweep %v: stderr %q, stdout %q; want stderr %q and no output", c.args, stderr, stdout, c.want)
+		}
+	}
+	for _, path := range []string{reduced, cache} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("a rejected CEC left %s behind (stat error %v)", path, err)
 		}
 	}
 }

@@ -170,3 +170,47 @@ func TestRunContextCancelled(t *testing.T) {
 		t.Errorf("source called %d times after the cancel, want 3", src.calls)
 	}
 }
+
+// TestRunContextExact checks that the guided driver does nothing on an
+// exact partition: an exhaustive runner stops with StopExact before any
+// call, and RunContext returns at once without calling its source, leaving
+// the classes and the elapsed time as they were.
+func TestRunContextExact(t *testing.T) {
+	net := network.New("buffers")
+	for i := 0; i < 8; i++ {
+		net.AddPO("", net.AddLUT("", []network.NodeID{net.AddPI("")}, tt.Var(1, 0)))
+	}
+	net.AddPO("", net.AddLUT("", []network.NodeID{net.PIs()[0]}, tt.Var(1, 0)))
+	r := NewExhaustiveRunner(net)
+	if !r.Classes.Exact() || r.Stopped() != StopExact || r.Classes.Cost() != 1 {
+		t.Fatalf("exhaustive runner: exact %v, stopped %v, cost %d; want true, %v, 1",
+			r.Classes.Exact(), r.Stopped(), r.Classes.Cost(), StopExact)
+	}
+	if got := StopExact.String(); got != "partition exact" {
+		t.Errorf("StopExact prints %q", got)
+	}
+	elapsed := r.Elapsed()
+	src := &scriptedSource{npi: 8, script: []int{stepSplit}}
+	calls := 0
+	r.OnIteration = func(IterationStat, [][]bool, int) { calls++ }
+	if stats := r.RunContext(context.Background(), src, 10); len(stats) != 0 {
+		t.Errorf("%d iterations on an exact partition", len(stats))
+	}
+	if src.calls != 0 || calls != 0 || r.Stopped() != StopExact {
+		t.Errorf("source called %d times, hook %d times, stopped by %v", src.calls, calls, r.Stopped())
+	}
+	if r.Classes.Cost() != 1 || r.Elapsed() != elapsed {
+		t.Errorf("cost %d, elapsed %v after the call; want 1, %v", r.Classes.Cost(), r.Elapsed(), elapsed)
+	}
+
+	// A random start is never exact, even on a network whose few inputs
+	// one round covers, so the driver still runs there.
+	rr := NewRunner(net, 8, 1)
+	if rr.Classes.Exact() {
+		t.Fatal("NewRunner made an exact partition")
+	}
+	rr.RunContext(context.Background(), &scriptedSource{npi: 8, script: []int{stepFlat, stepFlat, stepFlat}}, 3)
+	if rr.Stopped() == StopExact {
+		t.Error("random start stopped as exact")
+	}
+}

@@ -103,9 +103,12 @@ const (
 	StopFlat
 	// StopContext: the context was cancelled or passed its deadline.
 	StopContext
+	// StopExact: the partition is exact (sim.Classes.Exact), so no vector
+	// can split a class and no iteration ran.
+	StopExact
 )
 
-var stopNames = [...]string{"iteration limit", fmt.Sprintf("cost flat for %d", patience), "deadline"}
+var stopNames = [...]string{"iteration limit", fmt.Sprintf("cost flat for %d", patience), "deadline", "partition exact"}
 
 func (s StopReason) String() string { return stopNames[s] }
 
@@ -120,16 +123,31 @@ func NewRunner(net *network.Network, randRounds int, seed int64) *Runner {
 	start := time.Now()
 	simulator := sim.NewSimulator(net)
 	inputs := sim.RandomInputs(net, randRounds, rng)
-	vals := simulator.Simulate(inputs, randRounds)
-	r := &Runner{
+	return newRunner(net, simulator, sim.NewClasses(net, simulator.Simulate(inputs, randRounds)), start)
+}
+
+// NewExhaustiveRunner creates a runner whose classes come from one
+// simulation of every input assignment (sim.ExactClasses), so they are
+// exact: RunContext has nothing to generate and stops with StopExact. The
+// simulation takes 1 << max(0, n-6) words per node for n inputs; the
+// caller picks the cutoff.
+func NewExhaustiveRunner(net *network.Network) *Runner {
+	start := time.Now()
+	simulator := sim.NewSimulator(net)
+	r := newRunner(net, simulator, sim.ExactClasses(net, simulator), start)
+	r.stopped = StopExact
+	return r
+}
+
+func newRunner(net *network.Network, simulator *sim.Simulator, classes *sim.Classes, start time.Time) *Runner {
+	return &Runner{
 		Net:       net,
-		Classes:   sim.NewClasses(net, vals),
+		Classes:   classes,
 		BatchSize: 64,
 		sim:       simulator,
 		tr:        obs.Nop,
+		elapsed:   time.Since(start),
 	}
-	r.elapsed = time.Since(start)
-	return r
 }
 
 // SetTracer routes the runner's per-iteration simulation-batch events to t;
@@ -214,8 +232,14 @@ func (r *Runner) Run(src VectorSource, n int) []IterationStat {
 // or a passed deadline also ends the run. It returns the statistics of the
 // iterations that completed, which for a given source and seed are always
 // a prefix of what n calls of Step would produce; Stopped says which rule
-// ended the run. n <= 0 runs no iteration and stops on the limit.
+// ended the run. n <= 0 runs no iteration and stops on the limit. On an
+// exact partition it returns at once, calls no source and stops with
+// StopExact.
 func (r *Runner) RunContext(ctx context.Context, src VectorSource, n int) []IterationStat {
+	if r.Classes.Exact() {
+		r.stopped = StopExact
+		return nil
+	}
 	stats := make([]IterationStat, 0, max(n, 0))
 	r.stopped = StopLimit
 	cost, flat := r.Classes.Cost(), 0
@@ -244,5 +268,6 @@ func (r *Runner) RunContext(ctx context.Context, src VectorSource, n int) []Iter
 	return stats
 }
 
-// Stopped reports why the last RunContext call ended.
+// Stopped reports why the last RunContext call ended; a runner built by
+// NewExhaustiveRunner reports StopExact before any call.
 func (r *Runner) Stopped() StopReason { return r.stopped }

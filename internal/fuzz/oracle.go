@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -211,6 +212,23 @@ func runEngines(net *network.Network, cfg Config) []engineRun {
 		unresolved: portRes.Unresolved, incomplete: portRes.Incomplete,
 	})
 
+	// The production flow, as cmd/sweep and sweepd run it: sweep.Refine,
+	// then the sweep. On a network of at most prover.DefaultSimPIs inputs
+	// Refine enumerates, and the sweep merges every class without an
+	// engine call, so this arm holds those merges to ground truth.
+	flow := sweep.DefaultCECOptions()
+	flow.Sweep, flow.Seed = cfg.SweepOpts, cfg.Seed
+	ref, err := sweep.Refine(context.Background(), net, flow)
+	if err != nil {
+		panic(fmt.Sprintf("fuzz: the production flow refused the sweep options: %v", err))
+	}
+	prod := sweep.New(net, ref.Run.Classes, cfg.SweepOpts)
+	prodRes := prod.Run()
+	runs = append(runs, engineRun{
+		name: "production", rep: prod.Rep,
+		unresolved: prodRes.Unresolved, incomplete: prodRes.Incomplete,
+	})
+
 	if cfg.WordEngines {
 		wordOpts := cfg.SweepOpts
 		wordOpts.Engine = sweep.EngineWord
@@ -247,7 +265,8 @@ func runEngines(net *network.Network, cfg Config) []engineRun {
 	return runs
 }
 
-// CheckDifferential runs the circuit through every engine and fails on any
+// CheckDifferential runs the circuit through every engine, and through the
+// production flow (sweep.Refine, then the sweep), and fails on any
 // disagreement with exhaustive simulation:
 //
 //   - an engine left pairs unresolved or incomplete despite unlimited

@@ -108,6 +108,8 @@ func (c *Collector) Emit(ev Event) {
 		r.Word.Bits += int(ev.WordBits)
 	case KindWordFrontier:
 		r.Word.FrontierProofs++
+	case KindEnumerate:
+		r.Enumerated += int(ev.Merges)
 	case KindPoolFlush:
 		r.Pool.Flushes++
 		r.Pool.Lanes += int(ev.Lanes)
@@ -225,6 +227,9 @@ type Report struct {
 	// Prove calls: ProveTime / (Wall * Workers). 0 when no work ran.
 	Utilization float64 `json:"utilization"`
 	FinalCost   int64   `json:"final_cost"`
+	// Enumerated counts the members of an exact partition's classes merged
+	// into their representatives without an engine call.
+	Enumerated int `json:"enumerated,omitempty"`
 }
 
 // Report renders the aggregated state. It may be called repeatedly; the
@@ -279,6 +284,11 @@ func (r *Report) counters(put func(name string, v int64)) {
 	put("word.detections", int64(r.Word.Detections))
 	put("word.bits", int64(r.Word.Bits))
 	put("word.frontier_proofs", int64(r.Word.FrontierProofs))
+	if r.Enumerated > 0 {
+		// Like the per-engine rows below, present only once a run has
+		// enumerated a merge.
+		put("sweep.enumerated", int64(r.Enumerated))
+	}
 	var conflicts, props int64
 	for _, e := range r.Engines {
 		put("prove."+e.Name+".total", int64(e.Proves))
@@ -314,6 +324,9 @@ func (r Report) Format() string {
 	}
 	if r.Perturbs > 0 {
 		fmt.Fprintf(&b, "chaos: %d perturbations injected\n", r.Perturbs)
+	}
+	if r.Enumerated > 0 {
+		fmt.Fprintf(&b, "enumerated: %d pairs merged by exhaustive simulation, no engine call\n", r.Enumerated)
 	}
 	if r.Cache.Probes > 0 || r.Cache.Evictions > 0 {
 		fmt.Fprintf(&b, "cache: %d probes = %d hits + %d misses (%d revalidation failures, %d evictions)\n",

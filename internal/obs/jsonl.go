@@ -122,6 +122,9 @@ func (t *JSONL) Emit(ev Event) {
 	case KindWordFrontier:
 		b = appendPair(b, ev)
 		b = appendOptField(b, "slice", int64(ev.Rung))
+	case KindEnumerate:
+		b = appendField(b, "pis", int64(ev.PIs))
+		b = appendField(b, "merges", int64(ev.Merges))
 	case KindSimBatch:
 		b = appendField(b, "iter", int64(ev.Iter))
 		b = appendField(b, "vectors", int64(ev.Vectors))

@@ -27,6 +27,7 @@ func sampleEvents() []Event {
 		{Kind: KindPerturb, Worker: 1, Point: "claim", Act: "yield", A: 14, B: 15},
 		{Kind: KindResolve, Worker: 1, Class: 4, A: 10, B: 11, Verdict: VerdictEqual},
 		{Kind: KindPoolFlush, Lanes: 9, Splits: 4, Dropped: 1, Dur: time.Microsecond},
+		{Kind: KindEnumerate, PIs: 10, Merges: 130, Dur: time.Microsecond},
 		{Kind: KindSweepDone, Cost: 42, Dur: time.Second},
 	}
 }
@@ -114,6 +115,11 @@ func TestJSONLExactEncoding(t *testing.T) {
 			`{"k":"requeue","seq":0,"class":5,"a":14,"b":15,"retries":1}`},
 		{Event{Kind: KindPerturb, Worker: 2, Point: "verdict", Act: "fail", A: 14, B: 15},
 			`{"k":"perturb","seq":0,"worker":2,"point":"verdict","act":"fail","a":14,"b":15}`},
+		{Event{Kind: KindEnumerate, PIs: 10, Merges: 130, Dur: time.Millisecond},
+			`{"k":"enumerate","seq":0,"pis":10,"merges":130}`},
+		// An enumeration that merged nothing still says so.
+		{Event{Kind: KindEnumerate, PIs: 3},
+			`{"k":"enumerate","seq":0,"pis":3,"merges":0}`},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer

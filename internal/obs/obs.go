@@ -116,6 +116,11 @@ const (
 	// learned into the shared solver ahead of a wide word miter (A, B,
 	// Rung=slice index).
 	KindWordFrontier
+	// KindEnumerate records the scheduler merging every class of an exact
+	// partition, one built from every input assignment, before any worker
+	// starts (PIs=the network's inputs, Merges=members merged into their
+	// representatives, Dur). No engine runs for these merges.
+	KindEnumerate
 
 	numKinds
 )
@@ -143,6 +148,8 @@ var kindNames = [numKinds]string{
 
 	KindWordDetect:   "word_detect",
 	KindWordFrontier: "word_frontier",
+
+	KindEnumerate: "enumerate",
 }
 
 func (k Kind) String() string {
@@ -205,6 +212,9 @@ type Event struct {
 
 	Words    int32 // word-detect candidate words
 	WordBits int32 // word-detect member bits across all candidates
+
+	PIs    int32 // primary inputs of an enumerated network
+	Merges int32 // members an enumeration merged into their representatives
 
 	Retries int32  // requeue ordinal: the pair's retry count at this event
 	Point   string // chaos decision point of a perturb event

@@ -40,18 +40,20 @@ func benchNetwork(t *testing.T, name string) *network.Network {
 	return net
 }
 
-// runInstrumented runs the guided-simulation + portfolio-sweep pipeline on
-// the network with the tracer attached everywhere the CLI would attach it.
-// iters is the number of guided iterations the driver made (at most
-// reportIters).
+// runInstrumented runs the production flow, sweep.Refine's guided
+// simulation (or enumeration, at 12 inputs or fewer) and a portfolio
+// sweep, on the network with the tracer attached everywhere the CLI would
+// attach it. iters is the number of guided iterations the driver made (at
+// most reportIters).
 func runInstrumented(net *network.Network, workers int, tr obs.Tracer) (res sweep.Result, iters int) {
-	runner := core.NewRunner(net, 1, reportSeed)
-	runner.SetTracer(tr)
-	iters = len(runner.Run(core.NewGenerator(net, core.StrategySimGen, reportSeed+1), reportIters))
-	sw := sweep.New(net, runner.Classes, sweep.Options{
-		Engine: sweep.EnginePortfolio,
-		Tracer: tr,
-	})
+	opts := sweep.Options{Engine: sweep.EnginePortfolio, Tracer: tr}
+	ref, err := sweep.Refine(context.Background(), net, sweep.CECOptions{Sweep: opts,
+		GuidedIterations: reportIters, Method: "simgen", Seed: reportSeed})
+	if err != nil {
+		panic(err)
+	}
+	iters = len(ref.Guided)
+	sw := sweep.New(net, ref.Run.Classes, opts)
 	if workers > 1 {
 		return sw.RunParallel(workers), iters
 	}
@@ -59,7 +61,9 @@ func runInstrumented(net *network.Network, workers int, tr obs.Tracer) (res swee
 }
 
 func TestReportMatchesResult(t *testing.T) {
-	for _, bench := range []string{"alu4", "log2"} {
+	// sin has 8 inputs: Refine enumerates it and the sweep merges every
+	// class without an engine.
+	for _, bench := range []string{"alu4", "log2", "sin"} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", bench, workers), func(t *testing.T) {
 				net := benchNetwork(t, bench)
@@ -154,6 +158,9 @@ func TestReportMatchesResult(t *testing.T) {
 				if rep.FinalCost != int64(res.FinalCost) {
 					t.Errorf("final cost: report %d, result %d", rep.FinalCost, res.FinalCost)
 				}
+				if rep.Enumerated != res.Enumerated || (res.Enumerated > 0) != (net.NumPIs() <= 12) {
+					t.Errorf("enumerated: report %d, result %d, on %d inputs", rep.Enumerated, res.Enumerated, net.NumPIs())
+				}
 
 				// Cache counters: the event-derived report view must agree
 				// with the Result, and a cache-off run must report zero
@@ -194,8 +201,8 @@ func TestReportMatchesResult(t *testing.T) {
 				if rep.Gen.Batches != iters {
 					t.Errorf("gen batches: report %d, ran %d iterations", rep.Gen.Batches, iters)
 				}
-				if rep.Gen.Implications <= 0 {
-					t.Error("guided generation reported no implication work")
+				if (rep.Gen.Implications > 0) != (iters > 0) {
+					t.Errorf("guided generation reported %d implications over %d iterations", rep.Gen.Implications, iters)
 				}
 			})
 		}

@@ -13,10 +13,17 @@ import (
 //
 // Classes only ever refine: once two nodes are separated they can never
 // rejoin, mirroring the monotone partition refinement of sweeping tools.
+//
+// A partition built from every input assignment (ExactClasses) is exact:
+// its classes are the nodes' functional equivalence classes, so every
+// member of a class is proved equal to the others by the simulation
+// itself. Later refinement cannot split such a class, and Clone, Refine,
+// RefineN, Remove and Settle keep the flag.
 type Classes struct {
 	net     *network.Network
 	classOf []int32 // per node; -1 when not classified
 	members [][]network.NodeID
+	exact   bool // built from every input assignment (ExactClasses)
 
 	// Maintained non-singleton bookkeeping: ns holds the indices of
 	// classes with >= 2 members (unordered); nsPos[ci] is ci's position in
@@ -35,7 +42,8 @@ func classified(net *network.Network, id network.NodeID) bool {
 }
 
 // NewClasses builds the initial partition from one round of simulation
-// values: nodes with identical words share a class.
+// values: nodes with identical words share a class. The partition is never
+// Exact, whatever vectors vals hold.
 func NewClasses(net *network.Network, vals Values) *Classes {
 	c := &Classes{
 		net:     net,
@@ -77,6 +85,23 @@ func NewClasses(net *network.Network, vals Values) *Classes {
 	c.nsDirty = true
 	return c
 }
+
+// ExactClasses simulates every assignment of net's primary inputs
+// (ExhaustiveInputs) through s, a simulator compiled for net, and
+// partitions the nodes by their complete truth tables; the result is
+// Exact. The simulation takes 1 << max(0, n-6) words per node for n
+// inputs, so the caller picks the cutoff; like ExhaustiveInputs it panics
+// above MaxExhaustivePIs.
+func ExactClasses(net *network.Network, s *Simulator) *Classes {
+	inputs, nwords := ExhaustiveInputs(net)
+	c := NewClasses(net, s.Simulate(inputs, nwords))
+	c.exact = true
+	return c
+}
+
+// Exact reports whether the partition was built from every input
+// assignment, so that each class holds exactly the nodes of one function.
+func (c *Classes) Exact() bool { return c.exact }
 
 // exactGroups splits a hash bucket into groups with exactly equal words.
 // Retained for NewClasses (buckets are tiny there) and as the reference
@@ -316,6 +341,7 @@ func (c *Classes) Clone() *Classes {
 		net:     c.net,
 		classOf: append([]int32(nil), c.classOf...),
 		members: make([][]network.NodeID, len(c.members)),
+		exact:   c.exact,
 		ns:      append([]int(nil), c.ns...),
 		nsPos:   append([]int32(nil), c.nsPos...),
 		nsDirty: true,
@@ -324,6 +350,25 @@ func (c *Classes) Clone() *Classes {
 		cp.members[i] = append([]network.NodeID(nil), m...)
 	}
 	return cp
+}
+
+// Settle drops every member of class ci but its first, the representative,
+// as Remove would one at a time, and returns the dropped members. It takes
+// time linear in the class size; the returned slice shares the class's
+// old member slice, which stays unmodified, so earlier Members snapshots
+// are unaffected. Callers must not modify it.
+func (c *Classes) Settle(ci int) []network.NodeID {
+	m := c.members[ci]
+	if len(m) < 2 {
+		return nil
+	}
+	for _, id := range m[1:] {
+		c.classOf[id] = -1
+	}
+	c.members[ci] = m[:1:1]
+	c.nsRemove(ci)
+	c.nsDirty = true
+	return m[1:]
 }
 
 // Remove drops a node from its class (after it has been merged away during

@@ -327,3 +327,89 @@ func TestRefineKeepsEquivalentPairTogether(t *testing.T) {
 		t.Fatalf("cost %d erased the equivalent pair", cls.Cost())
 	}
 }
+
+// exactTestNet builds an 8-input network (four words per node when
+// enumerated) with twins g and h, and a pair p, q that differ only when
+// x6 and x7 are both 1, i.e. only in the last exhaustive word.
+func exactTestNet() (*network.Network, map[string]network.NodeID) {
+	n := network.New("exact")
+	var x [8]network.NodeID
+	for i := range x {
+		x[i] = n.AddPI("")
+	}
+	and2 := tt.Var(2, 0).And(tt.Var(2, 1))
+	g := n.AddLUT("g", []network.NodeID{x[0], x[7]}, and2)
+	h := n.AddLUT("h", []network.NodeID{x[7], x[0]}, and2)
+	p := n.AddLUT("p", []network.NodeID{x[0], x[1]}, and2)
+	// q = x0 & x1 & !(x6 & x7)
+	qf := tt.Var(4, 0).And(tt.Var(4, 1)).And(tt.Var(4, 2).And(tt.Var(4, 3)).Not())
+	q := n.AddLUT("q", []network.NodeID{x[0], x[1], x[6], x[7]}, qf)
+	for _, id := range []network.NodeID{g, h, p, q} {
+		n.AddPO("", id)
+	}
+	return n, map[string]network.NodeID{"g": g, "h": h, "p": p, "q": q}
+}
+
+// TestExactClasses checks that only the exhaustive constructor makes an
+// exact partition, that its classes are exactly the nodes' functions (the
+// reference evaluator's truth tables), and that Clone, Refine, RefineN,
+// Remove and Settle keep the flag without splitting a class.
+func TestExactClasses(t *testing.T) {
+	n, ids := exactTestNet()
+	rng := rand.New(rand.NewSource(7))
+	if c := NewClasses(n, Simulate(n, RandomInputs(n, 4, rng), 4)); c.Exact() {
+		t.Fatal("NewClasses made an exact partition")
+	}
+	inputs, nwords := ExhaustiveInputs(n)
+	if nwords != 4 {
+		t.Fatalf("8 inputs enumerate in %d words, want 4", nwords)
+	}
+	c := ExactClasses(n, NewSimulator(n))
+	if !c.Exact() {
+		t.Fatal("ExactClasses did not mark the partition exact")
+	}
+	ref := Reference(n, inputs, nwords)
+	for a := 0; a < n.NumNodes(); a++ {
+		for b := 0; b < n.NumNodes(); b++ {
+			ca, cb := c.ClassOf(network.NodeID(a)), c.ClassOf(network.NodeID(b))
+			if ca < 0 || cb < 0 {
+				continue
+			}
+			if same := wordsEqual(ref[a], ref[b]); same != (ca == cb) {
+				t.Fatalf("nodes %d and %d: equal tables %v, same class %v", a, b, same, ca == cb)
+			}
+		}
+	}
+	if c.ClassOf(ids["g"]) != c.ClassOf(ids["h"]) || c.ClassOf(ids["p"]) == c.ClassOf(ids["q"]) {
+		t.Fatal("twins split or the last-word pair merged")
+	}
+
+	cost := c.Cost()
+	cp := c.Clone()
+	vals := Simulate(n, RandomInputs(n, 2, rng), 2)
+	if splits := cp.Refine(vals) + cp.RefineN(vals, 70); splits != 0 || !cp.Exact() {
+		t.Fatalf("refining an exact partition split %d classes, exact %v", splits, cp.Exact())
+	}
+	cp.Remove(ids["h"])
+	if !cp.Exact() || cp.Cost() != cost-1 || !c.Exact() || c.Cost() != cost {
+		t.Fatalf("after Remove on a clone: exact %v cost %d, original exact %v cost %d (was %d)",
+			cp.Exact(), cp.Cost(), c.Exact(), c.Cost(), cost)
+	}
+
+	// Settle empties a class down to its representative in one call, as
+	// Remove would member by member, and leaves earlier snapshots alone.
+	ci := c.ClassOf(ids["g"])
+	before := c.Members(ci)
+	dropped := c.Settle(ci)
+	if len(dropped) != 1 || dropped[0] != ids["h"] || c.ClassOf(ids["h"]) != -1 || c.Cost() != cost-1 || !c.Exact() {
+		t.Fatalf("Settle dropped %v; h in class %d, cost %d, exact %v", dropped, c.ClassOf(ids["h"]), c.Cost(), c.Exact())
+	}
+	if len(before) != 2 || before[1] != ids["h"] || len(c.Members(ci)) != 1 || c.Settle(ci) != nil {
+		t.Fatalf("after Settle: snapshot %v, members %v", before, c.Members(ci))
+	}
+	for _, k := range c.NonSingleton() {
+		if k == ci {
+			t.Fatal("a settled class is still listed as non-singleton")
+		}
+	}
+}

@@ -101,7 +101,9 @@ type CECResult struct {
 // CECOptions configures the paper's flow: Refine's simulation half, then
 // the Sweep, and for CEC the per-output checks. DefaultCECOptions holds
 // the defaults every front end starts from, and Check is the one range
-// rule they all apply.
+// rule they all apply. RandomRounds, GuidedIterations and Method do
+// nothing on a network of at most prover.DefaultSimPIs inputs, which
+// Refine enumerates instead.
 type CECOptions struct {
 	Sweep Options
 	// RandomRounds is the number of 64-vector random simulation rounds
@@ -179,7 +181,10 @@ func (o CECOptions) Check() error {
 }
 
 // CEC checks combinational equivalence of two networks using simulation,
-// SAT sweeping, and final per-output SAT calls.
+// SAT sweeping, and final per-output SAT calls. Circuits of at most
+// prover.DefaultSimPIs inputs are enumerated on the combined network: the
+// sweep merges every equal pair without an engine call, and an output pair
+// left unmerged still gets its counterexample from the engine.
 func CEC(a, b *network.Network, opts CECOptions) (CECResult, error) {
 	return CECContext(context.Background(), a, b, opts)
 }

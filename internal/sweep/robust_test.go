@@ -259,10 +259,12 @@ func TestBDDDeadline(t *testing.T) {
 	}
 }
 
+// TestCECDeadlineReportsUndecided cuts a CEC of voter against itself: 31
+// inputs, too many to enumerate, and a SAT sweep of about 2 s.
 func TestCECDeadlineReportsUndecided(t *testing.T) {
-	b, ok := genbench.ByName("square")
+	b, ok := genbench.ByName("voter")
 	if !ok {
-		t.Fatal("benchmark square not registered")
+		t.Fatal("benchmark voter not registered")
 	}
 	a1, err := b.LUTNetwork()
 	if err != nil {

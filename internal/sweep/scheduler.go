@@ -189,7 +189,38 @@ func (s *scheduler) run(ctx context.Context, workers int) Result {
 	return s.res
 }
 
-// prePass is the incremental-mode pre-pass: when Options.TFOMask marks the
+// prePass settles what needs no engine before any worker starts: every
+// class of an exact partition (enumerate), or else the incremental-mode
+// pairs outside the edit's fanout (incremental).
+func (s *scheduler) prePass(ctx context.Context) {
+	if s.classes.Exact() {
+		s.enumerate()
+		return
+	}
+	s.incremental(ctx)
+}
+
+// enumerate merges every member of an exact partition (sim.Classes.Exact)
+// into its class representative, counting each merge once in
+// Result.Enumerated and emitting one KindEnumerate event. The partition
+// was built from every input assignment, so the members of a class have
+// equal truth tables: each merge is proved by that simulation, and no
+// obligation is left for a worker.
+func (s *scheduler) enumerate() {
+	start := time.Now()
+	for _, ci := range s.classes.NonSingleton() {
+		rep := s.classes.Members(ci)[0]
+		merged := s.classes.Settle(ci)
+		for _, m := range merged {
+			s.uf.union(rep, m)
+		}
+		s.res.Enumerated += len(merged)
+	}
+	s.tr.Emit(obs.Event{Kind: obs.KindEnumerate, PIs: int32(s.net.NumPIs()),
+		Merges: int32(s.res.Enumerated), Dur: time.Since(start)})
+}
+
+// incremental is the incremental-mode pre-pass: when Options.TFOMask marks the
 // transitive fanout of a base-circuit diff and a cache is attached, every
 // candidate pair with both endpoints outside the mask is untouched logic
 // and is settled from the cache alone — an Equal hit merges immediately, a
@@ -198,7 +229,7 @@ func (s *scheduler) run(ctx context.Context, workers int) Result {
 // Soundness never rests on the mask: cache verdicts are revalidated
 // against the current network by the prober before they are acted on.
 // Runs single-threaded before any worker starts.
-func (s *scheduler) prePass(ctx context.Context) {
+func (s *scheduler) incremental(ctx context.Context) {
 	if s.opts.Cache == nil || len(s.opts.TFOMask) == 0 {
 		return
 	}

@@ -275,12 +275,20 @@ type Result struct {
 	// Options.TFOMask); the pre-pass's own probes count in Stats.
 	CacheMerged  int // pairs merged by the incremental pre-pass, never scheduled
 	CacheSkipped int // out-of-TFO pairs left unscheduled by the pre-pass
+
+	// Enumerated counts the pairs the pre-pass merged from an exact
+	// partition (sim.Classes.Exact) without an engine call; such a sweep
+	// schedules nothing.
+	Enumerated int
 }
 
 func (r Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "calls=%d time=%v proved=%d disproved=%d unresolved=%d",
 		r.SATCalls, r.SATTime, r.Proved, r.Disproved, r.Unresolved)
+	if r.Enumerated > 0 {
+		fmt.Fprintf(&b, " enumerated=%d", r.Enumerated)
+	}
 	if r.SimChecks > 0 {
 		fmt.Fprintf(&b, " simchecks=%d", r.SimChecks)
 	}
@@ -329,7 +337,10 @@ func (r Result) String() string {
 // Refinement is the simulation half of the flow, as Refine leaves it: the
 // runner holding the refined classes, the Eq. (5) cost after the random
 // rounds and after the Replayed cache pattern batches, and the guided
-// iterations that completed (nil for method "none" or no iterations).
+// iterations that completed (nil for method "none" or no iterations). For
+// a network of at most prover.DefaultSimPIs inputs the runner's classes
+// are Exact instead: InitialCost and ReplayCost are the cost after the
+// exhaustive simulation, and nothing replayed or ran.
 type Refinement struct {
 	Run         *core.Runner
 	InitialCost int
@@ -338,6 +349,10 @@ type Refinement struct {
 	Guided      []core.IterationStat
 }
 
+// Exact reports whether Refine enumerated the network: its classes are the
+// nodes' functional classes, which the sweep merges without an engine call.
+func (r Refinement) Exact() bool { return r.Run.Classes.Exact() }
+
 // Refine runs the simulation half of the paper's flow (Fig. 2) on net:
 // RandomRounds random rounds seed the classes, the patterns of
 // opts.Sweep.Cache (when set) replay, then the Method's source (empty
@@ -345,12 +360,25 @@ type Refinement struct {
 // GuidedIterations iterations, each batch recorded back into the cache.
 // New(net, ref.Run.Classes, opts.Sweep) sweeps what is left. Settings
 // that CECOptions.Check rejects are an error before any work.
+//
+// A network of at most prover.DefaultSimPIs inputs (4,096 assignments, 64
+// words per node) is simulated once over every input assignment instead
+// (core.NewExhaustiveRunner): its classes come out exact, so the random
+// rounds, the method, and the cache's pattern replay and recording would
+// do nothing and are skipped, and the sweep merges every class without an
+// engine call.
 func Refine(ctx context.Context, net *network.Network, opts CECOptions) (Refinement, error) {
 	if opts.Method == "" {
 		opts.Method = defaultMethod
 	}
 	if err := opts.Check(); err != nil {
 		return Refinement{}, err
+	}
+	if net.NumPIs() <= prover.DefaultSimPIs {
+		run := core.NewExhaustiveRunner(net)
+		run.SetTracer(opts.Sweep.Tracer)
+		cost := run.Classes.Cost()
+		return Refinement{Run: run, InitialCost: cost, ReplayCost: cost}, nil
 	}
 	run := core.NewRunner(net, opts.RandomRounds, opts.Seed)
 	run.SetTracer(opts.Sweep.Tracer)

@@ -48,6 +48,9 @@ func checkJobEventBalance(t *testing.T, id string, rec *obs.Recorder, res *sweep
 		t.Fatalf("%s: no sweep result", id)
 	}
 	obligations := rec.Filter(obs.KindObligation)
+	if len(obligations) == 0 {
+		t.Errorf("%s: no obligation scheduled, so the schedule went untested", id)
+	}
 	resolves := len(rec.Filter(obs.KindResolve))
 	panics := rec.Filter(obs.KindWorkerPanic)
 	requeues := len(rec.Filter(obs.KindRequeue))
@@ -83,7 +86,8 @@ func checkJobEventBalance(t *testing.T, id string, rec *obs.Recorder, res *sweep
 // timing-only schedule perturbation injected through the JobHook. Every
 // job must keep the obligation conservation law and — because the profile
 // never faults a verdict — land exactly on the sequential pipeline's cost
-// accounting for the same spec.
+// accounting for the same spec. The circuits have 14 inputs, too many to
+// enumerate, so their sweeps schedule obligations.
 func TestJobsUnderScheduleChaos(t *testing.T) {
 	hook, recOf := chaosHook(chaos.ScheduleProfile())
 	_, hs := newTestServer(t, Config{Workers: 2, QueueDepth: 8, JobHook: hook})
@@ -92,7 +96,7 @@ func TestJobsUnderScheduleChaos(t *testing.T) {
 	for i := range specs {
 		specs[i] = JobSpec{
 			Kind:    KindSweep,
-			Circuit: CircuitRef{BLIF: fuzzBLIF(t, "default", int64(31+i))},
+			Circuit: CircuitRef{BLIF: fuzzBLIFPIs(t, "default", int64(31+i), 14)},
 			Seed:    int64(2 + i),
 			Workers: 4,
 		}
@@ -128,7 +132,7 @@ func TestJobsUnderScheduleChaos(t *testing.T) {
 // TestJobsUnderFaultChaos injects engine failures, slow timeouts, and
 // worker panics. Jobs must still complete (degraded, never wedged), the
 // requeue/retry accounting must balance, and requeues must respect the
-// spec's RetryLimit.
+// spec's RetryLimit. As above, the circuits have 14 inputs.
 func TestJobsUnderFaultChaos(t *testing.T) {
 	hook, recOf := chaosHook(chaos.FaultProfile())
 	_, hs := newTestServer(t, Config{Workers: 2, QueueDepth: 8, JobHook: hook})
@@ -138,7 +142,7 @@ func TestJobsUnderFaultChaos(t *testing.T) {
 	for i := range specs {
 		specs[i] = JobSpec{
 			Kind:       KindSweep,
-			Circuit:    CircuitRef{BLIF: fuzzBLIF(t, "wide", int64(61+i))},
+			Circuit:    CircuitRef{BLIF: fuzzBLIFPIs(t, "wide", int64(61+i), 14)},
 			Seed:       int64(5 + i),
 			Workers:    4,
 			RetryLimit: retryLimit,

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"simgen/internal/blif"
-	"simgen/internal/core"
 	"simgen/internal/fuzz"
 	"simgen/internal/obs"
 	"simgen/internal/sweep"
@@ -160,15 +159,15 @@ func TestCECNotEquivalentJob(t *testing.T) {
 }
 
 // TestSweepJobDeadline pins the per-job budget path: sweeping the SAT-hard
-// square benchmark under a tight deadline must come back undecided — not
+// voter benchmark under a tight deadline must come back undecided — not
 // failed, not hung. The deadline must stay well under the sweep's own
-// time: square's SAT sweep takes 130–150 ms on a 2-vCPU Xeon, so a 200 ms
-// budget let it finish about half the time.
+// time: voter's SAT sweep takes about 1.9 s on a 2-vCPU Xeon. The circuit
+// needs more than 12 inputs: a narrower one is enumerated in milliseconds.
 func TestSweepJobDeadline(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	view, code, _ := postSpec(t, hs.URL, JobSpec{
 		Kind:      KindSweep,
-		Circuit:   CircuitRef{Benchmark: "square"},
+		Circuit:   CircuitRef{Benchmark: "voter"},
 		Method:    "none",
 		TimeoutMS: 50,
 	})
@@ -187,12 +186,13 @@ func TestSweepJobDeadline(t *testing.T) {
 	}
 }
 
-// TestCancelRunningJob cancels a deadline-free SAT-hard job mid-flight.
+// TestCancelRunningJob cancels a deadline-free SAT-hard job (voter, 31
+// inputs) mid-flight.
 func TestCancelRunningJob(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	view, code, _ := postSpec(t, hs.URL, JobSpec{
 		Kind:    KindSweep,
-		Circuit: CircuitRef{Benchmark: "square"},
+		Circuit: CircuitRef{Benchmark: "voter"},
 		Method:  "none",
 	})
 	if code != http.StatusAccepted {
@@ -228,11 +228,12 @@ func TestCancelRunningJob(t *testing.T) {
 }
 
 // TestCancelQueuedJob cancels a job before any worker picks it up: a
-// one-worker pool is pinned by a SAT-hard job while the victim waits.
+// one-worker pool is pinned by a SAT-hard job (voter, 31 inputs) while the
+// victim waits.
 func TestCancelQueuedJob(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	pin, code, _ := postSpec(t, hs.URL, JobSpec{
-		Kind: KindSweep, Circuit: CircuitRef{Benchmark: "square"}, Method: "none"})
+		Kind: KindSweep, Circuit: CircuitRef{Benchmark: "voter"}, Method: "none"})
 	if code != http.StatusAccepted {
 		t.Fatalf("pin submit: HTTP %d", code)
 	}
@@ -318,9 +319,21 @@ func TestSubmitValidationAndLookup(t *testing.T) {
 // fuzzBLIF renders a deterministic fuzz circuit as inline BLIF.
 func fuzzBLIF(t testing.TB, shape string, seed int64) string {
 	t.Helper()
+	return fuzzBLIFPIs(t, shape, seed, 0)
+}
+
+// fuzzBLIFPIs is fuzzBLIF with the shape's input count replaced by pis
+// when pis > 0. Every preset has at most 12 inputs, so its jobs are
+// enumerated and schedule no obligation; a job meant to exercise the
+// scheduler needs more.
+func fuzzBLIFPIs(t testing.TB, shape string, seed int64, pis int) string {
+	t.Helper()
 	sh, ok := fuzz.Shapes()[shape]
 	if !ok {
 		t.Fatalf("unknown shape %q", shape)
+	}
+	if pis > 0 {
+		sh.PIs = pis
 	}
 	var buf bytes.Buffer
 	if err := blif.Write(&buf, fuzz.Generate(rand.New(rand.NewSource(seed)), sh)); err != nil {
@@ -329,10 +342,10 @@ func fuzzBLIF(t testing.TB, shape string, seed int64) string {
 	return buf.String()
 }
 
-// directSweep hand-rolls the canonical cmd/sweep pipeline — runner, guided
-// source, obligation scheduler — for one spec with a bare JSONL tracer.
-// It is deliberately NOT implemented via Execute: it pins that the service
-// and the CLI pipeline stay the same computation.
+// directSweep runs the cmd/sweep pipeline — sweep.Refine, then, for a
+// sweep job, the obligation scheduler — for one spec with a bare JSONL
+// tracer. It is deliberately NOT implemented via Execute: it pins that the
+// service and the CLI pipeline stay the same computation.
 func directSweep(t testing.TB, spec JobSpec) (*Result, []byte) {
 	t.Helper()
 	sp := spec
@@ -347,20 +360,17 @@ func directSweep(t testing.TB, spec JobSpec) (*Result, []byte) {
 	opts := sp.sweepOptions()
 	opts.Tracer = jt
 
-	res := &Result{Kind: sp.Kind}
-	run := core.NewRunner(net, sp.RandRounds, sp.Seed)
-	run.SetTracer(jt)
-	res.InitialCost = run.Classes.Cost()
-	switch sp.Method {
-	case "revs":
-		run.RunContext(context.Background(), core.NewReverse(net, sp.Seed+1), sp.Iterations)
-	case "none":
-	default:
-		run.RunContext(context.Background(), core.NewGenerator(net, core.StrategySimGen, sp.Seed+1), sp.Iterations)
+	ref, err := sweep.Refine(context.Background(), net, sp.flowOptions(opts))
+	if err != nil {
+		t.Fatal(err)
 	}
-	res.GuidedCost = run.Classes.Cost()
-	sw := sweep.New(net, run.Classes, opts)
-	sr := sw.RunParallelContext(context.Background(), sp.Workers)
+	res := &Result{Kind: sp.Kind, InitialCost: ref.InitialCost, GuidedCost: ref.Run.Classes.Cost()}
+	if sp.Kind == KindSimGen {
+		res.Verdict = "refined"
+		res.FinalCost = res.GuidedCost
+		return res, buf.Bytes()
+	}
+	sr := sweep.New(net, ref.Run.Classes, opts).RunParallelContext(context.Background(), sp.Workers)
 	res.Sweep = &sr
 	res.FinalCost = sr.FinalCost
 	if sr.Incomplete {
@@ -403,13 +413,7 @@ func TestConcurrentJobParity(t *testing.T) {
 		if v.Status != StatusDone {
 			t.Fatalf("job %d: status %s (error %q)", i, v.Status, v.Error)
 		}
-		var want *Result
-		var wantTrace []byte
-		if spec.Kind == KindSimGen {
-			want, wantTrace = directSimGen(t, spec)
-		} else {
-			want, wantTrace = directSweep(t, spec)
-		}
+		want, wantTrace := directSweep(t, spec)
 		got := v.Result
 		if got.Verdict != want.Verdict ||
 			got.InitialCost != want.InitialCost ||
@@ -447,28 +451,6 @@ func TestConcurrentJobParity(t *testing.T) {
 			t.Errorf("job %d: followed trace differs from snapshot", i)
 		}
 	}
-}
-
-// directSimGen is directSweep's refinement-only sibling.
-func directSimGen(t testing.TB, spec JobSpec) (*Result, []byte) {
-	t.Helper()
-	sp := spec
-	sp.normalize()
-	net, err := NewLoader("", nil).Load(sp.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	jt := obs.NewJSONL(&buf)
-	jt.Deterministic = sp.Deterministic
-	res := &Result{Kind: sp.Kind, Verdict: "refined"}
-	run := core.NewRunner(net, sp.RandRounds, sp.Seed)
-	run.SetTracer(jt)
-	res.InitialCost = run.Classes.Cost()
-	run.RunContext(context.Background(), core.NewGenerator(net, core.StrategySimGen, sp.Seed+1), sp.Iterations)
-	res.GuidedCost = run.Classes.Cost()
-	res.FinalCost = res.GuidedCost
-	return res, buf.Bytes()
 }
 
 func firstLines(b []byte, n int) string {

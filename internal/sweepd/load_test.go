@@ -48,16 +48,16 @@ func TestLoadUnderCapacity(t *testing.T) {
 }
 
 // TestLoadOverCapacity pins the backpressure contract deterministically: a
-// one-worker pool wedged on a SAT-hard job with a two-slot queue must
-// reject the first over-capacity submission with 429 + Retry-After, and
-// every job accepted before that must still reach a terminal state —
-// backpressure sheds load, it never loses admitted work.
+// one-worker pool wedged on a SAT-hard job (voter, 31 inputs) with a
+// two-slot queue must reject the first over-capacity submission with 429 +
+// Retry-After, and every job accepted before that must still reach a
+// terminal state — backpressure sheds load, it never loses admitted work.
 func TestLoadOverCapacity(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
-	square := JobSpec{Kind: KindSweep, Circuit: CircuitRef{Benchmark: "square"}, Method: "none"}
+	hard := JobSpec{Kind: KindSweep, Circuit: CircuitRef{Benchmark: "voter"}, Method: "none"}
 
 	// Wedge the single worker.
-	pin, code, _ := postSpec(t, hs.URL, square)
+	pin, code, _ := postSpec(t, hs.URL, hard)
 	if code != http.StatusAccepted {
 		t.Fatalf("pin: HTTP %d", code)
 	}
@@ -66,7 +66,7 @@ func TestLoadOverCapacity(t *testing.T) {
 	// Fill the queue exactly.
 	queued := []string{pin.ID}
 	for i := 0; i < 2; i++ {
-		v, code, _ := postSpec(t, hs.URL, square)
+		v, code, _ := postSpec(t, hs.URL, hard)
 		if code != http.StatusAccepted {
 			t.Fatalf("fill %d: HTTP %d", i, code)
 		}
@@ -74,7 +74,7 @@ func TestLoadOverCapacity(t *testing.T) {
 	}
 
 	// Pool busy + queue full: the next submission must bounce.
-	_, code, hdr := postSpec(t, hs.URL, square)
+	_, code, hdr := postSpec(t, hs.URL, hard)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over capacity: want 429, got %d", code)
 	}

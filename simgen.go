@@ -251,7 +251,9 @@ func NewSource(net *Network, method string, seed int64) VectorSource {
 func DefaultCECOptions() CECOptions { return sweep.DefaultCECOptions() }
 
 // Refine runs the simulation half of the flow: random rounds, cache
-// pattern replay, then the guided method; see CECOptions.
+// pattern replay, then the guided method; see CECOptions. A network of at
+// most 12 inputs is simulated over every input assignment instead, and its
+// exact classes sweep with no engine call (Refinement.Exact).
 func Refine(ctx context.Context, net *Network, opts CECOptions) (Refinement, error) {
 	return sweep.Refine(ctx, net, opts)
 }
