@@ -40,11 +40,11 @@ const (
 )
 
 // config is the command's settings: the flow's, bound straight to their
-// flags, the file the reduced network goes to (created before the run),
+// flags, the file the reduced network goes to (checked before the run),
 // and where to keep the proof cache and find the base revision.
 type config struct {
 	flow     simgen.CECOptions
-	reduce   *os.File
+	reduce   string
 	cacheDir string
 	basePath string
 }
@@ -69,7 +69,7 @@ func main() {
 	flag.IntVar(&opts.Workers, "workers", opts.Workers, "parallel sweep workers (0 = GOMAXPROCS)")
 	engine := flag.String("engine", opts.Sweep.Engine.String(), "verification engine: sat|bdd|portfolio|word")
 	flag.BoolVar(&opts.Sweep.WordStage, "word", opts.Sweep.WordStage, "insert the word-level proving stage into the portfolio (structure detection + frontier learning)")
-	reduce := flag.String("reduce", "", "write the swept (merged) network to this BLIF file")
+	flag.StringVar(&cfg.reduce, "reduce", "", "write the swept (merged) network to this BLIF file")
 	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "persistent verification cache directory (verdicts and simulation patterns)")
 	flag.StringVar(&cfg.basePath, "base", "", "previous revision's circuit file: sweep incrementally, scheduling only the diff's fanout (requires -cache-dir)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -124,7 +124,7 @@ func main() {
 		// A CEC reduces no network, keeps no proof cache and has no base
 		// revision: these flags would go unused.
 		for _, f := range []struct{ name, val string }{
-			{"-reduce", *reduce}, {"-cache-dir", cfg.cacheDir}, {"-base", cfg.basePath},
+			{"-reduce", cfg.reduce}, {"-cache-dir", cfg.cacheDir}, {"-base", cfg.basePath},
 		} {
 			if f.val != "" {
 				fmt.Fprintf(os.Stderr, "sweep: %s applies to a sweep, not to the CEC of two circuits\n", f.name)
@@ -140,9 +140,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep: -timeout must be positive, got %v\n", *timeout)
 		exit(exitUsage)
 	}
-	if *reduce != "" {
-		// Created with the other outputs, so a bad path fails before the run.
-		if cfg.reduce, err = os.Create(*reduce); err != nil {
+	// Checked with the other outputs, so a bad path fails before the run,
+	// but written only once the run has swept the network: a failed run
+	// leaves an existing file as it was and removes one it created.
+	createdReduce := false
+	if cfg.reduce != "" {
+		if createdReduce, err = touch(cfg.reduce); err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 			exit(exitUsage)
 		}
@@ -163,8 +166,22 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		if createdReduce {
+			os.Remove(cfg.reduce)
+		}
 	}
 	exit(code)
+}
+
+// touch checks that path can be opened for writing without truncating it,
+// creating it empty when it does not exist, and reports whether it did.
+func touch(path string) (created bool, err error) {
+	_, statErr := os.Stat(path)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o666)
+	if err != nil {
+		return false, err
+	}
+	return os.IsNotExist(statErr), f.Close()
 }
 
 func runSweep(ctx context.Context, benchmark string, args []string, cfg config) (int, error) {
@@ -246,9 +263,6 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 	sw := simgen.NewSweeper(net, ref.Run.Classes, opts.Sweep)
 	res := sw.RunParallelContext(ctx, opts.Workers)
 	fmt.Printf("%s sweeping: %s\n", opts.Sweep.Engine, res)
-	if ref.Exact() {
-		fmt.Printf("enumerated %d equivalences with no engine call\n", res.Enumerated)
-	}
 	fmt.Printf("proved %d equivalences, disproved %d pairs, final cost %d\n",
 		res.Proved, res.Disproved, res.FinalCost)
 	code := exitOK
@@ -258,15 +272,20 @@ func runSweep(ctx context.Context, benchmark string, args []string, cfg config) 
 		code = exitUndecided
 	}
 
-	if cfg.reduce != nil {
+	if cfg.reduce != "" {
 		merged := simgen.ApplySweep(net, sw.Rep)
-		if err := simgen.WriteBLIF(cfg.reduce, merged); err != nil {
+		f, err := os.Create(cfg.reduce)
+		if err != nil {
 			return exitFail, err
 		}
-		if err := cfg.reduce.Close(); err != nil {
+		err = simgen.WriteBLIF(f, merged)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return exitFail, err
 		}
-		fmt.Printf("reduced network: %s -> %s (%s)\n", net.Stats(), merged.Stats(), cfg.reduce.Name())
+		fmt.Printf("reduced network: %s -> %s (%s)\n", net.Stats(), merged.Stats(), cfg.reduce)
 	}
 	if store != nil {
 		eq, neq, pats, evicted := store.Counts()

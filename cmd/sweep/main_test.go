@@ -237,7 +237,8 @@ func TestCircuitFormats(t *testing.T) {
 // -reduce, -cache-dir or -base with two circuits (a CEC, which uses none of
 // them) and a -reduce file that cannot be created are usage errors (exit
 // 2, as in cmd/simgen), with the command's prefix once, before any work:
-// nothing on stdout, and no reduced network or cache left behind.
+// nothing on stdout, no reduced network or cache left behind, and an
+// existing -reduce file left as it was.
 func TestLoadErrors(t *testing.T) {
 	bin := buildSweep(t)
 	dir := t.TempDir()
@@ -278,6 +279,23 @@ func TestLoadErrors(t *testing.T) {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Errorf("a rejected CEC left %s behind (stat error %v)", path, err)
 		}
+	}
+
+	// A sweep whose circuit does not load leaves an existing -reduce file
+	// as it was and removes one it created.
+	prev := []byte("# previous reduced network\n")
+	if err := os.WriteFile(reduced, prev, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(dir, "fresh.blif")
+	for _, out := range []string{reduced, fresh} {
+		runBoth(t, bin, 2, "-reduce", out, filepath.Join(dir, "nope.blif"))
+	}
+	if got, err := os.ReadFile(reduced); err != nil || !bytes.Equal(got, prev) {
+		t.Errorf("failed load changed the existing -reduce file: %q (error %v)", got, err)
+	}
+	if _, err := os.Stat(fresh); !os.IsNotExist(err) {
+		t.Errorf("failed load left %s behind (stat error %v)", fresh, err)
 	}
 }
 

@@ -134,9 +134,7 @@ func NewRunner(net *network.Network, randRounds int, seed int64) *Runner {
 func NewExhaustiveRunner(net *network.Network) *Runner {
 	start := time.Now()
 	simulator := sim.NewSimulator(net)
-	r := newRunner(net, simulator, sim.ExactClasses(net, simulator), start)
-	r.stopped = StopExact
-	return r
+	return newRunner(net, simulator, sim.ExactClasses(net, simulator), start)
 }
 
 func newRunner(net *network.Network, simulator *sim.Simulator, classes *sim.Classes, start time.Time) *Runner {
@@ -233,8 +231,8 @@ func (r *Runner) Run(src VectorSource, n int) []IterationStat {
 // iterations that completed, which for a given source and seed are always
 // a prefix of what n calls of Step would produce; Stopped says which rule
 // ended the run. n <= 0 runs no iteration and stops on the limit. On an
-// exact partition it returns at once, calls no source and stops with
-// StopExact.
+// exact partition it returns at once, calls no source (src may be nil) and
+// stops with StopExact.
 func (r *Runner) RunContext(ctx context.Context, src VectorSource, n int) []IterationStat {
 	if r.Classes.Exact() {
 		r.stopped = StopExact
@@ -268,6 +266,5 @@ func (r *Runner) RunContext(ctx context.Context, src VectorSource, n int) []Iter
 	return stats
 }
 
-// Stopped reports why the last RunContext call ended; a runner built by
-// NewExhaustiveRunner reports StopExact before any call.
+// Stopped reports why the last RunContext call ended.
 func (r *Runner) Stopped() StopReason { return r.stopped }

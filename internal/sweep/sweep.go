@@ -377,6 +377,7 @@ func Refine(ctx context.Context, net *network.Network, opts CECOptions) (Refinem
 	if net.NumPIs() <= prover.DefaultSimPIs {
 		run := core.NewExhaustiveRunner(net)
 		run.SetTracer(opts.Sweep.Tracer)
+		run.RunContext(ctx, nil, opts.GuidedIterations) // returns at once: StopExact
 		cost := run.Classes.Cost()
 		return Refinement{Run: run, InitialCost: cost, ReplayCost: cost}, nil
 	}

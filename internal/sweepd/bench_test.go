@@ -11,17 +11,18 @@ import (
 // validation, admission, queueing, pool dispatch, the full sweep pipeline,
 // and terminal bookkeeping — bypassing HTTP so the number tracks the
 // service core, not the kernel's TCP stack. Jobs cycle through a small
-// deterministic fuzz mix.
+// deterministic fuzz mix: tiny networks, which are enumerated, and default
+// ones widened to 14 inputs, which run guided generation and the SAT sweep.
 func BenchmarkSweepdThroughput(b *testing.B) {
 	specs := make([]JobSpec, 8)
 	for i := range specs {
-		shape := "tiny"
+		text := fuzzBLIF(b, "tiny", int64(101+i))
 		if i%2 == 1 {
-			shape = "default"
+			text = fuzzBLIFPIs(b, "default", int64(101+i), 14)
 		}
 		specs[i] = JobSpec{
 			Kind:    KindSweep,
-			Circuit: CircuitRef{BLIF: fuzzBLIF(b, shape, int64(101+i))},
+			Circuit: CircuitRef{BLIF: text},
 			Seed:    int64(i + 1),
 		}
 	}

@@ -386,16 +386,18 @@ func directSweep(t testing.TB, spec JobSpec) (*Result, []byte) {
 // pool must each produce exactly the Result and the byte-identical JSONL
 // trace of a direct, in-process run of the cmd/sweep pipeline on the same
 // seed. Pool concurrency, the shared metrics tracer, HTTP transport, and
-// the stream sink must all be invisible to the job's computation.
+// the stream sink must all be invisible to the job's computation. The
+// first job (3 inputs) is enumerated; the others have 14 inputs, so they
+// run guided generation (simgen, revs) and schedule SAT obligations.
 func TestConcurrentJobParity(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 4, QueueDepth: 16})
 
 	specs := []JobSpec{
 		{Kind: KindSweep, Circuit: CircuitRef{BLIF: fuzzBLIF(t, "tiny", 11)}, Seed: 5, Trace: true, Deterministic: true},
-		{Kind: KindSweep, Circuit: CircuitRef{BLIF: fuzzBLIF(t, "default", 12)}, Seed: 6, Trace: true, Deterministic: true},
-		{Kind: KindSweep, Circuit: CircuitRef{BLIF: fuzzBLIF(t, "xor-heavy", 13)}, Seed: 7, Method: "revs", Trace: true, Deterministic: true},
-		{Kind: KindSweep, Circuit: CircuitRef{BLIF: fuzzBLIF(t, "wide", 14)}, Seed: 8, Method: "none", Trace: true, Deterministic: true},
-		{Kind: KindSimGen, Circuit: CircuitRef{BLIF: fuzzBLIF(t, "const", 15)}, Seed: 9, Trace: true, Deterministic: true},
+		{Kind: KindSweep, Circuit: CircuitRef{BLIF: fuzzBLIFPIs(t, "default", 12, 14)}, Seed: 6, Trace: true, Deterministic: true},
+		{Kind: KindSweep, Circuit: CircuitRef{BLIF: fuzzBLIFPIs(t, "xor-heavy", 13, 14)}, Seed: 7, Method: "revs", Trace: true, Deterministic: true},
+		{Kind: KindSweep, Circuit: CircuitRef{BLIF: fuzzBLIFPIs(t, "wide", 14, 14)}, Seed: 8, Method: "none", Trace: true, Deterministic: true},
+		{Kind: KindSimGen, Circuit: CircuitRef{BLIF: fuzzBLIFPIs(t, "const", 15, 14)}, Seed: 9, Trace: true, Deterministic: true},
 	}
 
 	// Submit everything up front so the pool actually runs jobs
@@ -414,6 +416,22 @@ func TestConcurrentJobParity(t *testing.T) {
 			t.Fatalf("job %d: status %s (error %q)", i, v.Status, v.Error)
 		}
 		want, wantTrace := directSweep(t, spec)
+		// Each job must take the path it is here to cover.
+		enumerated := bytes.Contains(wantTrace, []byte(`"k":"enumerate"`))
+		guided := bytes.Contains(wantTrace, []byte(`"k":"sim_batch"`))
+		if i == 0 {
+			if !enumerated || guided || want.Sweep.Scheduled != 0 {
+				t.Errorf("job %d: enumerated %v, guided %v, scheduled %d; want an enumerated sweep",
+					i, enumerated, guided, want.Sweep.Scheduled)
+			}
+		} else {
+			if enumerated || guided != (spec.Method != "none") {
+				t.Errorf("job %d: enumerated %v, guided %v with method %q", i, enumerated, guided, spec.Method)
+			}
+			if want.Sweep != nil && want.Sweep.Scheduled == 0 {
+				t.Errorf("job %d: no obligation scheduled, so the scheduler went untested", i)
+			}
+		}
 		got := v.Result
 		if got.Verdict != want.Verdict ||
 			got.InitialCost != want.InitialCost ||
@@ -428,7 +446,8 @@ func TestConcurrentJobParity(t *testing.T) {
 			if got.Sweep.Proved != want.Sweep.Proved ||
 				got.Sweep.Disproved != want.Sweep.Disproved ||
 				got.Sweep.Unresolved != want.Sweep.Unresolved ||
-				got.Sweep.Scheduled != want.Sweep.Scheduled {
+				got.Sweep.Scheduled != want.Sweep.Scheduled ||
+				got.Sweep.Enumerated != want.Sweep.Enumerated {
 				t.Errorf("job %d: sweep accounting mismatch\n got %s\nwant %s", i, got.Sweep, want.Sweep)
 			}
 		}
@@ -463,11 +482,13 @@ func firstLines(b []byte, n int) string {
 
 // TestTraceAndReportEndpoints checks the JSONL payload is well-formed
 // line-delimited JSON and the report endpoint serves a decodable report.
+// The circuit has 14 inputs, so the trace holds guided iterations and
+// obligations, not only an enumeration.
 func TestTraceAndReportEndpoints(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	view, code, _ := postSpec(t, hs.URL, JobSpec{
 		Kind:          KindSweep,
-		Circuit:       CircuitRef{BLIF: fuzzBLIF(t, "default", 21)},
+		Circuit:       CircuitRef{BLIF: fuzzBLIFPIs(t, "default", 21, 14)},
 		Seed:          4,
 		Trace:         true,
 		Deterministic: true,
