@@ -5,16 +5,23 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"simgen/internal/aig"
 	"simgen/internal/aiger"
+	"simgen/internal/blif"
+	"simgen/internal/fuzz"
 	"simgen/internal/genbench"
+	"simgen/internal/load"
+	"simgen/internal/network"
+	"simgen/internal/pcache"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
@@ -296,6 +303,89 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := os.Stat(fresh); !os.IsNotExist(err) {
 		t.Errorf("failed load left %s behind (stat error %v)", fresh, err)
+	}
+}
+
+// TestIncrementalRun drives an incremental re-sweep through the command: a
+// cold -cache-dir sweep of a base circuit, then -base base.blif on an edit
+// that flips one truth-table bit in each of four LUTs. The second run must
+// succeed, report as many changed cones as pcache.Diff finds between the
+// two files, and reduce the edit to an equivalent network.
+func TestIncrementalRun(t *testing.T) {
+	bin := buildSweep(t)
+	b, _ := genbench.ByName("log2") // 16 inputs: swept, not enumerated, and still exhaustively checkable
+	base, err := b.LUTNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := base.Clone()
+	rng := rand.New(rand.NewSource(1))
+	var luts []network.NodeID
+	for id := range edit.NumNodes() {
+		if edit.Node(network.NodeID(id)).Kind == network.KindLUT {
+			luts = append(luts, network.NodeID(id))
+		}
+	}
+	for range 4 {
+		nd := edit.Node(luts[rng.Intn(len(luts))])
+		fn := nd.Func.Clone()
+		m := rng.Intn(fn.NumMinterms())
+		fn.SetBit(m, !fn.Bit(m))
+		nd.Func = fn
+	}
+	edit.Invalidate()
+
+	dir := t.TempDir()
+	basePath, editPath := filepath.Join(dir, "base.blif"), filepath.Join(dir, "edit.blif")
+	for path, net := range map[string]*network.Network{basePath: base, editPath: edit} {
+		var buf bytes.Buffer
+		if err := blif.Write(&buf, net); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cache, reduced := filepath.Join(dir, "cache"), filepath.Join(dir, "reduced.blif")
+	runBin(t, bin, 0, "-cache-dir", cache, basePath)
+	out := runBin(t, bin, 0, "-cache-dir", cache, "-base", basePath, "-reduce", reduced, editPath)
+
+	baseNet, err := load.File(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	editNet, err := load.File(editPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^incremental: ([0-9]+) changed cones,`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("no incremental line in\n%s", out)
+	}
+	want := len(pcache.Diff(baseNet, editNet))
+	if got, _ := strconv.Atoi(string(m[1])); got != want || want == 0 {
+		t.Errorf("incremental run reports %d changed cones, pcache.Diff finds %d", got, want)
+	}
+
+	redNet, err := load.File(reduced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if redNet.NumPIs() != editNet.NumPIs() || redNet.NumPOs() != editNet.NumPOs() {
+		t.Fatalf("reduced network has %d inputs and %d outputs, the edit %d and %d",
+			redNet.NumPIs(), redNet.NumPOs(), editNet.NumPIs(), editNet.NumPOs())
+	}
+	for i, pi := range editNet.PIs() {
+		if got := redNet.Node(redNet.PIs()[i]).Name; got != editNet.Node(pi).Name {
+			t.Fatalf("reduced input %d is %q, the edit's is %q", i, got, editNet.Node(pi).Name)
+		}
+	}
+	rt, et := fuzz.NodeTables(redNet), fuzz.NodeTables(editNet)
+	for i, po := range editNet.POs() {
+		rpo := redNet.POs()[i]
+		if rpo.Name != po.Name || !rt[rpo.Driver].Equal(et[po.Driver]) {
+			t.Errorf("reduced output %d (%s) differs from the edit's (%s)", i, rpo.Name, po.Name)
+		}
 	}
 }
 

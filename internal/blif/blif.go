@@ -200,7 +200,7 @@ func buildNames(net *network.Network, ids map[string]network.NodeID, faninNames,
 		return id, nil
 	}
 
-	onSet := tt.Const(n, false)
+	onSet := tt.New(n)
 	phase := byte(0)
 	first := true
 	for _, l := range lines {
@@ -233,7 +233,7 @@ func buildNames(net *network.Network, ids map[string]network.NodeID, faninNames,
 				return 0, fmt.Errorf("blif: node %q: invalid pattern char %q", outName, pat[i])
 			}
 		}
-		onSet = onSet.Or(cube.Table(n))
+		onSet.OrCube(cube)
 	}
 	fn := onSet
 	if !first && phase == '0' {

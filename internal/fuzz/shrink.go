@@ -20,7 +20,10 @@ type Property func(*network.Network) bool
 //
 // Every candidate is rebuilt from scratch and garbage-collected, so sizes
 // shrink monotonically. The returned network always satisfies the property
-// (in the worst case it is the input itself).
+// (in the worst case it is the input itself). A candidate on which the
+// property panics is rejected like one on which it passes: a fault that
+// panics on a smaller network is not the failure being minimized, and it
+// must not cost the reproducer already in hand.
 func Shrink(net *network.Network, failing Property, maxRounds int) *network.Network {
 	cur := net
 	if maxRounds <= 0 {
@@ -46,7 +49,7 @@ func shrinkRound(net *network.Network, failing Property) (*network.Network, bool
 		if candidate.NumNodes() >= cur.NumNodes() && candidate.NumPOs() >= cur.NumPOs() {
 			return false
 		}
-		if candidate.Check() != nil || !failing(candidate) {
+		if candidate.Check() != nil || !holds(failing, candidate) {
 			return false
 		}
 		cur, improved = candidate, true
@@ -104,6 +107,17 @@ func shrinkRound(net *network.Network, failing Property) (*network.Network, bool
 		}
 	}
 	return cur, improved
+}
+
+// holds reports whether the property holds on candidate, and false when it
+// panics there.
+func holds(failing Property, candidate *network.Network) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return failing(candidate)
 }
 
 // edit is one shrinking transformation. Exactly one of the four operations

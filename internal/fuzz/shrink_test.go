@@ -107,6 +107,30 @@ func TestShrinkKeepsFailingInput(t *testing.T) {
 	}
 }
 
+// TestShrinkSurvivesPanickingProperty checks that a property which panics
+// on a candidate rejects that candidate instead of crashing the shrink: it
+// fails on the original network and on every network of at least floor
+// nodes, and panics below, as a fault that crashes on small inputs does.
+func TestShrinkSurvivesPanickingProperty(t *testing.T) {
+	shape := DefaultShape()
+	shape.Dangling = false
+	net := Generate(rand.New(rand.NewSource(3)), shape)
+	floor := net.NumNodes() / 2
+	prop := func(c *network.Network) bool {
+		if c.NumNodes() < floor {
+			panic("property crashed on a small candidate")
+		}
+		return true
+	}
+	out := Shrink(net, prop, 0)
+	if out.NumNodes() < floor || !prop(out) {
+		t.Fatalf("shrunk to %d nodes, below the %d-node floor", out.NumNodes(), floor)
+	}
+	if out.NumNodes() >= net.NumNodes() {
+		t.Fatalf("shrinker made no progress: %d -> %d nodes", net.NumNodes(), out.NumNodes())
+	}
+}
+
 // TestShrinkFaninDropShedsCone pins pass 4 on a drop that sheds dead
 // logic: dropping the first fanin of the PO's LUT removes the cone that fed
 // it, so the LUT's old id lies past the end of the shrunk network before

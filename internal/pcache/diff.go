@@ -18,7 +18,14 @@ import (
 // everything structurally downstream of them (a fanout of a changed node
 // folds the changed key and therefore changes too).
 func Diff(base, cur *network.Network) []network.NodeID {
-	bk, ck := NewKeyer(base), NewKeyer(cur)
+	return diff(base, cur, shapeMemo{})
+}
+
+// diff is Diff canonizing through shapes. Both keyers share it: a base and
+// its edit differ in a handful of LUTs, so the edit's functions are nearly
+// all canonized already.
+func diff(base, cur *network.Network, shapes shapeMemo) []network.NodeID {
+	bk, ck := newKeyer(base, shapes), newKeyer(cur, shapes)
 	counts := make(map[uint64]int, base.NumNodes())
 	for id := 0; id < base.NumNodes(); id++ {
 		nid := network.NodeID(id)

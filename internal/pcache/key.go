@@ -71,19 +71,25 @@ type nodeHash struct {
 // Keyer computes and memoizes structural keys for one network. It is not
 // goroutine-safe; the Session serializes access.
 type Keyer struct {
-	net   *network.Network
-	keys  []nodeHash
-	done  []bool
-	piOrd map[network.NodeID]int
+	net    *network.Network
+	keys   []nodeHash
+	done   []bool
+	piOrd  map[network.NodeID]int
+	shapes shapeMemo
 }
 
 // NewKeyer creates a keyer over net.
-func NewKeyer(net *network.Network) *Keyer {
+func NewKeyer(net *network.Network) *Keyer { return newKeyer(net, shapeMemo{}) }
+
+// newKeyer creates a keyer over net that canonizes local functions through
+// shapes, a memo other keyers may share.
+func newKeyer(net *network.Network, shapes shapeMemo) *Keyer {
 	k := &Keyer{
-		net:   net,
-		keys:  make([]nodeHash, net.NumNodes()),
-		done:  make([]bool, net.NumNodes()),
-		piOrd: make(map[network.NodeID]int, net.NumPIs()),
+		net:    net,
+		keys:   make([]nodeHash, net.NumNodes()),
+		done:   make([]bool, net.NumNodes()),
+		piOrd:  make(map[network.NodeID]int, net.NumPIs()),
+		shapes: shapes,
 	}
 	for i, pi := range net.PIs() {
 		k.piOrd[pi] = i
@@ -125,32 +131,29 @@ func (k *Keyer) compute(id network.NodeID) nodeHash {
 	}
 	n := len(nd.Fanins)
 	if n <= 5 && nd.Func.NumVars() == n {
-		canon, tr := tt.NPNCanon(nd.Func)
+		sh := k.shapes.get(nd.Func)
 		h := nodeHash{fold(seedLUT, uint64(n)), fold(altLUT, uint64(n))}
-		for _, w := range canon.Words() {
-			h.key, h.chk = fold(h.key, w), fold(h.chk, w)
-		}
+		h.key, h.chk = fold(h.key, sh.canon), fold(h.chk, sh.canon)
 		// Fold the fanin keys in canonical slot order: canonical position p
-		// reads original input tr.Perm[p] (Table.Permute routes new variable
-		// ni to old variable perm[ni]), complemented when the canonizing
+		// reads original input sh.perm[p], complemented when the canonizing
 		// transform negates that original input. Slots the canonical table
 		// is symmetric in are interchangeable — the canonizer's choice
 		// between them is arbitrary — so their hashes are sorted before
 		// folding.
-		sv := make([]nodeHash, n)
-		for p, i := range tr.Perm {
+		var sv [5]nodeHash
+		for p, i := range sh.perm[:n] {
 			fh := k.keys[nd.Fanins[i]]
-			if tr.InputNeg>>uint(i)&1 == 1 {
+			if sh.neg>>i&1 == 1 {
 				fh.key = mix64(fh.key ^ seedNeg)
 				fh.chk = mix64(fh.chk ^ altNeg)
 			}
 			sv[p] = fh
 		}
-		symSort(canon, sv)
-		for _, s := range sv {
+		sh.sortSym(sv[:n])
+		for _, s := range sv[:n] {
 			h.key, h.chk = fold(h.key, s.key), fold(h.chk, s.chk)
 		}
-		if tr.OutputNeg {
+		if sh.outNeg {
 			h.key, h.chk = fold(h.key, 1), fold(h.chk, 1)
 		}
 		return h
@@ -167,34 +170,65 @@ func (k *Keyer) compute(id network.NodeID) nodeHash {
 	return h
 }
 
-// symSort sorts slot hashes within groups of mutually symmetric canonical
-// inputs. When the canonical table is invariant under swapping two
-// positions (AND, OR, majority, ... — most common LUT functions), the
-// canonizing transform's choice of which fanin lands in which of those
-// slots is arbitrary, and a position-sensitive fold would key
-// NPN-equivalent cones apart. Swap-symmetry is transitive, so the
-// positions partition into classes; hashes are sorted within each class.
+// shape is the canonical form of one local function of at most 5 inputs:
+// the NPN-canonical table word, the canonizing transform and the
+// swap-symmetry classes of the canonical slots. It depends on the function
+// alone, so every LUT computing the same table keys through one shape.
+type shape struct {
+	canon  uint64   // tt.NPNCanon's table (one word: at most 32 minterms)
+	perm   [5]uint8 // canonical slot p reads original input perm[p]
+	neg    uint8    // original inputs the transform complements, one bit each
+	outNeg bool
+	cls    [5]uint8 // cls[p] is the least slot swap-symmetric with slot p
+	sym    bool     // some class holds two or more slots
+}
+
+// shapeMemo maps a local function, packed as its arity above its table
+// word, to its shape, so keying canonizes each distinct function once. It
+// lives as long as the keyers that share it: a base and its edit share one
+// in Diff, and a Session's keyer holds its own. Nothing keeps it across
+// runs, so each run pays its own canonizations, as a separate process does.
+type shapeMemo map[uint64]shape
+
+// get returns f's shape, canonizing f on first sight. f has at most 5
+// variables.
+func (m shapeMemo) get(f tt.Table) shape {
+	id := uint64(f.NumVars())<<32 | f.Words()[0]
+	if s, ok := m[id]; ok {
+		return s
+	}
+	canon, tr := tt.NPNCanon(f)
+	s := shape{canon: canon.Words()[0], neg: uint8(tr.InputNeg), outNeg: tr.OutputNeg}
+	for p, i := range tr.Perm {
+		s.perm[p] = uint8(i)
+	}
+	s.symClasses(canon)
+	m[id] = s
+	return s
+}
+
+// symClasses fills the swap-symmetry classes of canon's slots. When the
+// canonical table is invariant under swapping two positions (AND, OR,
+// majority, ... — most common LUT functions), the canonizing transform's
+// choice of which fanin lands in which of those slots is arbitrary, and a
+// position-sensitive fold would key NPN-equivalent cones apart.
+// Swap-symmetry is an equivalence (a transposition (i k) is (i j)(j k)(i
+// j)), so the positions partition into classes, and comparing each class's
+// least slot with every later unclassed slot finds them all.
 // (Negation-coupled symmetries are not normalized — a best-effort miss
 // there costs a cache miss, never soundness.)
-func symSort(canon tt.Table, sv []nodeHash) {
-	n := len(sv)
-	if n < 2 {
-		return
-	}
-	cls := make([]int, n)
-	for i := range cls {
-		cls[i] = i
-	}
-	find := func(x int) int {
-		for cls[x] != x {
-			x = cls[x]
-		}
-		return x
+func (s *shape) symClasses(canon tt.Table) {
+	n := canon.NumVars()
+	for p := range n {
+		s.cls[p] = uint8(p)
 	}
 	perm := make([]int, n)
-	for i := 0; i < n; i++ {
+	for i := range n {
+		if s.cls[i] != uint8(i) {
+			continue
+		}
 		for j := i + 1; j < n; j++ {
-			if find(i) == find(j) {
+			if s.cls[j] != uint8(j) {
 				continue
 			}
 			for p := range perm {
@@ -202,23 +236,32 @@ func symSort(canon tt.Table, sv []nodeHash) {
 			}
 			perm[i], perm[j] = j, i
 			if slices.Equal(canon.Permute(perm).Words(), canon.Words()) {
-				cls[find(j)] = find(i)
+				s.cls[j], s.sym = uint8(i), true
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		root := find(i)
-		if root != i {
+}
+
+// sortSym sorts the slot hashes sv within each swap-symmetry class, by key
+// and then check hash.
+func (s *shape) sortSym(sv []nodeHash) {
+	if !s.sym {
+		return
+	}
+	var ps [5]int
+	for root := range sv {
+		if s.cls[root] != uint8(root) {
 			continue
 		}
 		// Insertion-sort the class members' hashes across their positions.
-		var ps []int
-		for p := i; p < n; p++ {
-			if find(p) == root {
-				ps = append(ps, p)
+		m := 0
+		for p := root; p < len(sv); p++ {
+			if s.cls[p] == uint8(root) {
+				ps[m] = p
+				m++
 			}
 		}
-		for a := 1; a < len(ps); a++ {
+		for a := 1; a < m; a++ {
 			for b := a; b > 0; b-- {
 				x, y := ps[b-1], ps[b]
 				if sv[x].key < sv[y].key || (sv[x].key == sv[y].key && sv[x].chk <= sv[y].chk) {

@@ -60,21 +60,38 @@ func (c Cube) ConsistentWith(assignedMask, assignedVal uint32) bool {
 
 // Table expands the cube into a truth table over nvars variables.
 func (c Cube) Table(nvars int) Table {
-	t := Const(nvars, true)
-	for i := 0; i < nvars; i++ {
-		if v, cared := c.Has(i); cared {
-			t = t.And(varTable(nvars, i, v))
-		}
-	}
+	t := New(nvars)
+	t.OrCube(c)
 	return t
 }
 
-func varTable(nvars, i int, positive bool) Table {
-	v := Var(nvars, i)
-	if !positive {
-		return v.Not()
+// OrCube adds the cube's minterms to t in place. Cared variables at or
+// above t's variable count are ignored, as Table ignores them.
+func (t *Table) OrCube(c Cube) {
+	care := c.Mask & (1<<uint(t.nvars) - 1)
+	val := c.Val & care
+	// Variables 0-5 select bits within a word: the cube's pattern is the
+	// same in every word it touches.
+	pat := lowMask(t.nvars)
+	for i := 0; i < 6 && i < t.nvars; i++ {
+		switch {
+		case care>>uint(i)&1 == 0:
+		case val>>uint(i)&1 == 1:
+			pat &= varMasks[i]
+		default:
+			pat &^= varMasks[i]
+		}
 	}
-	return v
+	// Variables 6 and up select words: bit i-6 of a word's index is the
+	// value of variable i, so the cube touches the words that agree with
+	// it there, one per subset of the free high variables.
+	hiVal, free := val>>6, uint32(len(t.words)-1)&^(care>>6)
+	for s := free; ; s = (s - 1) & free {
+		t.words[hiVal|s] |= pat
+		if s == 0 {
+			return
+		}
+	}
 }
 
 // String renders the cube over nvars variables with '0', '1' and '-',
@@ -99,9 +116,9 @@ type Cover []Cube
 
 // Table expands the cover into a truth table over nvars variables.
 func (cv Cover) Table(nvars int) Table {
-	t := Const(nvars, false)
+	t := New(nvars)
 	for _, c := range cv {
-		t = t.Or(c.Table(nvars))
+		t.OrCube(c)
 	}
 	return t
 }

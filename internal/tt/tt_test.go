@@ -222,6 +222,57 @@ func TestCubeBasics(t *testing.T) {
 	}
 }
 
+// TestOrCubeMatchesLiterals checks the in-place cube expansion against
+// building the cube's table literal by literal, an AND of one projection
+// table (or its complement) per cared variable, over random cubes of 0-16
+// variables, including cared variables beyond the table (ignored). A cover
+// is the OR of its cubes' tables, whether built one cube at a time into a
+// table that already holds minterms or all at once by Cover.Table.
+func TestOrCubeMatchesLiterals(t *testing.T) {
+	literalTable := func(c Cube, nvars int) Table {
+		r := Const(nvars, true)
+		for i := 0; i < nvars; i++ {
+			if v, cared := c.Has(i); cared {
+				lit := Var(nvars, i)
+				if !v {
+					lit = lit.Not()
+				}
+				r = r.And(lit)
+			}
+		}
+		return r
+	}
+	rng := rand.New(rand.NewSource(5))
+	for nvars := 0; nvars <= MaxVars; nvars++ {
+		for trial := 0; trial < 40; trial++ {
+			var cv Cover
+			want, acc := New(nvars), randomTable(rng, nvars)
+			accWant := acc.Clone()
+			for k := rng.Intn(4); k >= 0; k-- {
+				mask := rng.Uint32() & (1<<uint(nvars+2) - 1)
+				if rng.Intn(2) == 0 {
+					mask &= rng.Uint32() // fewer literals, larger cubes
+				}
+				c := Cube{Mask: mask, Val: rng.Uint32() & mask}
+				lit := literalTable(c, nvars)
+				if got := c.Table(nvars); !got.Equal(lit) {
+					t.Fatalf("nvars=%d cube %b/%b: Table differs from the literal AND", nvars, c.Mask, c.Val)
+				}
+				acc.OrCube(c)
+				accWant = accWant.Or(lit)
+				if !acc.Equal(accWant) {
+					t.Fatalf("nvars=%d cube %b/%b: OrCube into a filled table differs", nvars, c.Mask, c.Val)
+				}
+				cv = append(cv, c)
+				want = want.Or(lit)
+			}
+			if !cv.Table(nvars).Equal(want) {
+				t.Fatalf("nvars=%d: Cover.Table differs from the OR of literal ANDs", nvars)
+			}
+		}
+	}
+}
+
 func TestCubeConsistency(t *testing.T) {
 	c := Cube{Mask: 0b011, Val: 0b001} // x0=1, x1=0
 	if !c.ConsistentWith(0b001, 0b001) {
