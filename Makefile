@@ -12,9 +12,12 @@ fmt:
 		echo "fmt: gofmt -l lists unformatted files:"; echo "$$out"; exit 1; \
 	fi
 
+# The bench module compiles against the sweep/prover API, so it is vetted
+# with the main module.
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Static analysis beyond vet. Skips gracefully when the staticcheck binary
 # is not installed (CI installs it; local runs may not have it).

@@ -316,7 +316,7 @@ func BenchmarkSimEngine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := prover.NewSim(net, 0)
+		eng := prover.NewSim(net, 0, nil)
 		for _, p := range pairs {
 			if r := eng.Prove(ctx, p.a, p.b, prover.Budget{}); r.Verdict == prover.Unknown {
 				b.Fatal("sim engine declined a pair under its cutoff")

@@ -26,7 +26,7 @@ import (
 
 	"simgen/internal/fuzz"
 	"simgen/internal/network"
-	"simgen/internal/sweep"
+	"simgen/internal/prover"
 )
 
 const (
@@ -125,12 +125,12 @@ func run() int {
 		// oracle must report an unsound merge or a verdict disagreement.
 		fired := false
 		opts.Config.ResetFault = func() { fired = false }
-		opts.Config.SweepOpts.FaultHook = func(a, b network.NodeID) sweep.Fault {
+		opts.Config.SweepOpts.FaultHook = func(a, b network.NodeID) prover.Fault {
 			if !fired {
 				fired = true
-				return sweep.FaultAssumeEqual
+				return prover.FaultAssumeEqual
 			}
-			return sweep.FaultNone
+			return prover.FaultNone
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"simgen/internal/network"
+	"simgen/internal/prover"
 	"simgen/internal/sim"
 	"simgen/internal/sweep"
 	"simgen/internal/word"
@@ -63,17 +64,14 @@ func TestDatapathDifferentialClean(t *testing.T) {
 // negation) that destroy word detectability while preserving the function —
 // CEC must still say EQ — and the single-gate mutation breaks the word
 // function itself — CEC must say NEQ with a verified counterexample. The
-// simulation stage is disabled so the word stage faces every obligation.
+// word engine has no simulation stage, so the word stage faces every
+// obligation.
 func TestDatapathMetamorphicWordStage(t *testing.T) {
 	perKind := 2
 	if testing.Short() {
 		perKind = 1
 	}
-	cfg := Config{Seed: 7, SweepOpts: sweep.Options{
-		Engine:    sweep.EnginePortfolio,
-		WordStage: true,
-		SimPIs:    -1,
-	}}
+	cfg := Config{Seed: 7, SweepOpts: sweep.Options{Engine: sweep.EngineWord}}
 	for _, kind := range DatapathKinds() {
 		for i := 0; i < perKind; i++ {
 			seed := iterationSeed(7, i)
@@ -120,8 +118,8 @@ func TestUnsoundWordEngineCaught(t *testing.T) {
 		Seed:        3,
 		WordEngines: true,
 		SweepOpts: sweep.Options{
-			FaultHook: func(a, b network.NodeID) sweep.Fault {
-				return sweep.FaultWordAssumeEqual
+			FaultHook: func(a, b network.NodeID) prover.Fault {
+				return prover.FaultWordAssumeEqual
 			},
 		},
 	}

@@ -32,12 +32,11 @@ type Config struct {
 	// unlimited so every engine must fully resolve each circuit; FaultHook
 	// can deliberately break the sweeper to prove the oracle catches it.
 	SweepOpts sweep.Options
-	// WordEngines additionally runs the word-level engines — the standalone
-	// word engine and the portfolio with the word stage on — against the
-	// same exhaustive oracle and the same coarse partition as the bit-level
-	// engines. The portfolio run disables its simulation
-	// stage so every candidate pair actually reaches the word stage. The
-	// datapath campaign preset enables this.
+	// WordEngines additionally runs the word engine (sweep.EngineWord)
+	// against the same exhaustive oracle and the same coarse partition as
+	// the bit-level engines. It has no simulation stage, so every
+	// candidate pair in a detected word actually reaches the word stage.
+	// The datapath campaign preset enables this.
 	WordEngines bool
 	// PerturbSchedules additionally runs the parallel engine that many
 	// times under distinct chaos schedules (timing-only perturbation:
@@ -237,17 +236,6 @@ func runEngines(net *network.Network, cfg Config) []engineRun {
 		runs = append(runs, engineRun{
 			name: "word", rep: wrd.Rep,
 			unresolved: wres.Unresolved, incomplete: wres.Incomplete,
-		})
-
-		wpOpts := cfg.SweepOpts
-		wpOpts.Engine = sweep.EnginePortfolio
-		wpOpts.WordStage = true
-		wpOpts.SimPIs = -1 // no sim stage: every pair faces the word stage
-		wp := sweep.New(net, freshClasses(), wpOpts)
-		wpres := wp.Run()
-		runs = append(runs, engineRun{
-			name: "portfolio-word", rep: wp.Rep,
-			unresolved: wpres.Unresolved, incomplete: wpres.Incomplete,
 		})
 	}
 

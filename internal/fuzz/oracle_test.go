@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"simgen/internal/network"
+	"simgen/internal/prover"
 	"simgen/internal/sim"
 	"simgen/internal/sweep"
 	"simgen/internal/tt"
@@ -80,12 +81,12 @@ func TestUnsoundSweeperCaught(t *testing.T) {
 	cfg := Config{
 		ResetFault: func() { fired = false },
 		SweepOpts: sweep.Options{
-			FaultHook: func(a, b network.NodeID) sweep.Fault {
+			FaultHook: func(a, b network.NodeID) prover.Fault {
 				if !fired {
 					fired = true
-					return sweep.FaultAssumeEqual
+					return prover.FaultAssumeEqual
 				}
-				return sweep.FaultNone
+				return prover.FaultNone
 			},
 		},
 	}

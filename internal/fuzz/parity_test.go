@@ -8,6 +8,7 @@ import (
 	"simgen/internal/blif"
 	"simgen/internal/network"
 	"simgen/internal/obs"
+	"simgen/internal/prover"
 	"simgen/internal/sweep"
 )
 
@@ -233,28 +234,28 @@ func TestPortfolioResolvesTightBudgetPairs(t *testing.T) {
 
 // TestUnsoundPortfolioCaught re-runs the -inject-unsound self-test with the
 // portfolio engine selected, proving the differential oracle still catches
-// an unsound verdict that travels through the portfolio's SAT stage.
-// SimPIs is pinned low so the simulation stage cannot prove the faulted
-// pair before the SAT stage is consulted.
+// an unsound verdict that travels through the portfolio's SAT stage. The
+// circuits have 14 inputs, so pairs whose support exceeds the simulation
+// stage's cutoff (prover.DefaultSimPIs) reach the SAT stage.
 func TestUnsoundPortfolioCaught(t *testing.T) {
 	fired := false
 	cfg := Config{
 		ResetFault: func() { fired = false },
 		SweepOpts: sweep.Options{
 			Engine: sweep.EnginePortfolio,
-			SimPIs: 1,
-			FaultHook: func(a, b network.NodeID) sweep.Fault {
+			FaultHook: func(a, b network.NodeID) prover.Fault {
 				if !fired {
 					fired = true
-					return sweep.FaultAssumeEqual
+					return prover.FaultAssumeEqual
 				}
-				return sweep.FaultNone
+				return prover.FaultNone
 			},
 		},
 	}
 	for i := 0; i < 200; i++ {
 		seed := iterationSeed(4242, i)
 		shape := Shapes()[ShapeNames()[i%len(ShapeNames())]]
+		shape.PIs = prover.DefaultSimPIs + 2
 		net := Generate(rand.New(rand.NewSource(seed)), shape)
 		if failure := CheckDifferential(net, cfg); failure != nil {
 			if failure.Check != "unsound-merge" && failure.Check != "missed-merge" &&

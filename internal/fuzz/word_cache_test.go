@@ -12,15 +12,11 @@ import (
 	"simgen/internal/word"
 )
 
-// wordSweepOpts is the word-enabled portfolio configuration the datapath
-// cache tests run under: the word stage on, the sim stage off so every
-// obligation reaches the cache probe and the word stage.
+// wordSweepOpts is the word-enabled configuration the datapath cache tests
+// run under: the word engine has no sim stage, so every obligation reaches
+// the cache probe and the word stage.
 func wordSweepOpts() sweep.Options {
-	return sweep.Options{
-		Engine:    sweep.EnginePortfolio,
-		WordStage: true,
-		SimPIs:    -1,
-	}
+	return sweep.Options{Engine: sweep.EngineWord}
 }
 
 // TestWordProofCacheRoundTrip: verdicts settled by the word-staged

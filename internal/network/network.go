@@ -184,6 +184,17 @@ func (n *Network) Invalidate() {
 	n.covers, n.coverFuncs = nil, nil
 }
 
+// Warm builds every lazily cached derived datum (each node's covers, the
+// fanouts and the levels). The lazy builds are not goroutine-safe, so a
+// network is warmed once before it is shared across goroutines, and is
+// read-only from then on until the next edit.
+func (n *Network) Warm() {
+	for id := range n.nodes {
+		n.Covers(NodeID(id))
+	}
+	n.update()
+}
+
 // Fanouts returns the fanout node IDs of id.
 func (n *Network) Fanouts(id NodeID) []NodeID {
 	n.update()

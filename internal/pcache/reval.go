@@ -17,7 +17,8 @@ import (
 //     record belongs to some other (colliding or stale) cone pair,
 //   - a recorded equivalence is re-simulated over the pair's combined
 //     support: exhaustively (exact) when the support fits
-//     revalExhaustivePIs, otherwise with revalRandomWords words of
+//     prover.DefaultSimPIs, the cutoff of the portfolio's simulation stage
+//     and of Refine's enumeration, otherwise with revalRandomWords words of
 //     deterministic random vectors — a probabilistic filter backstopping
 //     the two independent 64-bit structural hashes (see DESIGN.md 3.14
 //     for the soundness budget).
@@ -27,14 +28,9 @@ import (
 // no engine statistics: revalidation is cache bookkeeping, and the report
 // invariants pin engine counters to sweep.Result fields.
 
-const (
-	// revalExhaustivePIs is the combined-support cutoff under which an
-	// equivalence revalidation enumerates all assignments (exact).
-	revalExhaustivePIs = 12
-	// revalRandomWords is the number of 64-lane random words simulated
-	// when the support is too wide to enumerate.
-	revalRandomWords = 4
-)
+// revalRandomWords is the number of 64-lane random words simulated when
+// the support is too wide to enumerate.
+const revalRandomWords = 4
 
 // evaluator returns the session's cone evaluator, compiling it on first
 // use. The caller holds s.mu.
@@ -50,7 +46,7 @@ func (s *Session) evaluator() *sim.Simulator {
 // makes the random fallback deterministic per pair.
 func (s *Session) revalEqual(a, b network.NodeID, seed uint64) bool {
 	var vals sim.Values
-	if len(prover.Support(s.net, s.cone, a, b)) <= revalExhaustivePIs {
+	if len(prover.Support(s.net, s.cone, a, b)) <= prover.DefaultSimPIs {
 		vals = s.evaluator().SimulateConeExhaustive(s.cone)
 	} else {
 		state := seed

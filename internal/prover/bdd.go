@@ -20,19 +20,13 @@ type BDD struct {
 	tr      obs.Tracer
 }
 
-// NewBDD creates a BDD engine; maxNodes bounds the node table (0 = the
-// manager default).
-func NewBDD(net *network.Network, maxNodes int) *BDD {
+// NewBDD creates a BDD engine whose events go to tr (nil means obs.Nop);
+// maxNodes bounds the node table (0 = the manager default).
+func NewBDD(net *network.Network, maxNodes int, tr obs.Tracer) *BDD {
 	b := bdd.NewBuilder(net)
 	b.M.MaxNodes = maxNodes
-	return &BDD{builder: b, tr: obs.Nop}
+	return &BDD{builder: b, tr: obs.OrNop(tr)}
 }
-
-// Name implements Engine.
-func (e *BDD) Name() string { return "bdd" }
-
-// SetTracer implements Engine.
-func (e *BDD) SetTracer(t obs.Tracer) { e.tr = obs.OrNop(t) }
 
 // Prove implements Engine.
 func (e *BDD) Prove(ctx context.Context, a, b network.NodeID, _ Budget) Result {

@@ -34,16 +34,9 @@ type chaosEngine struct {
 	tr    obs.Tracer
 }
 
-func (c *chaosEngine) Name() string { return c.inner.Name() }
-
 func (c *chaosEngine) Learn(a, b network.NodeID) { c.inner.Learn(a, b) }
 
 func (c *chaosEngine) Watch(ctx context.Context) (stop func()) { return c.inner.Watch(ctx) }
-
-func (c *chaosEngine) SetTracer(t obs.Tracer) {
-	c.tr = obs.OrNop(t)
-	c.inner.SetTracer(t)
-}
 
 func (c *chaosEngine) Prove(ctx context.Context, a, b network.NodeID, budget Budget) Result {
 	act := c.inj.At(chaos.PointVerdict, int32(a), int32(b))

@@ -52,54 +52,29 @@ type Portfolio struct {
 	prober Prober // cross-run verification memory; nil when disabled
 }
 
-// NewPortfolio creates a portfolio over the network. hook injects test
-// faults into the SAT stage (re-consulted on every escalation rung).
-func NewPortfolio(net *network.Network, policy Policy, hook FaultHook) *Portfolio {
-	s := NewSAT(net)
+// NewPortfolio creates a portfolio over the network with every stage in
+// place. Events go to tr (nil means obs.Nop), the lazily built BDD
+// fallback's included. pr, when non-nil, is the cross-run verification
+// memory, rung 0 of the schedule: every Prove consults it before any
+// engine runs, and settled verdicts are recorded back. A plan that is not
+// inert inserts the word-level stage between simulation and the SAT
+// ladder, sharing the portfolio's SAT engine so learned frontier
+// equalities collapse the ladder's miters. hook injects test faults into
+// the SAT stage (re-consulted on every escalation rung) and the word stage.
+func NewPortfolio(net *network.Network, policy Policy, tr obs.Tracer, pr Prober, plan *WordPlan, hook FaultHook) *Portfolio {
+	tr = obs.OrNop(tr)
+	s := NewSAT(net, tr)
 	s.Hook = hook
-	p := &Portfolio{net: net, policy: policy, tr: obs.Nop, sat: s}
+	p := &Portfolio{net: net, policy: policy, tr: tr, sat: s, prober: pr}
 	if policy.SimPIs > 0 {
-		p.sim = NewSim(net, policy.SimPIs)
+		p.sim = NewSim(net, policy.SimPIs, tr)
+	}
+	if !plan.inert() {
+		p.word = NewWord(net, plan, s, tr)
+		p.word.Hook = hook
 	}
 	return p
 }
-
-// Name implements Engine.
-func (p *Portfolio) Name() string { return "portfolio" }
-
-// SetTracer implements Engine, propagating the tracer to every stage
-// (including the lazily built BDD fallback).
-func (p *Portfolio) SetTracer(t obs.Tracer) {
-	p.tr = obs.OrNop(t)
-	p.sat.SetTracer(t)
-	if p.sim != nil {
-		p.sim.SetTracer(t)
-	}
-	if p.word != nil {
-		p.word.SetTracer(t)
-	}
-	if p.bdd != nil {
-		p.bdd.SetTracer(t)
-	}
-}
-
-// EnableWord inserts the word-level stage between simulation and the SAT
-// ladder, sharing the portfolio's SAT engine so learned frontier
-// equalities collapse the ladder's miters. A nil or inert plan leaves the
-// portfolio unchanged.
-func (p *Portfolio) EnableWord(plan *WordPlan) {
-	if plan == nil || plan.St == nil || plan.sig == nil {
-		return
-	}
-	p.word = NewWord(p.net, plan, p.sat)
-	p.word.Hook = p.sat.Hook
-	p.word.SetTracer(p.tr)
-}
-
-// SetProber attaches the cross-run verification memory as rung 0 of the
-// schedule: every Prove consults it before any engine runs, and settled
-// verdicts are recorded back. nil detaches it.
-func (p *Portfolio) SetProber(pr Prober) { p.prober = pr }
 
 // Prove implements Engine by running the schedule until a stage decides.
 func (p *Portfolio) Prove(ctx context.Context, a, b network.NodeID, budget Budget) Result {
@@ -165,8 +140,7 @@ func (p *Portfolio) Prove(ctx context.Context, a, b network.NodeID, budget Budge
 // ensureBDD lazily builds the fallback BDD engine.
 func (p *Portfolio) ensureBDD() *BDD {
 	if p.bdd == nil {
-		p.bdd = NewBDD(p.net, p.policy.BDDNodeLimit)
-		p.bdd.SetTracer(p.tr)
+		p.bdd = NewBDD(p.net, p.policy.BDDNodeLimit, p.tr)
 	}
 	return p.bdd
 }

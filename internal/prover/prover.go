@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"simgen/internal/network"
-	"simgen/internal/obs"
 )
 
 // Verdict is an engine's answer for one node pair.
@@ -127,10 +126,10 @@ type Result struct {
 
 // Engine proves or refutes candidate node equivalences over one network.
 // Engines are stateful (learned clauses, node caches) and not
-// goroutine-safe: the scheduler gives each worker its own instance.
+// goroutine-safe: the scheduler gives each worker its own instance. Each
+// constructor takes everything its engine needs, the tracer its events go
+// to included, so an engine is complete from the moment it exists.
 type Engine interface {
-	// Name identifies the engine in logs and results.
-	Name() string
 	// Prove asks whether nodes a and b can differ. Unknown means the budget
 	// (or the context) ran out, never an error: engines degrade, they don't
 	// fail.
@@ -143,10 +142,6 @@ type Engine interface {
 	// promptly; the returned stop releases the watcher. Engines whose
 	// individual checks are already bounded may return a no-op.
 	Watch(ctx context.Context) (stop func())
-	// SetTracer directs the engine's observability events (Prove
-	// start/verdict with budget spent, escalations, blow-ups) to t.
-	// Engines default to obs.Nop; passing nil restores it.
-	SetTracer(t obs.Tracer)
 }
 
 // CacheProbe is the outcome of one verification-memory lookup (see

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"simgen/internal/network"
+	"simgen/internal/obs"
 	"simgen/internal/sim"
 	"simgen/internal/tt"
 )
@@ -71,10 +72,10 @@ func TestEnginesAgreeOnRandomPairs(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		net := randomNet(rng, 3+rng.Intn(6), 10+rng.Intn(20))
 		engines := []Engine{
-			NewSAT(net),
-			NewBDD(net, 0),
-			NewSim(net, 16),
-			NewPortfolio(net, Policy{SimPIs: 8, MaxEscalations: 2, BDDFallback: true}, nil),
+			NewSAT(net, nil),
+			NewBDD(net, 0, nil),
+			NewSim(net, 16, nil),
+			NewPortfolio(net, Policy{SimPIs: 8, MaxEscalations: 2, BDDFallback: true}, nil, nil, nil, nil),
 		}
 		for pi := 0; pi < 10; pi++ {
 			a := network.NodeID(rng.Intn(net.NumNodes()))
@@ -86,8 +87,8 @@ func TestEnginesAgreeOnRandomPairs(t *testing.T) {
 			for _, eng := range engines {
 				r := eng.Prove(ctx, a, b, Budget{})
 				if r.Verdict != want {
-					t.Fatalf("engine %s: pair (%d,%d) verdict %v, want %v",
-						eng.Name(), a, b, r.Verdict, want)
+					t.Fatalf("engine %T: pair (%d,%d) verdict %v, want %v",
+						eng, a, b, r.Verdict, want)
 				}
 				if r.Verdict == Differ {
 					verifyCex(t, net, a, b, r.Cex)
@@ -112,7 +113,7 @@ func TestSimDeclinesLargeSupport(t *testing.T) {
 	if wide < 0 {
 		t.Skip("no wide-support node in this net")
 	}
-	eng := NewSim(net, 4)
+	eng := NewSim(net, 4, nil)
 	r := eng.Prove(context.Background(), wide, wide, Budget{})
 	if r.Verdict != Unknown || r.Stats.SimChecks != 0 {
 		t.Fatalf("Sim over cutoff: verdict %v simchecks %d, want unknown verdict and no check",
@@ -122,7 +123,10 @@ func TestSimDeclinesLargeSupport(t *testing.T) {
 
 // TestPortfolioEscalatesThenFallsBack drives the SAT stage to persistent
 // Unknown with an injected fault; the portfolio must climb every rung
-// (re-consulting the hook) and settle on the BDD stage.
+// (re-consulting the hook) and settle on the BDD stage. Every stage's
+// events must reach the tracer the portfolio was built with: the four SAT
+// rungs' prove events, the three escalations, and the verdict of the BDD
+// fallback, which is built lazily on first use.
 func TestPortfolioEscalatesThenFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	net := randomNet(rng, 5, 12)
@@ -131,7 +135,8 @@ func TestPortfolioEscalatesThenFallsBack(t *testing.T) {
 		consults++
 		return FaultUnknown
 	}
-	p := NewPortfolio(net, Policy{MaxEscalations: 3, BDDFallback: true}, hook)
+	rec := &obs.Recorder{}
+	p := NewPortfolio(net, Policy{MaxEscalations: 3, BDDFallback: true}, rec, nil, nil, hook)
 	a := network.NodeID(net.NumNodes() - 1)
 	r := p.Prove(context.Background(), a, a, Budget{})
 	if r.Verdict != Equal {
@@ -142,6 +147,27 @@ func TestPortfolioEscalatesThenFallsBack(t *testing.T) {
 	}
 	if r.Stats.Escalations != 3 || r.Stats.BDDChecks != 1 || r.Stats.SATCalls != 4 {
 		t.Fatalf("stats %+v, want 3 escalations, 4 SAT calls, 1 BDD check", r.Stats)
+	}
+	events := func(kind obs.Kind, engine string) []obs.Event {
+		var out []obs.Event
+		for _, ev := range rec.Filter(kind) {
+			if ev.Engine == engine {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+	if n := len(events(obs.KindProveStart, "sat")); n != 4 {
+		t.Errorf("%d SAT prove_start events, want one per rung (4)", n)
+	}
+	if n := len(events(obs.KindProveVerdict, "sat")); n != 4 {
+		t.Errorf("%d SAT prove_verdict events, want one per rung (4)", n)
+	}
+	if n := len(rec.Filter(obs.KindEscalation)); n != 3 {
+		t.Errorf("%d escalation events, want 3", n)
+	}
+	if bdd := events(obs.KindProveVerdict, "bdd"); len(bdd) != 1 || Verdict(bdd[0].Verdict) != Equal {
+		t.Errorf("BDD fallback prove_verdict events %+v, want one, equal", bdd)
 	}
 }
 
@@ -154,7 +180,7 @@ func TestPortfolioSimSkipsSAT(t *testing.T) {
 		t.Fatal("SAT stage consulted for a sim-provable pair")
 		return FaultNone
 	}
-	p := NewPortfolio(net, Policy{SimPIs: 16}, hook)
+	p := NewPortfolio(net, Policy{SimPIs: 16}, nil, nil, nil, hook)
 	a := network.NodeID(net.NumNodes() - 1)
 	r := p.Prove(context.Background(), a, a, Budget{})
 	if r.Verdict != Equal || r.Stats.SimChecks != 1 {

@@ -30,17 +30,12 @@ type SAT struct {
 	tr     obs.Tracer
 }
 
-// NewSAT creates a SAT-miter engine over the network.
-func NewSAT(net *network.Network) *SAT {
+// NewSAT creates a SAT-miter engine over the network whose events go to tr
+// (nil means obs.Nop).
+func NewSAT(net *network.Network, tr obs.Tracer) *SAT {
 	solver := sat.New()
-	return &SAT{solver: solver, enc: cnf.NewEncoder(net, solver), tr: obs.Nop}
+	return &SAT{solver: solver, enc: cnf.NewEncoder(net, solver), tr: obs.OrNop(tr)}
 }
-
-// Name implements Engine.
-func (e *SAT) Name() string { return "sat" }
-
-// SetTracer implements Engine.
-func (e *SAT) SetTracer(t obs.Tracer) { e.tr = obs.OrNop(t) }
 
 // Prove implements Engine: one Solve call under the given budget.
 func (e *SAT) Prove(ctx context.Context, a, b network.NodeID, budget Budget) Result {

@@ -28,26 +28,18 @@ type Sim struct {
 	cone   *network.Cone // the pair's union cone, walked once per proof
 
 	// kernel is the cone evaluator, compiled on the first proof. Compiling
-	// reads the network's lazily cached covers, which are not
-	// goroutine-safe — the sweep scheduler warms them before sharing the
-	// network across workers.
+	// reads the network's lazily cached covers (see network.Warm).
 	kernel *sim.Simulator
 }
 
-// NewSim creates an exhaustive-simulation engine; maxPIs <= 0 means
-// DefaultSimPIs.
-func NewSim(net *network.Network, maxPIs int) *Sim {
+// NewSim creates an exhaustive-simulation engine whose events go to tr
+// (nil means obs.Nop); maxPIs <= 0 means DefaultSimPIs.
+func NewSim(net *network.Network, maxPIs int, tr obs.Tracer) *Sim {
 	if maxPIs <= 0 {
 		maxPIs = DefaultSimPIs
 	}
-	return &Sim{net: net, maxPIs: maxPIs, tr: obs.Nop, cone: network.NewCone(net)}
+	return &Sim{net: net, maxPIs: maxPIs, tr: obs.OrNop(tr), cone: network.NewCone(net)}
 }
-
-// Name implements Engine.
-func (e *Sim) Name() string { return "sim" }
-
-// SetTracer implements Engine.
-func (e *Sim) SetTracer(t obs.Tracer) { e.tr = obs.OrNop(t) }
 
 // Support walks the pair's union fanin cone into c (a's cone, then the
 // rest of b's) and returns the primary inputs in it, in walk order: the

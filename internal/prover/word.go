@@ -50,9 +50,8 @@ type WordPlan struct {
 
 // NewWordPlan analyses the network. It simulates every node on 256
 // deterministic random input vectors (a sim.Simulator compiled from the
-// network's ISOP covers, which are lazily cached and not goroutine-safe —
-// build the plan before sharing the network across workers). A nil or
-// empty structure yields an inert plan that declines every pair.
+// network's lazily cached ISOP covers; see network.Warm). A nil or empty
+// structure yields an inert plan that declines every pair.
 func NewWordPlan(net *network.Network, st *word.Structure) *WordPlan {
 	p := &WordPlan{St: st}
 	if st == nil {
@@ -106,6 +105,10 @@ func (p *WordPlan) Sig(id network.NodeID) []uint64 {
 	return p.sig[id]
 }
 
+// inert reports whether the plan declines every pair: no plan, no
+// structure, or no word candidate to sign.
+func (p *WordPlan) inert() bool { return p == nil || p.St == nil || p.sig == nil }
+
 // Word is the word-level proving stage: for obligations whose nodes belong
 // to detected word candidates, it proves the in-cone frontier of slice
 // equalities bottom-up and learns each into the shared SAT solver, so the
@@ -115,7 +118,7 @@ func (p *WordPlan) Sig(id network.NodeID) []uint64 {
 // The stage itself settles a pair only when the 256-lane signatures differ
 // (an exact counterexample); otherwise it returns Unknown after seeding the
 // solver and the ladder's SAT rung finishes the miter. It is not an Engine:
-// it runs only as a stage of the Portfolio (EnableWord).
+// it runs only as a stage of a Portfolio built with a word plan.
 type Word struct {
 	// Hook, when set, is consulted per Prepare call; FaultWordAssumeEqual
 	// makes the stage report the pair equal without proving anything —
@@ -133,28 +136,23 @@ type Word struct {
 }
 
 // NewWord creates a word stage sharing the given SAT engine, so frontier
-// equalities it learns benefit every later miter in the same solver.
-func NewWord(net *network.Network, plan *WordPlan, s *SAT) *Word {
+// equalities it learns benefit every later miter in the same solver. The
+// stage's own events go to tr (nil means obs.Nop); the shared SAT engine
+// emits its own.
+func NewWord(net *network.Network, plan *WordPlan, s *SAT, tr obs.Tracer) *Word {
 	return &Word{
 		net:   net,
 		plan:  plan,
 		sat:   s,
-		tr:    obs.Nop,
+		tr:    obs.OrNop(tr),
 		cone:  network.NewCone(net),
 		tried: make(map[uint64]bool),
 	}
 }
 
-// SetTracer directs the stage's own events to t; the shared SAT engine's
-// tracer belongs to the portfolio that owns it.
-func (e *Word) SetTracer(t obs.Tracer) { e.tr = obs.OrNop(t) }
-
 // applies reports whether the stage has anything to say about the pair.
 func (e *Word) applies(a, b network.NodeID) bool {
-	if e.plan == nil || e.plan.St == nil || e.plan.sig == nil {
-		return false
-	}
-	return e.plan.St.InWord(a) || e.plan.St.InWord(b)
+	return !e.plan.inert() && (e.plan.St.InWord(a) || e.plan.St.InWord(b))
 }
 
 // Prepare runs the word stage for one obligation: signature refutation,

@@ -107,8 +107,7 @@ func TestWordPlanSignaturesExact(t *testing.T) {
 func TestWordEngineTwinAdder(t *testing.T) {
 	ta, plan := newTwinAdderPlan(t, 4)
 	ctx := context.Background()
-	w := NewPortfolio(ta.net, Policy{}, nil)
-	w.EnableWord(plan)
+	w := NewPortfolio(ta.net, Policy{}, nil, nil, plan, nil)
 
 	top := len(ta.s1) - 1
 	r := w.Prove(ctx, ta.s1[top], ta.s2[top], Budget{})
@@ -148,10 +147,8 @@ func TestPortfolioFixedStageOrder(t *testing.T) {
 		{0, regexp.MustCompile(`^sim$`)},
 		{3, regexp.MustCompile(`^word( sat)+$`)},
 	} {
-		p := NewPortfolio(ta.net, Policy{SimPIs: 4}, nil)
-		p.EnableWord(plan)
 		rec := &obs.Recorder{}
-		p.SetTracer(rec)
+		p := NewPortfolio(ta.net, Policy{SimPIs: 4}, rec, nil, plan, nil)
 		if r := p.Prove(context.Background(), ta.s1[c.bit], ta.s2[c.bit], Budget{}); r.Verdict != Equal {
 			t.Fatalf("sum bit %d: verdict %v, want equal", c.bit, r.Verdict)
 		}
@@ -175,7 +172,7 @@ func TestWordDeclinesOutsideWords(t *testing.T) {
 	if c, _ := st.Counts(); c != 0 {
 		t.Fatalf("unexpected word candidates on anonymous-PI random logic: %d", c)
 	}
-	w := NewWord(net, NewWordPlan(net, st), NewSAT(net))
+	w := NewWord(net, NewWordPlan(net, st), NewSAT(net, nil), nil)
 	a := network.NodeID(net.NumNodes() - 2)
 	r := w.Prepare(context.Background(), a, a, Budget{})
 	if r.Verdict != Unknown || r.Stats != (Stats{}) {
@@ -188,7 +185,7 @@ func TestWordDeclinesOutsideWords(t *testing.T) {
 // only for pairs it would otherwise engage with.
 func TestWordFaultAssumeEqual(t *testing.T) {
 	ta, plan := newTwinAdderPlan(t, 3)
-	w := NewWord(ta.net, plan, NewSAT(ta.net))
+	w := NewWord(ta.net, plan, NewSAT(ta.net, nil), nil)
 	w.Hook = func(a, b network.NodeID) Fault { return FaultWordAssumeEqual }
 	// s1[0] and s1[1] are genuinely different — the fault makes the stage
 	// lie, which is exactly what the differential oracle must catch.

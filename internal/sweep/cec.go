@@ -149,9 +149,9 @@ func DefaultCECOptions() CECOptions {
 
 // Check reports the first setting out of range: a Method outside core's
 // method table (Refine reads an empty one as "simgen" first), an unknown
-// engine kind, or a negative count, budget or ladder limit. A negative
-// SimPIs or RetryLimit and an EscalationFactor below 2 keep their
-// documented meanings. The error names the setting and carries no package
+// engine kind, or a negative count, budget or ladder limit. An
+// EscalationFactor below 2 keeps its documented meaning (the default
+// factor 4). The error names the setting and carries no package
 // prefix: each front end prints it under its own name.
 func (o CECOptions) Check() error {
 	if err := core.CheckMethod(o.Method); err != nil {
@@ -220,7 +220,7 @@ func CECContext(ctx context.Context, a, b *network.Network, opts CECOptions) (CE
 	// swept with: its learned equalities typically make these calls
 	// trivial, and the engine owns the whole escalation ladder and BDD
 	// fallback — there is no separate PO prove-path.
-	eng := sw.engine()
+	eng := sw.sched.primary
 	stop := eng.Watch(ctx)
 	defer stop()
 	for _, p := range pairs {

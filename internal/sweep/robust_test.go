@@ -11,6 +11,7 @@ import (
 	"simgen/internal/genbench"
 	"simgen/internal/mapper"
 	"simgen/internal/network"
+	"simgen/internal/prover"
 	"simgen/internal/sim"
 )
 
@@ -296,11 +297,11 @@ func TestFaultPanicParallelWorkersAreIsolated(t *testing.T) {
 	net, run := benchClasses(t, "apex2", 1)
 	var calls atomic.Int64
 	sw := New(net, run.Classes, Options{
-		FaultHook: func(a, b network.NodeID) Fault {
+		FaultHook: func(a, b network.NodeID) prover.Fault {
 			if calls.Add(1)%7 == 0 {
-				return FaultPanic
+				return prover.FaultPanic
 			}
-			return FaultNone
+			return prover.FaultNone
 		},
 	})
 	done := make(chan Result, 1)
@@ -331,48 +332,12 @@ func TestFaultPanicParallelWorkersAreIsolated(t *testing.T) {
 	}
 }
 
-func TestFaultPanicRetryDisabled(t *testing.T) {
-	// RetryLimit < 0 restores the pre-retry contract: the first panic on a
-	// pair drops it as unresolved, nothing is requeued.
-	net, run := benchClasses(t, "apex2", 1)
-	var calls atomic.Int64
-	sw := New(net, run.Classes, Options{
-		RetryLimit: -1,
-		FaultHook: func(a, b network.NodeID) Fault {
-			if calls.Add(1)%7 == 0 {
-				return FaultPanic
-			}
-			return FaultNone
-		},
-	})
-	done := make(chan Result, 1)
-	go func() { done <- sw.RunParallel(4) }()
-	select {
-	case res := <-done:
-		if res.WorkerPanics == 0 {
-			t.Fatal("no injected panic reached a worker")
-		}
-		if res.Requeued != 0 || res.Retried != 0 {
-			t.Fatalf("requeue ran with retries disabled: %s", res)
-		}
-		if res.Unresolved < res.WorkerPanics {
-			t.Fatalf("panicked pairs not accounted unresolved: %s", res)
-		}
-		if res.Proved == 0 {
-			t.Fatalf("surviving workers proved nothing: %s", res)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("parallel sweep deadlocked after injected panics")
-	}
-}
-
 func TestFaultPanicRetryExhaustionDrops(t *testing.T) {
 	// A pair that panics on every attempt must exhaust its retry budget and
 	// be dropped as unresolved — requeueing is bounded, not a livelock.
 	net, run := benchClasses(t, "apex2", 1)
 	sw := New(net, run.Classes, Options{
-		RetryLimit: 2,
-		FaultHook:  func(a, b network.NodeID) Fault { return FaultPanic },
+		FaultHook: func(a, b network.NodeID) prover.Fault { return prover.FaultPanic },
 	})
 	done := make(chan Result, 1)
 	go func() { done <- sw.RunParallel(4) }()
@@ -384,7 +349,7 @@ func TestFaultPanicRetryExhaustionDrops(t *testing.T) {
 		if res.Unresolved == 0 {
 			t.Fatalf("exhausted pairs not dropped unresolved: %s", res)
 		}
-		// Each dropped pair burned exactly RetryLimit requeues first.
+		// Each dropped pair burned exactly DefaultRetryLimit requeues first.
 		if res.WorkerPanics != res.Unresolved+res.Requeued {
 			t.Fatalf("panic accounting out of balance: %s", res)
 		}
@@ -401,7 +366,7 @@ func TestFaultPanicSequentialPropagates(t *testing.T) {
 	// must not silently swallow a panic.
 	net, run := benchClasses(t, "apex2", 1)
 	sw := New(net, run.Classes, Options{
-		FaultHook: func(a, b network.NodeID) Fault { return FaultPanic },
+		FaultHook: func(a, b network.NodeID) prover.Fault { return prover.FaultPanic },
 	})
 	defer func() {
 		if recover() == nil {
@@ -419,13 +384,13 @@ func TestFaultUnknownRidesEscalationLadder(t *testing.T) {
 	failedOnce := map[[2]network.NodeID]bool{}
 	sw := New(net, runner.Classes, Options{
 		MaxEscalations: 1,
-		FaultHook: func(a, b network.NodeID) Fault {
+		FaultHook: func(a, b network.NodeID) prover.Fault {
 			key := [2]network.NodeID{a, b}
 			if !failedOnce[key] {
 				failedOnce[key] = true
-				return FaultUnknown
+				return prover.FaultUnknown
 			}
-			return FaultNone
+			return prover.FaultNone
 		},
 	})
 	res := sw.Run()
@@ -444,7 +409,7 @@ func TestFaultUnknownWithoutEscalationDropsPair(t *testing.T) {
 	net, _, _ := buildRedundant()
 	runner := core.NewRunner(net, 1, 5)
 	sw := New(net, runner.Classes, Options{
-		FaultHook: func(a, b network.NodeID) Fault { return FaultUnknown },
+		FaultHook: func(a, b network.NodeID) prover.Fault { return prover.FaultUnknown },
 	})
 	res := sw.Run()
 	if res.Unresolved == 0 {
@@ -464,7 +429,7 @@ func TestFaultUnknownPersistingFallsBackToBDD(t *testing.T) {
 	sw := New(net, runner.Classes, Options{
 		MaxEscalations: 1,
 		BDDFallback:    true,
-		FaultHook:      func(a, b network.NodeID) Fault { return FaultUnknown },
+		FaultHook:      func(a, b network.NodeID) prover.Fault { return prover.FaultUnknown },
 	})
 	res := sw.Run()
 	if res.BDDChecks == 0 {

@@ -46,12 +46,12 @@ type scheduler struct {
 	// primary is the engine used by sequential runs and worker 0, so its
 	// learned state (e.g. SAT equality clauses) survives for later phases
 	// like CEC's output checks; factory builds private engines for the
-	// remaining workers (nil pins the scheduler to one worker).
+	// remaining workers.
 	primary prover.Engine
 	factory func() prover.Engine
 
-	// tr receives the scheduler's observability events; engines built for
-	// this scheduler share it. Never nil (obs.Nop by default).
+	// tr receives the scheduler's observability events, as the engines
+	// the factory builds do. Never nil (obs.Nop by default).
 	tr obs.Tracer
 
 	// inj is the chaos injector consulted at every scheduling decision
@@ -74,35 +74,20 @@ type scheduler struct {
 	progress bool
 }
 
-// newScheduler builds a scheduler over the partition. simulator, when
-// non-nil, backs the counterexample pool (callers that already compiled an
-// arena simulator for the network pass it to avoid a second kernel).
+// newScheduler builds a scheduler over the partition; factory builds one
+// complete engine per call, the primary first. simulator, when non-nil,
+// backs the counterexample pool (callers that already compiled an arena
+// simulator for the network pass it to avoid a second kernel).
 func newScheduler(net *network.Network, classes *sim.Classes, opts Options,
-	primary prover.Engine, factory func() prover.Engine, simulator *sim.Simulator) *scheduler {
-	tr := obs.OrNop(opts.Tracer)
-	// wire attaches the run's tracer and, when a cache is attached, its
-	// prober to every engine the scheduler proves with.
-	wire := func(e prover.Engine) prover.Engine {
-		e.SetTracer(tr)
-		if opts.Cache != nil {
-			if ph, ok := e.(interface{ SetProber(prover.Prober) }); ok {
-				ph.SetProber(opts.Cache)
-			}
-		}
-		return e
-	}
-	if factory != nil {
-		inner := factory
-		factory = func() prover.Engine { return wire(inner()) }
-	}
+	factory func() prover.Engine, simulator *sim.Simulator) *scheduler {
 	s := &scheduler{
 		net:     net,
 		classes: classes,
 		opts:    opts,
 		budget:  prover.Budget{Conflicts: opts.ConflictBudget, Propagations: opts.PropagationBudget},
-		primary: wire(primary),
+		primary: factory(),
 		factory: factory,
-		tr:      tr,
+		tr:      obs.OrNop(opts.Tracer),
 		uf:      newUnionFind(net.NumNodes()),
 		pool:    newCexPool(net, classes, simulator),
 		claimed: make(map[network.NodeID]bool),
@@ -111,19 +96,6 @@ func newScheduler(net *network.Network, classes *sim.Classes, opts Options,
 	s.cond = sync.NewCond(&s.mu)
 	s.pool.keep = opts.Cache != nil
 	return s
-}
-
-// retryLimit resolves Options.RetryLimit: 0 means the default, negative
-// disables requeueing.
-func (s *scheduler) retryLimit() int {
-	switch {
-	case s.opts.RetryLimit < 0:
-		return 0
-	case s.opts.RetryLimit == 0:
-		return DefaultRetryLimit
-	default:
-		return s.opts.RetryLimit
-	}
 }
 
 // run drains every obligation with the given worker count and returns the
@@ -136,7 +108,7 @@ func (s *scheduler) run(ctx context.Context, workers int) Result {
 	s.snap = nil
 	start := time.Now()
 	s.prePass(ctx)
-	if workers <= 1 || s.factory == nil {
+	if workers <= 1 {
 		s.tr.Emit(obs.Event{Kind: obs.KindSweepStart, Workers: 1})
 		func() {
 			stop := s.primary.Watch(ctx)
@@ -154,13 +126,7 @@ func (s *scheduler) run(ctx context.Context, workers int) Result {
 			s.mu.Unlock()
 		})
 		defer stopWake()
-		// Warm the shared caches that are lazily built and not
-		// goroutine-safe: covers (row tables / CNF cubes) and
-		// fanout/level data.
-		for id := 0; id < s.net.NumNodes(); id++ {
-			s.net.Covers(network.NodeID(id))
-		}
-		s.net.Fanouts(0)
+		s.net.Warm() // the workers share the network read-only from here on
 		var wg sync.WaitGroup
 		for i := 0; i < workers; i++ {
 			eng := s.primary
@@ -441,13 +407,12 @@ func (s *scheduler) release(rep network.NodeID) {
 }
 
 // tryRequeue returns ob's pair to the queue after a recoverable failure
-// when its retry budget allows, reporting the pair's new retry count; the
-// caller holds mu. The pair stays in its class, so the next fresh scan
-// reissues the obligation.
+// while it has been requeued fewer than DefaultRetryLimit times, reporting
+// the pair's new retry count; the caller holds mu. The pair stays in its
+// class, so the next fresh scan reissues the obligation.
 func (s *scheduler) tryRequeue(ob obligation) (retries int, ok bool) {
-	limit := s.retryLimit()
 	pr := pair{ob.rep, ob.m}
-	if limit <= 0 || s.retries[pr] >= limit {
+	if s.retries[pr] >= DefaultRetryLimit {
 		return 0, false
 	}
 	s.retries[pr]++

@@ -48,31 +48,9 @@ import (
 
 // DefaultRetryLimit is the number of times a degraded obligation (worker
 // panic or injected transient engine failure) is requeued before the pair
-// is dropped as unresolved; Options.RetryLimit overrides it.
+// is dropped as unresolved. It is a fixed rule, not a setting: requeues
+// follow only injected faults and worker panics.
 const DefaultRetryLimit = 2
-
-// Fault is a test-only injected failure, returned by Options.FaultHook to
-// exercise the sweeping degradation paths deterministically. It aliases
-// prover.Fault: the hook is consulted by the SAT engine on every Prove
-// call, so escalation rungs re-consult it.
-type Fault = prover.Fault
-
-// Fault kinds. FaultUnknown forces a budget-exhaustion verdict without
-// running the solver; FaultPanic panics mid-solve (recovered and converted
-// to an unresolved verdict by parallel workers); FaultAssumeEqual skips the
-// SAT check entirely and reports the pair equivalent — an *unsound* verdict
-// that exists so the differential fuzzing oracle (internal/fuzz) can prove
-// it detects a broken sweeper.
-const (
-	FaultNone        = prover.FaultNone
-	FaultUnknown     = prover.FaultUnknown
-	FaultPanic       = prover.FaultPanic
-	FaultAssumeEqual = prover.FaultAssumeEqual
-	// FaultWordAssumeEqual makes the word stage report in-word pairs
-	// equivalent without proving anything — the word-level unsound verdict
-	// the fuzzing oracle must catch. The SAT engine ignores it.
-	FaultWordAssumeEqual = prover.FaultWordAssumeEqual
-)
 
 // EngineKind selects the proof engine a Sweeper schedules obligations on.
 type EngineKind int
@@ -84,8 +62,8 @@ const (
 	// EngineBDD proves every pair on canonical BDDs.
 	EngineBDD
 	// EnginePortfolio runs the full portfolio: free exhaustive-simulation
-	// proofs for small-support pairs (Options.SimPIs), then the SAT ladder,
-	// then the BDD fallback (forced on).
+	// proofs for pairs of at most prover.DefaultSimPIs support inputs, then
+	// the SAT ladder, then the BDD fallback (forced on).
 	EnginePortfolio
 	// EngineWord is EngineSAT with the word stage (Options.WordStage)
 	// forced on: structure detection over the LUT network, then bottom-up
@@ -153,10 +131,6 @@ type Options struct {
 	// BDDNodeLimit bounds the fallback BDD manager's node table;
 	// 0 means the manager default.
 	BDDNodeLimit int
-	// SimPIs is the combined-support cutoff for EnginePortfolio's
-	// exhaustive-simulation stage; 0 means prover.DefaultSimPIs. Negative
-	// disables the stage entirely.
-	SimPIs int
 
 	// WordStage inserts the word-level proving stage into the portfolio:
 	// word-structure detection over the network, then per-obligation
@@ -172,9 +146,10 @@ type Options struct {
 	// this field.
 	Adaptive bool
 
-	// FaultHook, when set, is consulted before every SAT pair check and may
-	// inject a failure for that pair. Testing only.
-	FaultHook func(a, b network.NodeID) Fault
+	// FaultHook, when set, is consulted before every SAT pair check (once
+	// per escalation rung) and by the word stage, and may inject a failure
+	// for that pair. Testing only.
+	FaultHook prover.FaultHook
 
 	// Chaos, when set, perturbs parallel sweeps: the injector is consulted
 	// at every scheduler decision point (claim, flush, merge, resolve,
@@ -184,12 +159,6 @@ type Options struct {
 	// ignore it so golden traces and panic-propagation semantics are
 	// untouched. Testing only; see internal/chaos.
 	Chaos chaos.Injector
-
-	// RetryLimit bounds how many times one pair is requeued after a worker
-	// panic or a transient engine failure before being dropped as
-	// unresolved. 0 means DefaultRetryLimit; negative disables requeueing
-	// (the pre-retry behavior: first panic drops the pair).
-	RetryLimit int
 
 	// Tracer receives the sweep's observability events (obligations,
 	// verdicts, escalations, pool flushes); nil means obs.Nop, which
@@ -237,10 +206,7 @@ func (o Options) policy() prover.Policy {
 		BDDNodeLimit:     o.BDDNodeLimit,
 	}
 	if o.Engine == EnginePortfolio {
-		p.SimPIs = o.SimPIs
-		if p.SimPIs == 0 {
-			p.SimPIs = prover.DefaultSimPIs
-		}
+		p.SimPIs = prover.DefaultSimPIs
 		p.BDDFallback = true
 		if p.BDDNodeLimit == 0 {
 			p.BDDNodeLimit = defaultBDDNodes
@@ -414,10 +380,6 @@ type pair struct {
 // Sweeper verifies the candidate equivalences of a class partition by
 // scheduling proof obligations onto the engine selected in Options.
 type Sweeper struct {
-	Net     *network.Network
-	Classes *sim.Classes
-	Opts    Options
-
 	sched *scheduler
 }
 
@@ -427,53 +389,33 @@ func New(net *network.Network, classes *sim.Classes, opts Options) *Sweeper {
 }
 
 // newSweeper is New with an optional pre-built simulator for the
-// counterexample pool (CEC reuses its runner's kernel).
+// counterexample pool (CEC reuses its runner's kernel). Its factory is the
+// one place a sweep's engines are built, each one complete: the run's
+// tracer, and for the portfolio the cache, the word plan and the fault
+// hook, go in at construction.
 func newSweeper(net *network.Network, classes *sim.Classes, opts Options, simulator *sim.Simulator) *Sweeper {
+	tr := obs.OrNop(opts.Tracer)
 	var factory func() prover.Engine
 	switch opts.Engine {
 	case EngineBDD:
-		factory = func() prover.Engine { return prover.NewBDD(net, opts.BDDNodeLimit) }
+		factory = func() prover.Engine { return prover.NewBDD(net, opts.BDDNodeLimit, tr) }
 	default:
 		policy := opts.policy()
-		var hook prover.FaultHook
-		if opts.FaultHook != nil {
-			hook = opts.FaultHook
-		}
 		var plan *prover.WordPlan
 		if opts.WordStage || opts.Engine == EngineWord {
-			// Detection and signature analysis run once here (the
-			// network's lazy cover cache is not yet shared across
-			// workers) and the immutable plan is shared by every worker's
-			// engine.
+			// Detection and signature analysis run once, before the
+			// scheduler shares the network (see network.Warm), and the
+			// immutable plan is shared by every worker's engine.
 			plan = prover.NewWordPlan(net, word.Detect(net))
-			emitWordDetect(opts.Tracer, plan)
+			cands, bits := plan.St.Counts()
+			tr.Emit(obs.Event{Kind: obs.KindWordDetect, Words: int32(cands), WordBits: int32(bits)})
 		}
 		factory = func() prover.Engine {
-			p := prover.NewPortfolio(net, policy, hook)
-			if plan != nil {
-				p.EnableWord(plan)
-			}
-			return p
+			return prover.NewPortfolio(net, policy, tr, opts.Cache, plan, opts.FaultHook)
 		}
 	}
-	return &Sweeper{
-		Net:     net,
-		Classes: classes,
-		Opts:    opts,
-		sched:   newScheduler(net, classes, opts, factory(), factory, simulator),
-	}
+	return &Sweeper{sched: newScheduler(net, classes, opts, factory, simulator)}
 }
-
-// emitWordDetect reports one structure-detection pass to the tracer.
-func emitWordDetect(tr obs.Tracer, plan *prover.WordPlan) {
-	cands, bits := plan.St.Counts()
-	obs.OrNop(tr).Emit(obs.Event{Kind: obs.KindWordDetect,
-		Words: int32(cands), WordBits: int32(bits)})
-}
-
-// engine exposes the primary engine (sequential / worker-0), whose learned
-// state CEC's output checks build on.
-func (s *Sweeper) engine() prover.Engine { return s.sched.primary }
 
 // Rep returns the proven-equivalence representative of a node (itself when
 // nothing was merged into it).
@@ -512,7 +454,7 @@ func (s *Sweeper) RunParallel(workers int) Result {
 // Incomplete/TimedOut. Workers are crash-isolated: a panic while checking
 // a pair is recovered (counted in Result.WorkerPanics), the claim on its
 // class is always released, and the remaining workers keep sweeping. The
-// panicked pair is requeued for up to Options.RetryLimit attempts before
+// panicked pair is requeued for up to DefaultRetryLimit attempts before
 // being dropped as unresolved (Result.Requeued/Retried account the
 // degradation). workers <= 1 sweeps sequentially, as RunContext does.
 func (s *Sweeper) RunParallelContext(ctx context.Context, workers int) Result {

@@ -344,9 +344,9 @@ func TestCheck(t *testing.T) {
 		}
 	}
 	o := DefaultCECOptions()
-	o.Sweep.SimPIs, o.Sweep.RetryLimit, o.Sweep.EscalationFactor = -1, -1, -3
+	o.Sweep.EscalationFactor = -3
 	if err := o.Check(); err != nil {
-		t.Errorf("SimPIs, RetryLimit and EscalationFactor keep their meanings: %v", err)
+		t.Errorf("EscalationFactor keeps its meaning: %v", err)
 	}
 	a, b := buildAdders(t)
 	if _, err := CECContext(context.Background(), a, b, CECOptions{Seed: 1, RandomRounds: -1}); err == nil {

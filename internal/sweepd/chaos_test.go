@@ -131,21 +131,19 @@ func TestJobsUnderScheduleChaos(t *testing.T) {
 
 // TestJobsUnderFaultChaos injects engine failures, slow timeouts, and
 // worker panics. Jobs must still complete (degraded, never wedged), the
-// requeue/retry accounting must balance, and requeues must respect the
-// spec's RetryLimit. As above, the circuits have 14 inputs.
+// requeue/retry accounting must balance, and requeues must respect
+// sweep.DefaultRetryLimit. As above, the circuits have 14 inputs.
 func TestJobsUnderFaultChaos(t *testing.T) {
 	hook, recOf := chaosHook(chaos.FaultProfile())
 	_, hs := newTestServer(t, Config{Workers: 2, QueueDepth: 8, JobHook: hook})
 
-	const retryLimit = 2
 	specs := make([]JobSpec, 3)
 	for i := range specs {
 		specs[i] = JobSpec{
-			Kind:       KindSweep,
-			Circuit:    CircuitRef{BLIF: fuzzBLIFPIs(t, "wide", int64(61+i), 14)},
-			Seed:       int64(5 + i),
-			Workers:    4,
-			RetryLimit: retryLimit,
+			Kind:    KindSweep,
+			Circuit: CircuitRef{BLIF: fuzzBLIFPIs(t, "wide", int64(61+i), 14)},
+			Seed:    int64(5 + i),
+			Workers: 4,
 		}
 	}
 	ids := make([]string, len(specs))
@@ -166,8 +164,8 @@ func TestJobsUnderFaultChaos(t *testing.T) {
 		// No obligation may be requeued past the limit: the scheduler
 		// emits the retry count it was claimed with.
 		for _, ev := range rec.Filter(obs.KindObligation) {
-			if ev.Retries > retryLimit {
-				t.Errorf("job %d: obligation claimed with %d retries > limit %d", i, ev.Retries, retryLimit)
+			if ev.Retries > sweep.DefaultRetryLimit {
+				t.Errorf("job %d: obligation claimed with %d retries > limit %d", i, ev.Retries, sweep.DefaultRetryLimit)
 			}
 		}
 	}

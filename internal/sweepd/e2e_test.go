@@ -290,6 +290,17 @@ func TestSubmitValidationAndLookup(t *testing.T) {
 			t.Errorf("%s: want 400, got %d", name, code)
 		}
 	}
+	// The decoder disallows unknown fields, so retry_limit, which requeues
+	// no longer read, is a 400 like any other.
+	resp, err := http.Post(hs.URL+"/jobs", "application/json",
+		strings.NewReader(`{"kind":"sweep","circuit":{"benchmark":"square"},"retry_limit":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("retry_limit: want 400, got %d", resp.StatusCode)
+	}
 	for _, path := range []string{"/jobs/nope", "/jobs/nope/trace", "/jobs/nope/report"} {
 		resp, err := http.Get(hs.URL + path)
 		if err != nil {
@@ -306,7 +317,7 @@ func TestSubmitValidationAndLookup(t *testing.T) {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 	waitJob(t, hs.URL, view.ID)
-	resp, err := http.Get(hs.URL + "/jobs/" + view.ID + "/trace")
+	resp, err = http.Get(hs.URL + "/jobs/" + view.ID + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}

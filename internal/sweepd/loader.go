@@ -79,7 +79,7 @@ func (l *Loader) benchmark(name string) (*network.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	warm(net)
+	net.Warm() // read-only from publication on
 	if l.misses != nil {
 		l.misses.Add(1)
 	}
@@ -100,18 +100,4 @@ func (l *Loader) file(rel string) (*network.Network, error) {
 	}
 	clean := filepath.Clean("/" + rel) // forces the path under the root
 	return load.File(filepath.Join(l.dataDir, clean))
-}
-
-// warm forces the network's lazily built derived data (ISOP covers,
-// fanouts, levels) so a cached network is read-only from publication on —
-// the same warm-up the parallel scheduler performs before spawning
-// workers.
-func warm(net *network.Network) {
-	for id := 0; id < net.NumNodes(); id++ {
-		net.Covers(network.NodeID(id))
-	}
-	if net.NumNodes() > 0 {
-		net.Fanouts(0)
-		net.Level(network.NodeID(net.NumNodes() - 1))
-	}
 }

@@ -103,9 +103,6 @@ type JobSpec struct {
 	MaxEscalations *int `json:"max_escalations,omitempty"`
 	BDDFallback    bool `json:"bdd_fallback,omitempty"`
 	BDDNodes       int  `json:"bdd_nodes,omitempty"`
-	// RetryLimit bounds requeues of degraded obligations (0 = engine
-	// default, negative disables).
-	RetryLimit int `json:"retry_limit,omitempty"`
 
 	// TimeoutMS is the job's wall-clock budget in milliseconds; 0 uses the
 	// service default. The service cap (-max-timeout) clamps it.
@@ -189,7 +186,6 @@ func (sp *JobSpec) sweepOptions() sweep.Options {
 		MaxEscalations:    *sp.MaxEscalations,
 		BDDFallback:       sp.BDDFallback,
 		BDDNodeLimit:      sp.BDDNodes,
-		RetryLimit:        sp.RetryLimit,
 	}
 	kind, err := sweep.ParseEngine(sp.Engine)
 	if err == nil {

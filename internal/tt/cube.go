@@ -14,12 +14,6 @@ type Cube struct {
 	Val  uint32
 }
 
-// FullCube returns the cube assigning all of the first nvars variables.
-func FullCube(nvars int, val uint32) Cube {
-	m := uint32(1)<<uint(nvars) - 1
-	return Cube{Mask: m, Val: val & m}
-}
-
 // Contains reports whether the cube contains minterm m (agrees on all cared
 // variables).
 func (c Cube) Contains(m uint32) bool {

@@ -17,40 +17,7 @@ import (
 //	iverilog -o tb design.v design_tb.v && ./tb
 func WriteTestbench(w io.Writer, net *network.Network, vectors [][]bool) error {
 	bw := bufio.NewWriter(w)
-	name := sanitize(net.Name)
-	if name == "" {
-		name = "top"
-	}
-
-	// Recompute the identifier assignment exactly as Write does.
-	wireName := make([]string, net.NumNodes())
-	used := map[string]bool{}
-	uniq := func(base string) string {
-		base = sanitize(base)
-		if base == "" || used[base] {
-			for i := 0; ; i++ {
-				cand := fmt.Sprintf("%s_%d", nonEmpty(base, "n"), i)
-				if !used[cand] {
-					base = cand
-					break
-				}
-			}
-		}
-		used[base] = true
-		return base
-	}
-	for id := 0; id < net.NumNodes(); id++ {
-		nd := net.Node(network.NodeID(id))
-		base := nd.Name
-		if base == "" {
-			base = fmt.Sprintf("n%d", id)
-		}
-		wireName[id] = uniq(base)
-	}
-	poName := make([]string, net.NumPOs())
-	for i, po := range net.POs() {
-		poName[i] = uniq(nonEmpty(sanitize(po.Name), fmt.Sprintf("po%d", i)))
-	}
+	name, wireName, poName := identifiers(net)
 
 	npis, npos := net.NumPIs(), net.NumPOs()
 	fmt.Fprintf(bw, "`timescale 1ns/1ps\nmodule %s_tb;\n", name)
@@ -82,16 +49,22 @@ func WriteTestbench(w io.Writer, net *network.Network, vectors [][]bool) error {
 	fmt.Fprintln(bw, "    end")
 	fmt.Fprintln(bw, "  endtask")
 
+	// One packed simulation of every vector gives the golden outputs:
+	// vector k is lane k of the output drivers' words.
+	var golden []sim.Words
+	if len(vectors) > 0 {
+		inputs, nwords := sim.PackVectors(net, vectors)
+		golden = sim.PO(net, sim.NewSimulator(net).Simulate(inputs, nwords))
+	}
 	fmt.Fprintln(bw, "\n  initial begin")
-	for _, vec := range vectors {
-		golden := sim.SimulateVector(net, vec)
+	for k, vec := range vectors {
 		fmt.Fprintf(bw, "    check(%d'b", npis)
 		for i := npis - 1; i >= 0; i-- {
 			fmt.Fprint(bw, b2i(vec[i]))
 		}
 		fmt.Fprintf(bw, ", %d'b", npos)
 		for i := npos - 1; i >= 0; i-- {
-			fmt.Fprint(bw, b2i(golden[net.POs()[i].Driver]))
+			fmt.Fprint(bw, golden[i][k/64]>>uint(k%64)&1)
 		}
 		fmt.Fprintln(bw, ");")
 	}

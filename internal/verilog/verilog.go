@@ -17,40 +17,7 @@ import (
 // Write emits the network as a single Verilog module.
 func Write(w io.Writer, net *network.Network) error {
 	bw := bufio.NewWriter(w)
-	name := sanitize(net.Name)
-	if name == "" {
-		name = "top"
-	}
-
-	wireName := make([]string, net.NumNodes())
-	used := map[string]bool{}
-	uniq := func(base string) string {
-		base = sanitize(base)
-		if base == "" || used[base] {
-			for i := 0; ; i++ {
-				cand := fmt.Sprintf("%s_%d", nonEmpty(base, "n"), i)
-				if !used[cand] {
-					base = cand
-					break
-				}
-			}
-		}
-		used[base] = true
-		return base
-	}
-	for id := 0; id < net.NumNodes(); id++ {
-		nid := network.NodeID(id)
-		nd := net.Node(nid)
-		base := nd.Name
-		if base == "" {
-			base = fmt.Sprintf("n%d", id)
-		}
-		wireName[id] = uniq(base)
-	}
-	poName := make([]string, net.NumPOs())
-	for i, po := range net.POs() {
-		poName[i] = uniq(nonEmpty(sanitize(po.Name), fmt.Sprintf("po%d", i)))
-	}
+	name, wireName, poName := identifiers(net)
 
 	fmt.Fprintf(bw, "module %s (\n", name)
 	for _, pi := range net.PIs() {
@@ -80,6 +47,38 @@ func Write(w io.Writer, net *network.Network) error {
 	}
 	fmt.Fprintln(bw, "endmodule")
 	return bw.Flush()
+}
+
+// identifiers assigns the module name and a unique Verilog identifier to
+// every node (its wire or input port) and every primary output port, in
+// node order then output order. Write and WriteTestbench both name ports
+// from it, so a testbench connects exactly the ports the module declares.
+func identifiers(net *network.Network) (module string, wireName, poName []string) {
+	module = nonEmpty(sanitize(net.Name), "top")
+	used := map[string]bool{}
+	uniq := func(base string) string {
+		base = sanitize(base)
+		if base == "" || used[base] {
+			for i := 0; ; i++ {
+				cand := fmt.Sprintf("%s_%d", nonEmpty(base, "n"), i)
+				if !used[cand] {
+					base = cand
+					break
+				}
+			}
+		}
+		used[base] = true
+		return base
+	}
+	wireName = make([]string, net.NumNodes())
+	for id := range wireName {
+		wireName[id] = uniq(nonEmpty(net.Node(network.NodeID(id)).Name, fmt.Sprintf("n%d", id)))
+	}
+	poName = make([]string, net.NumPOs())
+	for i, po := range net.POs() {
+		poName[i] = uniq(nonEmpty(sanitize(po.Name), fmt.Sprintf("po%d", i)))
+	}
+	return module, wireName, poName
 }
 
 // sopExpr renders the node function as a sum of products over its fanins.

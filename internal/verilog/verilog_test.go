@@ -44,7 +44,9 @@ func TestWriteBasicStructure(t *testing.T) {
 	}
 }
 
-func TestWriteConstantsAndCollisions(t *testing.T) {
+// collidingNet is an unnamed network whose LUT and first output reuse its
+// input's name "x"; its outputs are ~x and the constant 1.
+func collidingNet() *network.Network {
 	n := network.New("")
 	a := n.AddPI("x")
 	k := n.AddConst(true)
@@ -52,6 +54,11 @@ func TestWriteConstantsAndCollisions(t *testing.T) {
 	g := n.AddLUT("x", []network.NodeID{a}, inv) // name collides with PI
 	n.AddPO("x", g)                              // PO collides too
 	n.AddPO("k", k)
+	return n
+}
+
+func TestWriteConstantsAndCollisions(t *testing.T) {
+	n := collidingNet()
 	var buf bytes.Buffer
 	if err := Write(&buf, n); err != nil {
 		t.Fatal(err)
@@ -182,11 +189,7 @@ func TestWriteTestbench(t *testing.T) {
 	vectors := [][]bool{
 		{false, false}, {true, false}, {false, true}, {true, true},
 	}
-	var buf bytes.Buffer
-	if err := WriteTestbench(&buf, n, vectors); err != nil {
-		t.Fatal(err)
-	}
-	tb := buf.String()
+	tb := testbenchOf(t, n, vectors)
 	for _, want := range []string{
 		"module ha_tb;",
 		"ha dut (",
@@ -201,4 +204,60 @@ func TestWriteTestbench(t *testing.T) {
 			t.Fatalf("testbench missing %q:\n%s", want, tb)
 		}
 	}
+
+	// Colliding names: the testbench must connect the renamed ports the
+	// module declares, and the golden outputs are ~x and 1.
+	tb = testbenchOf(t, collidingNet(), [][]bool{{false}, {true}})
+	for _, want := range []string{
+		"module top_tb;",
+		"top dut (",
+		"check(1'b0, 2'b11);",
+		"check(1'b1, 2'b10);",
+	} {
+		if !strings.Contains(tb, want) {
+			t.Fatalf("testbench missing %q:\n%s", want, tb)
+		}
+	}
+}
+
+// testbenchOf writes the network's module and its testbench over vectors,
+// checks that the testbench connects every port the module declares
+// exactly once (".port(in[i])" to an input, ".port(out[i])" to an
+// output), and returns the testbench.
+func testbenchOf(t *testing.T, n *network.Network, vectors [][]bool) string {
+	t.Helper()
+	var mod, buf bytes.Buffer
+	if err := Write(&mod, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTestbench(&buf, n, vectors); err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]string{} // port -> "input" or "output"
+	for _, line := range strings.Split(mod.String(), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && (f[0] == "input" || f[0] == "output") {
+			declared[strings.TrimRight(f[1], ",")] = f[0]
+		}
+	}
+	tb := buf.String()
+	for _, line := range strings.Split(tb, "\n") {
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, ".") {
+			continue
+		}
+		port, sig, _ := strings.Cut(line[1:], "(")
+		dir := "output"
+		if strings.HasPrefix(sig, "in[") {
+			dir = "input"
+		}
+		if declared[port] != dir {
+			t.Fatalf("testbench connects %s port %q, which the module does not declare as one:\n%s\n%s",
+				dir, port, mod.String(), tb)
+		}
+		delete(declared, port)
+	}
+	if len(declared) != 0 {
+		t.Fatalf("testbench leaves declared ports %v unconnected:\n%s", declared, tb)
+	}
+	return tb
 }

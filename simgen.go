@@ -47,6 +47,7 @@ import (
 	"simgen/internal/obs"
 	"simgen/internal/patio"
 	"simgen/internal/pcache"
+	"simgen/internal/prover"
 	"simgen/internal/sim"
 	"simgen/internal/sweep"
 	"simgen/internal/verilog"
@@ -85,7 +86,9 @@ type (
 	SweepOptions = sweep.Options
 	// SweepResult reports sweeping work: SAT calls, SAT time, proofs.
 	SweepResult = sweep.Result
-	// Sweeper verifies candidate equivalences with a SAT solver.
+	// Sweeper verifies candidate equivalences on the proof engine that
+	// SweepOptions.Engine selects; every engine it proves with is built
+	// complete (tracer, proof cache, word plan) when the Sweeper is.
 	Sweeper = sweep.Sweeper
 	// CECOptions configures the flow: Refine, then sweeping or CEC.
 	CECOptions = sweep.CECOptions
@@ -99,9 +102,10 @@ type (
 	OneDistance = core.OneDistance
 	// SATVector is the SAT-generated vector baseline (Lee et al. style).
 	SATVector = core.SATVector
-	// Fault is a test-only injected failure for SweepOptions.FaultHook,
-	// exercising the sweeping degradation paths deterministically.
-	Fault = sweep.Fault
+	// Fault is a test-only injected failure for SweepOptions.FaultHook (a
+	// prover.FaultHook), exercising the sweeping degradation paths
+	// deterministically.
+	Fault = prover.Fault
 	// EngineKind selects the proof engine a Sweeper schedules obligations
 	// on (SweepOptions.Engine).
 	EngineKind = sweep.EngineKind
@@ -154,8 +158,8 @@ const (
 	EngineSAT = sweep.EngineSAT
 	// EngineBDD proves every pair on canonical BDDs.
 	EngineBDD = sweep.EngineBDD
-	// EnginePortfolio chains free exhaustive-simulation proofs, the SAT
-	// ladder, and the BDD fallback.
+	// EnginePortfolio chains free exhaustive-simulation proofs for pairs of
+	// at most 12 support inputs, the SAT ladder, and the BDD fallback.
 	EnginePortfolio = sweep.EnginePortfolio
 	// EngineWord runs word-structure detection and bottom-up frontier
 	// proving before the SAT miter (datapath circuits).
@@ -165,13 +169,13 @@ const (
 // ParseSweepEngine maps a CLI engine name (sat|bdd|portfolio|word) to its kind.
 func ParseSweepEngine(s string) (EngineKind, error) { return sweep.ParseEngine(s) }
 
-// Fault kinds for SweepOptions.FaultHook.
+// Fault kinds for SweepOptions.FaultHook, the prover package's own.
 const (
-	FaultNone            = sweep.FaultNone
-	FaultUnknown         = sweep.FaultUnknown
-	FaultPanic           = sweep.FaultPanic
-	FaultAssumeEqual     = sweep.FaultAssumeEqual
-	FaultWordAssumeEqual = sweep.FaultWordAssumeEqual
+	FaultNone            = prover.FaultNone
+	FaultUnknown         = prover.FaultUnknown
+	FaultPanic           = prover.FaultPanic
+	FaultAssumeEqual     = prover.FaultAssumeEqual
+	FaultWordAssumeEqual = prover.FaultWordAssumeEqual
 )
 
 // Constant AIG literals.
