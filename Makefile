@@ -78,10 +78,10 @@ cover:
 # Deadline smoke test: every engine and both CLIs, each cut by a short
 # wall-clock budget, must come back inside `timeout 5` with a partial
 # result and the undecided exit code (3): the SAT-hard "voter" benchmark
-# on the sat engine at workers=1 and 4 and on the word engine, b14_C on
+# on the sat engine at workers=1 and 4 and on the portfolio, b14_C on
 # the BDD engine, and cmd/simgen's final sweep of voter. Each deadline must
-# fall well inside its run: uncut, voter takes about 1.9 s of wall on the
-# sat engine at workers=1, 5 s at workers=4 and 2.9 s on the word engine
+# fall well inside its run: uncut, voter takes about 2.2 s of wall on the
+# sat engine at workers=1, 5.9 s at workers=4 and 3.8 s on the portfolio
 # on a 2-vCPU Xeon. The sweep legs need more than 12 inputs (voter has
 # 31): a narrower network is enumerated in milliseconds.
 #
@@ -106,7 +106,7 @@ smoke:
 	@for run in \
 		"sweep -benchmark voter -method none -timeout 50ms -workers 1" \
 		"sweep -benchmark voter -method none -timeout 100ms -workers 4" \
-		"sweep -benchmark voter -method none -timeout 50ms -engine word" \
+		"sweep -benchmark voter -method none -timeout 50ms -engine portfolio" \
 		"sweep -benchmark b14_C -method none -timeout 100ms -engine bdd" \
 		"simgen -benchmark voter -iterations 0 -engine sat -timeout 200ms"; do \
 		timeout 5 ./.smoke-$$run >/dev/null; \
@@ -229,27 +229,26 @@ cache-soak:
 	done
 	@echo "cache-soak: warm runs SAT-free with byte-identical reduced networks"
 
-# Datapath word-vs-bit contrast: CEC of the committed multiplier corpus
-# pairs with the word-staged portfolio vs the plain bit-level
-# portfolio (root bench_test.go BenchmarkDatapathCEC). The benchmark
-# asserts the mul10x10 tripwire in-process (word must beat bit-level by
-# >=2x wall clock; ~36x measured on a 2-vCPU Xeon); medians feed
-# results/BENCH_datapath.json. The fuzz and replay halves of the
-# datapath layer run via `make datapath-test`.
+# Datapath CEC timing: the committed mul8x8 corpus pair on the bit-level
+# portfolio (root bench_test.go BenchmarkDatapathCEC); medians feed
+# results/BENCH_datapath.json. The deterministic tripwire (the mul10x10
+# conflict bound), the fuzz and the replay halves of the datapath layer
+# run via `make datapath-test`.
 .PHONY: bench-datapath
 bench-datapath:
 	$(GO) test -run 'xxx' -bench 'BenchmarkDatapathCEC' -benchtime 1x \
 		-count $(BENCHSCALE_COUNT) -timeout 30m .
 
-# Datapath verification layer: golden corpus replay (word-staged CEC of
-# every committed pair + the mutated NEQ pair), the word detection and
-# word-engine unit layer, and a bounded differential fuzz campaign over the
-# datapath preset with the injected-unsound word engine self-check.
+# Datapath verification layer: golden corpus replay (bit-level portfolio
+# CEC of every committed pair, mul10x10 within its SAT-conflict bound, and
+# the mutated NEQ pair), the datapath fuzz tests and the poisoned-cache
+# soundness check over the datapath twins, the prover unit layer, and a
+# bounded differential fuzz campaign over the datapath preset.
 .PHONY: datapath-test
 datapath-test:
 	$(GO) test -count=1 -run 'TestDatapathCorpusReplay' ./internal/sweep
-	$(GO) test -count=1 -run 'TestDatapath|TestUnsoundWord|TestWordProofCache|TestPoisonedWordCache' ./internal/fuzz
-	$(GO) test -count=1 ./internal/word ./internal/prover
+	$(GO) test -count=1 -run 'TestDatapath|TestPoisonedCache' ./internal/fuzz
+	$(GO) test -count=1 ./internal/prover
 	$(GO) run ./cmd/fuzz -n 60 -seed 1 -datapath -oracle differential
 
 # Regression gate: re-run the micro-benchmarks and fail when any median

@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
-	"time"
 
 	"simgen/internal/aig"
 	"simgen/internal/bdd"
@@ -626,15 +625,14 @@ func loadDatapathPair(b *testing.B, name string) (*Network, *Network) {
 	return load(name + "_a.blif"), load(name + "_b.blif")
 }
 
-// datapathCEC runs one CEC arm over a datapath corpus pair under the
-// cmd/sweep -cec defaults (random rounds, 20 guided SimGen iterations,
-// then a portfolio sweep with the 4x/2-rung escalation ladder). On the
-// multiplier pairs the bit-level arm faces the cross-implementation
-// miters nearly cold, while the word arm proves the internal adder words
-// bottom-up and learns the per-bit equalities into the shared solver
-// before any wide miter is posed — that is the contrast being measured.
-func datapathCEC(b *testing.B, an, bn *Network, word bool) (time.Duration, sweep.CECResult) {
-	b.Helper()
+// BenchmarkDatapathCEC times the CEC of the split 8x8 multiplier pair
+// under the cmd/sweep -cec defaults (random rounds, 20 guided SimGen
+// iterations, then a bit-level portfolio sweep with the 4x/2-rung
+// escalation ladder); `make bench-datapath` reports it. The deterministic
+// tripwire for the sweep's bottom-up order is the mul10x10 conflict bound
+// of TestDatapathCorpusReplay (internal/sweep).
+func BenchmarkDatapathCEC(b *testing.B) {
+	an, bn := loadDatapathPair(b, "mul8x8")
 	opts := sweep.CECOptions{
 		Seed:             1,
 		GuidedIterations: 20,
@@ -645,55 +643,16 @@ func datapathCEC(b *testing.B, an, bn *Network, word bool) (time.Duration, sweep
 			MaxEscalations:   2,
 		},
 	}
-	if word {
-		opts.Sweep.WordStage = true
+	var calls int
+	for i := 0; i < b.N; i++ {
+		res, err := sweep.CEC(an, bn, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Equivalent || res.Undecided {
+			b.Fatalf("datapath pair: eq=%v undecided=%v", res.Equivalent, res.Undecided)
+		}
+		calls = res.Sweep.SATCalls
 	}
-	start := time.Now()
-	res, err := sweep.CEC(an, bn, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !res.Equivalent || res.Undecided {
-		b.Fatalf("datapath pair: eq=%v undecided=%v", res.Equivalent, res.Undecided)
-	}
-	return time.Since(start), res
-}
-
-// BenchmarkDatapathCEC measures the split multiplier pairs with the
-// word-staged portfolio ("word") vs the plain bit-level
-// portfolio ("bit"). The setup is the datapath tripwire: on the 10x10
-// pair the word arm must beat the bit-level arm by at least 2x wall clock
-// — generous against the ~36x measured on a 2-vCPU Xeon
-// (results/BENCH_datapath.json) but tight enough to catch the word stage
-// silently disengaging or its learned equalities no longer reaching the
-// solver. The timed sub-benchmarks report the faster 8x8 pair.
-// `make bench-datapath` reports both arms; the CI datapath job runs this
-// with -benchtime 1x.
-func BenchmarkDatapathCEC(b *testing.B) {
-	a10, b10 := loadDatapathPair(b, "mul10x10")
-	wd, wres := datapathCEC(b, a10, b10, true)
-	if wres.Sweep.WordChecks == 0 {
-		b.Fatal("word arm performed no word checks; the stage is not engaged")
-	}
-	bd, _ := datapathCEC(b, a10, b10, false)
-	if bd < 2*wd {
-		b.Fatalf("word stage no longer pays on mul10x10: word %v vs bit-level %v (< 2x)", wd, bd)
-	}
-	b.Logf("mul10x10 tripwire: word %v vs bit-level %v (%.1fx)", wd, bd, float64(bd)/float64(wd))
-
-	a8, b8 := loadDatapathPair(b, "mul8x8")
-	for _, arm := range []struct {
-		name string
-		word bool
-	}{{"word", true}, {"bit", false}} {
-		arm := arm
-		b.Run(arm.name, func(b *testing.B) {
-			var calls int
-			for i := 0; i < b.N; i++ {
-				_, res := datapathCEC(b, a8, b8, arm.word)
-				calls = res.Sweep.SATCalls
-			}
-			b.ReportMetric(float64(calls), "satcalls/op")
-		})
-	}
+	b.ReportMetric(float64(calls), "satcalls/op")
 }

@@ -14,7 +14,7 @@
 //	fuzz -seed 42 -n 200 -shape xor-heavy       # fix a preset shape
 //	fuzz -shape 'pi=6,nodes=30,po=2,fanin=3'    # or a custom shape spec
 //	fuzz -n 200 -inject-unsound -corpus /tmp/c  # self-test: catch a broken sweeper
-//	fuzz -datapath -n 60                        # datapath twins, word engines in the oracle
+//	fuzz -datapath -n 60                        # datapath twins instead of random logic
 //
 // Exit codes: 0 all iterations clean, 1 oracle failure found, 2 usage error.
 package main
@@ -45,7 +45,7 @@ func run() int {
 		n         = flag.Int("n", 100, "number of circuits to generate and check")
 		shapeSpec = flag.String("shape", "", "generator shape: preset name or 'pi=8,nodes=40,...' spec (default: cycle presets)")
 		datapath  = flag.Bool("datapath", false,
-			"datapath preset: word-structured adder/mux/shifter twins, with the word-level engines added to the differential oracle")
+			"datapath preset: word-structured adder/mux/shifter twins instead of random logic")
 		shrink      = flag.Bool("shrink", true, "minimize failing circuits before reporting")
 		corpus      = flag.String("corpus", "", "directory for shrunk reproducer BLIF files")
 		maxFailures = flag.Int("max-failures", 1, "stop after this many failures")

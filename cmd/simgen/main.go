@@ -34,12 +34,11 @@ func main() {
 	flag.IntVar(&opts.GuidedIterations, "iterations", opts.GuidedIterations, "maximum guided iterations (generation stops earlier once the cost is flat for 3)")
 	flag.IntVar(&opts.RandomRounds, "random-rounds", opts.RandomRounds, "initial random rounds of 64 vectors (0 = 1)")
 	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "random seed")
-	flag.BoolVar(&opts.Sweep.WordStage, "word", opts.Sweep.WordStage, "insert the word-level proving stage into the final sweep's portfolio")
 	var (
 		benchmark  = flag.String("benchmark", "", "run a named built-in benchmark instead of a circuit file")
 		batch      = flag.Int("batch", 1, "vectors per iteration")
 		list       = flag.Bool("list", false, "list built-in benchmarks and exit")
-		engine     = flag.String("engine", "none", "sweep the refined classes afterwards: none|sat|bdd|portfolio|word")
+		engine     = flag.String("engine", "none", "sweep the refined classes afterwards: none|sat|bdd|portfolio")
 		dump       = flag.String("dump-patterns", "", "write all generated vectors to this pattern file")
 		cacheDir   = flag.String("cache-dir", "", "persistent verification cache: replay stored patterns first, record generated ones, and feed proofs to the final sweep")
 		replay     = flag.String("replay", "", "replay vectors from a pattern file instead of generating")

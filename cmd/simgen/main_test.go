@@ -48,7 +48,7 @@ func exitCode(t *testing.T, bin string, args ...string) (int, string) {
 func TestFinalSweepExitCodes(t *testing.T) {
 	bin := buildSimgen(t)
 	code, out := exitCode(t, bin, "-benchmark", "alu4", "-engine", "bogus", "-iterations", "3")
-	if want := "simgen: unknown engine \"bogus\" (want sat|bdd|portfolio|word)\n"; code != 2 || out != want {
+	if want := "simgen: unknown engine \"bogus\" (want sat|bdd|portfolio)\n"; code != 2 || out != want {
 		t.Errorf("unknown engine: exit %d, want 2 before generation with %q\n%s", code, want, out)
 	}
 	code, out = exitCode(t, bin, "-benchmark", "voter", "-iterations", "0", "-engine", "sat", "-timeout", "200ms")

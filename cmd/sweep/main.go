@@ -67,8 +67,7 @@ func main() {
 	flag.BoolVar(&opts.Sweep.BDDFallback, "bdd-fallback", opts.Sweep.BDDFallback, "retry pairs that exhaust the final rung on the BDD engine")
 	flag.IntVar(&opts.Sweep.BDDNodeLimit, "bdd-nodes", opts.Sweep.BDDNodeLimit, "BDD fallback node limit (0 = manager default)")
 	flag.IntVar(&opts.Workers, "workers", opts.Workers, "parallel sweep workers (0 = GOMAXPROCS)")
-	engine := flag.String("engine", opts.Sweep.Engine.String(), "verification engine: sat|bdd|portfolio|word")
-	flag.BoolVar(&opts.Sweep.WordStage, "word", opts.Sweep.WordStage, "insert the word-level proving stage into the portfolio (structure detection + frontier learning)")
+	engine := flag.String("engine", opts.Sweep.Engine.String(), "verification engine: sat|bdd|portfolio")
 	flag.StringVar(&cfg.reduce, "reduce", "", "write the swept (merged) network to this BLIF file")
 	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "persistent verification cache directory (verdicts and simulation patterns)")
 	flag.StringVar(&cfg.basePath, "base", "", "previous revision's circuit file: sweep incrementally, scheduling only the diff's fanout (requires -cache-dir)")

@@ -78,9 +78,9 @@ func datapath(name string) string {
 
 // TestGolden pins what the command prints and traces on fixed seeds: stdout
 // with durations masked, and the -trace stream without its wall-clock
-// fields. The runs cover sweep mode with each guided method, the portfolio
-// with the word stage, a cold then warm proof cache, CEC, and a network
-// narrow enough to enumerate (square, 10 inputs).
+// fields. The runs cover sweep mode with each guided method, the portfolio,
+// a cold then warm proof cache, CEC, and a network narrow enough to
+// enumerate (square, 10 inputs).
 //
 // Regenerate with: go test ./cmd/sweep -run TestGolden -update
 func TestGolden(t *testing.T) {
@@ -95,13 +95,13 @@ func TestGolden(t *testing.T) {
 		{"pdc", 0, []string{"-benchmark", "pdc", "-conflict-budget", "1000"}},
 		{"apex2_revs", 0, []string{"-benchmark", "apex2", "-method", "revs"}},
 		{"pdc_none", 0, []string{"-benchmark", "pdc", "-method", "none"}},
-		{"pdc_portfolio_word", 0, []string{"-benchmark", "pdc", "-engine", "portfolio", "-word"}},
+		{"pdc_portfolio", 0, []string{"-benchmark", "pdc", "-engine", "portfolio"}},
 		// The warm run replays the cold run's patterns and settles every
 		// pair from its proofs, so the two must run in this order.
 		{"pdc_cache_cold", 0, []string{"-benchmark", "pdc", "-cache-dir", cache}},
 		{"pdc_cache_warm", 0, []string{"-benchmark", "pdc", "-cache-dir", cache}},
 		{"cec_cmp16", 0, []string{datapath("cmp16_a"), datapath("cmp16_b")}},
-		{"cec_mul8x8_neq", 1, []string{"-engine", "portfolio", "-word",
+		{"cec_mul8x8_neq", 1, []string{"-engine", "portfolio",
 			datapath("mul8x8_a"), datapath("mul8x8_neq")}},
 		{"square_enumerated", 0, []string{"-benchmark", "square"}},
 	}
@@ -147,7 +147,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestCECRandomRounds checks that CEC honours -random-rounds: the default
-// (0) seeds the classes with two rounds, and one round leaves fewer
+// (0) seeds the classes with two rounds, and one round leaves more false
 // candidate pairs for the sweep to disprove on cmp16.
 func TestCECRandomRounds(t *testing.T) {
 	bin := buildSweep(t)
@@ -155,9 +155,9 @@ func TestCECRandomRounds(t *testing.T) {
 		rounds []string
 		calls  string
 	}{
-		{nil, "calls=22 "},
-		{[]string{"-random-rounds", "2"}, "calls=22 "},
-		{[]string{"-random-rounds", "1"}, "calls=19 "},
+		{nil, "calls=20 "},
+		{[]string{"-random-rounds", "2"}, "calls=20 "},
+		{[]string{"-random-rounds", "1"}, "calls=23 "},
 	} {
 		args := append(append([]string{"-method", "none"}, c.rounds...), datapath("cmp16_a"), datapath("cmp16_b"))
 		if out := runBin(t, bin, 0, args...); !bytes.Contains(out, []byte("sweep: "+c.calls)) {
@@ -198,7 +198,7 @@ func TestNegativeLadderFlags(t *testing.T) {
 		}
 	}
 	_, stderr := runBoth(t, bin, 2, "-benchmark", "alu4", "-engine", "bogus")
-	if want := "sweep: unknown engine \"bogus\" (want sat|bdd|portfolio|word)\n"; string(stderr) != want {
+	if want := "sweep: unknown engine \"bogus\" (want sat|bdd|portfolio)\n"; string(stderr) != want {
 		t.Errorf("-engine bogus: stderr %q, want %q", stderr, want)
 	}
 }

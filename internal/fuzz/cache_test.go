@@ -12,59 +12,79 @@ import (
 )
 
 // TestPoisonedCacheSoundness plants deliberately wrong Equal records in
-// the verification cache — entries whose NPN keys match real candidate
-// pairs but whose functions provably differ — and checks that
-// revalidation rejects every one: the sweep's merges stay sound against
-// the exhaustive ground truth and its verdict counts match a cache-cold
-// oracle run on the same partition.
+// the verification cache — one for every pair of LUTs whose exhaustive
+// truth tables differ, the lies a corrupted or stale cache could tell
+// under a matching key — and checks that revalidation rejects every one:
+// a direct probe refuses each lie, the sweep's merges stay sound against
+// the exhaustive ground truth, and its proven partition is a cache-cold
+// oracle run's on the same partition. The circuits are random logic with
+// twinned cones and the datapath twins, whose sum, mux and shift bits pair
+// up across two implementations.
 func TestPoisonedCacheSoundness(t *testing.T) {
+	type input struct {
+		name string
+		seed int64
+		net  *network.Network
+	}
+	var inputs []input
 	shape := DefaultShape()
 	shape.TwinBias = 0.4
-	ctx := context.Background()
-	totalPoisoned, totalRejected := 0, 0
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(1000 + trial*17)
-		rng := rand.New(rand.NewSource(seed))
-		net := Generate(rng, shape)
+		inputs = append(inputs, input{shape.String(), seed, Generate(rand.New(rand.NewSource(seed)), shape)})
+	}
+	for trial, kind := range append(DatapathKinds(), DatapathKinds()...) {
+		seed := int64(500 + trial*13)
+		inputs = append(inputs, input{"datapath:" + kind, seed, GenerateDatapath(rand.New(rand.NewSource(seed)), kind)})
+	}
+
+	ctx := context.Background()
+	totalPoisoned, totalRejected := 0, 0
+	for trial, in := range inputs {
+		net := in.net
 		tables := NodeTables(net)
-		cfg := Config{Seed: seed}
+		cfg := Config{Seed: in.seed}
 
 		// Cache-cold oracle run on an identically seeded partition.
 		coldSw := sweep.New(net, coarseClasses(net, cfg), sweep.Options{})
 		resCold := coldSw.Run()
 
-		// Poison: record Equal for every candidate pair whose exhaustive
-		// truth tables differ — exactly the lies a corrupted or stale
-		// cache would tell under a matching key.
+		var lies [][2]network.NodeID
+		for a := 0; a < net.NumNodes(); a++ {
+			for b := a + 1; b < net.NumNodes(); b++ {
+				if net.Node(network.NodeID(a)).Kind == network.KindLUT &&
+					net.Node(network.NodeID(b)).Kind == network.KindLUT &&
+					!tables[a].Equal(tables[b]) {
+					lies = append(lies, [2]network.NodeID{network.NodeID(a), network.NodeID(b)})
+				}
+			}
+		}
+		totalPoisoned += len(lies)
+
 		st, err := pcache.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
 		sess := pcache.NewSession(st, net, nil)
-		classes := coarseClasses(net, cfg)
-		poisoned := 0
-		var badA, badB network.NodeID
-		for _, ci := range classes.NonSingleton() {
-			members := classes.Members(ci)
-			rep := members[0]
-			for _, m := range members[1:] {
-				if !tables[rep].Equal(tables[m]) {
-					sess.RecordProof(rep, m, prover.Equal, nil)
-					badA, badB = rep, m
-					poisoned++
-				}
-			}
-		}
-		totalPoisoned += poisoned
-
-		if poisoned > 0 {
-			// A direct probe must refuse the lie before any sweep runs.
-			if cp := sess.Probe(ctx, badA, badB); cp.Hit {
-				t.Fatalf("trial %d: poisoned record (%d, %d) accepted by direct probe", trial, badA, badB)
+		poison := func() {
+			for _, p := range lies {
+				sess.RecordProof(p[0], p[1], prover.Equal, nil)
 			}
 		}
 
-		sw := sweep.New(net, classes, sweep.Options{Cache: sess})
+		// A direct probe must refuse every lie before any sweep runs. A
+		// refused record is evicted, so the lies are planted again for the
+		// sweep.
+		poison()
+		for _, p := range lies {
+			if cp := sess.Probe(ctx, p[0], p[1]); cp.Hit {
+				t.Fatalf("trial %d (%s): poisoned record (%d, %d) accepted by direct probe",
+					trial, in.name, p[0], p[1])
+			}
+		}
+		poison()
+
+		sw := sweep.New(net, coarseClasses(net, cfg), sweep.Options{Cache: sess})
 		res := sw.Run()
 		totalRejected += res.CacheRevalFails
 
@@ -78,23 +98,23 @@ func TestPoisonedCacheSoundness(t *testing.T) {
 		for id := 0; id < net.NumNodes(); id++ {
 			r := sw.Rep(network.NodeID(id))
 			if r != network.NodeID(id) && !tables[id].Equal(tables[r]) {
-				t.Fatalf("trial %d: unsound merge %d -> %d under poisoned cache", trial, id, r)
+				t.Fatalf("trial %d (%s): unsound merge %d -> %d under poisoned cache", trial, in.name, id, r)
 			}
 			if cr := coldSw.Rep(network.NodeID(id)); cr != r {
-				t.Fatalf("trial %d: node %d rep %d under poisoned cache, %d cache-cold", trial, id, r, cr)
+				t.Fatalf("trial %d (%s): node %d rep %d under poisoned cache, %d cache-cold", trial, in.name, id, r, cr)
 			}
 		}
 		if res.Proved != resCold.Proved {
-			t.Fatalf("trial %d: poisoned-cache Proved=%d, cold oracle Proved=%d", trial, res.Proved, resCold.Proved)
+			t.Fatalf("trial %d (%s): poisoned-cache Proved=%d, cold oracle Proved=%d", trial, in.name, res.Proved, resCold.Proved)
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if totalPoisoned == 0 {
-		t.Fatal("no trial produced a poisonable candidate pair; shape too tame")
+		t.Fatal("no trial produced a poisonable pair; shapes too tame")
 	}
 	if totalRejected == 0 {
-		t.Fatal("no poisoned record was ever probed and rejected")
+		t.Fatal("no poisoned record was ever probed by the sweep and rejected")
 	}
 }

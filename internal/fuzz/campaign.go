@@ -17,9 +17,9 @@ type CampaignOptions struct {
 	// cycle through the Shapes() presets.
 	Shape *Shape
 	// Datapath switches the generator to the word-structured twin circuits
-	// (GenerateDatapath, cycling DatapathKinds) and forces Config.WordEngines
-	// on, so the word-level engines face the differential oracle on circuits
-	// whose structure detection actually fires. Shape is ignored.
+	// (GenerateDatapath, cycling DatapathKinds), so the bit-level engines
+	// face the differential oracle on arithmetic whose two implementations
+	// share no structure. Shape is ignored.
 	Datapath bool
 	// Differential / Metamorphic select the oracles to run; when neither is
 	// set, RunCampaign enables both.
@@ -70,9 +70,6 @@ func RunCampaign(opts CampaignOptions) CampaignResult {
 	presets := ShapeNames()
 	shapes := Shapes()
 	kinds := DatapathKinds()
-	if opts.Datapath {
-		opts.Config.WordEngines = true
-	}
 
 	var res CampaignResult
 	for i := 0; i < opts.N; i++ {

@@ -11,12 +11,11 @@ import (
 
 // The datapath preset generates word-structured twin circuits — two
 // structurally different implementations of the same arithmetic word
-// function over shared, index-named operand words — so the word-level
-// engine's structure detection fires and its verdicts face the same
-// exhaustive-simulation oracle as the bit-level engines. Each kind plants
-// guaranteed cross-implementation equivalences (sum bits, mux outputs,
-// carry chains) that every engine must prove, and the coarse initial
-// partition floods in false candidates it must refute.
+// function over shared, index-named operand words — whose verdicts face
+// the exhaustive-simulation oracle. Each kind plants guaranteed
+// cross-implementation equivalences (sum bits, mux outputs, carry chains)
+// that every engine must prove, and the coarse initial partition floods
+// in false candidates it must refute.
 
 // DatapathKinds returns the datapath twin-circuit kinds in deterministic
 // order.
@@ -58,8 +57,8 @@ var (
 	mux3 = tt.Var(3, 1).And(tt.Var(3, 0)).Or(tt.Var(3, 2).AndNot(tt.Var(3, 0)))
 )
 
-// addWord adds the indexed primary inputs of one operand word; the names
-// ("a[0]", "a[1]", ...) are what word.Detect groups on.
+// addWord adds the indexed primary inputs of one operand word, named
+// "a[0]", "a[1]", ... as a netlist's bus bits are.
 func addWord(net *network.Network, name string, w int) []network.NodeID {
 	ids := make([]network.NodeID, w)
 	for i := range ids {

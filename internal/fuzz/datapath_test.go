@@ -2,21 +2,18 @@ package fuzz
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
-	"simgen/internal/network"
-	"simgen/internal/prover"
 	"simgen/internal/sim"
 	"simgen/internal/sweep"
-	"simgen/internal/word"
 )
 
 // TestDatapathTwinsDetectWords guards the preset's reason to exist: every
 // generated twin circuit must stay inside the exhaustive oracle's PI limit
-// and must actually trigger word structure detection — otherwise the word
-// engine declines every pair and the datapath campaign degenerates into a
-// bit-level rerun.
+// and must carry two output words of at least three bits whose bits pair
+// up across structurally different implementations — otherwise the
+// datapath campaign holds the engines to nothing a random circuit does
+// not.
 func TestDatapathTwinsDetectWords(t *testing.T) {
 	for _, kind := range DatapathKinds() {
 		for seed := int64(0); seed < 4; seed++ {
@@ -28,25 +25,33 @@ func TestDatapathTwinsDetectWords(t *testing.T) {
 				t.Fatalf("%s seed %d: %d PIs exceeds the exhaustive oracle limit %d",
 					kind, seed, net.NumPIs(), sim.MaxExhaustivePIs)
 			}
-			cands, bits := word.Detect(net).Counts()
-			if cands == 0 || bits < 4 {
-				t.Errorf("%s seed %d (%s): detection found %d candidates / %d bits, want a real word",
-					kind, seed, net.Name, cands, bits)
+			tables := NodeTables(net)
+			pos := net.POs()
+			half := len(pos) / 2
+			if len(pos) != 2*half || half < 3 {
+				t.Fatalf("%s seed %d (%s): %d outputs, want two words of at least 3 bits",
+					kind, seed, net.Name, len(pos))
+			}
+			for i, po := range pos[:half] {
+				twin := pos[half+i]
+				if po.Driver == twin.Driver || !tables[po.Driver].Equal(tables[twin.Driver]) {
+					t.Errorf("%s seed %d (%s): outputs %s and %s are not twin bits",
+						kind, seed, net.Name, po.Name, twin.Name)
+				}
 			}
 		}
 	}
 }
 
-// TestDatapathDifferentialClean holds the word-level engines to the same
-// exhaustive-simulation oracle as the bit-level engines on circuits where
-// word detection fires: every engine — including the word engine and the
-// word-staged portfolio — must produce exactly the ground-truth partition.
+// TestDatapathDifferentialClean holds every bit-level engine to the
+// exhaustive-simulation oracle on datapath twins: each must produce exactly
+// the ground-truth partition.
 func TestDatapathDifferentialClean(t *testing.T) {
 	perKind := 3
 	if testing.Short() {
 		perKind = 1
 	}
-	cfg := Config{Seed: 11, WordEngines: true}
+	cfg := Config{Seed: 11}
 	for _, kind := range DatapathKinds() {
 		for i := 0; i < perKind; i++ {
 			rng := rand.New(rand.NewSource(iterationSeed(11, i)))
@@ -58,20 +63,18 @@ func TestDatapathDifferentialClean(t *testing.T) {
 	}
 }
 
-// TestDatapathMetamorphicWordStage drives the word-staged portfolio through
+// TestDatapathMetamorphicWordStage drives the bit-level portfolio through
 // the metamorphic oracle on datapath twins. The equivalence-preserving
 // rewrites include structure-breaking ones (optimize round trips, node
-// negation) that destroy word detectability while preserving the function —
-// CEC must still say EQ — and the single-gate mutation breaks the word
-// function itself — CEC must say NEQ with a verified counterexample. The
-// word engine has no simulation stage, so the word stage faces every
-// obligation.
+// negation) that preserve the function — CEC must still say EQ — and the
+// single-gate mutation breaks the word function itself — CEC must say NEQ
+// with a verified counterexample.
 func TestDatapathMetamorphicWordStage(t *testing.T) {
 	perKind := 2
 	if testing.Short() {
 		perKind = 1
 	}
-	cfg := Config{Seed: 7, SweepOpts: sweep.Options{Engine: sweep.EngineWord}}
+	cfg := Config{Seed: 7, SweepOpts: sweep.Options{Engine: sweep.EnginePortfolio}}
 	for _, kind := range DatapathKinds() {
 		for i := 0; i < perKind; i++ {
 			seed := iterationSeed(7, i)
@@ -84,8 +87,7 @@ func TestDatapathMetamorphicWordStage(t *testing.T) {
 }
 
 // TestDatapathCampaignClean exercises the campaign-level preset exactly as
-// `fuzz -datapath` runs it: datapath circuits, both oracles, word engines
-// forced into the differential matrix.
+// `fuzz -datapath` runs it: datapath circuits, both oracles.
 func TestDatapathCampaignClean(t *testing.T) {
 	n := 6
 	if testing.Short() {
@@ -99,76 +101,5 @@ func TestDatapathCampaignClean(t *testing.T) {
 	})
 	for _, f := range res.Failures {
 		t.Errorf("datapath campaign failure: %v", f)
-	}
-}
-
-// TestUnsoundWordEngineCaught injects the word-stage-only fault: the hook
-// reports FaultWordAssumeEqual for every pair, which makes the word engine
-// claim any in-word obligation equal without proof while every bit-level
-// engine ignores the fault entirely and stays the sound reference. The
-// differential oracle must catch the unsound merge on a word engine, the
-// failure must shrink to a small reproducer, and the reproducer must
-// round-trip through the corpus.
-func TestUnsoundWordEngineCaught(t *testing.T) {
-	// The hook stays armed permanently (unlike the fire-once bit-level
-	// fault): bit-level engines consult it first and would consume a
-	// one-shot fault without effect, and a stateless hook keeps every
-	// shrinker re-check deterministic without needing ResetFault.
-	cfg := Config{
-		Seed:        3,
-		WordEngines: true,
-		SweepOpts: sweep.Options{
-			FaultHook: func(a, b network.NodeID) prover.Fault {
-				return prover.FaultWordAssumeEqual
-			},
-		},
-	}
-	kinds := DatapathKinds()
-	var failure *Failure
-	for i := 0; i < 30 && failure == nil; i++ {
-		rng := rand.New(rand.NewSource(iterationSeed(555, i)))
-		net := GenerateDatapath(rng, kinds[i%len(kinds)])
-		failure = CheckDifferential(net, cfg)
-		if failure != nil {
-			failure.Iteration = i
-			failure.Seed = 555
-			failure.Shape = "datapath:" + kinds[i%len(kinds)]
-		}
-	}
-	if failure == nil {
-		t.Fatal("unsound word engine survived 30 datapath circuits undetected")
-	}
-	t.Logf("caught at iteration %d: %s: %s", failure.Iteration, failure.Check, failure.Detail)
-	if failure.Check != "unsound-merge" {
-		t.Fatalf("want an unsound-merge failure, got %s", failure.Check)
-	}
-	if !strings.Contains(failure.Detail, "word") {
-		t.Fatalf("failure does not implicate a word engine: %s", failure.Detail)
-	}
-
-	prop := func(candidate *network.Network) bool {
-		f := CheckDifferential(candidate, cfg)
-		return f != nil && f.Check != "oracle-limit"
-	}
-	shrunk := Shrink(failure.Net, prop, 0)
-	t.Logf("shrunk from %d to %d nodes", failure.Net.NumNodes(), shrunk.NumNodes())
-	if shrunk.NumNodes() > 20 {
-		t.Fatalf("reproducer still has %d nodes, want <= 20", shrunk.NumNodes())
-	}
-	failure.Net = shrunk
-	dir := t.TempDir()
-	path, err := WriteCorpus(dir, failure)
-	if err != nil {
-		t.Fatalf("writing reproducer: %v", err)
-	}
-	entries, err := LoadCorpus(dir)
-	if err != nil {
-		t.Fatalf("reloading corpus: %v", err)
-	}
-	if len(entries) != 1 || entries[0].Path != path {
-		t.Fatalf("corpus round trip lost the reproducer: %+v", entries)
-	}
-	if !prop(entries[0].Net) {
-		t.Fatal("reloaded reproducer no longer triggers the unsound word engine")
 	}
 }

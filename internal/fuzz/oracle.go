@@ -3,6 +3,7 @@ package fuzz
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"simgen/internal/chaos"
@@ -32,12 +33,6 @@ type Config struct {
 	// unlimited so every engine must fully resolve each circuit; FaultHook
 	// can deliberately break the sweeper to prove the oracle catches it.
 	SweepOpts sweep.Options
-	// WordEngines additionally runs the word engine (sweep.EngineWord)
-	// against the same exhaustive oracle and the same coarse partition as
-	// the bit-level engines. It has no simulation stage, so every
-	// candidate pair in a detected word actually reaches the word stage.
-	// The datapath campaign preset enables this.
-	WordEngines bool
 	// PerturbSchedules additionally runs the parallel engine that many
 	// times under distinct chaos schedules (timing-only perturbation:
 	// injected yields, delays, forced flushes, spurious wakeups). Schedule
@@ -228,17 +223,6 @@ func runEngines(net *network.Network, cfg Config) []engineRun {
 		unresolved: prodRes.Unresolved, incomplete: prodRes.Incomplete,
 	})
 
-	if cfg.WordEngines {
-		wordOpts := cfg.SweepOpts
-		wordOpts.Engine = sweep.EngineWord
-		wrd := sweep.New(net, freshClasses(), wordOpts)
-		wres := wrd.Run()
-		runs = append(runs, engineRun{
-			name: "word", rep: wrd.Rep,
-			unresolved: wres.Unresolved, incomplete: wres.Incomplete,
-		})
-	}
-
 	for i := 0; i < cfg.PerturbSchedules; i++ {
 		perturbOpts := cfg.SweepOpts
 		perturbOpts.Chaos = chaos.NewSchedule(cfg.Seed+int64(i)*7919+1, chaos.ScheduleProfile())
@@ -314,9 +298,10 @@ func checkEngine(net *network.Network, tables []tt.Table, truth []int, run engin
 		}
 		root := run.rep(nid)
 		if prev, ok := repTruth[root]; ok && prev != tc {
+			m := firstDiff(tables[id], tables[root])
 			return &Failure{Check: "unsound-merge", Net: net,
-				Detail: fmt.Sprintf("engine %s merged node %d (function class %d) into representative %d (function class %d): tables differ, e.g. %s vs %s",
-					run.name, nid, tc, root, prev, clip(tables[id].String()), clip(tables[root].String()))}
+				Detail: fmt.Sprintf("engine %s merged node %d (function class %d) into representative %d (function class %d): tables differ first at minterm %d, where the node is %d and the representative %d",
+					run.name, nid, tc, root, prev, m, b2i(tables[id].Bit(m)), b2i(tables[root].Bit(m)))}
 		}
 		repTruth[root] = tc
 		if prev, ok := truthRep[tc]; ok && prev != root {
@@ -348,10 +333,21 @@ func checkEngine(net *network.Network, tables []tt.Table, truth []int, run engin
 	return nil
 }
 
-// clip bounds a truth-table dump for log lines.
-func clip(s string) string {
-	if len(s) > 64 {
-		return s[:64] + "..."
+// firstDiff returns the lowest minterm at which two tables over the same
+// inputs differ; the caller knows they do.
+func firstDiff(a, b tt.Table) int {
+	bw := b.Words()
+	for w, x := range a.Words() {
+		if d := x ^ bw[w]; d != 0 {
+			return w*64 + bits.TrailingZeros64(d)
+		}
 	}
-	return s
+	panic("fuzz: firstDiff on equal tables")
+}
+
+func b2i(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
 }

@@ -1,7 +1,9 @@
 package fuzz
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"simgen/internal/network"
@@ -132,6 +134,42 @@ func TestUnsoundSweeperCaught(t *testing.T) {
 	}
 	if !prop(entries[0].Net) {
 		t.Fatal("reloaded reproducer no longer triggers the broken sweeper")
+	}
+}
+
+// TestUnsoundMergeNamesFirstDifference: two nodes over seven inputs whose
+// tables agree on minterms 0-63 — the whole low word a 64-character dump
+// shows — and first differ at minterm 65 (x0=1, x1=0, x6=1). The
+// unsound-merge message must name that minterm and both values.
+func TestUnsoundMergeNamesFirstDifference(t *testing.T) {
+	net := network.New("high")
+	var pis []network.NodeID
+	for i := 0; i < 7; i++ {
+		pis = append(pis, net.AddPI(fmt.Sprintf("x%d", i)))
+	}
+	and := tt.Var(2, 0).And(tt.Var(2, 1))
+	a := net.AddLUT("a", []network.NodeID{pis[0], pis[6]}, and)
+	b := net.AddLUT("b", []network.NodeID{pis[1], pis[6]}, and)
+	net.AddPO("a", a)
+	net.AddPO("b", b)
+
+	tables := NodeTables(net)
+	if tables[a].Words()[0] != tables[b].Words()[0] || tables[a].Equal(tables[b]) {
+		t.Fatalf("want tables equal in their low 64 bits only: %s vs %s", tables[a], tables[b])
+	}
+	merge := engineRun{name: "fake", rep: func(id network.NodeID) network.NodeID {
+		if id == b {
+			return a
+		}
+		return id
+	}}
+	f := checkEngine(net, tables, tableClasses(net, tables), merge)
+	if f == nil || f.Check != "unsound-merge" {
+		t.Fatalf("want an unsound-merge failure, got %+v", f)
+	}
+	want := "first at minterm 65, where the node is 0 and the representative 1"
+	if !strings.Contains(f.Detail, want) {
+		t.Fatalf("detail %q does not contain %q", f.Detail, want)
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 // The datapath family: redundant word-level implementations (ripple vs
 // carry-select adders, array vs radix-4 shift-add multipliers, barrel vs
 // decoded shifters, mux-tree vs one-hot ALUs) whose bit-level miters are
-// exactly where SAT sweeping collapses and word-level reasoning wins
-// (FORWORD, arXiv:2507.02008; Datapath-CEC, arXiv:2501.14740). These
+// where SAT sweeping is hardest: a wide output miter collapses only when
+// the equalities below it were learned first (FORWORD, arXiv:2507.02008;
+// Datapath-CEC, arXiv:2501.14740). These
 // circuits live in their own registry so the paper-table suites (VTR,
 // EPFL, ITC'99) and the experiments that iterate them stay untouched.
 

@@ -19,7 +19,7 @@ import (
 // share no structure beyond what the two algorithms genuinely have in
 // common, exactly like two independent synthesis results. That
 // independence is what makes the multiplier pairs hard for bit-level
-// sweeping and is the contrast the word-stage benchmarks measure.
+// sweeping and is what the datapath benchmarks measure.
 var twinSpecs = map[string]func(g *aig.Graph, second bool){
 	"mul8x8":    func(g *aig.Graph, second bool) { mulTwin(g, 8, second, mulGP) },
 	"mul10x10":  func(g *aig.Graph, second bool) { mulTwin(g, 10, second, mulGP) },

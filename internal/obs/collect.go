@@ -102,12 +102,6 @@ func (c *Collector) Emit(ev Event) {
 		r.Cache.Evictions += int(ev.Dropped)
 	case KindCacheRevalidateFail:
 		r.Cache.RevalidateFails++
-	case KindWordDetect:
-		r.Word.Detections++
-		r.Word.Words += int(ev.Words)
-		r.Word.Bits += int(ev.WordBits)
-	case KindWordFrontier:
-		r.Word.FrontierProofs++
 	case KindEnumerate:
 		r.Enumerated += int(ev.Merges)
 	case KindPoolFlush:
@@ -186,16 +180,6 @@ type CacheReport struct {
 	RevalidateFails int `json:"revalidate_fails"`
 }
 
-// WordReport summarizes word-level structure detection and frontier
-// proving. All fields are zero (and the report section is omitted) when the
-// word stage is off.
-type WordReport struct {
-	Detections     int `json:"detections"`
-	Words          int `json:"words"`
-	Bits           int `json:"bits"`
-	FrontierProofs int `json:"frontier_proofs"`
-}
-
 // GenReport summarizes the simulation runner and its vector source.
 type GenReport struct {
 	Batches      int           `json:"batches"`
@@ -219,7 +203,6 @@ type Report struct {
 	BDDBlowups  int           `json:"bdd_blowups,omitempty"`
 	Perturbs    int           `json:"perturbs,omitempty"`
 	Cache       CacheReport   `json:"cache"`
-	Word        WordReport    `json:"word"`
 	Pool        PoolReport    `json:"pool"`
 	Gen         GenReport     `json:"gen"`
 	ProveTime   time.Duration `json:"prove_time_ns"`
@@ -281,9 +264,6 @@ func (r *Report) counters(put func(name string, v int64)) {
 	put("cache.misses", int64(r.Cache.Misses))
 	put("cache.evictions", int64(r.Cache.Evictions))
 	put("cache.revalidate_fails", int64(r.Cache.RevalidateFails))
-	put("word.detections", int64(r.Word.Detections))
-	put("word.bits", int64(r.Word.Bits))
-	put("word.frontier_proofs", int64(r.Word.FrontierProofs))
 	if r.Enumerated > 0 {
 		// Like the per-engine rows below, present only once a run has
 		// enumerated a merge.
@@ -332,10 +312,6 @@ func (r Report) Format() string {
 		fmt.Fprintf(&b, "cache: %d probes = %d hits + %d misses (%d revalidation failures, %d evictions)\n",
 			r.Cache.Probes, r.Cache.Hits, r.Cache.Misses,
 			r.Cache.RevalidateFails, r.Cache.Evictions)
-	}
-	if r.Word.Detections > 0 {
-		fmt.Fprintf(&b, "word: %d candidate words (%d bits), %d frontier proofs\n",
-			r.Word.Words, r.Word.Bits, r.Word.FrontierProofs)
 	}
 	if len(r.Engines) > 0 {
 		fmt.Fprintf(&b, "%-10s %8s %8s %8s %8s %12s %12s\n",

@@ -116,12 +116,6 @@ func (t *JSONL) Emit(ev Event) {
 		b = appendVerdict(b, ev.Verdict)
 	case KindCacheEvict:
 		b = appendField(b, "dropped", int64(ev.Dropped))
-	case KindWordDetect:
-		b = appendField(b, "words", int64(ev.Words))
-		b = appendField(b, "bits", int64(ev.WordBits))
-	case KindWordFrontier:
-		b = appendPair(b, ev)
-		b = appendOptField(b, "slice", int64(ev.Rung))
 	case KindEnumerate:
 		b = appendField(b, "pis", int64(ev.PIs))
 		b = appendField(b, "merges", int64(ev.Merges))

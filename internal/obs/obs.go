@@ -108,14 +108,6 @@ const (
 	// KindCacheRevalidateFail records a cache record that matched the key
 	// but was rejected by revalidation against the current network (A, B).
 	KindCacheRevalidateFail
-	// KindWordDetect records one word-structure detection pass over the
-	// network (Words=candidate words, WordBits=member bits). Word-enabled
-	// runs only.
-	KindWordDetect
-	// KindWordFrontier records a frontier slice pair proven equal and
-	// learned into the shared solver ahead of a wide word miter (A, B,
-	// Rung=slice index).
-	KindWordFrontier
 	// KindEnumerate records the scheduler merging every class of an exact
 	// partition, one built from every input assignment, before any worker
 	// starts (PIs=the network's inputs, Merges=members merged into their
@@ -145,9 +137,6 @@ var kindNames = [numKinds]string{
 	KindCacheMiss:           "cache_miss",
 	KindCacheEvict:          "cache_evict",
 	KindCacheRevalidateFail: "cache_revalidate_fail",
-
-	KindWordDetect:   "word_detect",
-	KindWordFrontier: "word_frontier",
 
 	KindEnumerate: "enumerate",
 }
@@ -209,9 +198,6 @@ type Event struct {
 
 	Workers int32 // worker count of the run
 	Pending int32 // queue depth when the obligation was claimed
-
-	Words    int32 // word-detect candidate words
-	WordBits int32 // word-detect member bits across all candidates
 
 	PIs    int32 // primary inputs of an enumerated network
 	Merges int32 // members an enumeration merged into their representatives

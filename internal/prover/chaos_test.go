@@ -43,7 +43,7 @@ func chaosNet(t *testing.T) (*network.Network, network.NodeID, network.NodeID) {
 func TestWithChaosInjectsTransientFailures(t *testing.T) {
 	net, a, b := chaosNet(t)
 	var rec obs.Recorder
-	eng := WithChaos(NewPortfolio(net, Policy{}, nil, nil, nil, nil),
+	eng := WithChaos(NewPortfolio(net, Policy{}, nil, nil, nil),
 		&scriptedInjector{acts: []chaos.Action{chaos.ActFail, chaos.ActTimeout}}, &rec)
 
 	for i := 0; i < 2; i++ {
@@ -69,7 +69,7 @@ func TestWithChaosInjectsTransientFailures(t *testing.T) {
 
 func TestWithChaosPanics(t *testing.T) {
 	net, a, b := chaosNet(t)
-	eng := WithChaos(NewPortfolio(net, Policy{}, nil, nil, nil, nil),
+	eng := WithChaos(NewPortfolio(net, Policy{}, nil, nil, nil),
 		&scriptedInjector{acts: []chaos.Action{chaos.ActPanic}}, nil)
 	defer func() {
 		if recover() == nil {
@@ -83,7 +83,7 @@ func TestWithChaosDelegatesCleanCalls(t *testing.T) {
 	// Schedule-shaping actions must not change verdicts: the two AND nodes
 	// share a function, so every call comes back Equal and non-transient.
 	net, a, b := chaosNet(t)
-	eng := WithChaos(NewPortfolio(net, Policy{}, nil, nil, nil, nil),
+	eng := WithChaos(NewPortfolio(net, Policy{}, nil, nil, nil),
 		&scriptedInjector{acts: []chaos.Action{chaos.ActYield, chaos.ActDelay, chaos.ActNone}}, nil)
 	for i := 0; i < 3; i++ {
 		res := eng.Prove(context.Background(), a, b, Budget{})

@@ -47,7 +47,6 @@ type Portfolio struct {
 
 	sim    *Sim // nil when disabled
 	sat    *SAT
-	word   *Word  // word-level stage; nil when disabled
 	bdd    *BDD   // built lazily on first fallback
 	prober Prober // cross-run verification memory; nil when disabled
 }
@@ -56,22 +55,15 @@ type Portfolio struct {
 // place. Events go to tr (nil means obs.Nop), the lazily built BDD
 // fallback's included. pr, when non-nil, is the cross-run verification
 // memory, rung 0 of the schedule: every Prove consults it before any
-// engine runs, and settled verdicts are recorded back. A plan that is not
-// inert inserts the word-level stage between simulation and the SAT
-// ladder, sharing the portfolio's SAT engine so learned frontier
-// equalities collapse the ladder's miters. hook injects test faults into
-// the SAT stage (re-consulted on every escalation rung) and the word stage.
-func NewPortfolio(net *network.Network, policy Policy, tr obs.Tracer, pr Prober, plan *WordPlan, hook FaultHook) *Portfolio {
+// engine runs, and settled verdicts are recorded back. hook injects test
+// faults into the SAT stage (re-consulted on every escalation rung).
+func NewPortfolio(net *network.Network, policy Policy, tr obs.Tracer, pr Prober, hook FaultHook) *Portfolio {
 	tr = obs.OrNop(tr)
 	s := NewSAT(net, tr)
 	s.Hook = hook
 	p := &Portfolio{net: net, policy: policy, tr: tr, sat: s, prober: pr}
 	if policy.SimPIs > 0 {
 		p.sim = NewSim(net, policy.SimPIs, tr)
-	}
-	if !plan.inert() {
-		p.word = NewWord(net, plan, s, tr)
-		p.word.Hook = hook
 	}
 	return p
 }
@@ -88,15 +80,6 @@ func (p *Portfolio) Prove(ctx context.Context, a, b network.NodeID, budget Budge
 	}
 	if p.sim != nil {
 		r := p.sim.Prove(ctx, a, b, budget)
-		agg.Add(r.Stats)
-		if r.Verdict != Unknown {
-			p.record(a, b, r)
-			r.Stats = agg
-			return r
-		}
-	}
-	if p.word != nil {
-		r := p.word.Prepare(ctx, a, b, budget)
 		agg.Add(r.Stats)
 		if r.Verdict != Unknown {
 			p.record(a, b, r)

@@ -3,9 +3,8 @@
 // sweeping scheduler (internal/sweep) treats every engine identically, so
 // adding a backend (word-level, SMT, distributed) means implementing this
 // interface, not growing another sweep loop. The portfolio architecture
-// follows the hybrid-sweeping literature (Chen et al., arXiv:2501.14740;
-// FORWORD, arXiv:2507.02008): cheap engines first, escalating budgets, a
-// canonical fallback last.
+// follows the hybrid-sweeping literature (Chen et al., arXiv:2501.14740):
+// cheap engines first, escalating budgets, a canonical fallback last.
 package prover
 
 import (
@@ -62,8 +61,6 @@ type Stats struct {
 	SATCalls     int           // SAT solver invocations
 	BDDChecks    int           // BDD equivalence queries
 	SimChecks    int           // exhaustive-simulation proofs attempted
-	WordChecks   int           // word-stage attempts on in-word pairs
-	WordFrontier int           // frontier slice equalities proven and learned
 	Escalations  int           // budget-escalation retries
 	BDDBlowups   int           // BDD node-table blow-ups
 	Conflicts    int64         // SAT conflicts spent
@@ -82,8 +79,6 @@ func (s *Stats) Add(o Stats) {
 	s.SATCalls += o.SATCalls
 	s.BDDChecks += o.BDDChecks
 	s.SimChecks += o.SimChecks
-	s.WordChecks += o.WordChecks
-	s.WordFrontier += o.WordFrontier
 	s.Escalations += o.Escalations
 	s.BDDBlowups += o.BDDBlowups
 	s.Conflicts += o.Conflicts
@@ -187,10 +182,6 @@ const (
 	FaultUnknown
 	FaultPanic
 	FaultAssumeEqual
-	// FaultWordAssumeEqual is the word-stage analog of FaultAssumeEqual:
-	// the word engine reports any in-word pair it is consulted on as
-	// equivalent without proving anything. The SAT engine ignores it.
-	FaultWordAssumeEqual
 )
 
 // FaultHook injects faults per pair check. Testing only.

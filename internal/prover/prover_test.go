@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"simgen/internal/network"
@@ -75,7 +76,7 @@ func TestEnginesAgreeOnRandomPairs(t *testing.T) {
 			NewSAT(net, nil),
 			NewBDD(net, 0, nil),
 			NewSim(net, 16, nil),
-			NewPortfolio(net, Policy{SimPIs: 8, MaxEscalations: 2, BDDFallback: true}, nil, nil, nil, nil),
+			NewPortfolio(net, Policy{SimPIs: 8, MaxEscalations: 2, BDDFallback: true}, nil, nil, nil),
 		}
 		for pi := 0; pi < 10; pi++ {
 			a := network.NodeID(rng.Intn(net.NumNodes()))
@@ -136,7 +137,7 @@ func TestPortfolioEscalatesThenFallsBack(t *testing.T) {
 		return FaultUnknown
 	}
 	rec := &obs.Recorder{}
-	p := NewPortfolio(net, Policy{MaxEscalations: 3, BDDFallback: true}, rec, nil, nil, hook)
+	p := NewPortfolio(net, Policy{MaxEscalations: 3, BDDFallback: true}, rec, nil, hook)
 	a := network.NodeID(net.NumNodes() - 1)
 	r := p.Prove(context.Background(), a, a, Budget{})
 	if r.Verdict != Equal {
@@ -180,11 +181,48 @@ func TestPortfolioSimSkipsSAT(t *testing.T) {
 		t.Fatal("SAT stage consulted for a sim-provable pair")
 		return FaultNone
 	}
-	p := NewPortfolio(net, Policy{SimPIs: 16}, nil, nil, nil, hook)
+	p := NewPortfolio(net, Policy{SimPIs: 16}, nil, nil, hook)
 	a := network.NodeID(net.NumNodes() - 1)
 	r := p.Prove(context.Background(), a, a, Budget{})
 	if r.Verdict != Equal || r.Stats.SimChecks != 1 {
 		t.Fatalf("verdict %v simchecks %d, want sim-stage equal", r.Verdict, r.Stats.SimChecks)
+	}
+}
+
+// TestPortfolioFixedStageOrder pins the portfolio's stage order on an XOR
+// chain: a pair whose support fits the sim cutoff is settled by the sim
+// stage alone, and a wider pair goes straight to SAT with no sim event.
+func TestPortfolioFixedStageOrder(t *testing.T) {
+	net := network.New("chain")
+	var pis []network.NodeID
+	for i := 0; i < 7; i++ {
+		pis = append(pis, net.AddPI(""))
+	}
+	xor2 := tt.Var(2, 0).Xor(tt.Var(2, 1))
+	chain := []network.NodeID{pis[0]}
+	for _, pi := range pis[1:] {
+		chain = append(chain, net.AddLUT("", []network.NodeID{chain[len(chain)-1], pi}, xor2))
+	}
+	net.AddPO("out", chain[len(chain)-1])
+	for _, c := range []struct {
+		node network.NodeID
+		want string // engines of the prove_start events, in order
+	}{
+		{chain[3], "sim"}, // 4 support inputs
+		{chain[6], "sat"}, // 7 support inputs
+	} {
+		rec := &obs.Recorder{}
+		p := NewPortfolio(net, Policy{SimPIs: 4}, rec, nil, nil)
+		if r := p.Prove(context.Background(), c.node, c.node, Budget{}); r.Verdict != Equal {
+			t.Fatalf("node %d: verdict %v, want equal", c.node, r.Verdict)
+		}
+		var seq []string
+		for _, ev := range rec.Filter(obs.KindProveStart) {
+			seq = append(seq, ev.Engine)
+		}
+		if got := strings.Join(seq, " "); got != c.want {
+			t.Errorf("node %d: engines started %q, want %q", c.node, got, c.want)
+		}
 	}
 }
 

@@ -204,7 +204,7 @@ func TestIncrementalTFO(t *testing.T) {
 // records. A change to what the cache records, or to how Close lays the
 // journal out, moves the hash.
 func TestCacheJournalGolden(t *testing.T) {
-	const want = "09bdb46edabc4b888b7bf1b60e5891eb2fd6535cf507a669c58cdcdd3e750e09"
+	const want = "8f72c33a3d99557d2f7ea457a046ccb321d713132481ae0321a0610ec70d5f5d"
 	dir := t.TempDir()
 	ctx := context.Background()
 	net := loadBench(t, "pdc")

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"slices"
 	"testing"
 
 	"simgen/internal/core"
@@ -73,5 +74,51 @@ func TestParallelSingleWorkerFallsBack(t *testing.T) {
 	res := sw.RunParallel(1)
 	if res.SATCalls == 0 {
 		t.Fatal("no work done")
+	}
+}
+
+// TestSnapshotShallowestFirst: every worker drains the snapshot byLevel
+// builds, ordered by the deeper level of each class's next pair with ties
+// in NonSingleton's largest-first order. byLevel sorts a copy: the
+// partition's cached NonSingleton slice must come back unchanged.
+func TestSnapshotShallowestFirst(t *testing.T) {
+	b, _ := genbench.ByName("pdc")
+	net, _ := b.LUTNetwork()
+	run := core.NewRunner(net, 1, 42)
+	sw := New(net, run.Classes, Options{})
+	ns := run.Classes.NonSingleton()
+	before := slices.Clone(ns)
+	snap := sw.sched.byLevel()
+	if !slices.Equal(ns, before) {
+		t.Fatal("byLevel reordered the partition's cached NonSingleton slice")
+	}
+	rank := make(map[int]int, len(ns))
+	for i, ci := range ns {
+		rank[ci] = i
+	}
+	depth := func(ci int) int {
+		m := run.Classes.Members(ci)
+		return max(net.Level(m[0]), net.Level(m[1]))
+	}
+	seen := make(map[int]bool, len(snap))
+	for i, ci := range snap {
+		if _, ok := rank[ci]; !ok || seen[ci] {
+			t.Fatalf("snapshot entry %d: class %d is not a distinct non-singleton class", i, ci)
+		}
+		seen[ci] = true
+		if i == 0 {
+			continue
+		}
+		prev := snap[i-1]
+		if dp, dc := depth(prev), depth(ci); dp > dc || dp == dc && rank[prev] > rank[ci] {
+			t.Fatalf("snapshot entries %d, %d: class %d (depth %d) before class %d (depth %d)",
+				i-1, i, prev, dp, ci, dc)
+		}
+	}
+	if len(snap) != len(ns) {
+		t.Fatalf("snapshot holds %d classes, the partition %d", len(snap), len(ns))
+	}
+	if depth(snap[0]) == depth(snap[len(snap)-1]) {
+		t.Fatal("every class at one depth: the order is not exercised")
 	}
 }

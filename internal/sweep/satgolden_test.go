@@ -14,10 +14,11 @@ import (
 
 // goldenSATVerdictSHA pins every SAT prover call of the runs in
 // TestSATVerdictGolden: the ordered prove_verdict events of engine "sat"
-// (pair, verdict, conflicts, propagations). It was recorded before the
-// solver's data layout was last rebuilt; any change to the CDCL search
-// shows here as a moved conflict or propagation count.
-const goldenSATVerdictSHA = "a5cd886017bb9dc7c603f226a426e8012386dc0c25c0bdf948da9d13a1bdae7f"
+// (pair, verdict, conflicts, propagations). It was re-recorded when the
+// scheduler took its shallowest-pair-first order; any change to the CDCL
+// search or to the order of obligations shows here as a moved pair,
+// conflict or propagation count.
+const goldenSATVerdictSHA = "1e11b46b769f7b3889837d94466a3e29836e66db06cfdd8e46dd5adf072152f2"
 
 // hashSATVerdicts folds the recorded sat-engine verdict events into h and
 // returns how many there were.
@@ -40,7 +41,7 @@ func hashSATVerdicts(h hash.Hash, rec *obs.Recorder) int {
 }
 
 // TestSATVerdictGolden runs the committed mul8x8 EQ and NEQ datapath pairs
-// through word-staged portfolio CEC, and two genbench circuits through a
+// through portfolio CEC, and two genbench circuits through a
 // budgeted SAT sweep, all single-worker, so the stream of SAT calls is
 // deterministic.
 func TestSATVerdictGolden(t *testing.T) {
@@ -57,7 +58,7 @@ func TestSATVerdictGolden(t *testing.T) {
 		rec := &obs.Recorder{}
 		res, err := CEC(a, readCorpusBLIF(t, dir, c.other), CECOptions{
 			Seed:  1,
-			Sweep: Options{Engine: EnginePortfolio, WordStage: true, Tracer: rec},
+			Sweep: Options{Engine: EnginePortfolio, Tracer: rec},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,9 +1,11 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -67,8 +69,9 @@ type scheduler struct {
 	claimed map[network.NodeID]bool // class reps with an obligation in flight
 	retries map[pair]int            // requeue counts per degraded pair
 
-	// snap is the current NonSingleton snapshot being drained, with a
-	// shared cursor; progress tells refreshes apart from exhausted passes.
+	// snap is the current level-ordered snapshot (byLevel) being drained,
+	// with a shared cursor; progress tells refreshes apart from exhausted
+	// passes.
 	snap     []int
 	snapPos  int
 	progress bool
@@ -281,8 +284,9 @@ func (s *scheduler) process(ctx context.Context, eng prover.Engine, wid int32, o
 }
 
 // next claims the next obligation under the partition lock. It drains a
-// NonSingleton snapshot with a shared cursor; when the snapshot runs dry
-// it is refreshed (splits create classes a stale snapshot cannot see).
+// level-ordered snapshot (byLevel) with a shared cursor; when the snapshot
+// runs dry it is refreshed (splits create classes a stale snapshot cannot
+// see).
 //
 // Termination is decided against fresh state, never a drained snapshot:
 // the queue is empty only when a fresh scan finds nothing claimable, no
@@ -304,7 +308,7 @@ func (s *scheduler) next(ctx context.Context, wid int32) (obligation, bool) {
 			return obligation{}, false
 		}
 		if s.snap == nil {
-			s.snap = s.classes.NonSingleton()
+			s.snap = s.byLevel()
 			s.snapPos = 0
 			s.progress = false
 		}
@@ -366,6 +370,23 @@ func (s *scheduler) next(ctx context.Context, wid int32) (obligation, bool) {
 		}
 		s.snap = nil
 	}
+}
+
+// byLevel returns the partition's non-singleton classes shallowest first:
+// ordered by the deeper level of each class's next pair (its
+// representative and first member), ties kept in NonSingleton's
+// largest-first order. Proving bottom-up means a deep pair's miter meets
+// its cone's equalities already learned, so wide datapath miters collapse
+// by propagation instead of case-splitting. The caller holds mu; the
+// levels were built before workers shared the network (network.Warm).
+func (s *scheduler) byLevel() []int {
+	snap := slices.Clone(s.classes.NonSingleton())
+	depth := func(ci int) int {
+		members := s.classes.Members(ci)
+		return max(s.net.Level(members[0]), s.net.Level(members[1]))
+	}
+	slices.SortStableFunc(snap, func(a, b int) int { return cmp.Compare(depth(a), depth(b)) })
+	return snap
 }
 
 // claimable reports whether a fresh partition scan holds any unclaimed

@@ -8,14 +8,13 @@
 // random rounds, the proof cache's pattern replay, then the guided method
 // named in core's method table — and every front end (cmd/sweep, sweepd,
 // CEC) calls it with the same CECOptions. New builds the sweeping half for
-// every engine kind (SAT, BDD, portfolio, and the SAT portfolio with the
-// word stage): one proof-obligation scheduler (scheduler.go) consuming a
-// queue of (class, pair) obligations with N workers, one shared
-// union-find, and one counterexample pool — sequential sweeping is
-// workers=1, and CEC rides the scheduler too before its per-output checks.
-// The engines themselves (SAT miter, BDD, exhaustive simulation, the word
-// stage, and the escalating portfolio combining them) live in
-// internal/prover.
+// every engine kind (SAT, BDD, portfolio): one proof-obligation scheduler
+// (scheduler.go) consuming a queue of (class, pair) obligations, shallowest
+// pair first, with N workers, one shared union-find, and one
+// counterexample pool — sequential sweeping is workers=1, and CEC rides
+// the scheduler too before its per-output checks. The engines themselves
+// (SAT miter, BDD, exhaustive simulation, and the escalating portfolio
+// combining them) live in internal/prover.
 //
 // # Budgets, deadlines, and degradation
 //
@@ -28,8 +27,7 @@
 // (EscalationFactor× larger budgets for MaxEscalations rungs) and, when the
 // final rung fails too, falls back to the BDD engine under its own
 // node-count limit before declaring the pair Unresolved — the hybrid-engine
-// architecture of Chen et al. (arXiv:2501.14740) and FORWORD
-// (arXiv:2507.02008).
+// architecture of Chen et al. (arXiv:2501.14740).
 package sweep
 
 import (
@@ -43,7 +41,6 @@ import (
 	"simgen/internal/obs"
 	"simgen/internal/prover"
 	"simgen/internal/sim"
-	"simgen/internal/word"
 )
 
 // DefaultRetryLimit is the number of times a degraded obligation (worker
@@ -65,12 +62,6 @@ const (
 	// proofs for pairs of at most prover.DefaultSimPIs support inputs, then
 	// the SAT ladder, then the BDD fallback (forced on).
 	EnginePortfolio
-	// EngineWord is EngineSAT with the word stage (Options.WordStage)
-	// forced on: structure detection over the LUT network, then bottom-up
-	// frontier proving of word-slice equalities learned into the shared
-	// solver before the SAT ladder. Pairs outside any detected word go
-	// straight to the ladder.
-	EngineWord
 )
 
 // engineNames is the one table of engine names, indexed by kind; it backs
@@ -79,7 +70,6 @@ var engineNames = [...]string{
 	EngineSAT:       "sat",
 	EngineBDD:       "bdd",
 	EnginePortfolio: "portfolio",
-	EngineWord:      "word",
 }
 
 // ParseEngine maps a CLI engine name to its kind.
@@ -132,12 +122,10 @@ type Options struct {
 	// 0 means the manager default.
 	BDDNodeLimit int
 
-	// WordStage inserts the word-level proving stage into the portfolio:
-	// word-structure detection over the network, then per-obligation
-	// bottom-up frontier proofs learned into the shared solver before the
-	// SAT ladder runs. Off by default — a word-off run behaves
-	// byte-identically to one built before the stage existed. Implied by
-	// EngineWord.
+	// WordStage is ignored: the scheduler's bottom-up order does on
+	// datapath circuits what the word stage did.
+	//
+	// Deprecated: the word stage is gone; nothing reads this field.
 	WordStage bool
 	// Adaptive is ignored: the portfolio always runs its fixed stage
 	// order.
@@ -147,8 +135,8 @@ type Options struct {
 	Adaptive bool
 
 	// FaultHook, when set, is consulted before every SAT pair check (once
-	// per escalation rung) and by the word stage, and may inject a failure
-	// for that pair. Testing only.
+	// per escalation rung) and may inject a failure for that pair. Testing
+	// only.
 	FaultHook prover.FaultHook
 
 	// Chaos, when set, perturbs parallel sweeps: the injector is consulted
@@ -246,6 +234,11 @@ type Result struct {
 	// partition (sim.Classes.Exact) without an engine call; such a sweep
 	// schedules nothing.
 	Enumerated int
+
+	// WordChecks and WordFrontier are always zero.
+	//
+	// Deprecated: the word stage that counted them is gone.
+	WordChecks, WordFrontier int
 }
 
 func (r Result) String() string {
@@ -257,9 +250,6 @@ func (r Result) String() string {
 	}
 	if r.SimChecks > 0 {
 		fmt.Fprintf(&b, " simchecks=%d", r.SimChecks)
-	}
-	if r.WordChecks > 0 {
-		fmt.Fprintf(&b, " wordchecks=%d wordfrontier=%d", r.WordChecks, r.WordFrontier)
 	}
 	if r.Escalations > 0 {
 		fmt.Fprintf(&b, " escalations=%d", r.Escalations)
@@ -391,8 +381,8 @@ func New(net *network.Network, classes *sim.Classes, opts Options) *Sweeper {
 // newSweeper is New with an optional pre-built simulator for the
 // counterexample pool (CEC reuses its runner's kernel). Its factory is the
 // one place a sweep's engines are built, each one complete: the run's
-// tracer, and for the portfolio the cache, the word plan and the fault
-// hook, go in at construction.
+// tracer, and for the portfolio the cache and the fault hook, go in at
+// construction.
 func newSweeper(net *network.Network, classes *sim.Classes, opts Options, simulator *sim.Simulator) *Sweeper {
 	tr := obs.OrNop(opts.Tracer)
 	var factory func() prover.Engine
@@ -401,17 +391,8 @@ func newSweeper(net *network.Network, classes *sim.Classes, opts Options, simula
 		factory = func() prover.Engine { return prover.NewBDD(net, opts.BDDNodeLimit, tr) }
 	default:
 		policy := opts.policy()
-		var plan *prover.WordPlan
-		if opts.WordStage || opts.Engine == EngineWord {
-			// Detection and signature analysis run once, before the
-			// scheduler shares the network (see network.Warm), and the
-			// immutable plan is shared by every worker's engine.
-			plan = prover.NewWordPlan(net, word.Detect(net))
-			cands, bits := plan.St.Counts()
-			tr.Emit(obs.Event{Kind: obs.KindWordDetect, Words: int32(cands), WordBits: int32(bits)})
-		}
 		factory = func() prover.Engine {
-			return prover.NewPortfolio(net, policy, tr, opts.Cache, plan, opts.FaultHook)
+			return prover.NewPortfolio(net, policy, tr, opts.Cache, opts.FaultHook)
 		}
 	}
 	return &Sweeper{sched: newScheduler(net, classes, opts, factory, simulator)}

@@ -269,6 +269,7 @@ func TestSubmitValidationAndLookup(t *testing.T) {
 		"cec missing b":   {Kind: KindCEC, Circuit: CircuitRef{BLIF: andBLIF}},
 		"bad method":      {Kind: KindSweep, Circuit: CircuitRef{BLIF: andBLIF}, Method: "oracle"},
 		"bad engine":      {Kind: KindSweep, Circuit: CircuitRef{BLIF: andBLIF}, Engine: "quantum"},
+		"word engine":     {Kind: KindSweep, Circuit: CircuitRef{BLIF: andBLIF}, Engine: "word"},
 		"path w/o root":   {Kind: KindSweep, Circuit: CircuitRef{Path: "x.blif"}},
 		"sweep+circuit_b": {Kind: KindSweep, Circuit: CircuitRef{BLIF: andBLIF}, CircuitB: CircuitRef{BLIF: orBLIF}},
 		"negative rungs":  {Kind: KindSweep, Circuit: CircuitRef{BLIF: andBLIF}, MaxEscalations: &minusOne},

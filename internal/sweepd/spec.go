@@ -83,8 +83,7 @@ type JobSpec struct {
 	// Seed drives every randomized step (default 1).
 	Seed int64 `json:"seed,omitempty"`
 
-	// Engine is the proof engine: "sat" (default), "bdd", "portfolio", or
-	// "word".
+	// Engine is the proof engine: "sat" (default), "bdd" or "portfolio".
 	Engine string `json:"engine,omitempty"`
 	// Workers is the sweeping worker count inside the job (default 1;
 	// workers=1 with Deterministic gives byte-stable traces).

@@ -15,11 +15,19 @@ import (
 // in any Verilog simulator to cross-validate the two implementations:
 //
 //	iverilog -o tb design.v design_tb.v && ./tb
+//
+// Every vector holds one value per primary input; a vector of any other
+// length is an error, and nothing is written.
 func WriteTestbench(w io.Writer, net *network.Network, vectors [][]bool) error {
+	npis, npos := net.NumPIs(), net.NumPOs()
+	for k, vec := range vectors {
+		if len(vec) != npis {
+			return fmt.Errorf("verilog: vector %d has %d values, want %d (one per primary input)", k, len(vec), npis)
+		}
+	}
 	bw := bufio.NewWriter(w)
 	name, wireName, poName := identifiers(net)
 
-	npis, npos := net.NumPIs(), net.NumPOs()
 	fmt.Fprintf(bw, "`timescale 1ns/1ps\nmodule %s_tb;\n", name)
 	fmt.Fprintf(bw, "  reg  [%d:0] in;\n", npis-1)
 	fmt.Fprintf(bw, "  wire [%d:0] out;\n", npos-1)

@@ -220,6 +220,28 @@ func TestWriteTestbench(t *testing.T) {
 	}
 }
 
+// TestWriteTestbenchVectorLength: a vector shorter or longer than the
+// network's inputs is an error naming the vector, and nothing is written.
+func TestWriteTestbenchVectorLength(t *testing.T) {
+	n := collidingNet() // one primary input
+	for _, c := range []struct {
+		vectors [][]bool
+		want    string
+	}{
+		{[][]bool{{true}, {}}, "vector 1 has 0 values, want 1"},
+		{[][]bool{{false, true}}, "vector 0 has 2 values, want 1"},
+	} {
+		var buf bytes.Buffer
+		err := WriteTestbench(&buf, n, c.vectors)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("vectors %v: error %v, want one containing %q", c.vectors, err, c.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("vectors %v: wrote %d bytes before failing", c.vectors, buf.Len())
+		}
+	}
+}
+
 // testbenchOf writes the network's module and its testbench over vectors,
 // checks that the testbench connects every port the module declares
 // exactly once (".port(in[i])" to an input, ".port(out[i])" to an

@@ -88,7 +88,7 @@ type (
 	SweepResult = sweep.Result
 	// Sweeper verifies candidate equivalences on the proof engine that
 	// SweepOptions.Engine selects; every engine it proves with is built
-	// complete (tracer, proof cache, word plan) when the Sweeper is.
+	// complete (tracer, proof cache) when the Sweeper is.
 	Sweeper = sweep.Sweeper
 	// CECOptions configures the flow: Refine, then sweeping or CEC.
 	CECOptions = sweep.CECOptions
@@ -161,21 +161,17 @@ const (
 	// EnginePortfolio chains free exhaustive-simulation proofs for pairs of
 	// at most 12 support inputs, the SAT ladder, and the BDD fallback.
 	EnginePortfolio = sweep.EnginePortfolio
-	// EngineWord runs word-structure detection and bottom-up frontier
-	// proving before the SAT miter (datapath circuits).
-	EngineWord = sweep.EngineWord
 )
 
-// ParseSweepEngine maps a CLI engine name (sat|bdd|portfolio|word) to its kind.
+// ParseSweepEngine maps a CLI engine name (sat|bdd|portfolio) to its kind.
 func ParseSweepEngine(s string) (EngineKind, error) { return sweep.ParseEngine(s) }
 
 // Fault kinds for SweepOptions.FaultHook, the prover package's own.
 const (
-	FaultNone            = prover.FaultNone
-	FaultUnknown         = prover.FaultUnknown
-	FaultPanic           = prover.FaultPanic
-	FaultAssumeEqual     = prover.FaultAssumeEqual
-	FaultWordAssumeEqual = prover.FaultWordAssumeEqual
+	FaultNone        = prover.FaultNone
+	FaultUnknown     = prover.FaultUnknown
+	FaultPanic       = prover.FaultPanic
+	FaultAssumeEqual = prover.FaultAssumeEqual
 )
 
 // Constant AIG literals.

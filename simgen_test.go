@@ -2,6 +2,7 @@ package simgen
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -312,5 +313,32 @@ func TestFacadeOptimizeAndMetrics(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "module misex3c_tb;") {
 		t.Fatal("testbench header missing")
+	}
+}
+
+// TestWriteTestbenchVectorLength: a vector shorter or longer than the
+// network's inputs is an error naming the vector, not a panic, and nothing
+// is written.
+func TestWriteTestbenchVectorLength(t *testing.T) {
+	net, err := LoadBenchmark("misex3c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	npi := net.NumPIs()
+	for _, c := range []struct {
+		vectors [][]bool
+		want    string
+	}{
+		{[][]bool{{}}, "vector 0 has 0 values"},
+		{[][]bool{make([]bool, npi), make([]bool, npi+1)}, fmt.Sprintf("vector 1 has %d values", npi+1)},
+	} {
+		var buf bytes.Buffer
+		err := WriteTestbench(&buf, net, c.vectors)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("error %v, want one containing %q", err, c.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%q: wrote %d bytes before failing", c.want, buf.Len())
+		}
 	}
 }
