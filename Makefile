@@ -247,7 +247,7 @@ bench-datapath:
 .PHONY: datapath-test
 datapath-test:
 	$(GO) test -count=1 -run 'TestDatapathCorpusReplay' ./internal/sweep
-	$(GO) test -count=1 -run 'TestDatapath|TestPoisonedCache' ./internal/fuzz
+	$(GO) test -count=1 -run 'TestDatapath|TestPoisonedWordCache' ./internal/fuzz
 	$(GO) test -count=1 ./internal/prover
 	$(GO) run ./cmd/fuzz -n 60 -seed 1 -datapath -oracle differential
 

@@ -11,33 +11,49 @@ import (
 	"simgen/internal/sweep"
 )
 
-// TestPoisonedCacheSoundness plants deliberately wrong Equal records in
-// the verification cache — one for every pair of LUTs whose exhaustive
-// truth tables differ, the lies a corrupted or stale cache could tell
-// under a matching key — and checks that revalidation rejects every one:
-// a direct probe refuses each lie, the sweep's merges stay sound against
-// the exhaustive ground truth, and its proven partition is a cache-cold
-// oracle run's on the same partition. The circuits are random logic with
-// twinned cones and the datapath twins, whose sum, mux and shift bits pair
-// up across two implementations.
+// poisonInput is one circuit of a poisoned-cache trial, named for failure
+// messages and seeded for its coarse partition.
+type poisonInput struct {
+	name string
+	seed int64
+	net  *network.Network
+}
+
+// TestPoisonedCacheSoundness runs checkPoisonedCache on random logic with
+// twinned cones, whose near-duplicate cones fill the coarse classes with
+// pairs the poisoned records can lie about.
 func TestPoisonedCacheSoundness(t *testing.T) {
-	type input struct {
-		name string
-		seed int64
-		net  *network.Network
-	}
-	var inputs []input
+	var inputs []poisonInput
 	shape := DefaultShape()
 	shape.TwinBias = 0.4
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(1000 + trial*17)
-		inputs = append(inputs, input{shape.String(), seed, Generate(rand.New(rand.NewSource(seed)), shape)})
+		inputs = append(inputs, poisonInput{shape.String(), seed, Generate(rand.New(rand.NewSource(seed)), shape)})
 	}
+	checkPoisonedCache(t, inputs)
+}
+
+// TestPoisonedWordCacheSoundness runs checkPoisonedCache on the datapath
+// twins, whose sum, mux and shift word bits pair up across two
+// implementations: the pairs a bottom-up sweep proves equal bit by bit.
+func TestPoisonedWordCacheSoundness(t *testing.T) {
+	var inputs []poisonInput
 	for trial, kind := range append(DatapathKinds(), DatapathKinds()...) {
 		seed := int64(500 + trial*13)
-		inputs = append(inputs, input{"datapath:" + kind, seed, GenerateDatapath(rand.New(rand.NewSource(seed)), kind)})
+		inputs = append(inputs, poisonInput{"datapath:" + kind, seed, GenerateDatapath(rand.New(rand.NewSource(seed)), kind)})
 	}
+	checkPoisonedCache(t, inputs)
+}
 
+// checkPoisonedCache plants deliberately wrong Equal records in the
+// verification cache — one for every pair of LUTs whose exhaustive truth
+// tables differ, the lies a corrupted or stale cache could tell under a
+// matching key — and checks that revalidation rejects every one: a direct
+// probe refuses each lie, the sweep's merges stay sound against the
+// exhaustive ground truth, and its proven partition is a cache-cold oracle
+// run's on the same partition.
+func checkPoisonedCache(t *testing.T, inputs []poisonInput) {
+	t.Helper()
 	ctx := context.Background()
 	totalPoisoned, totalRejected := 0, 0
 	for trial, in := range inputs {
@@ -61,29 +77,35 @@ func TestPoisonedCacheSoundness(t *testing.T) {
 		}
 		totalPoisoned += len(lies)
 
-		st, err := pcache.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess := pcache.NewSession(st, net, nil)
-		poison := func() {
+		// plant opens a fresh store holding every lie. A refused Equal
+		// record poisons every key its lies link, so a store the direct
+		// probes have refused from would only miss under the sweep: the
+		// sweep gets a store of its own.
+		plant := func() (*pcache.Store, *pcache.Session) {
+			st, err := pcache.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := pcache.NewSession(st, net, nil)
 			for _, p := range lies {
 				sess.RecordProof(p[0], p[1], prover.Equal, nil)
 			}
+			return st, sess
 		}
 
-		// A direct probe must refuse every lie before any sweep runs. A
-		// refused record is evicted, so the lies are planted again for the
-		// sweep.
-		poison()
+		// A direct probe must refuse every lie.
+		probeSt, probeSess := plant()
 		for _, p := range lies {
-			if cp := sess.Probe(ctx, p[0], p[1]); cp.Hit {
+			if cp := probeSess.Probe(ctx, p[0], p[1]); cp.Hit {
 				t.Fatalf("trial %d (%s): poisoned record (%d, %d) accepted by direct probe",
 					trial, in.name, p[0], p[1])
 			}
 		}
-		poison()
+		if err := probeSt.Close(); err != nil {
+			t.Fatal(err)
+		}
 
+		st, sess := plant()
 		sw := sweep.New(net, coarseClasses(net, cfg), sweep.Options{Cache: sess})
 		res := sw.Run()
 		totalRejected += res.CacheRevalFails
