@@ -30,7 +30,9 @@ func TestPoisonedCacheSoundness(t *testing.T) {
 		seed := int64(1000 + trial*17)
 		inputs = append(inputs, poisonInput{shape.String(), seed, Generate(rand.New(rand.NewSource(seed)), shape)})
 	}
-	checkPoisonedCache(t, inputs)
+	if checkPoisonedCache(t, inputs) == 0 {
+		t.Fatal("no poisoned record named a constant; shapes too tame")
+	}
 }
 
 // TestPoisonedWordCacheSoundness runs checkPoisonedCache on the datapath
@@ -46,16 +48,17 @@ func TestPoisonedWordCacheSoundness(t *testing.T) {
 }
 
 // checkPoisonedCache plants deliberately wrong Equal records in the
-// verification cache — one for every pair of LUTs whose exhaustive truth
-// tables differ, the lies a corrupted or stale cache could tell under a
-// matching key — and checks that revalidation rejects every one: a direct
-// probe refuses each lie, the sweep's merges stay sound against the
-// exhaustive ground truth, and its proven partition is a cache-cold oracle
-// run's on the same partition.
-func checkPoisonedCache(t *testing.T, inputs []poisonInput) {
+// verification cache — one for every pair of classified nodes (LUTs and
+// constants) whose exhaustive truth tables differ, the lies a corrupted or
+// stale cache could tell under a matching key — and checks that
+// revalidation rejects every one: a direct probe finds and refuses each
+// lie, the sweep's merges stay sound against the exhaustive ground truth,
+// and its proven partition is a cache-cold oracle run's on the same
+// partition. It returns how many lies named a constant.
+func checkPoisonedCache(t *testing.T, inputs []poisonInput) int {
 	t.Helper()
 	ctx := context.Background()
-	totalPoisoned, totalRejected := 0, 0
+	totalPoisoned, totalRejected, constLies := 0, 0, 0
 	for trial, in := range inputs {
 		net := in.net
 		tables := NodeTables(net)
@@ -68,44 +71,47 @@ func checkPoisonedCache(t *testing.T, inputs []poisonInput) {
 		var lies [][2]network.NodeID
 		for a := 0; a < net.NumNodes(); a++ {
 			for b := a + 1; b < net.NumNodes(); b++ {
-				if net.Node(network.NodeID(a)).Kind == network.KindLUT &&
-					net.Node(network.NodeID(b)).Kind == network.KindLUT &&
-					!tables[a].Equal(tables[b]) {
+				if classified(net, a) && classified(net, b) && !tables[a].Equal(tables[b]) {
 					lies = append(lies, [2]network.NodeID{network.NodeID(a), network.NodeID(b)})
+					if net.Node(network.NodeID(a)).Kind == network.KindConst ||
+						net.Node(network.NodeID(b)).Kind == network.KindConst {
+						constLies++
+					}
 				}
 			}
 		}
 		totalPoisoned += len(lies)
 
-		// plant opens a fresh store holding every lie. A refused Equal
-		// record poisons every key its lies link, so a store the direct
-		// probes have refused from would only miss under the sweep: the
-		// sweep gets a store of its own.
-		plant := func() (*pcache.Store, *pcache.Session) {
-			st, err := pcache.Open(t.TempDir())
+		// A direct probe must find every lie and refuse it. A refused
+		// Equal record poisons every key its lies link, so each lie is
+		// probed in a store that holds it alone; the store's compacting
+		// Close drops the refused record before the next lie is planted.
+		dir := t.TempDir()
+		for _, p := range lies {
+			st, err := pcache.Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sess := pcache.NewSession(st, net, nil)
-			for _, p := range lies {
-				sess.RecordProof(p[0], p[1], prover.Equal, nil)
+			sess.RecordProof(p[0], p[1], prover.Equal, nil)
+			if cp := sess.Probe(ctx, p[0], p[1]); cp.Hit || !cp.RevalFailed {
+				t.Fatalf("trial %d (%s): poisoned record (%d, %d) not refused by revalidation: hit=%v",
+					trial, in.name, p[0], p[1], cp.Hit)
 			}
-			return st, sess
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 
-		// A direct probe must refuse every lie.
-		probeSt, probeSess := plant()
-		for _, p := range lies {
-			if cp := probeSess.Probe(ctx, p[0], p[1]); cp.Hit {
-				t.Fatalf("trial %d (%s): poisoned record (%d, %d) accepted by direct probe",
-					trial, in.name, p[0], p[1])
-			}
-		}
-		if err := probeSt.Close(); err != nil {
+		// The sweep runs on a store holding every lie.
+		st, err := pcache.Open(t.TempDir())
+		if err != nil {
 			t.Fatal(err)
 		}
-
-		st, sess := plant()
+		sess := pcache.NewSession(st, net, nil)
+		for _, p := range lies {
+			sess.RecordProof(p[0], p[1], prover.Equal, nil)
+		}
 		sw := sweep.New(net, coarseClasses(net, cfg), sweep.Options{Cache: sess})
 		res := sw.Run()
 		totalRejected += res.CacheRevalFails
@@ -139,4 +145,5 @@ func checkPoisonedCache(t *testing.T, inputs []poisonInput) {
 	if totalRejected == 0 {
 		t.Fatal("no poisoned record was ever probed by the sweep and rejected")
 	}
+	return constLies
 }

@@ -106,6 +106,13 @@ func NodeTables(net *network.Network) []tt.Table {
 	return tables
 }
 
+// classified reports whether node id is one the candidate classes hold:
+// a LUT or a constant.
+func classified(net *network.Network, id int) bool {
+	k := net.Node(network.NodeID(id)).Kind
+	return k == network.KindLUT || k == network.KindConst
+}
+
 // tableClasses assigns each classified node (LUT or constant) a canonical
 // functional class index; unclassified nodes get -1. Hash buckets are
 // resolved with exact comparison, so two nodes share an index iff their
@@ -116,8 +123,7 @@ func tableClasses(net *network.Network, tables []tt.Table) []int {
 	var classTables []tt.Table
 	for id := range classOf {
 		classOf[id] = -1
-		k := net.Node(network.NodeID(id)).Kind
-		if k != network.KindLUT && k != network.KindConst {
+		if !classified(net, id) {
 			continue
 		}
 		h := tables[id].Hash()
